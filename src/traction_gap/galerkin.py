@@ -1,5 +1,5 @@
-"""Polynomial displacement spaces, quadratic assembly, and null-space-aware
-conjugate-gradient minimization.
+"""Polynomial displacement spaces, quadratic assembly, and factorized
+minimization.
 
 Space kinds
 -----------
@@ -17,8 +17,12 @@ Space kinds
 The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
 the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated, and
 load vectors per rotation come from precomputed first-moment tensors:
-L(R b_k) = <R, T_k>.  Rigid (and, for ``div_free``, redundant) directions
-are deflated by projection, which keeps the reported energy exact.
+L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
+system gives its kernel and its pseudo-inverse; every solve is x = P A^+ b,
+with P removing the L^2-rigid part of the field (for ``div_free`` also the
+redundant directions), which leaves the energy exact.  Because b is linear
+in R, the per-rotation minimum is the 9x9 quadratic form
+m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .loads import LoadRules, body_force, surface_force
 
 KERNEL_EIGENVALUE_CUT = 1e-10
 COMPATIBILITY_TOL = 1e-8
-CG_TOL = 1e-12
 
 
 class AssemblyError(RuntimeError):
@@ -40,9 +43,7 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message: str, history: list[float] | None = None):
-        super().__init__(message)
-        self.history = history or []
+    pass
 
 
 def _legendre_tables(x: np.ndarray, deg: int, lo: float, hi: float, nder: int) -> np.ndarray:
@@ -279,6 +280,9 @@ class StiffnessSystem:
     load_moments: np.ndarray  # (K, 3, 3); b_k(R) = <R, T_k>
     kernel: np.ndarray  # orthonormal rows spanning ker A
     rigid: np.ndarray | None  # exact rigid coefficient vectors
+    pinv: np.ndarray  # A^+, zero on ker A
+    projector: np.ndarray  # P = I - (L^2-rigid fit), built once per system
+    rotation_form: np.ndarray  # (9, 9) Q = B' A^+ B, where b(R) = B vec(R)
     div_matrix: np.ndarray | None = None
     penalty: float | None = None
 
@@ -305,28 +309,35 @@ def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def assemble(
-    space: GalerkinSpace,
-    load,
-    rules: LoadRules | None = None,
-    incompressible_penalty: float | None = None,
-) -> StiffnessSystem:
-    """Quadratic form, load moment tensors, and the deflation basis."""
-    if rules is None:
-        order = space.recommended_order()
-        vol = volume_quadrature(space.domain, order)
-        surf = surface_quadrature(space.domain, order) if load.has_surface_term else None
-        rules = LoadRules(volume=vol, surface=surf)
-    vol = rules.volume
-    vals, grads = space.tables(vol)
-    K, N = space.dim, len(vol)
-    E = strain(grads).reshape(K, N * 9)
-    Ew = E * np.repeat(vol.weights, 9)[None, :]
-    A = 8.0 * (Ew @ E.T)
-    A = 0.5 * (A + A.T)
+def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orthonormal kernel rows, pseudo-inverse) of a symmetric PSD matrix.
 
-    f = body_force(load, vol.points)
-    moments = np.einsum("n,ni,knj->kij", vol.weights, f, vals)
+    One eigendecomposition; eigenvalues below KERNEL_EIGENVALUE_CUT times the
+    largest (floored at 1) count as the kernel.
+    """
+    eigvals, V = np.linalg.eigh(M)
+    keep = eigvals > KERNEL_EIGENVALUE_CUT * max(eigvals[-1], 1.0)
+    return V[:, ~keep].T.copy(), (V[:, keep] / eigvals[keep]) @ V[:, keep].T
+
+
+def _rigid_projector(space: GalerkinSpace, rule: QuadratureRule,
+                     basis: np.ndarray) -> np.ndarray:
+    """P with P x = x minus the L^2-closest field spanned by the basis rows.
+
+    The basis fields carry no strain, so P leaves the energy unchanged.
+    """
+    vals, _ = space.tables(rule)
+    flat = vals.reshape(space.dim, -1)  # (K, 3N)
+    F = ((basis @ flat) * np.repeat(rule.weights, 3)) @ flat.T  # <basis field a, b_k>
+    G = F @ basis.T  # L^2 Gram matrix of the basis fields
+    return np.eye(space.dim) - basis.T @ np.linalg.lstsq(G, F, rcond=None)[0]
+
+
+def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
+    """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature."""
+    vals, _ = space.tables(rules.volume)
+    f = body_force(load, rules.volume.points)
+    moments = np.einsum("n,ni,knj->kij", rules.volume.weights, f, vals)
     if load.has_surface_term:
         surf = rules.surface
         if surf is None:
@@ -334,18 +345,39 @@ def assemble(
         svals, _ = space.tables(surf)
         g = surface_force(load, surf.normals)
         moments += np.einsum("n,ni,knj->kij", surf.weights, g, svals)
+    return moments
 
-    div = np.trace(grads, axis1=2, axis2=3)  # (K, N)
+
+def assemble(
+    space: GalerkinSpace,
+    load,
+    rules: LoadRules | None = None,
+    incompressible_penalty: float | None = None,
+) -> StiffnessSystem:
+    """Quadratic form, load moments, its factorization and rotation form."""
+    if rules is None:
+        order = space.recommended_order()
+        vol = volume_quadrature(space.domain, order)
+        surf = surface_quadrature(space.domain, order) if load.has_surface_term else None
+        rules = LoadRules(volume=vol, surface=surf)
+    vol = rules.volume
+    _, grads = space.tables(vol)
+    K, N = space.dim, len(vol)
+    E = strain(grads).reshape(K, N * 9)
+    A = 8.0 * ((E * np.repeat(vol.weights, 9)[None, :]) @ E.T)
+    A = 0.5 * (A + A.T)
+    del E  # the largest array of the assembly; free it before the factorization
+
+    moments = load_moments(space, load, rules)
     D = None
     if incompressible_penalty is not None:
+        div = np.trace(grads, axis1=2, axis2=3)  # (K, N)
         Dw = div * vol.weights[None, :]
         D = Dw @ div.T
         D = 0.5 * (D + D.T)
 
-    eigvals, eigvecs = np.linalg.eigh(A)
-    scale = max(eigvals[-1], 1.0)
-    nkern = int(np.sum(eigvals < KERNEL_EIGENVALUE_CUT * scale))
-    kernel = eigvecs[:, :nkern].T.copy()
+    kernel, pinv = _factor(A)
+    nkern = kernel.shape[0]
 
     rigid = space.rigid_coefficients()
     if rigid is not None:
@@ -356,6 +388,13 @@ def assemble(
             )
         if _principal_angle(kernel, rigid) > 1e-6:
             raise AssemblyError("numeric kernel does not span the rigid modes")
+    projector = _rigid_projector(space, vol, kernel if rigid is None else rigid)
+    # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
+    # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
+    # only to second order and m(R) matches solve_quadratic to round-off
+    B = moments.reshape(K, 9)
+    S = projector @ (pinv @ B)
+    Q = S.T @ B + B.T @ S - S.T @ A @ S
     return StiffnessSystem(
         space=space,
         rules=rules,
@@ -363,6 +402,9 @@ def assemble(
         load_moments=moments,
         kernel=kernel,
         rigid=rigid,
+        pinv=pinv,
+        projector=projector,
+        rotation_form=0.5 * (Q + Q.T),
         div_matrix=D,
         penalty=incompressible_penalty,
     )
@@ -374,106 +416,26 @@ class SolveResult:
     value: float
     rotation: np.ndarray | None
     residual_norm: float
-    iterations: int
+    iterations: int  # always 0: the solve is a factorized product
     status: str
-    history: list[float] = field(default_factory=list)
-
-
-def _project_out(Z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if Z.size == 0:
-        return v
-    return v - Z.T @ (Z @ v)
-
-
-def projected_cg(
-    A: np.ndarray,
-    b: np.ndarray,
-    Z: np.ndarray,
-    tol: float = CG_TOL,
-    maxiter: int | None = None,
-    x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[float], int, bool]:
-    """CG on the orthogonal complement of the rows of Z (A SPD there)."""
-    n = b.size
-    if maxiter is None:
-        maxiter = 10 * n
-    bp = _project_out(Z, b)
-    bn = float(np.linalg.norm(bp))
-    if bn == 0.0:
-        return np.zeros(n), [0.0], 0, True
-    x = _project_out(Z, x0.copy()) if x0 is not None else np.zeros(n)
-    r = _project_out(Z, bp - A @ x)
-    p = r.copy()
-    rs = float(r @ r)
-    history = [np.sqrt(rs)]
-    restarted = False
-    best = rs
-    since_best = 0
-    it = 0
-    while it < maxiter:
-        if np.sqrt(rs) <= tol * bn:
-            return x, history, it, True
-        Ap = _project_out(Z, A @ p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break  # numerically lost positive-definiteness; trigger restart path
-        alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        r = _project_out(Z, r)
-        rs_new = float(r @ r)
-        history.append(np.sqrt(rs_new))
-        if rs_new < best * 0.99:
-            best, since_best = rs_new, 0
-        else:
-            since_best += 1
-        if since_best > 200:
-            if restarted:
-                raise SolverError(
-                    f"projected CG stagnated at residual {np.sqrt(rs_new):.3e} "
-                    f"(target {tol * bn:.3e})",
-                    history[-50:],
-                )
-            restarted = True
-            r = _project_out(Z, bp - A @ x)
-            p = r.copy()
-            rs = float(r @ r)
-            best, since_best = rs, 0
-            it += 1
-            continue
-        beta = rs_new / rs
-        rs = rs_new
-        p = r + beta * p
-        it += 1
-    converged = np.sqrt(rs) <= tol * bn
-    if not converged:
-        raise SolverError(
-            f"projected CG did not converge in {maxiter} iterations "
-            f"(residual {np.sqrt(rs):.3e}, target {tol * bn:.3e})",
-            history[-50:],
-        )
-    return x, history, it, True
 
 
 def solve_quadratic(
     system: StiffnessSystem,
     R: np.ndarray | None = None,
     b: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-    tol: float = CG_TOL,
-    method: str = "cg",
 ) -> SolveResult:
     """Minimize c'Ac/2 - c'b over the complement of the rigid modes.
 
-    ``method="direct"`` solves through the eigendecomposition of the
-    operator instead; the penalized systems of the incompressible lower
-    bound are too stiff for unpreconditioned CG at large penalty weights.
+    The minimizer is x = P A^+ b: the pseudo-inverse of the operator, then
+    the L^2-rigid projector.  A penalized operator A + kappa D is factored
+    afresh, once per call.
     """
     if b is None:
         b = system.load_vector(R)
     Z = system.kernel
     bn = max(1.0, float(np.linalg.norm(b)))
-    overlap = Z @ b if Z.size else np.zeros(0)
+    overlap = Z @ b
     if overlap.size and float(np.max(np.abs(overlap))) > COMPATIBILITY_TOL * bn:
         k = int(np.argmax(np.abs(overlap)))
         mode = "translation (null-resultant condition)" if _looks_like_translation(
@@ -483,45 +445,20 @@ def solve_quadratic(
             f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}"
         )
     A = system.operator()
-    if method == "direct":
-        x, history, iters = _direct_solve(A, b), [0.0], 0
-    else:
-        x, history, iters, _ = projected_cg(A, b, Z, tol=tol, x0=x0)
-    x = _remove_rigid_component(system, x)
-    value = 0.5 * float(x @ A @ x) - float(x @ b)
-    res = float(np.linalg.norm(_project_out(Z, b - A @ x)))
+    pinv = _factor(A)[1] if system.penalty else system.pinv
+    x = system.projector @ (pinv @ b)
+    r = b - A @ x
     return SolveResult(
         coefficients=x,
-        value=value,
+        value=0.5 * float(x @ A @ x) - float(x @ b),
         rotation=None if R is None else np.asarray(R, dtype=float),
-        residual_norm=res,
-        iterations=iters,
-        status="converged",
-        history=history[-10:],
+        residual_norm=float(np.linalg.norm(r - Z.T @ (Z @ r))),
+        iterations=0,
+        status="factorized",
     )
-
-
-def _direct_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    eigvals, V = np.linalg.eigh(A)
-    mask = eigvals > KERNEL_EIGENVALUE_CUT * max(eigvals[-1], 1.0)
-    return V[:, mask] @ ((V[:, mask].T @ b) / eigvals[mask])
 
 
 def _looks_like_translation(system: StiffnessSystem, z: np.ndarray) -> bool:
     vals = system.space.evaluate(z, system.rules.volume)
     mean = system.rules.volume.weights @ vals / np.sum(system.rules.volume.weights)
     return float(np.linalg.norm(mean)) > 1e-6
-
-
-def _remove_rigid_component(system: StiffnessSystem, x: np.ndarray) -> np.ndarray:
-    """Subtract the L^2-rigid part of the solution field (energy unchanged)."""
-    basis = system.rigid if system.rigid is not None else system.kernel
-    if basis is None or basis.size == 0:
-        return x
-    vol = system.rules.volume
-    fields = np.stack([system.space.evaluate(v, vol) for v in basis])
-    sol = system.space.evaluate(x, vol)
-    G = np.einsum("ani,n,bni->ab", fields, vol.weights, fields)
-    m = np.einsum("ani,n,ni->a", fields, vol.weights, sol)
-    gamma = np.linalg.lstsq(G, m, rcond=None)[0]
-    return x - basis.T @ gamma

@@ -38,6 +38,7 @@ from .galerkin import (
     StiffnessSystem,
     assemble,
     build_space,
+    load_moments,
     solve_quadratic,
     strain,
 )
@@ -48,6 +49,7 @@ from .loads import (
     IDENTITY_ONLY,
     INCOMPATIBLE,
     KernelReport,
+    LoadError,
     LoadRules,
     LoadSpec,
     RotatedLoad,
@@ -71,8 +73,13 @@ from .rotations import exp_so3, rotation_about_z, skew_from_axis
 
 DEFAULT_DEGREE = 8
 DEFAULT_KAPPAS = (1e3, 1e4, 1e5, 1e6)
-THETA_COARSE = 64
-THETA_TOL = 1e-10
+AXIS_GRID = 64  # angles per turn searched about a kernel axis
+SO3_GRID = 6  # quaternion grid points per coordinate and cube face (4 * 6^3 rotations)
+POLISH_STARTS = 8  # lowest grid rotations polished by Newton
+NEWTON_ITERATIONS = 50
+NEWTON_TOL = 1e-14  # round-off level of m and its gradient, relative to sum |Q_ij|
+NEWTON_MAX_STEP = 0.5  # radians
+NEWTON_STEP_TOL = 1e-15  # radians
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +190,9 @@ class ExplicitSolution:
 def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
     """Closed-form per-rotation minimizers for a unit-cylinder profile load."""
     if spec.domain.kind != "cylinder" or spec.builtin is not None:
-        raise ValueError("explicit minimizers exist only for cylinder profile loads")
-    if abs(spec.domain.radius - 1.0) > 0 or abs(spec.domain.height - 1.0) > 0:
-        raise ValueError("explicit minimizers assume the unit cylinder")
+        raise LoadError("explicit minimizers exist only for cylinder profile loads")
+    if spec.domain.radius != 1.0 or spec.domain.height != 1.0:
+        raise LoadError("explicit minimizers assume the unit cylinder")
     eta = radial_displacement_profile(spec.phi)
     return ExplicitSolution(
         phi=spec.phi,
@@ -328,90 +335,94 @@ def incompressible_linear_bounds(
     values = []
     for kappa in kappas:
         system.penalty = kappa
-        values.append(solve_quadratic(system, R=rotation, method="direct").value)
+        values.append(solve_quadratic(system, R=rotation).value)
     return IncompressibleBounds(
         upper=upper, lower=values[-1], kappa_schedule=tuple(kappas), kappa_values=values
     )
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _axis_grid(axis: np.ndarray) -> np.ndarray:
+    """Rotations about the axis at AXIS_GRID cell-midpoint angles of (-pi, pi)."""
+    thetas = (np.arange(AXIS_GRID) + 0.5) * (2.0 * np.pi / AXIS_GRID) - np.pi
+    return np.stack([exp_so3(t * axis) for t in thetas])
 
 
-def _axis_search(system: StiffnessSystem, axis: np.ndarray,
-                 compose_with: np.ndarray | None = None) -> tuple[SolveResult, float]:
-    """Minimize the per-rotation Galerkin value over rotations about an axis."""
-    axis = np.asarray(axis, dtype=float)
-    state = {"x0": None}
+def _quaternion_grid() -> np.ndarray:
+    """Rotations of unit quaternions on a cube-face grid of the 3-sphere.
 
-    def value(theta: float) -> float:
-        R = exp_so3(theta * axis)
-        if compose_with is not None:
-            R = compose_with @ R
-        res = solve_quadratic(system, R=R, x0=state["x0"])
-        state["x0"] = res.coefficients
-        return res.value
-
-    thetas = np.linspace(-np.pi, np.pi, THETA_COARSE, endpoint=False)
-    vals = np.array([value(t) for t in thetas])
-    k = int(np.argmin(vals))
-    span = 2.0 * np.pi / THETA_COARSE
-    theta, _ = _golden_section(value, thetas[k] - span, thetas[k] + span, THETA_TOL)
-    R = exp_so3(theta * axis)
-    if compose_with is not None:
-        R = compose_with @ R
-    res = solve_quadratic(system, R=R, x0=state["x0"])
-    return res, float(theta)
-
-
-def _so3_multistart(system: StiffnessSystem, starts: int = 8, seed: int = 0,
-                    max_iter: int = 200) -> SolveResult:
-    """Multistart descent of the per-rotation value over all of SO(3).
-
-    The value function is m(R) = -b(R)' c(R) / 2 with b linear in R, so the
-    envelope gradient along R exp(t W) is -<R W, sum_k c_k T_k>.
+    Each point has one coordinate equal to 1 and the other three at the
+    SO3_GRID cell midpoints of (-1, 1); q and -q give the same rotation, so
+    the four faces with a +1 coordinate cover SO(3).
     """
-    rng = np.random.default_rng(seed)
-    gens = [skew_from_axis(np.eye(3)[i]) for i in range(3)]
-    start_rots = [np.eye(3)] + [exp_so3(rng.uniform(-np.pi, np.pi, 3)) for _ in range(starts - 1)]
-    best = None
-    for R in start_rots:
-        res = solve_quadratic(system, R=R)
-        for _ in range(max_iter):
-            Mstar = np.einsum("k,kij->ij", res.coefficients, system.load_moments)
-            grad = np.array([-float(np.sum((R @ W) * Mstar)) for W in gens])
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-12 * max(1.0, abs(res.value)):
+    s = (np.arange(SO3_GRID) + 0.5) * (2.0 / SO3_GRID) - 1.0
+    cube = np.stack(np.meshgrid(s, s, s, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = np.concatenate([np.insert(cube, k, 1.0, axis=1) for k in range(4)])
+    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(-1, 3, 3)
+
+
+def _rotation_values(Q: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """m(R) = -vec(R)' Q vec(R) / 2 for a stack of rotations (n, 3, 3)."""
+    v = rotations.reshape(-1, 9)
+    return -0.5 * np.einsum("ni,ij,nj->n", v, Q, v)
+
+
+def _rotation_derivatives(Q: np.ndarray, R: np.ndarray,
+                         axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of t -> m(R exp(sum_i t_i W_i)) at t = 0, with
+    W_i the generator of rotations about axes[i]."""
+    gens = [skew_from_axis(a) for a in axes]
+    Qr = Q @ R.ravel()
+    V = np.stack([(R @ W).ravel() for W in gens])
+    curvature = np.array([[Qr @ (R @ (Wi @ Wj + Wj @ Wi)).ravel() for Wj in gens]
+                          for Wi in gens])
+    return -V @ Qr, -V @ Q @ V.T - 0.5 * curvature
+
+
+def _newton_polish(Q: np.ndarray, R: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Riemannian Newton descent of m from R along R exp(span of the axes).
+
+    Stops once the gradient is at the round-off level of m.  The Hessian
+    enters in absolute value, so each step points downhill; steps are capped
+    at NEWTON_MAX_STEP radians and halved while they raise m beyond round-off.
+    """
+    tol = NEWTON_TOL * float(np.abs(Q).sum())
+    value = _rotation_values(Q, R)[0]
+    for _ in range(NEWTON_ITERATIONS):
+        grad, hess = _rotation_derivatives(Q, R, axes)
+        if np.linalg.norm(grad) <= tol:
+            break
+        lam, U = np.linalg.eigh(hess)
+        lam = np.maximum(np.abs(lam), 1e-8 * np.abs(lam).max() + tol)
+        step = -U @ ((U.T @ grad) / lam)
+        step *= min(1.0, NEWTON_MAX_STEP / np.linalg.norm(step))
+        while True:
+            trial = R @ exp_so3(step @ axes)
+            trial_value = _rotation_values(Q, trial)[0]
+            if trial_value <= value + tol:
                 break
-            step = 1.0
-            improved = False
-            while step > 1e-14:
-                Rn = R @ exp_so3(-step * grad)
-                rn = solve_quadratic(system, R=Rn, x0=res.coefficients)
-                if rn.value < res.value - 1e-4 * step * gnorm * gnorm:
-                    R, res = Rn, rn
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if best is None or res.value < best.value:
-            best = res
-    return best
+            step = 0.5 * step
+            if np.linalg.norm(step) < NEWTON_STEP_TOL:
+                return R
+        R, value = trial, trial_value
+    return R
+
+
+def _search(system: StiffnessSystem, grid: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Rotation minimizing the per-rotation Galerkin value m(R).
+
+    m is evaluated through the system's 9x9 rotation form on every grid
+    rotation; the POLISH_STARTS lowest are polished by Newton along
+    R exp(span of the axes), and the lowest polished rotation is returned.
+    """
+    Q = system.rotation_form
+    starts = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:POLISH_STARTS]]
+    polished = np.stack([_newton_polish(Q, R, np.asarray(axes, dtype=float)) for R in starts])
+    return polished[int(np.argmin(_rotation_values(Q, polished)))]
 
 
 def min_limit(
@@ -420,8 +431,8 @@ def min_limit(
     degree: int = DEFAULT_DEGREE,
     report: KernelReport | None = None,
 ) -> SolveResult:
-    """Minimum of the relaxed energy: outer search over the rotation kernel,
-    inner quadratic solve per rotation."""
+    """Minimum of the relaxed energy: a search of the rotation form over the
+    rotation kernel, then one quadratic solve at the chosen rotation."""
     if report is None:
         report = compatibility_report(spec)
     if report.classification == INCOMPATIBLE:
@@ -434,9 +445,10 @@ def min_limit(
     if report.classification == IDENTITY_ONLY:
         return solve_quadratic(system)
     if report.classification == AXIS_SUBGROUP:
-        res, _ = _axis_search(system, report.axis)
-        return res
-    return _so3_multistart(system)
+        R = _search(system, _axis_grid(report.axis), [report.axis])
+    else:
+        R = _search(system, _quaternion_grid(), np.eye(3))
+    return solve_quadratic(system, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -577,22 +589,24 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
         raise SolverError("rotated check needs a nontrivial rotation kernel")
     axis = kernel.axis if kernel.classification == AXIS_SUBGROUP else np.array([0.0, 0.0, 1.0])
     system = _system_for(spec, "full", degree)
-    base, theta_star = _axis_search(system, axis)
-    R_star = exp_so3(theta_star * axis)
+    grid = _axis_grid(axis)
+    R_star = _search(system, grid, [axis])
+    theta_star = angle_about_axis(R_star, axis)
 
-    # rotated loads: L_R(v) = L(R v); its linear minimum is the solve at R_star,
-    # and its relaxed minimum searches R_star composed with the (unchanged) kernel
-    min_E_rot = solve_quadratic(system, R=R_star).value
-    rotated_res, _ = _axis_search(system, axis, compose_with=R_star)
-    min_G_rot = rotated_res.value
-
+    # rotated loads: L_R(v) = L(R v); their linear minimum solves against the
+    # load vector of the rotated forces, and their relaxed minimum searches
+    # R_star composed with the (unchanged) kernel
     rotated = RotatedLoad(base=spec, rotation=R_star)
+    b_rot = np.einsum("kii->k", load_moments(system.space, rotated, system.rules))
+    min_E_rot = solve_quadratic(system, b=b_rot).value
+    min_G_rot = solve_quadratic(system, R=_search(system, R_star @ grid, [axis])).value
+
     kernel_rot = compatibility_report(rotated)
     unchanged = kernel_rot.classification == kernel.classification
     if unchanged and kernel.classification == AXIS_SUBGROUP:
         unchanged = bool(np.allclose(kernel_rot.axis, kernel.axis, atol=1e-8))
 
-    identity_gap = solve_quadratic(system).value - base.value
+    identity_gap = solve_quadratic(system).value - solve_quadratic(system, R=R_star).value
     diff = abs(min_G_rot - min_E_rot)
     return RotatedCheck(
         rotation_theta=theta_star,

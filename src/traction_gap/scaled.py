@@ -21,16 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .galerkin import GalerkinSpace, SolverError, build_space
-from .geometry import QuadratureRule, volume_quadrature
+from .galerkin import GalerkinSpace, SolverError, assemble, build_space
+from .geometry import QuadratureRule
 from .limits import explicit_minimizers
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
     INCOMPATIBLE,
-    LoadRules,
     LoadSpec,
-    body_force,
     compatibility_report,
     default_rules,
     moment_matrix,
@@ -70,10 +68,12 @@ class DeformationAnsatz:
 class NonlinearContext:
     """Precomputed tables tying a load and a Galerkin space to one rule.
 
-    ``metric`` is the inverse of the limit stiffness on the complement of
-    its kernel (identity on the kernel itself); taking descent directions
-    in this metric keeps the backtracked steps Newton-like for small h,
-    where plain Euclidean descent stalls on the stiff ansatz bases.
+    ``metric`` is the pseudo-inverse of the limit stiffness, zero on its
+    kernel: rigid directions are flat (quartic in h) for the finite-strain
+    energy and belong to the rotation update, so the coefficient descent
+    never moves along them.  Taking descent directions in this metric keeps
+    the backtracked steps Newton-like for small h, where plain Euclidean
+    descent stalls on the stiff ansatz bases.
     """
 
     spec: LoadSpec
@@ -83,7 +83,7 @@ class NonlinearContext:
     weights: np.ndarray
     load_moments: np.ndarray  # (K, 3, 3): L(R b_k) = <R, T_k>
     placement_moment: np.ndarray  # (3, 3): L((R - I) x) = <R - I, T>
-    metric: np.ndarray  # (K, K) SPD preconditioner
+    metric: np.ndarray  # (K, K) preconditioner
 
     @property
     def dim(self) -> int:
@@ -105,42 +105,18 @@ def nonlinear_context(
 ) -> NonlinearContext:
     if order is None:
         order = space.recommended_order(nonlinear=True)
-    rule = volume_quadrature(spec.domain, order)
-    vals, grads = space.tables(rule)
-    f = body_force(spec, rule.points)
-    moments = np.einsum("n,ni,knj->kij", rule.weights, f, vals)
-    rules = LoadRules(volume=rule)
-    if spec.has_surface_term:
-        rules = default_rules(spec, order)
-        from .loads import surface_force
-
-        svals, _ = space.tables(rules.surface)
-        g = surface_force(spec, rules.surface.normals)
-        moments += np.einsum("n,ni,knj->kij", rules.surface.weights, g, svals)
-    T = moment_matrix(spec, rules)
-    K = space.dim
-    grads_flat = np.ascontiguousarray(grads.reshape(K, -1))
-
-    # inverse limit stiffness, zero on its kernel: rigid directions are flat
-    # (quartic in h) for the finite-strain energy and belong to the rotation
-    # update, so the coefficient descent never moves along them
-    E = 0.5 * (grads + np.swapaxes(grads, 2, 3))
-    Ef = E.reshape(K, -1)
-    A = 8.0 * ((Ef * np.repeat(rule.weights, 9)[None, :]) @ Ef.T)
-    eigvals, V = np.linalg.eigh(0.5 * (A + A.T))
-    scale = max(float(eigvals[-1]), 1.0)
-    inv = np.where(eigvals > 1e-10 * scale, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
-    metric = (V * inv[None, :]) @ V.T
-
+    rules = default_rules(spec, order)
+    system = assemble(space, spec, rules=rules)
+    _, grads = space.tables(rules.volume)
     return NonlinearContext(
         spec=spec,
         space=space,
-        rule=rule,
-        grads_flat=grads_flat,
-        weights=np.ascontiguousarray(rule.weights),
-        load_moments=moments,
-        placement_moment=T,
-        metric=metric,
+        rule=rules.volume,
+        grads_flat=np.ascontiguousarray(grads.reshape(space.dim, -1)),
+        weights=np.ascontiguousarray(rules.volume.weights),
+        load_moments=system.load_moments,
+        placement_moment=moment_matrix(spec, rules),
+        metric=system.pinv,
     )
 
 
@@ -268,7 +244,7 @@ def minimize_scaled(
         ctx = nonlinear_context(spec, init.space)
     c, R = init.coeffs.copy(), init.rotation.copy()
     value = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx, penalty)
-    status = "converged"
+    status = "max_rounds"
     rounds = 0
     gnorm = np.inf
     for rounds in range(1, ALTERNATION_MAX_ROUNDS + 1):
@@ -282,6 +258,7 @@ def minimize_scaled(
             status = "stationary"
             break
         if decrease < ALTERNATION_TOL:
+            status = "converged"
             break
     return NonlinearResult(
         coefficients=c,
@@ -369,8 +346,6 @@ def _kernel_distance(R: np.ndarray, report) -> float:
 def _limit_start(spec: LoadSpec, space: GalerkinSpace,
                  ctx: NonlinearContext) -> tuple[np.ndarray, np.ndarray, float]:
     """Limit minimizer projected on the space, its rotation, and its value."""
-    if spec.builtin is not None or spec.domain.kind != "cylinder":
-        raise SolverError("convergence study requires the cylinder profile loads")
     sol = explicit_minimizers(spec)
     vals, _ = space.tables(ctx.rule)
     target = sol.u_swirl.value(ctx.rule.points)

@@ -55,8 +55,10 @@ def test_malformed_config_rejected(tmp_path, capsys):
     code, report, _ = run_cli(["check-loads"], tmp_path, {"beta": "small"})
     assert code == 2
     assert "beta" in capsys.readouterr().err
-    code2, _, _ = run_cli(["check-loads"], tmp_path, {"no_such_field": 1})
-    assert code2 == 2
+    for cfg in ({"no_such_field": 1}, {"penalty_kappa": 1e4}, {"basis": {"kind": "full"}},
+                {"tolerances": {"cg": 1e-12}}):
+        code2, _, _ = run_cli(["check-loads"], tmp_path, cfg)
+        assert code2 == 2
 
 
 def test_invalid_profile_rejected(tmp_path, capsys):
@@ -139,6 +141,16 @@ def test_solver_error_exit_code(tmp_path):
     cfg = {"builtin": "ball_pull_in", "domain": {"kind": "ball"}, "basis": {"degree": 2}}
     code, _, _ = run_cli(["solve-limit"], tmp_path, cfg)
     assert code == 3
+
+
+@pytest.mark.parametrize("sub", ["gap-report", "verify-explicit", "nonlinear-study"])
+def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub):
+    # the closed forms exist only on the unit cylinder: exit 2, no traceback
+    code, report, _ = run_cli([sub], tmp_path, {"domain": {"radius": 2.0}})
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert "unit cylinder" in err and "Traceback" not in err
 
 
 def test_config_hash_stable():

@@ -5,6 +5,7 @@ from numpy.polynomial import Polynomial
 from traction_gap.galerkin import SolverError, assemble, build_space, solve_quadratic
 from traction_gap.geometry import Domain
 from traction_gap.limits import (
+    _rotation_derivatives,
     explicit_minimizers,
     gap_report,
     incompressible_linear_bounds,
@@ -125,14 +126,17 @@ def test_min_limit_zero_loads():
 
 def test_min_limit_full_so3_explores_beyond_the_axis():
     # with the axial profile off, the kernel is all of SO(3) and the search
-    # may undercut the swirl-family value; it must never sit above it
+    # undercuts the swirl-family value; it ends at a minimum of the rotation
+    # form: vanishing Riemannian gradient, no negative curvature
     spec = LoadSpec.cylinder_preset(beta=0.0)
     res = min_limit(spec, degree=6)
-    swirl6 = solve_quadratic(
-        assemble(build_space("full", 6, Domain.cylinder()), spec),
-        R=rotation_about_z(-np.pi / 2),
-    )
+    system = assemble(build_space("full", 6, Domain.cylinder()), spec)
+    swirl6 = solve_quadratic(system, R=rotation_about_z(-np.pi / 2))
     assert res.value <= swirl6.value + 1e-10
+    assert res.value <= -0.03695255
+    grad, hess = _rotation_derivatives(system.rotation_form, res.rotation, np.eye(3))
+    assert np.linalg.norm(grad) < 1e-14
+    assert np.linalg.eigvalsh(hess).min() > -1e-12
 
 
 def test_limit_below_linear(preset):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from traction_gap import scaled
 from traction_gap.galerkin import SolverError, build_space
 from traction_gap.geometry import Domain, volume_quadrature
 from traction_gap.limits import explicit_minimizers
@@ -102,6 +103,19 @@ def test_minimize_close_to_limit(preset_ctx):
     # descent never lands above the warm start
     start_val = scaled_energy(DeformationAnsatz(space, coeffs, R, 0.1), ctx)
     assert res.value <= start_val + 1e-14
+
+
+def test_minimize_reports_max_rounds(preset_ctx, monkeypatch):
+    # the warm start at h = 0.1 needs two alternation rounds; capped at one,
+    # the status says so instead of claiming convergence
+    spec, space, ctx = preset_ctx
+    coeffs, R, _ = _limit_start(spec, space, ctx)
+    init = DeformationAnsatz(space, coeffs, R, 0.1)
+    full = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    assert full.status == "converged" and full.rounds >= 2
+    monkeypatch.setattr(scaled, "ALTERNATION_MAX_ROUNDS", 1)
+    capped = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    assert capped.status == "max_rounds" and capped.rounds == 1
 
 
 def test_minimize_zero_loads():
