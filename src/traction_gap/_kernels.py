@@ -1,53 +1,22 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Batch kernels of the finite-strain energy.
 
 Everything here operates on batches of 3x3 matrices laid out as (N, 3, 3)
-float64 arrays plus a weight vector (N,).  These loops dominate the runtime
-of the nonlinear descent solver, so they carry ``@njit`` implementations.
-
-Backend selection via the environment variable ``TRACTION_GAP_BACKEND``:
-
-* ``auto``  (default) -- numba when importable, numpy otherwise
-* ``numba`` -- require numba, raise if missing
-* ``numpy`` -- force the vectorized numpy path
-
-Both paths are kept importable (``*_np`` / ``*_nb`` suffixes) so the
-benchmark in ``benchmarks/bench_kernels.py`` can compare them directly.
-The numba reductions are plain sequential loops; numpy uses pairwise
-summation, so the two backends may differ in the last few ulps.
+float64 arrays plus a weight vector (N,): the densities and their
+gradients summed or scaled with the quadrature weights, as the nonlinear
+descent solver consumes them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("TRACTION_GAP_BACKEND", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(f"TRACTION_GAP_BACKEND must be auto|numba|numpy, got {_REQUESTED!r}")
-
-HAVE_NUMBA = False
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise RuntimeError("TRACTION_GAP_BACKEND=numba but numba is not installed")
-
-USE_NUMBA = HAVE_NUMBA and _REQUESTED in ("auto", "numba")
 
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the array backend the kernels run on."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def ksv_density_sum_np(F: np.ndarray, w: np.ndarray) -> float:
+def ksv_density_sum(F: np.ndarray, w: np.ndarray) -> float:
     """Weighted sum of |F^T F - I|^2 over the batch."""
     C = np.einsum("nji,njk->nik", F, F)
     C[:, 0, 0] -= 1.0
@@ -56,7 +25,7 @@ def ksv_density_sum_np(F: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(w, np.einsum("nij,nij->n", C, C)))
 
 
-def ksv_weighted_stress_np(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+def ksv_weighted_stress(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-node w * 4 F (F^T F - I), the density gradient scaled by weights."""
     C = np.einsum("nji,njk->nik", F, F)
     C[:, 0, 0] -= 1.0
@@ -65,20 +34,20 @@ def ksv_weighted_stress_np(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (4.0 * w)[:, None, None] * np.einsum("nij,njk->nik", F, C)
 
 
-def det3_np(F: np.ndarray) -> np.ndarray:
+def det3(F: np.ndarray) -> np.ndarray:
     a, b, c = F[:, 0, 0], F[:, 0, 1], F[:, 0, 2]
     d, e, f = F[:, 1, 0], F[:, 1, 1], F[:, 1, 2]
     g, h, i = F[:, 2, 0], F[:, 2, 1], F[:, 2, 2]
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det_penalty_sum_np(F: np.ndarray, w: np.ndarray) -> float:
+def det_penalty_sum(F: np.ndarray, w: np.ndarray) -> float:
     """Weighted sum of (det F - 1)^2."""
-    d = det3_np(F) - 1.0
+    d = det3(F) - 1.0
     return float(np.dot(w, d * d))
 
 
-def det_penalty_weighted_stress_np(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+def det_penalty_weighted_stress(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-node w * 2 (det F - 1) cof(F); gradient of (det F - 1)^2."""
     cof = np.empty_like(F)
     a, b, c = F[:, 0, 0], F[:, 0, 1], F[:, 0, 2]
@@ -97,124 +66,7 @@ def det_penalty_weighted_stress_np(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (2.0 * w * (det - 1.0))[:, None, None] * cof
 
 
-def sym_norm_sq_sum_np(G: np.ndarray, w: np.ndarray) -> float:
+def sym_norm_sq_sum(G: np.ndarray, w: np.ndarray) -> float:
     """Weighted sum of |sym G|^2."""
     S = 0.5 * (G + np.swapaxes(G, 1, 2))
     return float(np.dot(w, np.einsum("nij,nij->n", S, S)))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ksv_density_sum_nb(F, w):
-        total = 0.0
-        for n in range(F.shape[0]):
-            acc = 0.0
-            for i in range(3):
-                for k in range(3):
-                    c = -1.0 if i == k else 0.0
-                    for j in range(3):
-                        c += F[n, j, i] * F[n, j, k]
-                    acc += c * c
-            total += w[n] * acc
-        return total
-
-    @njit(cache=True)
-    def _ksv_weighted_stress_nb(F, w):
-        P = np.empty_like(F)
-        C = np.empty((3, 3))
-        for n in range(F.shape[0]):
-            for i in range(3):
-                for k in range(3):
-                    c = -1.0 if i == k else 0.0
-                    for j in range(3):
-                        c += F[n, j, i] * F[n, j, k]
-                    C[i, k] = c
-            s = 4.0 * w[n]
-            for i in range(3):
-                for k in range(3):
-                    acc = 0.0
-                    for j in range(3):
-                        acc += F[n, i, j] * C[j, k]
-                    P[n, i, k] = s * acc
-        return P
-
-    @njit(cache=True)
-    def _det3_nb(F):
-        out = np.empty(F.shape[0])
-        for n in range(F.shape[0]):
-            out[n] = (
-                F[n, 0, 0] * (F[n, 1, 1] * F[n, 2, 2] - F[n, 1, 2] * F[n, 2, 1])
-                - F[n, 0, 1] * (F[n, 1, 0] * F[n, 2, 2] - F[n, 1, 2] * F[n, 2, 0])
-                + F[n, 0, 2] * (F[n, 1, 0] * F[n, 2, 1] - F[n, 1, 1] * F[n, 2, 0])
-            )
-        return out
-
-    @njit(cache=True)
-    def _det_penalty_sum_nb(F, w):
-        total = 0.0
-        for n in range(F.shape[0]):
-            det = (
-                F[n, 0, 0] * (F[n, 1, 1] * F[n, 2, 2] - F[n, 1, 2] * F[n, 2, 1])
-                - F[n, 0, 1] * (F[n, 1, 0] * F[n, 2, 2] - F[n, 1, 2] * F[n, 2, 0])
-                + F[n, 0, 2] * (F[n, 1, 0] * F[n, 2, 1] - F[n, 1, 1] * F[n, 2, 0])
-            )
-            total += w[n] * (det - 1.0) * (det - 1.0)
-        return total
-
-    @njit(cache=True)
-    def _det_penalty_weighted_stress_nb(F, w):
-        P = np.empty_like(F)
-        for n in range(F.shape[0]):
-            c00 = F[n, 1, 1] * F[n, 2, 2] - F[n, 1, 2] * F[n, 2, 1]
-            c01 = F[n, 1, 2] * F[n, 2, 0] - F[n, 1, 0] * F[n, 2, 2]
-            c02 = F[n, 1, 0] * F[n, 2, 1] - F[n, 1, 1] * F[n, 2, 0]
-            c10 = F[n, 0, 2] * F[n, 2, 1] - F[n, 0, 1] * F[n, 2, 2]
-            c11 = F[n, 0, 0] * F[n, 2, 2] - F[n, 0, 2] * F[n, 2, 0]
-            c12 = F[n, 0, 1] * F[n, 2, 0] - F[n, 0, 0] * F[n, 2, 1]
-            c20 = F[n, 0, 1] * F[n, 1, 2] - F[n, 0, 2] * F[n, 1, 1]
-            c21 = F[n, 0, 2] * F[n, 1, 0] - F[n, 0, 0] * F[n, 1, 2]
-            c22 = F[n, 0, 0] * F[n, 1, 1] - F[n, 0, 1] * F[n, 1, 0]
-            det = F[n, 0, 0] * c00 + F[n, 0, 1] * c01 + F[n, 0, 2] * c02
-            s = 2.0 * w[n] * (det - 1.0)
-            P[n, 0, 0] = s * c00
-            P[n, 0, 1] = s * c01
-            P[n, 0, 2] = s * c02
-            P[n, 1, 0] = s * c10
-            P[n, 1, 1] = s * c11
-            P[n, 1, 2] = s * c12
-            P[n, 2, 0] = s * c20
-            P[n, 2, 1] = s * c21
-            P[n, 2, 2] = s * c22
-        return P
-
-    @njit(cache=True)
-    def _sym_norm_sq_sum_nb(G, w):
-        total = 0.0
-        for n in range(G.shape[0]):
-            acc = 0.0
-            for i in range(3):
-                for j in range(3):
-                    s = 0.5 * (G[n, i, j] + G[n, j, i])
-                    acc += s * s
-            total += w[n] * acc
-        return total
-
-
-if USE_NUMBA:
-    ksv_density_sum = _ksv_density_sum_nb
-    ksv_weighted_stress = _ksv_weighted_stress_nb
-    det3 = _det3_nb
-    det_penalty_sum = _det_penalty_sum_nb
-    det_penalty_weighted_stress = _det_penalty_weighted_stress_nb
-    sym_norm_sq_sum = _sym_norm_sq_sum_nb
-else:
-    ksv_density_sum = ksv_density_sum_np
-    ksv_weighted_stress = ksv_weighted_stress_np
-    det3 = det3_np
-    det_penalty_sum = det_penalty_sum_np
-    det_penalty_weighted_stress = det_penalty_weighted_stress_np
-    sym_norm_sq_sum = sym_norm_sq_sum_np

@@ -112,20 +112,24 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, raw)
 
 
+def _finite(value) -> bool:
+    """A JSON number that converts to a finite float (not NaN, inf or a huge int)."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def validate_config(cfg: dict) -> dict:
     dom = cfg["domain"]
     _require(dom["kind"] in ("cylinder", "ball"), "domain.kind", "must be cylinder|ball")
     for key in ("radius", "height"):
-        _require(isinstance(dom[key], (int, float)) and dom[key] > 0, f"domain.{key}",
-                 "must be a positive number")
+        _require(_finite(dom[key]) and dom[key] > 0, f"domain.{key}",
+                 "must be a positive finite number")
     for key in ("phi_coeffs", "psi_coeffs", "h_schedule"):
-        _require(isinstance(cfg[key], list), key, "must be an array of numbers")
-        _require(all(isinstance(v, (int, float)) for v in cfg[key]), key,
-                 "must be an array of numbers")
-    _require(isinstance(cfg["beta"], (int, float)), "beta", "must be a number")
+        _require(isinstance(cfg[key], list) and all(_finite(v) for v in cfg[key]), key,
+                 "must be an array of finite numbers")
+    _require(_finite(cfg["beta"]), "beta", "must be a finite number")
     if cfg["surface_pressure"] is not None:
-        _require(isinstance(cfg["surface_pressure"], (int, float)), "surface_pressure",
-                 "must be a number or null")
+        _require(_finite(cfg["surface_pressure"]), "surface_pressure",
+                 "must be a finite number or null")
     if cfg["builtin"] is not None:
         _require(cfg["builtin"] == "ball_pull_in", "builtin",
                  "the only builtin load is 'ball_pull_in'")
@@ -239,8 +243,6 @@ def _cmd_solve_linear(spec, cfg):
         "incompressible": {
             "upper": bounds.upper.value,
             "lower": bounds.lower,
-            "kappa_schedule": list(bounds.kappa_schedule),
-            "kappa_values": bounds.kappa_values,
         },
     }
     return results, None, 0
@@ -349,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         results, csv_rows, code = SUBCOMMANDS[sub](spec, cfg)
-    except (SolverError, AssemblyError) as err:
+    except (SolverError, AssemblyError, np.linalg.LinAlgError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
     except LoadError as err:

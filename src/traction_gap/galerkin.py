@@ -283,8 +283,6 @@ class StiffnessSystem:
     pinv: np.ndarray  # A^+, zero on ker A
     projector: np.ndarray  # P = I - (L^2-rigid fit), built once per system
     rotation_form: np.ndarray  # (9, 9) Q = B' A^+ B, where b(R) = B vec(R)
-    div_matrix: np.ndarray | None = None
-    penalty: float | None = None
 
     @property
     def dim(self) -> int:
@@ -294,11 +292,6 @@ class StiffnessSystem:
         if R is None:
             R = np.eye(3)
         return np.einsum("kij,ij->k", self.load_moments, R)
-
-    def operator(self) -> np.ndarray:
-        if self.penalty:
-            return self.A + self.penalty * self.div_matrix
-        return self.A
 
 
 def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
@@ -352,7 +345,6 @@ def assemble(
     space: GalerkinSpace,
     load,
     rules: LoadRules | None = None,
-    incompressible_penalty: float | None = None,
 ) -> StiffnessSystem:
     """Quadratic form, load moments, its factorization and rotation form."""
     if rules is None:
@@ -369,13 +361,6 @@ def assemble(
     del E  # the largest array of the assembly; free it before the factorization
 
     moments = load_moments(space, load, rules)
-    D = None
-    if incompressible_penalty is not None:
-        div = np.trace(grads, axis1=2, axis2=3)  # (K, N)
-        Dw = div * vol.weights[None, :]
-        D = Dw @ div.T
-        D = 0.5 * (D + D.T)
-
     kernel, pinv = _factor(A)
     nkern = kernel.shape[0]
 
@@ -405,8 +390,6 @@ def assemble(
         pinv=pinv,
         projector=projector,
         rotation_form=0.5 * (Q + Q.T),
-        div_matrix=D,
-        penalty=incompressible_penalty,
     )
 
 
@@ -427,9 +410,8 @@ def solve_quadratic(
 ) -> SolveResult:
     """Minimize c'Ac/2 - c'b over the complement of the rigid modes.
 
-    The minimizer is x = P A^+ b: the pseudo-inverse of the operator, then
-    the L^2-rigid projector.  A penalized operator A + kappa D is factored
-    afresh, once per call.
+    The minimizer is x = P A^+ b: the system's pseudo-inverse, then its
+    L^2-rigid projector.
     """
     if b is None:
         b = system.load_vector(R)
@@ -444,9 +426,8 @@ def solve_quadratic(
         raise SolverError(
             f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}"
         )
-    A = system.operator()
-    pinv = _factor(A)[1] if system.penalty else system.pinv
-    x = system.projector @ (pinv @ b)
+    A = system.A
+    x = system.projector @ (system.pinv @ b)
     r = b - A @ x
     return SolveResult(
         coefficients=x,

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
 
@@ -61,6 +65,48 @@ def test_malformed_config_rejected(tmp_path, capsys):
         assert code2 == 2
 
 
+@pytest.mark.parametrize("cfg", [{"beta": float("inf")}, {"beta": float("nan")},
+                                 {"phi_coeffs": [-1.0, 0.0, float("inf")]},
+                                 {"psi_coeffs": [float("-inf"), 1.0]},
+                                 {"surface_pressure": float("nan")},
+                                 {"domain": {"radius": float("inf")}},
+                                 {"beta": 10 ** 400}])
+def test_non_finite_numbers_rejected(tmp_path, capsys, cfg):
+    # json reads NaN and Infinity; they are config errors, not tracebacks
+    for sub in ("check-loads", "kernel", "solve-linear", "solve-limit", "nonuniqueness"):
+        code, report, _ = run_cli([sub], tmp_path, cfg)
+        assert code == 2
+        assert report is None
+        assert "finite" in capsys.readouterr().err
+
+
+def test_overflowing_domain_is_a_solver_error(tmp_path, capsys):
+    # finite but overflowing geometry breaks the eigensolvers: exit 3
+    cfg = {"domain": {"radius": 2.4e295}, "basis": {"degree": 2}}
+    for sub in ("check-loads", "solve-limit"):
+        code, _, _ = run_cli([sub], tmp_path, cfg)
+        assert code == 3
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_gap_report_of_zero_load_is_a_config_error(tmp_path, capsys):
+    # no load, no gap: the relative errors would divide by a zero minimum
+    code, report, _ = run_cli(["gap-report"], tmp_path,
+                              {"phi_coeffs": [], "psi_coeffs": [], "basis": {"degree": 2}})
+    assert code == 2
+    assert report is None
+    assert "nonzero load" in capsys.readouterr().err
+
+
+def test_rotated_check_without_work_is_a_solver_error(tmp_path, capsys):
+    # without loads the linear minimum is 0 and the relative difference 0/0
+    code, report, _ = run_cli(["rotated-check"], tmp_path,
+                              {"phi_coeffs": [], "psi_coeffs": [], "basis": {"degree": 1}})
+    assert code == 3
+    assert report is None
+    assert "no work" in capsys.readouterr().err
+
+
 def test_invalid_profile_rejected(tmp_path, capsys):
     code, _, _ = run_cli(["check-loads"], tmp_path, {"phi_coeffs": [1.0, 0.0, 1.0]})
     assert code == 2
@@ -97,12 +143,41 @@ def test_solve_linear_and_limit(tmp_path):
     assert report["results"]["value"] < 0
 
 
+def test_solve_linear_off_unit_cylinder_has_no_lower_bound(tmp_path):
+    # the dual lower bound needs the unit-cylinder closed form; the
+    # divergence-free upper bound does not
+    cfg = {"domain": {"radius": 2.0}, "basis": {"degree": 3}}
+    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+    assert code == 0
+    inc = report["results"]["incompressible"]
+    assert inc["lower"] is None
+    assert inc["upper"] < 0
+
+
+# admissible, but phi' has an r^2 term, so eta has even powers of r
+_ODD_PHI = [-1.0, 0.0, 12.0, -20.0, 9.0]
+
+
+def test_odd_radial_profile_has_no_closed_form(tmp_path, capsys):
+    cfg = {"phi_coeffs": _ODD_PHI, "basis": {"degree": 3}}
+    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+    assert code == 0
+    assert report["results"]["incompressible"]["lower"] is None
+    for sub in ("verify-explicit", "gap-report", "nonlinear-study"):
+        code, _, _ = run_cli([sub], tmp_path, cfg)
+        assert code == 2
+    assert "odd radial profile" in capsys.readouterr().err
+
+
 def test_gap_report_cli(tmp_path):
     code, report, out = run_cli(["gap-report"], tmp_path, {"basis": {"degree": 8}})
     assert code == 0
     res = report["results"]
     assert res["margin"] > 0
-    assert res["incompressible"]["certified"] is True
+    inc = res["incompressible"]
+    assert inc["certified"] is True
+    assert inc["min_EI_lower"] == pytest.approx(-0.0112200828458989, rel=1e-12)
+    assert not any("kappa" in key for key in inc)
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "theta,value,predicted,residual"
 
@@ -157,3 +232,43 @@ def test_config_hash_stable():
     h1 = config_hash(DEFAULT_CONFIG)
     h2 = config_hash(json.loads(json.dumps(DEFAULT_CONFIG)))
     assert h1 == h2
+
+
+_numbers = (st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, 0.0])
+            | st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3))
+_PHI = DEFAULT_CONFIG["phi_coeffs"]
+_PSI = DEFAULT_CONFIG["psi_coeffs"]
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs around the preset, with NaN/inf and huge numbers allowed."""
+    kind = draw(st.sampled_from(["cylinder", "cylinder", "ball"]))
+    cfg = {
+        "domain": {"kind": kind,
+                   "radius": draw(st.just(1.0) | _numbers),
+                   "height": draw(st.just(1.0) | _numbers)},
+        "phi_coeffs": draw(st.sampled_from([_PHI, _ODD_PHI]) | st.lists(_numbers, max_size=7)),
+        "psi_coeffs": draw(st.just(_PSI) | st.lists(_numbers, max_size=3)),
+        "beta": draw(st.just(0.01) | st.just(0.0) | _numbers),
+        "surface_pressure": draw(st.none() | _numbers),
+        "basis": {"degree": draw(st.integers(1, 3))},
+        "quadrature_order": draw(st.integers(1, 8)),
+        "kernel_samples": draw(st.integers(1, 20)),
+    }
+    if kind == "ball" and draw(st.booleans()):
+        cfg.update(builtin="ball_pull_in", phi_coeffs=[], psi_coeffs=[],
+                   surface_pressure=None)
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=small_configs(),
+       sub=st.sampled_from(["check-loads", "kernel", "verify-explicit", "solve-limit"]))
+def test_random_configs_end_in_a_documented_exit_code(cfg, sub):
+    # every config runs or fails with 2 (config), 3 (solver) or 4
+    # (certification); an escaping exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([sub, "--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)

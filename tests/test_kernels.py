@@ -12,21 +12,19 @@ def batch(rng):
 
 
 def test_active_backend_reports():
-    assert K.active_backend() in ("numba", "numpy")
+    assert K.active_backend() == "numpy"
 
 
 def test_density_sum_matches_reference(batch):
     F, w = batch
     ref = float(np.dot(w, [np.sum((f.T @ f - np.eye(3)) ** 2) for f in F]))
     assert np.isclose(K.ksv_density_sum(F, w), ref, rtol=1e-12)
-    assert np.isclose(K.ksv_density_sum_np(F, w), ref, rtol=1e-12)
 
 
 def test_weighted_stress_matches_reference(batch):
     F, w = batch
     ref = np.stack([wi * 4.0 * f @ (f.T @ f - np.eye(3)) for f, wi in zip(F, w)])
     assert np.allclose(K.ksv_weighted_stress(F, w), ref, rtol=1e-12)
-    assert np.allclose(K.ksv_weighted_stress_np(F, w), ref, rtol=1e-12)
 
 
 def test_det_and_penalty_match_reference(batch):
@@ -35,35 +33,15 @@ def test_det_and_penalty_match_reference(batch):
     assert np.allclose(K.det3(F), dets, rtol=1e-12)
     ref_sum = float(np.dot(w, (dets - 1.0) ** 2))
     assert np.isclose(K.det_penalty_sum(F, w), ref_sum, rtol=1e-11)
-    assert np.isclose(K.det_penalty_sum_np(F, w), ref_sum, rtol=1e-11)
     # gradient of (det - 1)^2 via the cofactor matrix
     ref = np.stack(
         [2.0 * wi * (d - 1.0) * d * np.linalg.inv(f).T for f, wi, d in zip(F, w, dets)]
     )
     assert np.allclose(K.det_penalty_weighted_stress(F, w), ref, rtol=1e-9)
-    assert np.allclose(K.det_penalty_weighted_stress_np(F, w), ref, rtol=1e-9)
 
 
 def test_sym_norm_matches_reference(batch):
     F, w = batch
     ref = float(np.dot(w, [np.sum((0.5 * (f + f.T)) ** 2) for f in F]))
     assert np.isclose(K.sym_norm_sq_sum(F, w), ref, rtol=1e-12)
-    assert np.isclose(K.sym_norm_sq_sum_np(F, w), ref, rtol=1e-12)
 
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree(batch):
-    F, w = batch
-    pairs = [
-        (K._ksv_density_sum_nb, K.ksv_density_sum_np),
-        (K._det_penalty_sum_nb, K.det_penalty_sum_np),
-        (K._sym_norm_sq_sum_nb, K.sym_norm_sq_sum_np),
-    ]
-    for fast, plain in pairs:
-        assert np.isclose(fast(F, w), plain(F, w), rtol=1e-13)
-    assert np.allclose(K._ksv_weighted_stress_nb(F, w), K.ksv_weighted_stress_np(F, w), rtol=1e-13)
-    assert np.allclose(
-        K._det_penalty_weighted_stress_nb(F, w),
-        K.det_penalty_weighted_stress_np(F, w),
-        rtol=1e-13,
-    )

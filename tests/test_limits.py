@@ -20,6 +20,7 @@ from traction_gap.limits import (
 )
 from traction_gap.loads import LoadSpec, default_rules
 from traction_gap.profiles import (
+    gauss01,
     radial_displacement_profile,
     radial_ode_residual,
 )
@@ -156,11 +157,8 @@ def test_gap_report(preset):
     inc = rep.incompressible
     assert inc.certified
     assert inc.min_GI_upper < inc.min_EI_lower
-    # sandwich orientation: penalized lower bound below the feasible upper bound
-    assert inc.min_EI_lower <= inc.min_EI_upper + 1e-10
-    assert all(
-        a <= b + 1e-12 for a, b in zip(inc.kappa_values, inc.kappa_values[1:])
-    )
+    # sandwich orientation: dual lower bound below the feasible upper bound
+    assert inc.min_EI_lower <= inc.min_EI_upper
     # constrained minima dominate the unconstrained ones
     assert inc.min_EI_lower >= rep.galerkin_min_E - 1e-10
     assert inc.min_GI_upper >= rep.galerkin_min_G - 1e-10
@@ -174,8 +172,40 @@ def test_gap_margin_survives_zero_axial_profile():
 
 def test_incompressible_bounds_standalone(preset):
     bounds = incompressible_linear_bounds(preset, degree=6)
-    assert bounds.lower <= bounds.upper.value + 1e-10
-    assert bounds.kappa_values == sorted(bounds.kappa_values)
+    assert bounds.lower <= bounds.upper.value
+
+
+def test_incompressible_lower_bound_sits_below_every_upper_bound(preset):
+    # the dual bound is proven, so it holds against any feasible value,
+    # whatever the degree either side is computed at
+    assert incompressible_linear_bounds(preset, degree=3).lower <= (
+        incompressible_linear_bounds(preset, degree=7).upper.value
+    )
+
+
+def _dual_bound_by_profiles(spec) -> float:
+    # u0 = eta(r) e_r + w(z) e_z has the cylindrical strain diag(eta', eta/r, w');
+    # tensor Gauss in (r, z), independent of the 3D rule and field evaluators
+    sol = explicit_minimizers(spec)
+    t, wt = gauss01()
+    r, z = t[:, None], t[None, :]
+    e_rr = sol.eta.deriv()(r)
+    e_tt = sol.planar(r * r)
+    e_zz = sol.axial.deriv()(z)
+    trace = e_rr + e_tt + e_zz
+    dev_sq = e_rr ** 2 + e_tt ** 2 + e_zz ** 2 - trace ** 2 / 3.0
+    return -4.0 * 2.0 * np.pi * float(wt @ (dev_sq * r) @ wt)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.0])
+def test_incompressible_lower_bound_is_the_dual_value(beta):
+    spec = LoadSpec.cylinder_preset(beta=beta)
+    expected = _dual_bound_by_profiles(spec)
+    for degree in (3, 8):
+        lower = incompressible_linear_bounds(spec, degree=degree).lower
+        assert lower == pytest.approx(expected, rel=1e-13)
+    # between the unconstrained minimum and zero
+    assert explicit_minimizers(spec).min_linear_value < expected < 0.0
 
 
 def test_rotated_no_gap(preset):
