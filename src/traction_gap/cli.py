@@ -74,6 +74,17 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# Upper bounds of the size parameters.  At the caps the largest basis table
+# stays near 1 GB: the div_free values and gradients at degree 12 take
+# 0.88 GB, the nonlinear ansatz tables at nonlinear degree 6 0.26 GB.
+SIZE_CAPS = {
+    "basis.degree": 12,
+    "nonlinear_degree": 6,
+    "quadrature_order": 32,
+    "kernel_samples": 100_000,
+}
+
+
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config field '{path}': {message}")
@@ -133,11 +144,10 @@ def validate_config(cfg: dict) -> dict:
     if cfg["builtin"] is not None:
         _require(cfg["builtin"] == "ball_pull_in", "builtin",
                  "the only builtin load is 'ball_pull_in'")
-    degree = cfg["basis"]["degree"]
-    _require(isinstance(degree, int) and degree >= 1, "basis.degree",
-             "must be an integer >= 1")
-    for key in ("quadrature_order", "kernel_samples", "nonlinear_degree"):
-        _require(isinstance(cfg[key], int) and cfg[key] >= 1, key, "must be an integer >= 1")
+    for path, cap in SIZE_CAPS.items():
+        value = cfg["basis"]["degree"] if path == "basis.degree" else cfg[path]
+        _require(type(value) is int and 1 <= value <= cap, path,  # bool is not a size
+                 f"must be an integer in [1, {cap}]")
     hs = cfg["h_schedule"]
     _require(all(0 < h < 1 for h in hs), "h_schedule", "entries must lie in (0, 1)")
     _require(all(b < a for a, b in zip(hs, hs[1:])), "h_schedule",

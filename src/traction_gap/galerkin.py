@@ -15,14 +15,16 @@ Space kinds
                       by construction (deflated numerically).
 
 The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
-the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated, and
-load vectors per rotation come from precomputed first-moment tensors:
-L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
-system gives its kernel and its pseudo-inverse; every solve is x = P A^+ b,
-with P removing the L^2-rigid part of the field (for ``div_free`` also the
-redundant directions), which leaves the energy exact.  Because b is linear
-in R, the per-rotation minimum is the 9x9 quadratic form
-m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
+the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.  It
+is one symmetric rank-k product A = S S' of the six independent, weighted
+strain components of every basis field at every node.  Load vectors per
+rotation come from precomputed first-moment tensors, one weighted matmul
+per quadrature rule: L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One
+eigendecomposition of A per system gives its kernel and its pseudo-inverse;
+every solve is x = P A^+ b, with P removing the L^2-rigid part of the field
+(for ``div_free`` also the redundant directions), which leaves the energy
+exact.  Because b is linear in R, the per-rotation minimum is the 9x9
+quadratic form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
 
 from __future__ import annotations
@@ -157,14 +159,16 @@ class GalerkinSpace:
                     shess[m, :, 0, 1] = shess[m, :, 1, 0] = sxy
                     shess[m, :, 0, 2] = shess[m, :, 2, 0] = sxz
                     shess[m, :, 1, 2] = shess[m, :, 2, 1] = syz
-                # field = grad(m) x e_c; gradient rows from Hessian columns
+                # field = grad(m) x e_c, components (grad m x e_c)_i = eps_ijc d_j m:
+                # +d_{c+2} m in slot c+1, -d_{c+1} m in slot c+2; gradient rows
+                # are the matching Hessian rows
                 for c in range(3):
                     sl = slice(c * nscal, (c + 1) * nscal)
-                    e = np.zeros(3)
-                    e[c] = 1.0
-                    vals[sl] = np.cross(sgrad, e[None, None, :])
-                    grads[sl] = np.cross(np.swapaxes(shess, 2, 3), e[None, None, None, :])
-                    grads[sl] = np.swapaxes(grads[sl], 2, 3)
+                    i, j = (c + 1) % 3, (c + 2) % 3
+                    vals[sl, :, i] = sgrad[:, :, j]
+                    vals[sl, :, j] = -sgrad[:, :, i]
+                    grads[sl, :, i] = shess[:, :, j]
+                    grads[sl, :, j] = -shess[:, :, i]
         else:
             d2 = self.degree
             Lx = _legendre_tables(pts[:, 0], d2, -a, a, 2)
@@ -326,18 +330,39 @@ def _rigid_projector(space: GalerkinSpace, rule: QuadratureRule,
     return np.eye(space.dim) - basis.T @ np.linalg.lstsq(G, F, rcond=None)[0]
 
 
+def _strain_gram(space: GalerkinSpace, rule: QuadratureRule) -> np.ndarray:
+    """A_kl = 8 * sum_n w_n E(b_k) : E(b_l) at the rule's nodes.
+
+    8 E:E' = 8 sum_i g_ii g'_ii + 4 sum_{i<j} (g_ij + g_ji)(g'_ij + g'_ji), so
+    the six independent strain components, scaled by sqrt(8w) and sqrt(4w),
+    form one (K, 6N) table S with A = S S'.  numpy evaluates S @ S.T as a
+    symmetric rank-k update: half the flops of a general product, and an
+    exactly symmetric result.
+    """
+    _, grads = space.tables(rule)
+    K, N = space.dim, len(rule)
+    s8, s4 = np.sqrt(8.0 * rule.weights), np.sqrt(4.0 * rule.weights)
+    S = np.empty((K, 6, N))
+    for row, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        np.multiply(grads[:, :, row, row], s8, out=S[:, row])
+        np.add(grads[:, :, i, j], grads[:, :, j, i], out=S[:, 3 + row])
+        S[:, 3 + row] *= s4
+    S = S.reshape(K, 6 * N)
+    return S @ S.T
+
+
 def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature."""
-    vals, _ = space.tables(rules.volume)
-    f = body_force(load, rules.volume.points)
-    moments = np.einsum("n,ni,knj->kij", rules.volume.weights, f, vals)
+    vol = rules.volume
+    vals, _ = space.tables(vol)
+    # T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n): one matmul of (3, N) into (K, N, 3)
+    moments = (vol.weights[:, None] * body_force(load, vol.points)).T @ vals
     if load.has_surface_term:
         surf = rules.surface
         if surf is None:
             raise AssemblyError("pressure load assembled without a surface rule")
         svals, _ = space.tables(surf)
-        g = surface_force(load, surf.normals)
-        moments += np.einsum("n,ni,knj->kij", surf.weights, g, svals)
+        moments += (surf.weights[:, None] * surface_force(load, surf.normals)).T @ svals
     return moments
 
 
@@ -353,13 +378,7 @@ def assemble(
         surf = surface_quadrature(space.domain, order) if load.has_surface_term else None
         rules = LoadRules(volume=vol, surface=surf)
     vol = rules.volume
-    _, grads = space.tables(vol)
-    K, N = space.dim, len(vol)
-    E = strain(grads).reshape(K, N * 9)
-    A = 8.0 * ((E * np.repeat(vol.weights, 9)[None, :]) @ E.T)
-    A = 0.5 * (A + A.T)
-    del E  # the largest array of the assembly; free it before the factorization
-
+    A = _strain_gram(space, vol)
     moments = load_moments(space, load, rules)
     kernel, pinv = _factor(A)
     nkern = kernel.shape[0]
@@ -377,7 +396,7 @@ def assemble(
     # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
     # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
     # only to second order and m(R) matches solve_quadratic to round-off
-    B = moments.reshape(K, 9)
+    B = moments.reshape(space.dim, 9)
     S = projector @ (pinv @ B)
     Q = S.T @ B + B.T @ S - S.T @ A @ S
     return StiffnessSystem(

@@ -348,10 +348,10 @@ def _limit_start(spec: LoadSpec, space: GalerkinSpace,
     """Limit minimizer projected on the space, its rotation, and its value."""
     sol = explicit_minimizers(spec)
     vals, _ = space.tables(ctx.rule)
-    target = sol.u_swirl.value(ctx.rule.points)
-    G = np.einsum("kni,n,lni->kl", vals, ctx.rule.weights, vals)
-    m = np.einsum("kni,n,ni->k", vals, ctx.rule.weights, target)
-    coeffs = np.linalg.lstsq(G, m, rcond=None)[0]
+    root_w = np.sqrt(ctx.rule.weights)[:, None]
+    V = (vals * root_w).reshape(space.dim, -1)  # (K, 3N) weighted basis values
+    t = (sol.u_swirl.value(ctx.rule.points) * root_w).ravel()
+    coeffs = np.linalg.lstsq(V @ V.T, V @ t, rcond=None)[0]
     R = exp_so3(np.array([0.0, 0.0, 0.5 * np.pi]))  # the swirl-optimal rotation
     return coeffs, R, sol.min_swirl_value
 

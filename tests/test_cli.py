@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from traction_gap import cli
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
+from traction_gap.limits import RotatedCheck
 
 
 def run_cli(args, tmp_path, config=None):
@@ -60,7 +63,7 @@ def test_malformed_config_rejected(tmp_path, capsys):
     assert code == 2
     assert "beta" in capsys.readouterr().err
     for cfg in ({"no_such_field": 1}, {"penalty_kappa": 1e4}, {"basis": {"kind": "full"}},
-                {"tolerances": {"cg": 1e-12}}):
+                {"tolerances": {"cg": 1e-12}}, {"basis": {"degree": True}}):
         code2, _, _ = run_cli(["check-loads"], tmp_path, cfg)
         assert code2 == 2
 
@@ -144,14 +147,15 @@ def test_solve_linear_and_limit(tmp_path):
 
 
 def test_solve_linear_off_unit_cylinder_has_no_lower_bound(tmp_path):
-    # the dual lower bound needs the unit-cylinder closed form; the
-    # divergence-free upper bound does not
-    cfg = {"domain": {"radius": 2.0}, "basis": {"degree": 3}}
-    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
-    assert code == 0
-    inc = report["results"]["incompressible"]
-    assert inc["lower"] is None
-    assert inc["upper"] < 0
+    # the dual lower bound needs the pressure-free unit-cylinder closed form;
+    # the divergence-free upper bound does not
+    for cfg in ({"domain": {"radius": 2.0}, "basis": {"degree": 3}},
+                {"surface_pressure": 0.5, "basis": {"degree": 3}}):
+        code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+        assert code == 0
+        inc = report["results"]["incompressible"]
+        assert inc["lower"] is None
+        assert inc["upper"] < 0
 
 
 # admissible, but phi' has an r^2 term, so eta has even powers of r
@@ -203,12 +207,25 @@ def test_nonuniqueness_cli(tmp_path):
     assert report["results"]["distinct"] is True
 
 
-def test_certification_failure_exit_code(tmp_path):
-    # an unreachable tolerance turns the passing rotated check into exit 4
-    cfg = {"basis": {"degree": 6}, "tolerances": {"rotated_relative": 1e-30}}
-    code, report, _ = run_cli(["rotated-check"], tmp_path, cfg)
+def test_certification_failure_exit_code(tmp_path, monkeypatch):
+    # a rotated check whose relative difference exceeds the tolerance exits 4;
+    # the real difference is round-off, often exactly 0, so it is injected
+    failed = RotatedCheck(rotation_theta=-0.5 * math.pi, min_E_rotated=-1.0,
+                          min_G_rotated=-0.999, difference=1e-3, relative_difference=1e-3,
+                          kernel_unchanged=True, gap_at_identity=0.5)
+    monkeypatch.setattr(cli, "rotated_no_gap_check", lambda spec, degree: failed)
+    code, report, _ = run_cli(["rotated-check"], tmp_path)
     assert code == 4
-    assert report["results"]["relative_difference"] > 0
+    assert report["results"]["relative_difference"] > report["results"]["tolerance"]
+
+
+def test_uncertified_gap_report_exit_code(tmp_path):
+    # at degree 3 the divergence-free swirl upper bound is not below the dual
+    # lower bound: a real certification failure, exit 4 with the report written
+    code, report, _ = run_cli(["gap-report"], tmp_path, {"basis": {"degree": 3}})
+    assert code == 4
+    assert report["results"]["margin"] > 0
+    assert report["results"]["incompressible"]["certified"] is False
 
 
 def test_solver_error_exit_code(tmp_path):
@@ -218,14 +235,36 @@ def test_solver_error_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("sub", ["gap-report", "verify-explicit", "nonlinear-study"])
-def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub):
-    # the closed forms exist only on the unit cylinder: exit 2, no traceback
-    code, report, _ = run_cli([sub], tmp_path, {"domain": {"radius": 2.0}})
+_CLOSED_FORM_SUBCOMMANDS = ("gap-report", "verify-explicit", "nonlinear-study")
+
+
+@pytest.mark.parametrize("sub,cfg,message", [
+    *(pytest.param(sub, {"domain": {"radius": 2.0}}, "unit cylinder", id=sub)
+      for sub in _CLOSED_FORM_SUBCOMMANDS),
+    *(pytest.param(sub, {"surface_pressure": 0.5, "basis": {"degree": 6}}, "surface pressure",
+                   id=f"pressure-{sub}") for sub in _CLOSED_FORM_SUBCOMMANDS),
+])
+def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub, cfg, message):
+    # the closed forms exist only on the unit cylinder without surface
+    # pressure: exit 2, no traceback
+    code, report, _ = run_cli([sub], tmp_path, cfg)
     assert code == 2
     assert report is None
     err = capsys.readouterr().err
-    assert "unit cylinder" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg", [{"basis": {"degree": 10 ** 6}}, {"basis": {"degree": 13}},
+                                 {"nonlinear_degree": 10 ** 9}, {"nonlinear_degree": 7},
+                                 {"quadrature_order": 10 ** 9}, {"quadrature_order": 33},
+                                 {"kernel_samples": 10 ** 12}, {"kernel_samples": 100_001}])
+def test_oversized_config_rejected(tmp_path, capsys, cfg):
+    # size parameters past their caps are config errors, before any table is built
+    for sub in ("kernel", "solve-linear", "nonlinear-study"):
+        code, report, _ = run_cli([sub], tmp_path, cfg)
+        assert code == 2
+        assert report is None
+    assert "must be an integer in [1, " in capsys.readouterr().err
 
 
 def test_config_hash_stable():

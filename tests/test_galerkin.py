@@ -10,8 +10,8 @@ from traction_gap.galerkin import (
     solve_quadratic,
     strain,
 )
-from traction_gap.geometry import Domain, volume_quadrature
-from traction_gap.loads import LoadSpec, rigid_projection
+from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
+from traction_gap.loads import LoadSpec, default_rules, load_functional, rigid_projection
 from traction_gap.rotations import rotation_about_z, skew_matrix
 
 CYL = Domain.cylinder()
@@ -102,14 +102,37 @@ def test_assemble_zero_loads_and_rotation_independence(preset):
     assert sys0.A.shape == sys1.A.shape
 
 
-def test_assemble_quadratic_consistency(preset, rng):
-    space = build_space("full", 3, CYL)
+@pytest.mark.parametrize("kind,degree,d1", [("full", 3, None), ("ansatz_k", 4, 2),
+                                            ("ansatz_k_div", 3, None), ("div_free", 2, None)],
+                         ids=["full", "ansatz_k", "ansatz_k_div", "div_free"])
+def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1):
+    # the six-component rank-k product against 4 * integral |E|^2 by direct quadrature
+    space = build_space(kind, degree, CYL, degree1d=d1)
     system = assemble(space, preset)
+    assert np.array_equal(system.A, system.A.T)
     rule = system.rules.volume
     c = rng.normal(size=space.dim)
     E = strain(space.gradients(c, rule))
     direct = 4.0 * float(np.dot(rule.weights, np.einsum("nij,nij->n", E, E)))
     assert np.isclose(0.5 * float(c @ system.A @ c), direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [LoadSpec.cylinder_preset(beta=0.01),
+                                  LoadSpec(surface_pressure=1.0)], ids=["preset", "pressure"])
+def test_load_vector_is_the_work_on_the_rotated_field(spec, rng):
+    # c . b(R) = L(R u_c), with L by quadrature on an independent, finer rule;
+    # the pressure load covers the surface moments
+    space = build_space("full", 3, CYL)
+    system = assemble(space, spec)
+    c = rng.normal(size=space.dim)
+
+    def u_c(points):
+        return space.evaluate(c, QuadratureRule(points, np.ones(len(points))))
+
+    rules = default_rules(spec, order=12)
+    for R in random_rotations(rng, 2):
+        work = load_functional(spec, lambda p: u_c(p) @ R.T, rules)
+        assert np.isclose(float(c @ system.load_vector(R)), work, rtol=1e-12, atol=0.0)
 
 
 def test_kernel_matches_rigid_dimension(preset):
