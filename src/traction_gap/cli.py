@@ -8,9 +8,10 @@ verify-explicit, nonlinear-study, rotated-check, nonuniqueness.
 
 Reports are written as ``report.json`` (deterministic: identical config and
 version produce byte-identical output) plus ``report.csv`` for the tabular
-subcommands; wall time and other run metadata go to ``meta.json`` so the
-main report stays reproducible.  Exit codes: 0 success, 1 usage, 2 invalid
-configuration, 3 solver failure, 4 a certification check failed.
+subcommands; wall time, the process's peak RSS, the numpy version and the
+subcommand go to ``meta.json`` so the main report stays reproducible.
+Exit codes: 0 success, 1 usage, 2 invalid configuration, 3 solver failure,
+4 a certification check failed.
 
 CSV columns (fixed):
   nonlinear-study : h,value_Gh,gap_to_limit,rot_dist,strain_rescaled
@@ -24,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -47,6 +49,7 @@ from .loads import (
     LoadSpec,
     compatibility_report,
     default_rules,
+    exact_order,
     reversed_compatibility_witness,
 )
 from .scaled import convergence_study
@@ -74,9 +77,12 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# Upper bounds of the size parameters.  At the caps the largest basis table
-# stays near 1 GB: the div_free values and gradients at degree 12 take
-# 0.88 GB, the nonlinear ansatz tables at nonlinear degree 6 0.26 GB.
+# Upper bounds of the size parameters.  A cylinder's linear systems are
+# assembled from 1D tables, so at the caps their size is bounded by the K x K
+# eigendecomposition: K = 1677 for div_free at degree 12 (solve-linear takes
+# about 3 s and 0.25 GB there on 2 cores).  Node tables remain in the
+# nonlinear context (0.26 GB at nonlinear degree 6) and on the ball (0.88 GB
+# of div_free values and gradients at degree 12).
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,
@@ -204,8 +210,17 @@ def config_hash(cfg: dict) -> str:
 # exit code)
 
 
+def _classification_rules(spec, cfg):
+    """Rules exact for the load's moments; quadrature_order is only a floor."""
+    order = max(cfg["quadrature_order"], exact_order(spec))
+    if order > SIZE_CAPS["quadrature_order"]:
+        raise LoadError(f"the load profiles need quadrature order {order}, past the cap "
+                        f"{SIZE_CAPS['quadrature_order']}")
+    return default_rules(spec, order)
+
+
 def _cmd_check_loads(spec, cfg):
-    rules = default_rules(spec, cfg["quadrature_order"])
+    rules = _classification_rules(spec, cfg)
     tol = cfg["tolerances"]["classification"]
     rep = compatibility_report(spec, rules, samples=cfg["kernel_samples"], tol=tol)
     witness = reversed_compatibility_witness(spec, rules, tol=tol)
@@ -223,7 +238,7 @@ def _cmd_check_loads(spec, cfg):
 
 
 def _cmd_kernel(spec, cfg):
-    rules = default_rules(spec, cfg["quadrature_order"])
+    rules = _classification_rules(spec, cfg)
     rep = compatibility_report(
         spec, rules, samples=cfg["kernel_samples"], tol=cfg["tolerances"]["classification"]
     )
@@ -382,9 +397,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     if csv_rows is not None:
         _write_csv(out / "report.csv", csv_rows)
-    (out / "meta.json").write_text(
-        json.dumps({"wall_time_s": time.perf_counter() - t0, "subcommand": sub}) + "\n"
-    )
+    meta = {
+        "wall_time_s": time.perf_counter() - t0,
+        "subcommand": sub,
+        # the process's high-water mark so far (Linux reports KiB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "numpy_version": np.__version__,
+    }
+    (out / "meta.json").write_text(json.dumps(meta) + "\n")
     print(f"{sub}: exit {code}; report in {out / 'report.json'}", file=sys.stderr)
     return code
 

@@ -15,21 +15,29 @@ Space kinds
                       by construction (deflated numerically).
 
 The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
-the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.  It
-is one symmetric rank-k product A = S S' of the six independent, weighted
-strain components of every basis field at every node.  Load vectors per
-rotation come from precomputed first-moment tensors, one weighted matmul
-per quadrature rule: L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One
-eigendecomposition of A per system gives its kernel and its pseudo-inverse;
-every solve is x = P A^+ b, with P removing the L^2-rigid part of the field
-(for ``div_free`` also the redundant directions), which leaves the energy
-exact.  Because b is linear in R, the per-rotation minimum is the 9x9
-quadratic form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
+the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.
+Every basis value and gradient entry is +-P * Z, a planar factor
+d^nx L_i(x) d^ny L_j(y) times an axial factor d^nz L_k(z) of scaled Legendre
+polynomials.  On the cylinder's volume rule, a planar (r, theta) rule times a
+Gauss rule in z, this is sum factorization: every entry of A and of the L^2
+Gram matrix M is a planar Gram entry times an axial one, gathered from two
+small Gram matrices of 1D tables; no (K, N) table of the nodes is built.
+Rules without these factors (the ball's volume rule) take node tables and
+one symmetric rank-k product A = S S' of the six weighted strain
+components; so do the values on a pressure load's surface rule, and the
+nonlinear context, whose finite-strain energy is not quadratic.  Load
+vectors per rotation come from precomputed first-moment tensors:
+L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
+system gives its kernel and its pseudo-inverse; every solve is
+x = P A^+ b, with P removing the L^2-rigid part of the field (for
+``div_free`` also the redundant directions), which leaves the energy exact.
+Because b is linear in R, the per-rotation minimum is the 9x9 quadratic
+form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +59,24 @@ class SolverError(RuntimeError):
 def _legendre_tables(x: np.ndarray, deg: int, lo: float, hi: float, nder: int) -> np.ndarray:
     """Values and derivatives of Legendre P_0..P_deg scaled to [lo, hi].
 
-    Returns (nder+1, deg+1, N); row d holds the d-th derivative.
+    Returns (nder+1, deg+1, N); row d holds the d-th derivative.  Bonnet's
+    recurrence gives the values, P^(d)_{n+1} = P^(d)_{n-1} + (2n+1) P^(d-1)_n
+    the derivatives.
     """
     t = (2.0 * x - (lo + hi)) / (hi - lo)
-    scale = 2.0 / (hi - lo)
-    out = np.empty((nder + 1, deg + 1, x.size))
-    eye = np.eye(deg + 1)
-    for i in range(deg + 1):
-        c = eye[i]
-        for d in range(nder + 1):
-            out[d, i] = np.polynomial.legendre.legval(t, c) * scale ** d
-            c = np.polynomial.legendre.legder(c)
+    out = np.zeros((nder + 1, deg + 1, x.size))
+    out[0, 0] = 1.0
+    for n in range(deg):
+        out[0, n + 1] = (2 * n + 1) / (n + 1) * t * out[0, n]
+        if n:
+            out[0, n + 1] -= n / (n + 1) * out[0, n - 1]
+    for d in range(1, nder + 1):
+        for n in range(deg):
+            out[d, n + 1] = (2 * n + 1) * out[d - 1, n]
+            if n:
+                out[d, n + 1] += out[d, n - 1]
+    for d in range(1, nder + 1):
+        out[d] *= (2.0 / (hi - lo)) ** d
     return out
 
 
@@ -82,7 +97,6 @@ class GalerkinSpace:
     domain: Domain
     degree: int
     degree1d: int | None = None
-    _tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -108,88 +122,137 @@ class GalerkinSpace:
             self.dim = 3 * len(self._idx)
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
+        self._separate()
 
-    # -- basis tables -------------------------------------------------
+    # -- separable structure ------------------------------------------
+
+    def _families(self) -> list[tuple[int, np.ndarray, dict]]:
+        """The basis as families (scalar group, scalars (n, 3), slot template).
+
+        Family member k is built from the scalar polynomial L_i(x) L_j(y) L_k(z)
+        of its row (i, j, k), scaled Legendre polynomials on the bounding box.
+        Its template maps a slot to (sign, derivative (nx, ny, nz) of that
+        scalar): slots 0-2 hold the value components, 3 + 3c + d the gradient
+        entry d_d u_c, and slots not listed vanish.  Families of one scalar
+        group share their rows.
+        """
+        unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+        def second(u, v):  # derivative d_u d_v
+            return tuple(a + b for a, b in zip(unit[u], unit[v]))
+
+        if self.kind in ("full", "div_free"):
+            ijk = np.array(self._idx, dtype=int)
+            fams = []
+            for c in range(3):
+                if self.kind == "full":
+                    tmpl = {c: (1.0, (0, 0, 0))}
+                    tmpl.update({3 + 3 * c + d: (1.0, unit[d]) for d in range(3)})
+                else:
+                    # field grad(m) x e_c: +d_q m in slot p, -d_p m in slot q;
+                    # gradient rows are the matching Hessian rows
+                    p, q = (c + 1) % 3, (c + 2) % 3
+                    tmpl = {p: (1.0, unit[q]), q: (-1.0, unit[p])}
+                    for d in range(3):
+                        tmpl[3 + 3 * p + d] = (1.0, second(q, d))
+                        tmpl[3 + 3 * q + d] = (-1.0, second(p, d))
+                fams.append((0, ijk, tmpl))
+            return fams
+        # potential m -> planar field (m_y, -m_x, 0), constant in z
+        pot = np.array([(i, j, 0) for i, j in self._idx2], dtype=int)
+        fams = [(0, pot, {0: (1.0, (0, 1, 0)), 1: (-1.0, (1, 0, 0)), 3: (1.0, (1, 1, 0)),
+                          4: (1.0, (0, 2, 0)), 6: (-1.0, (2, 0, 0)), 7: (-1.0, (1, 1, 0))})]
+        if self._naxial:  # axial fields (0, 0, w(z))
+            ax = np.array([(0, 0, k) for k in range(self._naxial)], dtype=int)
+            fams.append((1, ax, {2: (1.0, (0, 0, 0)), 11: (1.0, (0, 0, 1))}))
+        return fams
+
+    def _separate(self):
+        """Write every basis value and gradient entry as sign * P * Z.
+
+        P is a planar factor d^nx L_i(x) d^ny L_j(y), Z an axial factor
+        d^nz L_k(z); the slot arrays (K, 12) hold the sign (0 where the entry
+        vanishes) and the indices of both factors.
+        """
+        fams = self._families()
+        K = self.dim
+        base = 1 + max(2, max(int(ijk.max()) for _, ijk, _ in fams))  # derivatives <= 2
+        sign = np.zeros((K, 12))
+        pcode = np.zeros((K, 12), dtype=int)
+        zcode = np.zeros((K, 12), dtype=int)
+        self._fams = []  # (scalar group, rows, template)
+        row = 0
+        for grp, ijk, tmpl in fams:
+            rows = slice(row, row + len(ijk))
+            for e, (sgn, (nx, ny, nz)) in tmpl.items():
+                sign[rows, e] = sgn
+                pcode[rows, e] = ((nx * base + ny) * base + ijk[:, 0]) * base + ijk[:, 1]
+                zcode[rows, e] = nz * base + ijk[:, 2]
+            self._fams.append((grp, rows, tmpl))
+            row += len(ijk)
+        live = sign != 0.0
+        pidx = np.zeros((K, 12), dtype=int)
+        zidx = np.zeros((K, 12), dtype=int)
+        pf, pidx[live] = np.unique(pcode[live], return_inverse=True)
+        zf, zidx[live] = np.unique(zcode[live], return_inverse=True)
+        self._planar_factors = np.stack(np.unravel_index(pf, (base,) * 4), axis=1)  # nx, ny, i, j
+        self._axial_factors = np.stack(np.unravel_index(zf, (base,) * 2), axis=1)  # nz, k
+        self._slots = (sign, pidx, zidx)
+
+    def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(n_P, n) planar factors at the points (x, y)."""
+        a, _ = self._box
+        nx, ny, i, j = self._planar_factors.T
+        nder, deg = int(max(nx.max(), ny.max())), int(max(i.max(), j.max()))
+        Lx = _legendre_tables(x, deg, -a, a, nder)
+        Ly = _legendre_tables(y, deg, -a, a, nder)
+        return Lx[nx, i] * Ly[ny, j]
+
+    def _axial(self, z: np.ndarray) -> np.ndarray:
+        """(n_Z, n) axial factors at the heights z."""
+        _, h = self._box
+        nz, k = self._axial_factors.T
+        zlo = 0.0 if self.domain.kind == "cylinder" else -h
+        return _legendre_tables(z, int(k.max()), zlo, h, int(nz.max()))[nz, k]
+
+    # -- basis tables at the nodes --------------------------------------
 
     def tables(self, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
         """(values (K,N,3), gradients (K,N,3,3)) at the rule's nodes."""
-        key = id(rule)
-        hit = self._tables.get(key)
-        if hit is not None and hit[0] is rule:
-            return hit[1], hit[2]
-        vals, grads = self._build_tables(rule)
-        self._tables[key] = (rule, vals, grads)
-        return vals, grads
+        return self._build_tables(rule)
 
-    def _build_tables(self, rule: QuadratureRule):
-        pts = rule.points
-        N = pts.shape[0]
-        a, h = self._box
-        K = self.dim
-        vals = np.zeros((K, N, 3))
-        grads = np.zeros((K, N, 3, 3))
-        if self.kind in ("full", "div_free"):
-            deg = self.degree if self.kind == "full" else self.degree + 1
-            nder = 1 if self.kind == "full" else 2
-            zlo = 0.0 if self.domain.kind == "cylinder" else -h
-            Lx = _legendre_tables(pts[:, 0], deg, -a, a, nder)
-            Ly = _legendre_tables(pts[:, 1], deg, -a, a, nder)
-            Lz = _legendre_tables(pts[:, 2], deg, zlo, h, nder)
-            nscal = len(self._idx)
-            sval = np.empty((nscal, N))
-            sgrad = np.empty((nscal, N, 3))
-            for m, (i, j, k) in enumerate(self._idx):
-                sval[m] = Lx[0, i] * Ly[0, j] * Lz[0, k]
-                sgrad[m, :, 0] = Lx[1, i] * Ly[0, j] * Lz[0, k]
-                sgrad[m, :, 1] = Lx[0, i] * Ly[1, j] * Lz[0, k]
-                sgrad[m, :, 2] = Lx[0, i] * Ly[0, j] * Lz[1, k]
-            if self.kind == "full":
-                for c in range(3):
-                    vals[c * nscal:(c + 1) * nscal, :, c] = sval
-                    grads[c * nscal:(c + 1) * nscal, :, c, :] = sgrad
-            else:
-                shess = np.empty((nscal, N, 3, 3))
-                for m, (i, j, k) in enumerate(self._idx):
-                    shess[m, :, 0, 0] = Lx[2, i] * Ly[0, j] * Lz[0, k]
-                    shess[m, :, 1, 1] = Lx[0, i] * Ly[2, j] * Lz[0, k]
-                    shess[m, :, 2, 2] = Lx[0, i] * Ly[0, j] * Lz[2, k]
-                    sxy = Lx[1, i] * Ly[1, j] * Lz[0, k]
-                    sxz = Lx[1, i] * Ly[0, j] * Lz[1, k]
-                    syz = Lx[0, i] * Ly[1, j] * Lz[1, k]
-                    shess[m, :, 0, 1] = shess[m, :, 1, 0] = sxy
-                    shess[m, :, 0, 2] = shess[m, :, 2, 0] = sxz
-                    shess[m, :, 1, 2] = shess[m, :, 2, 1] = syz
-                # field = grad(m) x e_c, components (grad m x e_c)_i = eps_ijc d_j m:
-                # +d_{c+2} m in slot c+1, -d_{c+1} m in slot c+2; gradient rows
-                # are the matching Hessian rows
-                for c in range(3):
-                    sl = slice(c * nscal, (c + 1) * nscal)
-                    i, j = (c + 1) % 3, (c + 2) % 3
-                    vals[sl, :, i] = sgrad[:, :, j]
-                    vals[sl, :, j] = -sgrad[:, :, i]
-                    grads[sl, :, i] = shess[:, :, j]
-                    grads[sl, :, j] = -shess[:, :, i]
+    def _build_tables(self, rule: QuadratureRule, gradients: bool = True):
+        """Node tables from the separable slots; gradients None unless asked.
+
+        On a tensor rule each entry is the outer product of its planar and
+        axial factor tables, so no factor is evaluated at all N nodes.
+        """
+        sign, pidx, zidx = self._slots
+        if rule.planar is None:
+            pts = rule.points
+            P, Z = self._planar(pts[:, 0], pts[:, 1]), self._axial(pts[:, 2])
+
+            def table(slots: slice) -> np.ndarray:
+                out = np.empty((self.dim, len(rule), slots.stop - slots.start))
+                for col, e in enumerate(range(slots.start, slots.stop)):
+                    np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, col])
+                return out
         else:
-            d2 = self.degree
-            Lx = _legendre_tables(pts[:, 0], d2, -a, a, 2)
-            Ly = _legendre_tables(pts[:, 1], d2, -a, a, 2)
-            for m, (i, j) in enumerate(self._idx2):
-                vals[m, :, 0] = Lx[0, i] * Ly[1, j]
-                vals[m, :, 1] = -Lx[1, i] * Ly[0, j]
-                grads[m, :, 0, 0] = Lx[1, i] * Ly[1, j]
-                grads[m, :, 0, 1] = Lx[0, i] * Ly[2, j]
-                grads[m, :, 1, 0] = -Lx[2, i] * Ly[0, j]
-                grads[m, :, 1, 1] = -Lx[1, i] * Ly[1, j]
-            if self._naxial:
-                Lz = _legendre_tables(pts[:, 2], self._naxial - 1, 0.0, h, 1)
-                base = len(self._idx2)
-                for k in range(self._naxial):
-                    vals[base + k, :, 2] = Lz[0, k]
-                    grads[base + k, :, 2, 2] = Lz[1, k]
-        return vals, grads
+            P, Z = self._planar(*rule.planar[:2]), self._axial(rule.axial[0])
+
+            def table(slots: slice) -> np.ndarray:
+                signed = P[pidx[:, slots]] * sign[:, slots, None]  # (K, slots, N_P)
+                out = np.empty((self.dim, P.shape[1], Z.shape[1], slots.stop - slots.start))
+                np.einsum("ksp,ksz->kpzs", signed, Z[zidx[:, slots]], out=out)
+                return out.reshape(self.dim, len(rule), -1)
+
+        vals = table(slice(0, 3))
+        if not gradients:
+            return vals, None
+        return vals, table(slice(3, 12)).reshape(self.dim, -1, 3, 3)
 
     def evaluate(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        vals, _ = self.tables(rule)
+        vals, _ = self._build_tables(rule, gradients=False)
         return np.tensordot(coeffs, vals, axes=(0, 0))
 
     def gradients(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
@@ -317,29 +380,39 @@ def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V[:, ~keep].T.copy(), (V[:, keep] / eigvals[keep]) @ V[:, keep].T
 
 
-def _rigid_projector(space: GalerkinSpace, rule: QuadratureRule,
-                     basis: np.ndarray) -> np.ndarray:
+def _rigid_projector(M: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """P with P x = x minus the L^2-closest field spanned by the basis rows.
 
-    The basis fields carry no strain, so P leaves the energy unchanged.
+    M is the L^2 Gram matrix of the space.  The basis fields carry no strain,
+    so P leaves the energy unchanged.
     """
-    vals, _ = space.tables(rule)
-    flat = vals.reshape(space.dim, -1)  # (K, 3N)
-    F = ((basis @ flat) * np.repeat(rule.weights, 3)) @ flat.T  # <basis field a, b_k>
+    F = basis @ M  # <basis field a, b_k>
     G = F @ basis.T  # L^2 Gram matrix of the basis fields
-    return np.eye(space.dim) - basis.T @ np.linalg.lstsq(G, F, rcond=None)[0]
+    return np.eye(M.shape[0]) - basis.T @ np.linalg.lstsq(G, F, rcond=None)[0]
 
 
-def _strain_gram(space: GalerkinSpace, rule: QuadratureRule) -> np.ndarray:
-    """A_kl = 8 * sum_n w_n E(b_k) : E(b_l) at the rule's nodes.
+# (slot, slot, scale) pairs with 8 E:E' = 8 sum_i g_ii g'_ii
+# + 4 sum_{i<j} (g_ij + g_ji)(g'_ij + g'_ji); gradient slot 3i + j is g_ij
+_STRAIN_PAIRS = tuple((3 * i + i, 3 * i + i, 8.0) for i in range(3)) + tuple(
+    (3 * a + b, 3 * c + d, 4.0)
+    for i, j in ((0, 1), (0, 2), (1, 2))
+    for a, b in ((i, j), (j, i))
+    for c, d in ((i, j), (j, i))
+)
+_MASS_PAIRS = tuple((c, c, 1.0) for c in range(3))
+
+
+def _node_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(A, M) from node tables, for rules without tensor factors.
 
     8 E:E' = 8 sum_i g_ii g'_ii + 4 sum_{i<j} (g_ij + g_ji)(g'_ij + g'_ji), so
     the six independent strain components, scaled by sqrt(8w) and sqrt(4w),
     form one (K, 6N) table S with A = S S'.  numpy evaluates S @ S.T as a
     symmetric rank-k update: half the flops of a general product, and an
-    exactly symmetric result.
+    exactly symmetric result.  The L^2 Gram M is the same product of the
+    weighted values.
     """
-    _, grads = space.tables(rule)
+    vals, grads = space.tables(rule)
     K, N = space.dim, len(rule)
     s8, s4 = np.sqrt(8.0 * rule.weights), np.sqrt(4.0 * rule.weights)
     S = np.empty((K, 6, N))
@@ -347,21 +420,86 @@ def _strain_gram(space: GalerkinSpace, rule: QuadratureRule) -> np.ndarray:
         np.multiply(grads[:, :, row, row], s8, out=S[:, row])
         np.add(grads[:, :, i, j], grads[:, :, j, i], out=S[:, 3 + row])
         S[:, 3 + row] *= s4
+    del grads
     S = S.reshape(K, 6 * N)
-    return S @ S.T
+    A = S @ S.T
+    del S
+    V = (vals * np.sqrt(rule.weights)[:, None]).reshape(K, 3 * N)
+    return A, V @ V.T
+
+
+def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(A, M) on a tensor rule, from planar and axial Gram matrices alone.
+
+    Every slot entry is sign * P * Z, so the integral of a product of two
+    entries is a planar Gram entry times an axial one.  A block of two
+    families is a signed sum, over the slot pairs of _STRAIN_PAIRS (of
+    _MASS_PAIRS for M), of derivative Grams: the integrals of d^D m d^D' m'
+    over the two families' scalars, each gathered once.  Blocks on and above
+    the diagonal are summed and mirrored, so A and M are exactly symmetric.
+    """
+    px, py, pw = rule.planar
+    z, wz = rule.axial
+    P = space._planar(px, py) * np.sqrt(pw)
+    Z = space._axial(z) * np.sqrt(wz)
+    GP, GZ = P @ P.T, Z @ Z.T
+    _, pidx, zidx = space._slots
+    cache: dict = {}
+
+    def derivative_gram(f, e, g, e2) -> np.ndarray:
+        (gf, rf, tf), (gg, rg, tg) = f, g
+        key, rev = (gf, tf[e][1], gg, tg[e2][1]), (gg, tg[e2][1], gf, tf[e][1])
+        if rev in cache:
+            return cache[rev].T
+        if key not in cache:
+            cache[key] = (GP[np.ix_(pidx[rf, e], pidx[rg, e2])]
+                          * GZ[np.ix_(zidx[rf, e], zidx[rg, e2])])
+        return cache[key]
+
+    def gram(offset: int, pairs) -> np.ndarray:
+        out = np.zeros((space.dim, space.dim))
+        for n, f in enumerate(space._fams):
+            for g in space._fams[n:]:
+                block = out[f[1], g[1]]
+                for e, e2, scale in pairs:
+                    e, e2 = e + offset, e2 + offset
+                    if e in f[2] and e2 in g[2]:
+                        sgn = scale * f[2][e][0] * g[2][e2][0]
+                        block += sgn * derivative_gram(f, e, g, e2)
+        return np.triu(out) + np.triu(out, 1).T
+
+    return gram(3, _STRAIN_PAIRS), gram(0, _MASS_PAIRS)
 
 
 def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
-    """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature."""
+    """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature.
+
+    T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n).  On a tensor rule the force
+    component f_i, an (N_P, N_Z) array of node values, is contracted with the
+    weighted planar and axial factors, (P w) F_i (Z w)', and each entry is
+    gathered from that; no separability of f is needed.  Other rules (and the
+    surface term) take one matmul of node values into (K, N, 3).
+    """
     vol = rules.volume
-    vals, _ = space.tables(vol)
-    # T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n): one matmul of (3, N) into (K, N, 3)
-    moments = (vol.weights[:, None] * body_force(load, vol.points)).T @ vals
+    f = body_force(load, vol.points)
+    if vol.planar is None:
+        vals, _ = space._build_tables(vol, gradients=False)
+        moments = (vol.weights[:, None] * f).T @ vals
+    else:
+        px, py, pw = vol.planar
+        z, wz = vol.axial
+        P = space._planar(px, py) * pw
+        Z = space._axial(z) * wz
+        sign, pidx, zidx = space._slots
+        moments = np.empty((space.dim, 3, 3))
+        for i in range(3):
+            Y = (P @ f[:, i].reshape(pw.size, wz.size)) @ Z.T
+            moments[:, i] = sign[:, :3] * Y[pidx[:, :3], zidx[:, :3]]
     if load.has_surface_term:
         surf = rules.surface
         if surf is None:
             raise AssemblyError("pressure load assembled without a surface rule")
-        svals, _ = space.tables(surf)
+        svals, _ = space._build_tables(surf, gradients=False)
         moments += (surf.weights[:, None] * surface_force(load, surf.normals)).T @ svals
     return moments
 
@@ -378,7 +516,7 @@ def assemble(
         surf = surface_quadrature(space.domain, order) if load.has_surface_term else None
         rules = LoadRules(volume=vol, surface=surf)
     vol = rules.volume
-    A = _strain_gram(space, vol)
+    A, M = (_node_grams if vol.planar is None else _factored_grams)(space, vol)
     moments = load_moments(space, load, rules)
     kernel, pinv = _factor(A)
     nkern = kernel.shape[0]
@@ -392,7 +530,7 @@ def assemble(
             )
         if _principal_angle(kernel, rigid) > 1e-6:
             raise AssemblyError("numeric kernel does not span the rigid modes")
-    projector = _rigid_projector(space, vol, kernel if rigid is None else rigid)
+    projector = _rigid_projector(M, kernel if rigid is None else rigid)
     # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
     # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
     # only to second order and m(R) matches solve_quadratic to round-off

@@ -5,6 +5,10 @@ z and base at z = 0, and the unit ball.  Volume rules are tensor products
 of Gauss-Legendre in the radial/axial directions and a uniform (periodic)
 rule in the angle; the angular direction carries 2*order nodes so that
 stiffness integrands of polynomial bases through degree ~order stay exact.
+The cylinder's volume rule also carries its two factors, a planar (r, theta)
+rule and a Gauss rule in z: node planar_index * N_z + z_index sits at
+(x_p, y_p, z_k) with weight w_p * w_k, which lets Galerkin assembly integrate
+products of planar and axial functions factor by factor.
 Integration sums in fixed node order (numpy pairwise summation), so
 results are reproducible run to run.
 """
@@ -53,6 +57,8 @@ class QuadratureRule:
     weights: np.ndarray  # (N,)
     normals: np.ndarray | None = None  # (N, 3) outward units, surface rules only
     label: str = ""
+    planar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (x, y, w), tensor rules only
+    axial: tuple[np.ndarray, np.ndarray] | None = None  # (z, w), tensor rules only
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -80,10 +86,12 @@ def volume_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
         zz, wz = _gauss01(order)
         z = domain.height * zz
         wz = domain.height * wz
-        R, T, Z = np.meshgrid(r, th, z, indexing="ij")
-        W = wr[:, None, None] * wt[None, :, None] * wz[None, None, :]
-        pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel(), Z.ravel()], axis=1)
-        return QuadratureRule(pts, W.ravel(), label=f"cylinder-vol-{order}")
+        R, T = np.meshgrid(r, th, indexing="ij")
+        px, py = (R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()
+        pw = (wr[:, None] * wt[None, :]).ravel()
+        pts = np.stack([np.repeat(px, z.size), np.repeat(py, z.size), np.tile(z, pw.size)], axis=1)
+        return QuadratureRule(pts, (pw[:, None] * wz[None, :]).ravel(), label=f"cylinder-vol-{order}",
+                              planar=(px, py, pw), axial=(z, wz))
     # ball: r in [0,1] with r^2 jacobian, t = cos(polar) in [-1,1], uniform azimuth
     rr, wr = _gauss01(order)
     r = domain.radius * rr

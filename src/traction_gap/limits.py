@@ -540,7 +540,7 @@ def gap_report(
         raise LoadError("gap report needs a nonzero load; every minimum is 0")
 
     # one full system serves both minima; dropped before the div_free
-    # assembly below, so the two sets of basis tables never coexist
+    # assembly below, so the two systems never coexist
     system = _system_for(spec, "full", degree)
     galerkin_E = solve_quadratic(system)
     limit_res = _limit_solve(system, kernel)

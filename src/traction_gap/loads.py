@@ -185,6 +185,22 @@ def default_rules(load, order: int = 16) -> LoadRules:
     return LoadRules(volume=volume_quadrature(dom, order), surface=surface)
 
 
+def exact_order(load) -> int:
+    """Lowest rule order integrating the moment matrix and the resultant exactly.
+
+    f_i x_j has degree D = max(deg phi, deg psi + 1, 2) in r and z (2 for
+    the pull-in load).  The radial Gauss rule of order n with its r (ball:
+    r^2) jacobian integrates r^(D+2) exactly from n = (D + 4) // 2 on, and
+    its angular, polar and axial rules then carry degrees through 2n - 1 > D.
+    """
+    base = getattr(load, "base", load)  # a RotatedLoad has its base's degrees
+    if base.builtin is not None:
+        degree = 2
+    else:
+        degree = max(base.phi.trim().degree(), base.psi.trim().degree() + 1, 2)
+    return (degree + 4) // 2
+
+
 def load_functional(load, v, rules: LoadRules) -> float:
     """L(v) = volume work + surface work for a vector field v."""
     vol = rules.volume

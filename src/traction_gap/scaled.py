@@ -79,6 +79,7 @@ class NonlinearContext:
     spec: LoadSpec
     space: GalerkinSpace
     rule: QuadratureRule
+    values: np.ndarray  # (K, N, 3) basis values at the rule's nodes
     grads_flat: np.ndarray  # (K, N*9)
     weights: np.ndarray
     load_moments: np.ndarray  # (K, 3, 3): L(R b_k) = <R, T_k>
@@ -107,11 +108,12 @@ def nonlinear_context(
         order = space.recommended_order(nonlinear=True)
     rules = default_rules(spec, order)
     system = assemble(space, spec, rules=rules)
-    _, grads = space.tables(rules.volume)
+    vals, grads = space.tables(rules.volume)
     return NonlinearContext(
         spec=spec,
         space=space,
         rule=rules.volume,
+        values=vals,
         grads_flat=np.ascontiguousarray(grads.reshape(space.dim, -1)),
         weights=np.ascontiguousarray(rules.volume.weights),
         load_moments=system.load_moments,
@@ -347,9 +349,8 @@ def _limit_start(spec: LoadSpec, space: GalerkinSpace,
                  ctx: NonlinearContext) -> tuple[np.ndarray, np.ndarray, float]:
     """Limit minimizer projected on the space, its rotation, and its value."""
     sol = explicit_minimizers(spec)
-    vals, _ = space.tables(ctx.rule)
     root_w = np.sqrt(ctx.rule.weights)[:, None]
-    V = (vals * root_w).reshape(space.dim, -1)  # (K, 3N) weighted basis values
+    V = (ctx.values * root_w).reshape(space.dim, -1)  # (K, 3N) weighted basis values
     t = (sol.u_swirl.value(ctx.rule.points) * root_w).ravel()
     coeffs = np.linalg.lstsq(V @ V.T, V @ t, rcond=None)[0]
     R = exp_so3(np.array([0.0, 0.0, 0.5 * np.pi]))  # the swirl-optimal rotation
@@ -375,6 +376,7 @@ def convergence_study(
     report = compatibility_report(spec)
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")
+    explicit_minimizers(spec)  # LoadError off the unit cylinder, before the ansatz space
     space = build_space("ansatz_k", 2 * degree, spec.domain, degree1d=degree)
     ctx = nonlinear_context(spec, space)
     coeffs, R, limit_value = _limit_start(spec, space, ctx)

@@ -3,6 +3,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,32 @@ def test_check_loads_default(tmp_path):
     assert code == 0
     assert report["results"]["classification"] == "axis_subgroup"
     assert report["results"]["reversed_witness"] is None
-    assert (out / "meta.json").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["subcommand"] == "check-loads"
+    assert meta["peak_rss_mb"] > 0.0
+    assert meta["numpy_version"] == np.__version__
+
+
+@pytest.mark.parametrize("sub", ["check-loads", "kernel"])
+def test_low_quadrature_order_classifies_exactly(tmp_path, sub):
+    # quadrature_order is a floor: the rules integrate the preset's moments
+    # exactly, so low orders give the order-16 spin form
+    _, ref, _ = run_cli([sub], tmp_path, {"quadrature_order": 16})
+    for order in (1, 2, 3):
+        code, report, _ = run_cli([sub], tmp_path, {"quadrature_order": order})
+        assert code == 0
+        assert report["results"]["classification"] == "axis_subgroup"
+        assert np.allclose(report["results"]["spin_form_eigenvalues"],
+                           ref["results"]["spin_form_eigenvalues"], rtol=0.0, atol=1e-12)
+
+
+def test_profile_order_past_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_order", lambda spec: 33)
+    for sub in ("check-loads", "kernel"):
+        code, report, _ = run_cli([sub], tmp_path)
+        assert code == 2
+        assert report is None
+    assert "past the cap 32" in capsys.readouterr().err
 
 
 def test_check_loads_ball_pull_in(tmp_path):
@@ -252,6 +278,16 @@ def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub, cfg, message
     assert report is None
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_nonlinear_study_on_the_ball_is_a_config_error(tmp_path, capsys):
+    # a compatible profile load on the ball has no closed-form limit: exit 2
+    # before the (cylinder-only) ansatz space is built
+    code, report, _ = run_cli(["nonlinear-study"], tmp_path,
+                              {"domain": {"kind": "ball"}, "beta": 0.0})
+    assert code == 2
+    assert report is None
+    assert "cylinder profile loads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg", [{"basis": {"degree": 10 ** 6}}, {"basis": {"degree": 13}},

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_rotations
 from traction_gap.galerkin import (
     AssemblyError,
+    GalerkinSpace,
     SolverError,
     assemble,
     build_space,
@@ -11,10 +12,20 @@ from traction_gap.galerkin import (
     strain,
 )
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
-from traction_gap.loads import LoadSpec, default_rules, load_functional, rigid_projection
+from traction_gap.loads import (
+    LoadRules,
+    LoadSpec,
+    default_rules,
+    load_functional,
+    rigid_projection,
+)
 from traction_gap.rotations import rotation_about_z, skew_matrix
 
 CYL = Domain.cylinder()
+BALL = Domain.unit_ball()
+# the preset's radial profile on the ball, beta = 0: compatible (identity-only kernel)
+BALL_PROFILE = LoadSpec(phi_coeffs=(-1.0, 0.0, 6.0, 0.0, -9.0, 0.0, 4.0), domain=BALL)
+KINDS = [("full", 4, None), ("ansatz_k", 6, 3), ("ansatz_k_div", 6, None), ("div_free", 3, None)]
 
 
 def test_strain_examples():
@@ -102,13 +113,16 @@ def test_assemble_zero_loads_and_rotation_independence(preset):
     assert sys0.A.shape == sys1.A.shape
 
 
-@pytest.mark.parametrize("kind,degree,d1", [("full", 3, None), ("ansatz_k", 4, 2),
-                                            ("ansatz_k_div", 3, None), ("div_free", 2, None)],
-                         ids=["full", "ansatz_k", "ansatz_k_div", "div_free"])
-def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1):
-    # the six-component rank-k product against 4 * integral |E|^2 by direct quadrature
-    space = build_space(kind, degree, CYL, degree1d=d1)
-    system = assemble(space, preset)
+@pytest.mark.parametrize("kind,degree,d1,domain", [("full", 3, None, CYL), ("ansatz_k", 4, 2, CYL),
+                                                   ("ansatz_k_div", 3, None, CYL),
+                                                   ("div_free", 2, None, CYL), ("full", 3, None, BALL)],
+                         ids=["full", "ansatz_k", "ansatz_k_div", "div_free", "ball"])
+def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
+    # the assembled form against 4 * integral |E|^2 by direct quadrature: the
+    # factored path on the cylinder, the node-table rank-k product on the ball
+    space = build_space(kind, degree, domain, degree1d=d1)
+    system = assemble(space, preset if domain is CYL else BALL_PROFILE)
+    assert (system.rules.volume.planar is None) == (domain is BALL)
     assert np.array_equal(system.A, system.A.T)
     rule = system.rules.volume
     c = rng.normal(size=space.dim)
@@ -117,12 +131,17 @@ def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1):
     assert np.isclose(0.5 * float(c @ system.A @ c), direct, rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [LoadSpec.cylinder_preset(beta=0.01),
-                                  LoadSpec(surface_pressure=1.0)], ids=["preset", "pressure"])
-def test_load_vector_is_the_work_on_the_rotated_field(spec, rng):
+@pytest.mark.parametrize(
+    "spec,kind,degree,d1",
+    [(spec, *space) for space in [("full", 3, None), ("ansatz_k", 4, 2),
+                                  ("ansatz_k_div", 6, None), ("div_free", 2, None)]
+     for spec in (LoadSpec.cylinder_preset(beta=0.01), LoadSpec(surface_pressure=1.0))],
+    ids=[f"{kind}{load}" for kind in ("", "ansatz_k-", "ansatz_k_div-", "div_free-")
+         for load in ("preset", "pressure")])
+def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d1):
     # c . b(R) = L(R u_c), with L by quadrature on an independent, finer rule;
     # the pressure load covers the surface moments
-    space = build_space("full", 3, CYL)
+    space = build_space(kind, degree, CYL, degree1d=d1)
     system = assemble(space, spec)
     c = rng.normal(size=space.dim)
 
@@ -133,6 +152,33 @@ def test_load_vector_is_the_work_on_the_rotated_field(spec, rng):
     for R in random_rotations(rng, 2):
         work = load_functional(spec, lambda p: u_c(p) @ R.T, rules)
         assert np.isclose(float(c @ system.load_vector(R)), work, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,degree,d1", KINDS, ids=[k[0] for k in KINDS])
+def test_factored_assembly_matches_node_tables(preset, kind, degree, d1):
+    # the same nodes and weights without their tensor factors take the
+    # node-table path, the reference of the sum-factorized one
+    space = build_space(kind, degree, CYL, degree1d=d1)
+    factored = assemble(space, preset)
+    vol = factored.rules.volume
+    nodes = assemble(space, preset, rules=LoadRules(QuadratureRule(vol.points, vol.weights)))
+    for name in ("A", "load_moments", "projector"):
+        ref = getattr(nodes, name)
+        scale = float(np.max(np.abs(ref)))
+        assert scale > 1e-3
+        assert float(np.max(np.abs(getattr(factored, name) - ref))) <= 1e-13 * scale, name
+
+
+def test_cylinder_assembly_builds_no_node_tables(preset, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables built for a cylinder linear system")
+
+    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    for kind, degree, d1 in KINDS:
+        system = assemble(build_space(kind, degree, CYL, degree1d=d1), preset)
+        assert np.all(np.isfinite(system.A))
+    with pytest.raises(AssertionError, match="node tables"):
+        assemble(build_space("full", 2, BALL), BALL_PROFILE)
 
 
 def test_kernel_matches_rigid_dimension(preset):
