@@ -24,8 +24,8 @@ Gram matrix M is a planar Gram entry times an axial one, gathered from two
 small Gram matrices of 1D tables; no (K, N) table of the nodes is built.
 Rules without these factors (the ball's volume rule) take node tables and
 one symmetric rank-k product A = S S' of the six weighted strain
-components; so do the values on a pressure load's surface rule, and the
-nonlinear context, whose finite-strain energy is not quadratic.  Load
+components; so do the values on a pressure load's surface rule.  The
+nonlinear context tabulates its ansatz space on the two factors.  Load
 vectors per rotation come from precomputed first-moment tensors:
 L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
 system gives its kernel and its pseudo-inverse; every solve is
@@ -222,34 +222,45 @@ class GalerkinSpace:
         return self._build_tables(rule)
 
     def _build_tables(self, rule: QuadratureRule, gradients: bool = True):
-        """Node tables from the separable slots; gradients None unless asked.
-
-        On a tensor rule each entry is the outer product of its planar and
-        axial factor tables, so no factor is evaluated at all N nodes.
-        """
+        """Node tables from the separable slots; gradients None unless asked."""
         sign, pidx, zidx = self._slots
-        if rule.planar is None:
-            pts = rule.points
-            P, Z = self._planar(pts[:, 0], pts[:, 1]), self._axial(pts[:, 2])
+        pts = rule.points
+        P, Z = self._planar(pts[:, 0], pts[:, 1]), self._axial(pts[:, 2])
 
-            def table(slots: slice) -> np.ndarray:
-                out = np.empty((self.dim, len(rule), slots.stop - slots.start))
-                for col, e in enumerate(range(slots.start, slots.stop)):
-                    np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, col])
-                return out
-        else:
-            P, Z = self._planar(*rule.planar[:2]), self._axial(rule.axial[0])
-
-            def table(slots: slice) -> np.ndarray:
-                signed = P[pidx[:, slots]] * sign[:, slots, None]  # (K, slots, N_P)
-                out = np.empty((self.dim, P.shape[1], Z.shape[1], slots.stop - slots.start))
-                np.einsum("ksp,ksz->kpzs", signed, Z[zidx[:, slots]], out=out)
-                return out.reshape(self.dim, len(rule), -1)
+        def table(slots: slice) -> np.ndarray:
+            out = np.empty((self.dim, len(rule), slots.stop - slots.start))
+            for col, e in enumerate(range(slots.start, slots.stop)):
+                np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, col])
+            return out
 
         vals = table(slice(0, 3))
         if not gradients:
             return vals, None
         return vals, table(slice(3, 12)).reshape(self.dim, -1, 3, 3)
+
+    def factor_tables(self, rule: QuadratureRule):
+        """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
+        (values (K_A, N_z), slopes (K_A, N_z)) tables of an ansatz space on a
+        tensor rule: potential rows are in-plane and constant in z (axial
+        factor L_0), axial rows (0, 0, w(z)) constant in the plane."""
+        if self.kind not in ("ansatz_k", "ansatz_k_div"):
+            raise ValueError(f"factor tables exist only for ansatz spaces, not {self.kind!r}")
+        if rule.planar is None:
+            raise ValueError(f"rule {rule.label!r} carries no planar and axial factors")
+        sign, pidx, zidx = self._slots
+        rows_p, rows_a = slice(0, len(self._idx2)), slice(len(self._idx2), self.dim)
+        inplane = [0, 1, 3, 4, 6, 7]  # u_x, u_y, then d_d u_c for c, d in (x, y)
+        axial = [2, 11]  # u_z and d_z u_z
+        assert not np.delete(sign[rows_p], inplane, axis=1).any()
+        assert not np.delete(sign[rows_a], axial, axis=1).any()
+        assert not self._axial_factors[zidx[rows_p][:, inplane]].any()
+        assert not self._planar_factors[pidx[rows_a][:, axial]].any()
+        P, Z = self._planar(*rule.planar[:2]), self._axial(rule.axial[0])
+        planar = (sign[rows_p][:, inplane, None] * P[pidx[rows_p][:, inplane]]).transpose(0, 2, 1)
+        ax = sign[rows_a][:, axial, None] * Z[zidx[rows_a][:, axial]]
+        K_P, N_P = planar.shape[:2]
+        return ((planar[..., :2], planar[..., 2:].reshape(K_P, N_P, 2, 2)),
+                (ax[:, 0], ax[:, 1]))
 
     def evaluate(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         vals, _ = self._build_tables(rule, gradients=False)

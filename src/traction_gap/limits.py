@@ -151,6 +151,17 @@ class StructuredField:
         return out
 
 
+def _cylinder_order(planar: int, axial: int) -> int:
+    """Lowest cylinder rule order exact for a polynomial of degree `planar` in
+    (x, y) times one of degree `axial` in z.
+
+    Order n is exact when the radial Gauss rule, with its r jacobian, reaches
+    degree planar + 1 and the angular and axial rules reach their degrees:
+    2n - 1 >= planar + 1 and 2n - 1 >= axial.
+    """
+    return max(planar, axial) // 2 + 1
+
+
 @dataclass
 class ExplicitSolution:
     phi: Polynomial
@@ -186,16 +197,28 @@ class ExplicitSolution:
         return self.min_linear_value - self.min_swirl_value
 
     @property
+    def exact_order(self) -> int:
+        """Lowest cylinder rule order integrating the closed-form fields'
+        energy and work integrands exactly.
+
+        In (x, y), |E|^2 has degree 4 deg p and the planar work f . u degree
+        deg phi + 2 deg p; in z, w'^2 has degree 2 deg w - 2 and the axial
+        work deg psi + deg w.
+        """
+        dp, dw = self.planar.degree(), self.axial.degree()
+        return _cylinder_order(max(4 * dp, self.phi.degree() + 2 * dp),
+                               max(2 * dw - 2, self.psi.degree() + dw))
+
+    @property
     def min_incompressible_lower(self) -> float:
         """-4 * integral of |dev E(u0)|^2, a proven lower bound of the
         divergence-free linear minimum (module docstring).
 
         The quadrature order follows from the profile degrees alone: the
-        planar strain has degree 2 deg p in (x, y), squared 4 deg p, which the
-        cylinder rule integrates exactly from order 2 deg p + 1 on; the axial
+        planar strain has degree 2 deg p in (x, y), squared 4 deg p; the axial
         strain squared has degree 2 deg w - 2.
         """
-        order = max(2 * self.planar.degree() + 1, self.axial.degree(), 1)
+        order = _cylinder_order(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
         vol = volume_quadrature(Domain.cylinder(), order)
         E = self.u0.strain(vol.points)
         dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
@@ -233,8 +256,12 @@ def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
 
 
 def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 16) -> dict[str, float]:
-    """Residuals of the closed-form solution against its defining equations."""
+    """Residuals of the closed-form solution against its defining equations.
+
+    The rules have order max(order, the solution's exact order).
+    """
     sol = explicit_minimizers(spec)
+    order = max(order, sol.exact_order)
     r_grid = np.linspace(1e-3, 1.0, n_grid)
     out = {
         "ode_residual": radial_ode_residual(sol.eta, spec.phi, r_grid),
@@ -526,13 +553,14 @@ def gap_report(
     Headline compressible numbers come from the closed-form minimizers via
     one-dimensional quadrature; the Galerkin solves are the independent
     cross-check.  The incompressible side reports the sandwich described in
-    the module docstring.
+    the module docstring.  The decomposition rows integrate with rules of
+    order max(order, the closed-form solution's exact order).
     """
     kernel = compatibility_report(spec)
     if kernel.classification == INCOMPATIBLE:
         raise SolverError("gap report requires compatible loads")
     sol = explicit_minimizers(spec)
-    rules = default_rules(spec, order)
+    rules = default_rules(spec, max(order, sol.exact_order))
 
     min_E = sol.min_linear_value
     min_G = sol.min_swirl_value
@@ -660,12 +688,13 @@ class NonuniquenessCheck:
 
 def nonuniqueness_check(spec: LoadSpec, order: int = 16) -> NonuniquenessCheck:
     """The planar sign flip of the swirl minimizer is again a minimizer but
-    differs by more than an infinitesimal rigid displacement."""
+    differs by more than an infinitesimal rigid displacement.  The rules have
+    order max(order, the closed-form solution's exact order)."""
     kernel = compatibility_report(spec)
     if kernel.classification != AXIS_SUBGROUP:
         raise SolverError("nonuniqueness check needs the axis-subgroup kernel")
     sol = explicit_minimizers(spec)
-    rules = default_rules(spec, order)
+    rules = default_rules(spec, max(order, sol.exact_order))
     u_star = sol.u_swirl
     u_hat = StructuredField(-u_star.a, -u_star.b, u_star.p, u_star.w)
 

@@ -4,14 +4,19 @@ the best-fit rotation of a deformation, and the h -> 0 convergence study.
 A deformation ansatz is y(x) = R (x + h u(x)) with R a rotation and u a
 field in a Galerkin space; frame indifference turns the scaled energy into
 
-    value(u, R) = h^-2 * integral W(I + h grad u)  -  L(R u)  -  h^-1 L((R - I) x),
+    value(u, R) = h^-2 * integral W(I + h grad u)  -  L(R u)  -  h^-1 L((R - I) x).
 
-with an optional determinant penalty  h^-2 kappa (det(I + h grad u) - 1)^2
-standing in for exact incompressibility.  The u-descent uses the analytic
-stress; the rotation subproblem is linear in R and is driven uphill by a
-local tangent ascent with backtracking.  Descent only certifies upper
-bounds of the finite-h infima, which is the side the limit comparison
-needs.
+On the ansatz spaces grad u is a 2x2 planar block G(x, y) plus one axial
+entry w'(z), so C(F) = F^T F - I is block diagonal, and on the cylinder's
+tensor rule (weights w_p w_z, totals W_p, W_z) the energy splits as
+
+    integral |C(F)|^2 = W_z sum_p w_p |C(I + h G)|^2 + W_p sum_z w_z |C(I + h w' e_z e_z')|^2;
+
+the stress and the coefficient gradient split the same way.  The u-descent
+uses the analytic stress; the rotation subproblem is linear in R and is
+driven uphill by a local tangent ascent with backtracking.  Descent only
+certifies upper bounds of the finite-h infima, which is the side the limit
+comparison needs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .galerkin import GalerkinSpace, SolverError, assemble, build_space
+from .galerkin import GalerkinSpace, SolverError, assemble, build_space, strain
 from .geometry import QuadratureRule
 from .limits import explicit_minimizers
 from .loads import (
@@ -66,7 +71,8 @@ class DeformationAnsatz:
 
 @dataclass
 class NonlinearContext:
-    """Precomputed tables tying a load and a Galerkin space to one rule.
+    """Precomputed tables tying a load and an ansatz space to one tensor rule,
+    the planar rows on its planar factor and the axial rows on its axial one.
 
     ``metric`` is the pseudo-inverse of the limit stiffness, zero on its
     kernel: rigid directions are flat (quartic in h) for the finite-strain
@@ -76,23 +82,30 @@ class NonlinearContext:
     descent stalls on the stiff ansatz bases.
     """
 
-    spec: LoadSpec
     space: GalerkinSpace
     rule: QuadratureRule
-    values: np.ndarray  # (K, N, 3) basis values at the rule's nodes
-    grads_flat: np.ndarray  # (K, N*9)
-    weights: np.ndarray
+    planar_grads: np.ndarray  # (K_P, N_P*4) 2x2 gradients of the planar rows, flattened
+    axial_slopes: np.ndarray  # (K_A, N_z) w_k'(z) of the axial rows
+    planar_weights: np.ndarray  # (N_P,) planar weights times the axial total
+    axial_weights: np.ndarray  # (N_z,) axial weights times the planar total
     load_moments: np.ndarray  # (K, 3, 3): L(R b_k) = <R, T_k>
     placement_moment: np.ndarray  # (3, 3): L((R - I) x) = <R - I, T>
     metric: np.ndarray  # (K, K) preconditioner
 
-    @property
-    def dim(self) -> int:
-        return self.grads_flat.shape[0]
+    def factor_fields(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The displacement gradient's planar block (N_P, 3, 3) and axial
+        entry (N_z, 3, 3), each zero outside its block."""
+        K_P = self.planar_grads.shape[0]
+        Gp = np.zeros((self.planar_weights.size, 3, 3))
+        Gp[:, :2, :2] = (coeffs[:K_P] @ self.planar_grads).reshape(-1, 2, 2)
+        Gz = np.zeros((self.axial_weights.size, 3, 3))
+        Gz[:, 2, 2] = coeffs[K_P:] @ self.axial_slopes
+        return Gp, Gz
 
     def gradient_field(self, coeffs: np.ndarray) -> np.ndarray:
-        N = self.weights.size
-        return (coeffs @ self.grads_flat).reshape(N, 3, 3)
+        """(N, 3, 3) displacement gradient, node = planar index * N_z + z index."""
+        Gp, Gz = self.factor_fields(coeffs)
+        return (Gp[:, None] + Gz[None, :]).reshape(-1, 3, 3)
 
     def work_moment(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("k,kij->ij", coeffs, self.load_moments)
@@ -101,99 +114,90 @@ class NonlinearContext:
         return np.einsum("kij,ij->k", self.load_moments, R)
 
 
-def nonlinear_context(
-    spec: LoadSpec, space: GalerkinSpace, order: int | None = None
-) -> NonlinearContext:
-    if order is None:
-        order = space.recommended_order(nonlinear=True)
-    rules = default_rules(spec, order)
+def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
+    """Context of an ``ansatz_k``/``ansatz_k_div`` space on the cylinder's rule;
+    ValueError for other spaces, whose gradients do not split by factor."""
+    rules = default_rules(spec, space.recommended_order(nonlinear=True))
+    (_, pg), (_, ag) = space.factor_tables(rules.volume)
     system = assemble(space, spec, rules=rules)
-    vals, grads = space.tables(rules.volume)
+    pw, zw = rules.volume.planar[2], rules.volume.axial[1]
     return NonlinearContext(
-        spec=spec,
         space=space,
         rule=rules.volume,
-        values=vals,
-        grads_flat=np.ascontiguousarray(grads.reshape(space.dim, -1)),
-        weights=np.ascontiguousarray(rules.volume.weights),
+        planar_grads=pg.reshape(pg.shape[0], -1),
+        axial_slopes=ag,
+        planar_weights=pw * np.sum(zw),
+        axial_weights=zw * np.sum(pw),
         load_moments=system.load_moments,
         placement_moment=moment_matrix(spec, rules),
         metric=system.pinv,
     )
 
 
-def scaled_energy(
-    ansatz: DeformationAnsatz,
-    ctx: NonlinearContext,
-    penalty: float | None = None,
-) -> float:
+def scaled_energy(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
     """Value of the scaled energy at the ansatz (quadrature over the rule)."""
     h, R, c = ansatz.h, ansatz.rotation, ansatz.coeffs
-    F = np.eye(3) + h * ctx.gradient_field(c)
-    F = np.ascontiguousarray(F)
-    value = kernels.ksv_density_sum(F, ctx.weights) / (h * h)
+    Gp, Gz = ctx.factor_fields(c)
+    Fp, Fz = np.eye(3) + h * Gp, np.eye(3) + h * Gz
+    value = (kernels.ksv_density_sum(Fp, ctx.planar_weights)
+             + kernels.ksv_density_sum(Fz, ctx.axial_weights)) / (h * h)
     value -= float(np.sum(R * ctx.work_moment(c)))
     value -= float(np.sum((R - np.eye(3)) * ctx.placement_moment)) / h
-    if penalty:
-        value += penalty * kernels.det_penalty_sum(F, ctx.weights) / (h * h)
     return value
 
 
-def _coeff_gradient(
-    c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext, penalty: float | None
-) -> np.ndarray:
-    F = np.ascontiguousarray(np.eye(3) + h * ctx.gradient_field(c))
-    P = kernels.ksv_weighted_stress(F, ctx.weights)
-    g = (ctx.grads_flat @ P.ravel()) / h - ctx.load_vector(R)
-    if penalty:
-        Pp = kernels.det_penalty_weighted_stress(F, ctx.weights)
-        g += penalty * (ctx.grads_flat @ Pp.ravel()) / h
-    return g
+def _coeff_gradient(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> np.ndarray:
+    Gp, Gz = ctx.factor_fields(c)
+    Fp, Fz = np.eye(3) + h * Gp, np.eye(3) + h * Gz
+    Pp = kernels.ksv_weighted_stress(Fp, ctx.planar_weights)
+    Pz = kernels.ksv_weighted_stress(Fz, ctx.axial_weights)
+    g = np.concatenate([ctx.planar_grads @ Pp[:, :2, :2].ravel(), ctx.axial_slopes @ Pz[:, 2, 2]])
+    return g / h - ctx.load_vector(R)
 
 
 def _descend_coefficients(
-    ansatz: DeformationAnsatz, ctx: NonlinearContext, penalty: float | None
-) -> tuple[np.ndarray, float, float, int]:
-    """Armijo-backtracked gradient descent in the coefficient vector."""
+    ansatz: DeformationAnsatz, ctx: NonlinearContext
+) -> tuple[np.ndarray, float, float, str]:
+    """Armijo-backtracked gradient descent in the coefficient vector.
+
+    Returns the coefficients, their value, the metric gradient norm and why
+    the descent stopped: "converged" (norm below COEFF_GRAD_TOL),
+    "line_search_failed" (no step passed the Armijo test) or "max_iters".
+    """
     c = ansatz.coeffs.copy()
     h, R = ansatz.h, ansatz.rotation
-    value = scaled_energy(DeformationAnsatz(ansatz.space, c, R, h), ctx, penalty)
-    it = 0
+    value = scaled_energy(DeformationAnsatz(ansatz.space, c, R, h), ctx)
     gnorm = np.inf
-    while it < COEFF_MAX_ITERS:
-        g = _coeff_gradient(c, R, h, ctx, penalty)
+    for _ in range(COEFF_MAX_ITERS):
+        g = _coeff_gradient(c, R, h, ctx)
         d = ctx.metric @ g  # descent direction in the limit-stiffness metric
         slope = float(g @ d)
         gnorm = float(np.sqrt(max(slope, 0.0)))
         if gnorm < COEFF_GRAD_TOL:
-            break
+            return c, value, gnorm, "converged"
         step = 1.0
-        accepted = False
         while step > 1e-16:
             trial = c - step * d
-            v_trial = scaled_energy(
-                DeformationAnsatz(ansatz.space, trial, R, h), ctx, penalty
-            )
+            v_trial = scaled_energy(DeformationAnsatz(ansatz.space, trial, R, h), ctx)
             if v_trial <= value - ARMIJO_SLOPE * step * slope:
                 c, value = trial, v_trial
-                accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
-            break
+        else:
+            return c, value, gnorm, "line_search_failed"
         if value < DIVERGENCE_FLOOR:
             raise SolverError(
                 "scaled energy diverged below the admissible floor; the loads "
                 "look incompatible"
             )
-        it += 1
-    return c, value, gnorm, it
+    return c, value, gnorm, "max_iters"
 
 
 def _ascend_rotation(
     c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext, max_iters: int = 100
-) -> np.ndarray:
-    """Local tangent ascent of the rotation work <R, Y> on SO(3)."""
+) -> tuple[np.ndarray, str]:
+    """Local tangent ascent of the rotation work <R, Y> on SO(3), and why it
+    stopped ("converged", "line_search_failed" or "max_iters")."""
     Y = ctx.work_moment(c) + ctx.placement_moment / h
     value = float(np.sum(R * Y))
     scale = max(1.0, abs(value))
@@ -201,20 +205,18 @@ def _ascend_rotation(
         grad = np.array([float(np.sum((R @ W) * Y)) for W in _GENERATORS])
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12 * scale:
-            break
+            return R, "converged"
         step = 1.0
-        accepted = False
         while step > 1e-16:
             Rn = R @ exp_so3(step * grad)
             vn = float(np.sum(Rn * Y))
             if vn >= value + ARMIJO_SLOPE * step * gnorm * gnorm:
                 R, value = Rn, vn
-                accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if not accepted:
-            break
-    return R
+        else:
+            return R, "line_search_failed"
+    return R, "max_iters"
 
 
 @dataclass
@@ -226,16 +228,24 @@ class NonlinearResult:
     gradient_norm: float
     rounds: int
     status: str
+    rotation_status: str  # why the last rotation ascent stopped
 
 
 def minimize_scaled(
     spec: LoadSpec,
     h: float,
     init: DeformationAnsatz,
-    penalty: float | None = None,
     ctx: NonlinearContext | None = None,
 ) -> NonlinearResult:
-    """Alternating (coefficients, rotation) descent of the scaled energy."""
+    """Alternating (coefficients, rotation) descent of the scaled energy.
+
+    The status is "converged" when an alternation round no longer lowers the
+    value by ALTERNATION_TOL, "stationary" when it raised it (round-off),
+    "max_rounds" past ALTERNATION_MAX_ROUNDS; a converged or stationary
+    status is replaced by the last coefficient descent's stop reason when
+    that descent did not meet COEFF_GRAD_TOL.  ``rotation_status`` is the
+    last rotation ascent's stop reason.
+    """
     report = compatibility_report(spec)
     if report.classification == INCOMPATIBLE:
         raise SolverError(
@@ -245,15 +255,15 @@ def minimize_scaled(
     if ctx is None:
         ctx = nonlinear_context(spec, init.space)
     c, R = init.coeffs.copy(), init.rotation.copy()
-    value = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx, penalty)
+    value = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
     status = "max_rounds"
     rounds = 0
-    gnorm = np.inf
+    gnorm, ascent = np.inf, "not_run"
     for rounds in range(1, ALTERNATION_MAX_ROUNDS + 1):
         anz = DeformationAnsatz(init.space, c, R, h)
-        c, _, gnorm, _ = _descend_coefficients(anz, ctx, penalty)
-        R = _ascend_rotation(c, R, h, ctx)
-        v_after = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx, penalty)
+        c, _, gnorm, descent = _descend_coefficients(anz, ctx)
+        R, ascent = _ascend_rotation(c, R, h, ctx)
+        v_after = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
         decrease = value - v_after
         value = v_after
         if decrease < 0.0:
@@ -262,6 +272,8 @@ def minimize_scaled(
         if decrease < ALTERNATION_TOL:
             status = "converged"
             break
+    if status != "max_rounds" and descent != "converged":
+        status = descent
     return NonlinearResult(
         coefficients=c,
         rotation=R,
@@ -270,6 +282,7 @@ def minimize_scaled(
         gradient_norm=gnorm,
         rounds=rounds,
         status=status,
+        rotation_status=ascent,
     )
 
 
@@ -329,12 +342,19 @@ class ConvergenceRow:
 
 
 def rescaled_strain_norm(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
-    """L^2 norm of the strain of v = (y - x)/h, which blows up off identity."""
+    """L^2 norm of the strain of v = (y - x)/h, which blows up off identity.
+
+    grad v = A + B with A = (R - I)/h + R G_p planar and B = R G_z axial, so
+    the integral of |sym grad v|^2 is the planar sum of |sym A|^2, the axial
+    sum of |sym B|^2 and twice the product of their weighted integrals.
+    """
     h, R = ansatz.h, ansatz.rotation
-    Gu = ctx.gradient_field(ansatz.coeffs)
-    Gv = (R - np.eye(3))[None, :, :] / h + np.einsum("ij,njk->nik", R, Gu)
-    Gv = np.ascontiguousarray(Gv)
-    return float(np.sqrt(kernels.sym_norm_sq_sum(Gv, ctx.weights)))
+    Gp, Gz = ctx.factor_fields(ansatz.coeffs)
+    A, B = (R - np.eye(3)) / h + R @ Gp, R @ Gz
+    cross = np.sum(strain(np.tensordot(ctx.rule.planar[2], A, 1))
+                   * strain(np.tensordot(ctx.rule.axial[1], B, 1)))
+    return float(np.sqrt(kernels.sym_norm_sq_sum(A, ctx.planar_weights)
+                         + kernels.sym_norm_sq_sum(B, ctx.axial_weights) + 2.0 * cross))
 
 
 def _kernel_distance(R: np.ndarray, report) -> float:
@@ -347,12 +367,23 @@ def _kernel_distance(R: np.ndarray, report) -> float:
 
 def _limit_start(spec: LoadSpec, space: GalerkinSpace,
                  ctx: NonlinearContext) -> tuple[np.ndarray, np.ndarray, float]:
-    """Limit minimizer projected on the space, its rotation, and its value."""
+    """Limit minimizer projected on the space, its rotation, and its value.
+
+    Planar rows have no z component and axial rows only one, so the L^2
+    Gram matrix of the space is block diagonal, one block per factor.
+    """
     sol = explicit_minimizers(spec)
-    root_w = np.sqrt(ctx.rule.weights)[:, None]
-    V = (ctx.values * root_w).reshape(space.dim, -1)  # (K, 3N) weighted basis values
-    t = (sol.u_swirl.value(ctx.rule.points) * root_w).ravel()
-    coeffs = np.linalg.lstsq(V @ V.T, V @ t, rcond=None)[0]
+    (V, _), (a, _) = space.factor_tables(ctx.rule)
+    gram = np.zeros((space.dim, space.dim))
+    K_P = V.shape[0]
+    gram[:K_P, :K_P] = np.einsum("kpc,p,lpc->kl", V, ctx.planar_weights, V)
+    gram[K_P:, K_P:] = (a * ctx.axial_weights) @ a.T
+    # (N_P, N_z, 3) weighted field at the nodes, node = planar index * N_z + z index
+    U = (sol.u_swirl.value(ctx.rule.points) * ctx.rule.weights[:, None]).reshape(
+        V.shape[1], a.shape[1], 3)
+    moment = np.concatenate([np.einsum("kpc,pc->k", V, U[..., :2].sum(axis=1)),
+                             a @ U[..., 2].sum(axis=0)])
+    coeffs = np.linalg.lstsq(gram, moment, rcond=None)[0]
     R = exp_so3(np.array([0.0, 0.0, 0.5 * np.pi]))  # the swirl-optimal rotation
     return coeffs, R, sol.min_swirl_value
 
@@ -361,7 +392,6 @@ def convergence_study(
     spec: LoadSpec,
     h_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
     degree: int = 4,
-    penalty: float | None = None,
 ) -> list[ConvergenceRow]:
     """Quasi-minimize the scaled energy down a decreasing h schedule.
 
@@ -384,7 +414,7 @@ def convergence_study(
     for h in hs:
         anz = DeformationAnsatz(space, coeffs, R, h)
         try:
-            res = minimize_scaled(spec, h, anz, penalty=penalty, ctx=ctx)
+            res = minimize_scaled(spec, h, anz, ctx=ctx)
         except SolverError as err:
             rows.append(
                 ConvergenceRow(

@@ -62,6 +62,29 @@ def test_low_quadrature_order_classifies_exactly(tmp_path, sub):
                            ref["results"]["spin_form_eigenvalues"], rtol=0.0, atol=1e-12)
 
 
+def _numbers_in(obj) -> list[float]:
+    if isinstance(obj, dict):
+        return [x for key in sorted(obj) for x in _numbers_in(obj[key])]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers_in(v)]
+    return [float(obj)] if isinstance(obj, (int, float)) else []
+
+
+@pytest.mark.parametrize("sub", ["nonuniqueness", "gap-report", "verify-explicit"])
+def test_low_quadrature_order_integrates_the_closed_forms_exactly(tmp_path, sub):
+    # the closed-form fields' integrands are integrated at an order derived
+    # from the profile degrees, so low orders give the order-16 results
+    base = {"basis": {"degree": 5}}
+    code, ref, _ = run_cli([sub], tmp_path, {**base, "quadrature_order": 16})
+    assert code == 0
+    for order in (1, 2, 3):
+        code, report, _ = run_cli([sub], tmp_path, {**base, "quadrature_order": order})
+        assert code == 0
+        got, want = _numbers_in(report["results"]), _numbers_in(ref["results"])
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_profile_order_past_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "exact_order", lambda spec: 33)
     for sub in ("check-loads", "kernel"):

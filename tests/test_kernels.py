@@ -27,19 +27,6 @@ def test_weighted_stress_matches_reference(batch):
     assert np.allclose(K.ksv_weighted_stress(F, w), ref, rtol=1e-12)
 
 
-def test_det_and_penalty_match_reference(batch):
-    F, w = batch
-    dets = np.linalg.det(F)
-    assert np.allclose(K.det3(F), dets, rtol=1e-12)
-    ref_sum = float(np.dot(w, (dets - 1.0) ** 2))
-    assert np.isclose(K.det_penalty_sum(F, w), ref_sum, rtol=1e-11)
-    # gradient of (det - 1)^2 via the cofactor matrix
-    ref = np.stack(
-        [2.0 * wi * (d - 1.0) * d * np.linalg.inv(f).T for f, wi, d in zip(F, w, dets)]
-    )
-    assert np.allclose(K.det_penalty_weighted_stress(F, w), ref, rtol=1e-9)
-
-
 def test_sym_norm_matches_reference(batch):
     F, w = batch
     ref = float(np.dot(w, [np.sum((0.5 * (f + f.T)) ** 2) for f in F]))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import random_rotations
 from traction_gap import scaled
-from traction_gap.galerkin import SolverError, build_space
-from traction_gap.geometry import Domain, volume_quadrature
+from traction_gap.energy import density, density_gradient
+from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
+from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
 from traction_gap.loads import LoadSpec, rotate_loads
 from traction_gap.rotations import exp_so3, rotation_about_z
 from traction_gap.scaled import (
+    COEFF_GRAD_TOL,
     DeformationAnsatz,
     _limit_start,
     best_fit_rotation,
@@ -83,15 +86,6 @@ def test_energy_invariant_under_kernel_conjugation(preset_ctx, rng):
     v_base = scaled_energy(DeformationAnsatz(space, coeffs, R, h), ctx)
     v_conj = scaled_energy(DeformationAnsatz(space, coeffs, Q.T @ R, h), ctx_rot)
     assert np.isclose(v_base, v_conj, rtol=1e-12, atol=1e-14)
-
-
-def test_penalty_is_nonnegative_addition(preset_ctx, rng):
-    spec, space, ctx = preset_ctx
-    coeffs = rng.normal(scale=0.2, size=space.dim)
-    anz = DeformationAnsatz(space, coeffs, np.eye(3), 0.2)
-    plain = scaled_energy(anz, ctx)
-    penalized = scaled_energy(anz, ctx, penalty=1e4)
-    assert penalized >= plain
 
 
 def test_minimize_close_to_limit(preset_ctx):
@@ -196,3 +190,156 @@ def test_rescaled_strain_blows_up_off_identity(preset_ctx):
     n1 = rescaled_strain_norm(DeformationAnsatz(space, coeffs, R, 0.2), ctx)
     n2 = rescaled_strain_norm(DeformationAnsatz(space, coeffs, R, 0.02), ctx)
     assert n2 > 5.0 * n1
+
+
+# -- the planar/axial split against node tables -------------------------------
+
+
+class NodeReference:
+    """Energy, coefficient gradient and strain norm from node tables: the
+    basis tabulated at every node of the context's rule, stripped of its
+    factors, with the stress of energy.density_gradient."""
+
+    def __init__(self, ctx):
+        rule = QuadratureRule(ctx.rule.points, ctx.rule.weights)
+        _, self.grads = ctx.space.tables(rule)
+        self.w, self.ctx = rule.weights, ctx
+
+    def gradient_field(self, c):
+        return np.tensordot(c, self.grads, axes=(0, 0))
+
+    def energy(self, c, R, h):
+        F = np.eye(3) + h * self.gradient_field(c)
+        value = float(self.w @ density(F)) / h ** 2
+        value -= float(np.sum(R * self.ctx.work_moment(c)))
+        return value - float(np.sum((R - np.eye(3)) * self.ctx.placement_moment)) / h
+
+    def coeff_gradient(self, c, R, h):
+        P = density_gradient(np.eye(3) + h * self.gradient_field(c)) * self.w[:, None, None]
+        return np.einsum("knij,nij->k", self.grads, P) / h - self.ctx.load_vector(R)
+
+    def strain_norm(self, c, R, h):
+        Gv = (R - np.eye(3)) / h + R @ self.gradient_field(c)
+        S = 0.5 * (Gv + np.swapaxes(Gv, 1, 2))
+        return float(np.sqrt(self.w @ np.einsum("nij,nij->n", S, S)))
+
+
+@pytest.fixture(scope="module", params=[("ansatz_k", 8, 4), ("ansatz_k_div", 6, None)],
+                ids=["ansatz_k", "ansatz_k_div"])
+def split_and_reference(request):
+    kind, degree, d1 = request.param
+    spec = LoadSpec.cylinder_preset(beta=0.01)
+    ctx = nonlinear_context(spec, build_space(kind, degree, CYL, degree1d=d1))
+    return ctx, NodeReference(ctx)
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("h", [0.2, 1e-2, 5e-4])
+def test_split_matches_node_tables(split_and_reference, rng, h):
+    ctx, ref = split_and_reference
+    space = ctx.space
+    for R in [np.eye(3)] + random_rotations(rng, 2):
+        c = rng.normal(scale=0.3, size=space.dim)
+        anz = DeformationAnsatz(space, c, R, h)
+        assert _rel(scaled_energy(anz, ctx), ref.energy(c, R, h)) <= 1e-13
+        assert _rel(scaled._coeff_gradient(c, R, h, ctx), ref.coeff_gradient(c, R, h)) <= 1e-13
+        assert _rel(ctx.gradient_field(c), ref.gradient_field(c)) <= 1e-13
+        assert _rel(rescaled_strain_norm(anz, ctx), ref.strain_norm(c, R, h)) <= 1e-13
+
+
+@pytest.mark.parametrize("h", [0.2, 1e-2])
+def test_coeff_gradient_matches_central_differences(split_and_reference, rng, h):
+    ctx, _ = split_and_reference
+    space = ctx.space
+    c = rng.normal(scale=0.3, size=space.dim)
+    R = random_rotations(rng, 1)[0]
+    g = scaled._coeff_gradient(c, R, h, ctx)
+    step = 1e-5
+    for _ in range(3):
+        d = rng.normal(size=space.dim)
+        plus = scaled_energy(DeformationAnsatz(space, c + step * d, R, h), ctx)
+        minus = scaled_energy(DeformationAnsatz(space, c - step * d, R, h), ctx)
+        assert np.isclose((plus - minus) / (2 * step), g @ d, rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["full", "div_free"])
+def test_nonlinear_context_rejects_non_ansatz_spaces(kind):
+    with pytest.raises(ValueError, match="ansatz"):
+        nonlinear_context(LoadSpec.cylinder_preset(), build_space(kind, 2, CYL))
+
+
+def test_factor_tables_need_a_tensor_rule():
+    space = build_space("ansatz_k", 4, CYL, degree1d=2)
+    rule = volume_quadrature(CYL, 6)
+    with pytest.raises(ValueError, match="factors"):
+        space.factor_tables(QuadratureRule(rule.points, rule.weights))
+
+
+def test_convergence_study_builds_no_node_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables built in the nonlinear study")
+
+    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    rows = convergence_study(LoadSpec.cylinder_preset(), (0.2, 0.1, 0.05, 0.02), degree=4)
+    assert [r.status for r in rows] == ["converged"] * 4
+
+
+def _array_bytes(obj, seen: set) -> int:
+    """Bytes of every numpy array reachable from obj (a view counts its base)."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.base is None else max(obj.nbytes, _array_bytes(obj.base, seen))
+    if isinstance(obj, (tuple, list)):
+        return sum(_array_bytes(o, seen) for o in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(_array_bytes(o, seen) for o in vars(obj).values())
+    return 0
+
+
+def test_degree5_context_is_small():
+    # the node tables of this context took 82 MB for the gradients alone
+    space = build_space("ansatz_k", 10, CYL, degree1d=5)
+    ctx = nonlinear_context(LoadSpec.cylinder_preset(), space)
+    assert len(ctx.rule) == 16000
+    assert _array_bytes(ctx, set()) < 5e6
+
+
+# -- stop reasons -----------------------------------------------------------------
+
+
+def test_failed_backtrack_is_reported(preset_ctx, monkeypatch):
+    # every trial point costs +inf, so no step passes the Armijo test
+    spec, space, ctx = preset_ctx
+    coeffs, R, _ = _limit_start(spec, space, ctx)
+    energy = scaled.scaled_energy
+
+    def refuse_trials(anz, context):
+        return energy(anz, context) if np.array_equal(anz.coeffs, coeffs) else np.inf
+
+    monkeypatch.setattr(scaled, "scaled_energy", refuse_trials)
+    init = DeformationAnsatz(space, coeffs, R, 0.1)
+    c, _, gnorm, stop = scaled._descend_coefficients(init, ctx)
+    assert stop == "line_search_failed"
+    assert np.array_equal(c, coeffs) and gnorm >= COEFF_GRAD_TOL
+    res = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    assert res.status == "line_search_failed"
+    assert np.array_equal(res.coefficients, coeffs)
+
+
+def test_rotation_ascent_reports_why_it_stopped(preset_ctx, monkeypatch):
+    spec, space, ctx = preset_ctx
+    coeffs, R, _ = _limit_start(spec, space, ctx)
+    assert scaled._ascend_rotation(coeffs, R, 0.1, ctx)[1] == "converged"
+    far = exp_so3(np.array([0.4, 0.0, 0.0]))
+    Rn, stop = scaled._ascend_rotation(coeffs, far, 0.1, ctx, max_iters=1)
+    assert stop == "max_iters" and not np.allclose(Rn, far)
+    # a step map that always turns a full radian further from the kernel
+    # makes every backtrack fail
+    monkeypatch.setattr(scaled, "exp_so3", lambda v: exp_so3(np.array([1.0, 0.0, 0.0])))
+    Rn, stop = scaled._ascend_rotation(coeffs, far, 0.1, ctx)
+    assert stop == "line_search_failed" and np.array_equal(Rn, far)
