@@ -160,8 +160,8 @@ def validate_config(cfg: dict) -> dict:
     _require(all(b < a for a, b in zip(hs, hs[1:])), "h_schedule",
              "must be strictly decreasing")
     for key, value in cfg["tolerances"].items():
-        _require(isinstance(value, (int, float)) and value > 0, f"tolerances.{key}",
-                 "must be a positive number")
+        _require(_finite(value) and type(value) is not bool and value > 0, f"tolerances.{key}",
+                 "must be a positive finite number")
     return cfg
 
 

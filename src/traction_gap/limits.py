@@ -26,6 +26,11 @@ swirl and linear minima):
 
 The gap is certified when the upper bound falls strictly below the lower
 bound; otherwise the report says so rather than asserting the inequality.
+
+The relaxed minimum minimizes the per-rotation Galerkin value
+m(R) = -vec(R)' Q vec(R) / 2 over the rotation kernel: in closed form about a
+kernel axis, where m is a trigonometric polynomial of degree 2 in the angle;
+by a quaternion grid and Riemannian Newton on the full SO(3) kernel.
 """
 
 from __future__ import annotations
@@ -73,10 +78,9 @@ from .profiles import (
     radial_strain_integral,
     swirl_strain_integral,
 )
-from .rotations import exp_so3, rotation_about_z, skew_from_axis
+from .rotations import best_axis_rotation, exp_so3, rotation_about_z, skew_from_axis
 
 DEFAULT_DEGREE = 8
-AXIS_GRID = 64  # angles per turn searched about a kernel axis
 SO3_GRID = 6  # quaternion grid points per coordinate and cube face (4 * 6^3 rotations)
 POLISH_STARTS = 8  # lowest grid rotations polished by Newton
 NEWTON_ITERATIONS = 50
@@ -324,23 +328,6 @@ def work_moment(load, values: np.ndarray, rules: LoadRules) -> np.ndarray:
     return np.einsum("n,ni,nj->ij", vol.weights, f, values)
 
 
-def max_work_over_axis(Y: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
-    """Maximize <R_theta, Y> over rotations about the axis (closed form)."""
-    W = skew_from_axis(np.asarray(axis, dtype=float))
-    base = float(np.sum((np.eye(3) + W @ W) * Y))
-    c1 = float(np.sum(W * Y))
-    c2 = float(np.sum((W @ W) * Y))
-    theta = float(np.arctan2(c1, -c2))
-    return base + c1 * np.sin(theta) - c2 * np.cos(theta), theta
-
-
-def angle_about_axis(R: np.ndarray, axis: np.ndarray) -> float:
-    """Angle theta with R = exp(theta * axis), for R in the axis subgroup."""
-    axis = np.asarray(axis, dtype=float)
-    W = skew_from_axis(axis / np.linalg.norm(axis))
-    return float(np.arctan2(0.5 * np.sum(R * W), -0.5 * np.sum(R * (W @ W))))
-
-
 # ---------------------------------------------------------------------------
 # Galerkin minimization of the linear and limit energies
 
@@ -388,12 +375,6 @@ def incompressible_linear_bounds(spec: LoadSpec,
     return IncompressibleBounds(upper=upper, lower=lower)
 
 
-def _axis_grid(axis: np.ndarray) -> np.ndarray:
-    """Rotations about the axis at AXIS_GRID cell-midpoint angles of (-pi, pi)."""
-    thetas = (np.arange(AXIS_GRID) + 0.5) * (2.0 * np.pi / AXIS_GRID) - np.pi
-    return np.stack([exp_so3(t * axis) for t in thetas])
-
-
 def _quaternion_grid() -> np.ndarray:
     """Rotations of unit quaternions on a cube-face grid of the 3-sphere.
 
@@ -418,11 +399,35 @@ def _rotation_values(Q: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ni,ij,nj->n", v, Q, v)
 
 
-def _rotation_derivatives(Q: np.ndarray, R: np.ndarray,
-                         axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _axis_minimum(Q: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Rotation about the unit axis minimizing m(R), in closed form.
+
+    vec R_t = B' (1, sin t, cos t) with B = vec(I + W^2, W, -W^2), so m is a
+    degree-2 trigonometric polynomial with coefficients in G = B Q B', and its
+    stationary points are the unit roots of the quartic 4 z^2 dm/dt in
+    z = e^{it}.  Of the roots (and t = 0, for a constant m) the smallest angle
+    within round-off of the lowest value wins: a mirror pair of minima always
+    resolves the same way.
+    """
+    W = skew_from_axis(axis)
+    B = np.stack([np.eye(3) + W @ W, W, -(W @ W)]).reshape(3, 9)
+    G = B @ Q @ B.T
+    u = G[1, 1] - G[2, 2] + 2j * G[1, 2]
+    v = 2.0 * (1j * G[0, 1] - G[0, 2])
+    roots = np.roots([u, v, 0.0, -np.conj(v), -np.conj(u)])
+    z = np.append(roots[roots != 0.0], 1.0)
+    z = z / np.abs(z)
+    z = z[np.argsort(np.angle(z))]
+    candidates = (np.stack([np.ones(z.size), z.imag, z.real], axis=1) @ B).reshape(-1, 3, 3)
+    values = _rotation_values(Q, candidates)
+    tol = NEWTON_TOL * float(np.abs(Q).sum())
+    return candidates[np.flatnonzero(values <= values.min() + tol)[0]]
+
+
+def _rotation_derivatives(Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of t -> m(R exp(sum_i t_i W_i)) at t = 0, with
-    W_i the generator of rotations about axes[i]."""
-    gens = [skew_from_axis(a) for a in axes]
+    W_i the generator of rotations about the i-th coordinate axis."""
+    gens = [skew_from_axis(a) for a in np.eye(3)]
     Qr = Q @ R.ravel()
     V = np.stack([(R @ W).ravel() for W in gens])
     curvature = np.array([[Qr @ (R @ (Wi @ Wj + Wj @ Wi)).ravel() for Wj in gens]
@@ -430,8 +435,8 @@ def _rotation_derivatives(Q: np.ndarray, R: np.ndarray,
     return -V @ Qr, -V @ Q @ V.T - 0.5 * curvature
 
 
-def _newton_polish(Q: np.ndarray, R: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Riemannian Newton descent of m from R along R exp(span of the axes).
+def _newton_polish(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Riemannian Newton descent of m on SO(3) from R.
 
     Stops once the gradient is at the round-off level of m.  The Hessian
     enters in absolute value, so each step points downhill; steps are capped
@@ -440,7 +445,7 @@ def _newton_polish(Q: np.ndarray, R: np.ndarray, axes: np.ndarray) -> np.ndarray
     tol = NEWTON_TOL * float(np.abs(Q).sum())
     value = _rotation_values(Q, R)[0]
     for _ in range(NEWTON_ITERATIONS):
-        grad, hess = _rotation_derivatives(Q, R, axes)
+        grad, hess = _rotation_derivatives(Q, R)
         if np.linalg.norm(grad) <= tol:
             break
         lam, U = np.linalg.eigh(hess)
@@ -448,7 +453,7 @@ def _newton_polish(Q: np.ndarray, R: np.ndarray, axes: np.ndarray) -> np.ndarray
         step = -U @ ((U.T @ grad) / lam)
         step *= min(1.0, NEWTON_MAX_STEP / np.linalg.norm(step))
         while True:
-            trial = R @ exp_so3(step @ axes)
+            trial = R @ exp_so3(step)
             trial_value = _rotation_values(Q, trial)[0]
             if trial_value <= value + tol:
                 break
@@ -459,16 +464,17 @@ def _newton_polish(Q: np.ndarray, R: np.ndarray, axes: np.ndarray) -> np.ndarray
     return R
 
 
-def _search(system: StiffnessSystem, grid: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Rotation minimizing the per-rotation Galerkin value m(R).
+def _search(Q: np.ndarray) -> np.ndarray:
+    """Rotation of SO(3) minimizing m(R), where m is a quartic form in the
+    unit quaternion and has no closed-form minimum.
 
-    m is evaluated through the system's 9x9 rotation form on every grid
-    rotation; the POLISH_STARTS lowest are polished by Newton along
-    R exp(span of the axes), and the lowest polished rotation is returned.
+    m is evaluated on every rotation of the quaternion grid; the
+    POLISH_STARTS lowest are polished by Newton, and the lowest polished
+    rotation is returned.
     """
-    Q = system.rotation_form
+    grid = _quaternion_grid()
     starts = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:POLISH_STARTS]]
-    polished = np.stack([_newton_polish(Q, R, np.asarray(axes, dtype=float)) for R in starts])
+    polished = np.stack([_newton_polish(Q, R) for R in starts])
     return polished[int(np.argmin(_rotation_values(Q, polished)))]
 
 
@@ -496,9 +502,9 @@ def _limit_solve(system: StiffnessSystem, report: KernelReport) -> SolveResult:
     if report.classification == IDENTITY_ONLY:
         return solve_quadratic(system)
     if report.classification == AXIS_SUBGROUP:
-        R = _search(system, _axis_grid(report.axis), [report.axis])
+        R = _axis_minimum(system.rotation_form, report.axis)
     else:
-        R = _search(system, _quaternion_grid(), np.eye(3))
+        R = _search(system.rotation_form)
     return solve_quadratic(system, R=R)
 
 
@@ -576,9 +582,9 @@ def gap_report(
     rel_E = abs(galerkin_E.value - min_E) / abs(min_E)
     rel_G = abs(limit_res.value - min_G) / abs(min_G)
 
-    # optimal rotation angle about the kernel axis, from the numerical search
+    # optimal rotation angle about the kernel axis, from the limit minimum
     if kernel.classification == AXIS_SUBGROUP and limit_res.rotation is not None:
-        theta_opt = angle_about_axis(limit_res.rotation, kernel.axis)
+        theta_opt = best_axis_rotation(limit_res.rotation, kernel.axis)[0]
     else:
         theta_opt = -0.5 * np.pi
 
@@ -642,17 +648,17 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
         raise SolverError("rotated check needs a nontrivial rotation kernel")
     axis = kernel.axis if kernel.classification == AXIS_SUBGROUP else np.array([0.0, 0.0, 1.0])
     system = _system_for(spec, "full", degree)
-    grid = _axis_grid(axis)
-    R_star = _search(system, grid, [axis])
-    theta_star = angle_about_axis(R_star, axis)
+    R_star = _axis_minimum(system.rotation_form, axis)
+    theta_star = best_axis_rotation(R_star, axis)[0]
 
     # rotated loads: L_R(v) = L(R v); their linear minimum solves against the
-    # load vector of the rotated forces, and their relaxed minimum searches
-    # R_star composed with the (unchanged) kernel
+    # load vector of the rotated forces.  Their relaxed minimum over R_star
+    # composed with the axis group, which is the axis group itself, is the
+    # value at R_star
     rotated = RotatedLoad(base=spec, rotation=R_star)
     b_rot = np.einsum("kii->k", load_moments(system.space, rotated, system.rules))
     min_E_rot = solve_quadratic(system, b=b_rot).value
-    min_G_rot = solve_quadratic(system, R=_search(system, R_star @ grid, [axis])).value
+    min_G_rot = solve_quadratic(system, R=R_star).value
     if min_E_rot == 0.0:
         raise SolverError("the basis does no work against the rotated loads (linear "
                           "minimum 0); no relative difference exists")
@@ -662,7 +668,7 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
     if unchanged and kernel.classification == AXIS_SUBGROUP:
         unchanged = bool(np.allclose(kernel_rot.axis, kernel.axis, atol=1e-8))
 
-    identity_gap = solve_quadratic(system).value - solve_quadratic(system, R=R_star).value
+    identity_gap = solve_quadratic(system).value - min_G_rot
     diff = abs(min_G_rot - min_E_rot)
     return RotatedCheck(
         rotation_theta=theta_star,
@@ -703,8 +709,8 @@ def nonuniqueness_check(spec: LoadSpec, order: int = 16) -> NonuniquenessCheck:
 
     def limit_value(fld) -> tuple[float, float]:
         Y = work_moment(spec, fld.value(vol.points), rules)
-        best_work, theta = max_work_over_axis(Y, axis)
-        return quadratic_energy(fld, rules) - best_work, theta
+        theta, R = best_axis_rotation(Y, axis)
+        return quadratic_energy(fld, rules) - float(np.sum(R * Y)), theta
 
     v_star, _ = limit_value(u_star)
     v_hat, theta_hat = limit_value(u_hat)

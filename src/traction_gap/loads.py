@@ -24,7 +24,9 @@ classification data is carried by the moment matrix T_ij = L(x_j e_i):
     L(W^2 x)     = omega' M omega,   M = sym T - tr(T) I,
 
 where omega is the rotation axis of W.  The report combines a sampled
-sweep of unit axes with the eigenvalue structure of M.
+sweep of unit axes with the eigenvalue structure of M.  The work
+<R - I, T> is linear in R, so the rotation doing the most of it is the
+Procrustes rotation of T, which ``reversed_compatibility_witness`` returns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from numpy.polynomial import Polynomial
 
 from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
 from .profiles import as_poly, axial_conditions, radial_conditions
-from .rotations import SkewParams, exp_so3, skew_from_axis
+from .rotations import SkewParams, nearest_rotation, skew_from_axis
 
 PROFILE_TOL = 1e-12
 CLASSIFICATION_TOL = 1e-9
@@ -334,29 +336,20 @@ def compatibility_report(
 def reversed_compatibility_witness(
     load,
     rules: LoadRules | None = None,
-    n_axes: int = 60,
-    n_angles: int = 24,
     tol: float = CLASSIFICATION_TOL,
 ) -> np.ndarray | None:
-    """A rotation doing strictly positive work on the reference placement.
+    """The rotation doing the most work L((R - I) x) = <R - I, T> on the
+    reference placement, when that work exceeds tol.
 
-    Scans an axis-angle grid for R with L((R - I) x) > tol; None when the
-    sweep finds nothing (the compatible regime).
+    The work is linear in R, so its maximum over SO(3) is attained at the
+    special orthogonal Procrustes rotation of T.  None therefore proves that
+    no rotation does more than tol work.
     """
     if rules is None:
         rules = default_rules(load)
     T = moment_matrix(load, rules)
-    best_val, best_R = tol, None
-    angles = np.linspace(-np.pi, np.pi, n_angles, endpoint=False)
-    for axis in fibonacci_directions(n_axes):
-        for theta in angles:
-            if abs(theta) < 1e-12:
-                continue
-            R = exp_so3(theta * axis)
-            val = float(np.sum((R - np.eye(3)) * T))
-            if val > best_val:
-                best_val, best_R = val, R
-    return best_R
+    R, _ = nearest_rotation(T)
+    return R if float(np.sum((R - np.eye(3)) * T)) > tol else None
 
 
 @dataclass
@@ -404,6 +397,6 @@ def rigid_projection(v, rule: QuadratureRule) -> RigidPart:
 def rotate_loads(load: LoadSpec, R: np.ndarray) -> RotatedLoad:
     """Evaluator of v -> L(R v); the load functional of the forces R^T f, R^T g."""
     R = np.asarray(R, dtype=float)
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10:
+    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10 or np.linalg.det(R) < 0.0:
         raise LoadError("rotate_loads needs R in SO(3)")
     return RotatedLoad(base=load, rotation=R)

@@ -131,14 +131,19 @@ def coercivity_profile(t, p: float):
     return float(out) if out.ndim == 0 else out
 
 
+def best_axis_rotation(Y: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarray]:
+    """Angle t and rotation R_t = exp(t W) about the axis maximizing <R_t, Y>.
+
+    <R_t, Y> = <I + W^2, Y> + <W, Y> sin t - <W^2, Y> cos t peaks at
+    t = atan2(<W, Y>, -<W^2, Y>).  Since |R_t|^2 = 3, R_t is also the axis
+    rotation closest to Y, and Y itself with its angle when Y is one.
+    """
+    axis = np.asarray(axis, dtype=float)
+    W = skew_from_axis(axis / np.linalg.norm(axis))
+    t = float(np.arctan2(np.sum(Y * W), -np.sum(Y * (W @ W))))
+    return t, IDENTITY + np.sin(t) * W + (1.0 - np.cos(t)) * (W @ W)
+
+
 def distance_to_axis_rotations(R: np.ndarray, axis: np.ndarray) -> float:
     """Frobenius distance from R to the one-parameter rotation group about axis."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    W = skew_from_axis(axis)
-    # <R, R_t> = <R, I + W^2> + c1 sin t - c2 cos t, maximal at t = atan2(c1, -c2)
-    c1 = float(np.sum(R * W))
-    c2 = float(np.sum(R * (W @ W)))
-    t = np.arctan2(c1, -c2)
-    closest = IDENTITY + np.sin(t) * W + (1.0 - np.cos(t)) * (W @ W)
-    return float(np.linalg.norm(R - closest))
+    return float(np.linalg.norm(R - best_axis_rotation(R, axis)[1]))

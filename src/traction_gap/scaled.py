@@ -13,10 +13,11 @@ tensor rule (weights w_p w_z, totals W_p, W_z) the energy splits as
     integral |C(F)|^2 = W_z sum_p w_p |C(I + h G)|^2 + W_p sum_z w_z |C(I + h w' e_z e_z')|^2;
 
 the stress and the coefficient gradient split the same way.  The u-descent
-uses the analytic stress; the rotation subproblem is linear in R and is
-driven uphill by a local tangent ascent with backtracking.  Descent only
-certifies upper bounds of the finite-h infima, which is the side the limit
-comparison needs.
+uses the analytic stress.  The rotation subproblem maximizes the work
+<R, Y(u)> with Y(u) = sum_k c_k T_k + T / h, which is linear in R, so its
+exact solution is the special orthogonal Procrustes rotation of Y(u).
+Descent only certifies upper bounds of the finite-h infima, which is the
+side the limit comparison needs.
 """
 
 from __future__ import annotations
@@ -193,32 +194,6 @@ def _descend_coefficients(
     return c, value, gnorm, "max_iters"
 
 
-def _ascend_rotation(
-    c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext, max_iters: int = 100
-) -> tuple[np.ndarray, str]:
-    """Local tangent ascent of the rotation work <R, Y> on SO(3), and why it
-    stopped ("converged", "line_search_failed" or "max_iters")."""
-    Y = ctx.work_moment(c) + ctx.placement_moment / h
-    value = float(np.sum(R * Y))
-    scale = max(1.0, abs(value))
-    for _ in range(max_iters):
-        grad = np.array([float(np.sum((R @ W) * Y)) for W in _GENERATORS])
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-12 * scale:
-            return R, "converged"
-        step = 1.0
-        while step > 1e-16:
-            Rn = R @ exp_so3(step * grad)
-            vn = float(np.sum(Rn * Y))
-            if vn >= value + ARMIJO_SLOPE * step * gnorm * gnorm:
-                R, value = Rn, vn
-                break
-            step *= ARMIJO_SHRINK
-        else:
-            return R, "line_search_failed"
-    return R, "max_iters"
-
-
 @dataclass
 class NonlinearResult:
     coefficients: np.ndarray
@@ -228,7 +203,6 @@ class NonlinearResult:
     gradient_norm: float
     rounds: int
     status: str
-    rotation_status: str  # why the last rotation ascent stopped
 
 
 def minimize_scaled(
@@ -239,12 +213,12 @@ def minimize_scaled(
 ) -> NonlinearResult:
     """Alternating (coefficients, rotation) descent of the scaled energy.
 
-    The status is "converged" when an alternation round no longer lowers the
-    value by ALTERNATION_TOL, "stationary" when it raised it (round-off),
-    "max_rounds" past ALTERNATION_MAX_ROUNDS; a converged or stationary
-    status is replaced by the last coefficient descent's stop reason when
-    that descent did not meet COEFF_GRAD_TOL.  ``rotation_status`` is the
-    last rotation ascent's stop reason.
+    Each round descends in the coefficients and then sets the rotation to
+    the exact maximizer of the work.  The status is "converged" when a round
+    no longer lowers the value by ALTERNATION_TOL (both steps are descents,
+    so a round can raise it only by round-off) and "max_rounds" past
+    ALTERNATION_MAX_ROUNDS; "converged" is replaced by the last coefficient
+    descent's stop reason when that descent did not meet COEFF_GRAD_TOL.
     """
     report = compatibility_report(spec)
     if report.classification == INCOMPATIBLE:
@@ -257,18 +231,13 @@ def minimize_scaled(
     c, R = init.coeffs.copy(), init.rotation.copy()
     value = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
     status = "max_rounds"
-    rounds = 0
-    gnorm, ascent = np.inf, "not_run"
     for rounds in range(1, ALTERNATION_MAX_ROUNDS + 1):
         anz = DeformationAnsatz(init.space, c, R, h)
         c, _, gnorm, descent = _descend_coefficients(anz, ctx)
-        R, ascent = _ascend_rotation(c, R, h, ctx)
+        R, _ = nearest_rotation(ctx.work_moment(c) + ctx.placement_moment / h)
         v_after = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
         decrease = value - v_after
         value = v_after
-        if decrease < 0.0:
-            status = "stationary"
-            break
         if decrease < ALTERNATION_TOL:
             status = "converged"
             break
@@ -282,7 +251,6 @@ def minimize_scaled(
         gradient_norm=gnorm,
         rounds=rounds,
         status=status,
-        rotation_status=ascent,
     )
 
 

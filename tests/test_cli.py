@@ -112,7 +112,8 @@ def test_malformed_config_rejected(tmp_path, capsys):
     assert code == 2
     assert "beta" in capsys.readouterr().err
     for cfg in ({"no_such_field": 1}, {"penalty_kappa": 1e4}, {"basis": {"kind": "full"}},
-                {"tolerances": {"cg": 1e-12}}, {"basis": {"degree": True}}):
+                {"tolerances": {"cg": 1e-12}}, {"basis": {"degree": True}},
+                {"tolerances": {"classification": True}}):
         code2, _, _ = run_cli(["check-loads"], tmp_path, cfg)
         assert code2 == 2
 
@@ -122,7 +123,8 @@ def test_malformed_config_rejected(tmp_path, capsys):
                                  {"psi_coeffs": [float("-inf"), 1.0]},
                                  {"surface_pressure": float("nan")},
                                  {"domain": {"radius": float("inf")}},
-                                 {"beta": 10 ** 400}])
+                                 {"beta": 10 ** 400},
+                                 {"tolerances": {"classification": float("inf")}}])
 def test_non_finite_numbers_rejected(tmp_path, capsys, cfg):
     # json reads NaN and Infinity; they are config errors, not tracebacks
     for sub in ("check-loads", "kernel", "solve-linear", "solve-limit", "nonuniqueness"):

@@ -4,12 +4,14 @@ from numpy.polynomial import Polynomial
 
 from traction_gap.galerkin import SolverError, assemble, build_space, solve_quadratic
 from traction_gap.geometry import Domain
+from traction_gap import cli, limits
 from traction_gap.limits import (
+    _axis_minimum,
     _rotation_derivatives,
+    _rotation_values,
     explicit_minimizers,
     gap_report,
     incompressible_linear_bounds,
-    max_work_over_axis,
     min_limit,
     min_linear,
     nonuniqueness_check,
@@ -24,7 +26,7 @@ from traction_gap.profiles import (
     radial_displacement_profile,
     radial_ode_residual,
 )
-from traction_gap.rotations import exp_so3, rotation_about_z
+from traction_gap.rotations import best_axis_rotation, exp_so3, rotation_about_z, skew_from_axis
 
 # closed forms for the preset profile, from one-dimensional quadrature of
 # eta(r) = r (1 - r^2)^3 / 16 and the axial displacement of beta (z - 1/2)
@@ -135,7 +137,7 @@ def test_min_limit_full_so3_explores_beyond_the_axis():
     swirl6 = solve_quadratic(system, R=rotation_about_z(-np.pi / 2))
     assert res.value <= swirl6.value + 1e-10
     assert res.value <= -0.03695255
-    grad, hess = _rotation_derivatives(system.rotation_form, res.rotation, np.eye(3))
+    grad, hess = _rotation_derivatives(system.rotation_form, res.rotation)
     assert np.linalg.norm(grad) < 1e-14
     assert np.linalg.eigvalsh(hess).min() > -1e-12
 
@@ -258,14 +260,86 @@ def test_limit_value_invariant_under_rigid_shift(preset, preset_rules, rng):
     vol = preset_rules.volume
     axis = np.array([0.0, 0.0, 1.0])
 
+    def best_work(Y):
+        return float(np.sum(best_axis_rotation(Y, axis)[1] * Y))
+
     base_vals = u.value(vol.points)
     Y = work_moment(preset, base_vals, preset_rules)
-    v_base = quadratic_energy(u, preset_rules) - max_work_over_axis(Y, axis)[0]
+    v_base = quadratic_energy(u, preset_rules) - best_work(Y)
 
     a = rng.normal(size=3)
     omega = rng.normal(size=3)
     shifted_vals = base_vals + a[None, :] + np.cross(np.broadcast_to(omega, base_vals.shape), vol.points)
     Y2 = work_moment(preset, shifted_vals, preset_rules)
     # strain unchanged by the rigid shift, so reuse the quadratic part
-    v_shift = quadratic_energy(u, preset_rules) - max_work_over_axis(Y2, axis)[0]
+    v_shift = quadratic_energy(u, preset_rules) - best_work(Y2)
     assert abs(v_shift - v_base) < 1e-10 * max(1.0, abs(v_base))
+
+
+# -- the closed-form minimum on a kernel axis ---------------------------------------
+
+
+def _axis_values(Q, axis, thetas):
+    W = skew_from_axis(axis)
+    R = (np.eye(3) + np.sin(thetas)[:, None, None] * W
+         + (1.0 - np.cos(thetas))[:, None, None] * (W @ W))
+    return _rotation_values(Q, R)
+
+
+def test_axis_minimum_sits_below_dense_sampling(rng):
+    thetas = np.linspace(-np.pi, np.pi, 20001)
+    for trial in range(40):
+        A = rng.normal(size=(9, 9))
+        Q = A @ A.T if trial % 2 else A + A.T  # positive semidefinite or indefinite
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        R = _axis_minimum(Q, axis)
+        # a rotation about the axis, below every sampled angle
+        assert np.allclose(R.T @ R, np.eye(3), atol=1e-13)
+        assert np.allclose(R @ axis, axis, atol=1e-13)
+        value = _rotation_values(Q, R[None])[0]
+        assert value <= _axis_values(Q, axis, thetas).min() + 1e-12 * np.abs(Q).sum()
+
+
+def test_axis_minimum_of_a_zero_form_is_an_axis_rotation():
+    axis = np.array([0.0, 0.6, 0.8])
+    R = _axis_minimum(np.zeros((9, 9)), axis)
+    assert np.allclose(R.T @ R, np.eye(3), atol=1e-15)
+    assert np.allclose(R @ axis, axis, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta", [BETA, 0.0])
+def test_axis_minimum_of_the_preset_is_the_negative_quarter_turn(beta):
+    # the mirror angles +-pi/2 tie; the tie-break returns -pi/2 to the last
+    # digit, also for the form of the transposed rotations (R_t' = R_-t, so
+    # the two sides of the pair swap)
+    spec = LoadSpec.cylinder_preset(beta=beta)
+    system = assemble(build_space("full", 6, Domain.cylinder()), spec)
+    axis = np.array([0.0, 0.0, 1.0])
+    swap = np.eye(9).reshape(3, 3, 9).transpose(1, 0, 2).reshape(9, 9)  # vec R -> vec R'
+    for Q in (system.rotation_form, swap @ system.rotation_form @ swap):
+        R = _axis_minimum(Q, axis)
+        assert best_axis_rotation(R, axis)[0] == -0.5 * np.pi
+        mirror = _axis_values(Q, axis, np.array([0.5 * np.pi]))[0]
+        assert _rotation_values(Q, R[None])[0] == pytest.approx(mirror, rel=1e-14)
+        # a nudge at round-off level that favours +pi/2 does not flip the choice:
+        # m changes by -2 delta sin t (1 + 2 cos t)
+        s, trace = skew_from_axis(axis).ravel(), np.eye(3).ravel()
+        nudge = 1e-16 * np.abs(Q).sum() * (np.outer(s, trace) + np.outer(trace, s))
+        theta = best_axis_rotation(_axis_minimum(Q + nudge, axis), axis)[0]
+        assert theta == pytest.approx(-0.5 * np.pi, abs=1e-10)
+
+
+def test_axis_kernel_never_reaches_newton(monkeypatch, tmp_path):
+    # only the full-SO(3) search has no closed form; the axis kernel runs
+    # without the Newton polish in every subcommand that minimizes over it
+    def refuse(*args):
+        raise RuntimeError("Newton polish called")
+
+    monkeypatch.setattr(limits, "_newton_polish", refuse)
+    for sub in ("solve-limit", "gap-report", "rotated-check"):
+        assert cli.main([sub, "--out", str(tmp_path / sub)]) == 0
+    config = tmp_path / "beta0.json"
+    config.write_text('{"beta": 0.0, "basis": {"degree": 3}}')
+    with pytest.raises(RuntimeError, match="Newton polish called"):
+        cli.main(["solve-limit", "--config", str(config), "--out", str(tmp_path / "so3")])

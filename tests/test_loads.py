@@ -12,6 +12,7 @@ from traction_gap.loads import (
     body_force,
     compatibility_report,
     default_rules,
+    fibonacci_directions,
     load_functional,
     moment_matrix,
     reversed_compatibility_witness,
@@ -129,6 +130,30 @@ def test_reversed_witness_compressive_pressure():
     assert np.isclose(work, -1.0 * (np.trace(R) - 3.0) * np.pi, atol=1e-10)
 
 
+def _sweep_rotations():
+    # the axis-angle sweep the witness once searched: 60 axes times 24 angles
+    for axis in fibonacci_directions(60):
+        for theta in np.linspace(-np.pi, np.pi, 24, endpoint=False):
+            yield exp_so3(theta * axis)
+
+
+@pytest.mark.parametrize("spec, maximum", [(LoadSpec(surface_pressure=-1.0), 4.0 * np.pi),
+                                           (LoadSpec.ball_pull_in(), 16.0 * np.pi / 15.0)],
+                         ids=["pressure", "pull_in"])
+def test_reversed_witness_does_the_most_work(spec, maximum):
+    # T = c I with c < 0 for both loads, so <R - I, T> = c (tr R - 3) peaks at
+    # 4|c| on the half turns
+    rules = default_rules(spec, 10)
+    T = moment_matrix(spec, rules)
+    R = reversed_compatibility_witness(spec, rules)
+    assert np.allclose(R.T @ R, np.eye(3), atol=1e-14) and np.linalg.det(R) > 0.0
+    work = float(np.sum((R - np.eye(3)) * T))
+    assert work == pytest.approx(maximum, rel=1e-13)
+    # the sweep's half turns reach the maximum too, up to round-off
+    sweep = max(float(np.sum((S - np.eye(3)) * T)) for S in _sweep_rotations())
+    assert work >= sweep * (1.0 - 1e-14)
+
+
 def test_reversed_witness_absent_for_compatible(preset, preset_rules):
     assert reversed_compatibility_witness(preset, preset_rules) is None
     zero = LoadSpec()
@@ -214,5 +239,6 @@ def test_rotate_loads_swirl_forces(preset):
 
 
 def test_rotate_loads_rejects_non_rotation(preset):
-    with pytest.raises(LoadError):
-        rotate_loads(preset, 2.0 * np.eye(3))
+    for R in (2.0 * np.eye(3), -np.eye(3)):  # -I is orthogonal but a reflection
+        with pytest.raises(LoadError):
+            rotate_loads(preset, R)
