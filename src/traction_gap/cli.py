@@ -79,11 +79,12 @@ DEFAULT_CONFIG: dict = {
 
 # Upper bounds of the size parameters.  A cylinder's linear systems are
 # assembled from 1D tables, so at the caps their size is bounded by the K x K
-# eigendecomposition: K = 1677 for div_free at degree 12 (solve-linear takes
-# about 3 s and 0.25 GB there on 2 cores).  The nonlinear context tabulates
-# its ansatz space on the rule's planar and axial factors (under 8 MB at
-# nonlinear degree 6); node tables remain only on the ball (0.88 GB of
-# div_free values and gradients at degree 12).
+# eigendecompositions: K = 1365 for full and 1001 for div_free at degree 12
+# (solve-linear, which assembles both, takes 0.86-0.90 s and 140 MB peak RSS
+# there on 2 cores).  The nonlinear context tabulates its ansatz space on the
+# rule's planar and axial factors (under 8 MB at nonlinear degree 6); node
+# tables remain only on the ball (0.72 GB of full and 0.53 GB of div_free
+# values and gradients at degree 12).
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,

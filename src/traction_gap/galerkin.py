@@ -10,9 +10,14 @@ Space kinds
                       of total degree <= degree, plus axial fields (0, 0, w(z))
                       with deg w <= degree1d.
 * ``ansatz_k_div`` -- the planar (exactly divergence-free) part only.
-* ``div_free``     -- curls of polynomial vector potentials of total degree
-                      <= degree + 1; exactly divergence-free, rank-deficient
-                      by construction (deflated numerically).
+* ``div_free``     -- curls of gauge-fixed vector potentials (psi_x, psi_y, 0)
+                      of total degree <= degree + 1: psi_x takes the Legendre
+                      rows (i, j, k) with k >= 1, psi_y those with i >= 1 or
+                      k >= 1.  The curl is injective on these potentials, so
+                      the basis spans the divergence-free fields of degree
+                      <= degree, 3 C(d+3, 3) - C(d+2, 3) of them, with no
+                      redundant direction.  Each curl field is scaled to unit
+                      L^2 norm on the bounding box.
 
 The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
 the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.
@@ -28,9 +33,10 @@ components; so do the values on a pressure load's surface rule.  The
 nonlinear context tabulates its ansatz space on the two factors.  Load
 vectors per rotation come from precomputed first-moment tensors:
 L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
-system gives its kernel and its pseudo-inverse; every solve is
-x = P A^+ b, with P removing the L^2-rigid part of the field (for
-``div_free`` also the redundant directions), which leaves the energy exact.
+system gives its kernel and its pseudo-inverse.  Every space carries exact
+coefficient rows of its rigid fields; the kernel must have their count and
+span, and every solve is x = P A^+ b, with P removing the L^2-rigid part of
+the field, which leaves the energy exact.
 Because b is linear in R, the per-rotation minimum is the 9x9 quadratic
 form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
@@ -102,8 +108,10 @@ class GalerkinSpace:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         a = self.domain.radius
-        h = self.domain.height if self.domain.kind == "cylinder" else self.domain.radius
-        self._box = (a, h)
+        if self.domain.kind == "cylinder":
+            self._box = (a, 0.0, self.domain.height)  # [-a, a]^2 x [zlo, h]
+        else:
+            self._box = (a, -a, a)
         if self.kind == "full":
             self._idx = _total_degree_indices(self.degree, 3)
             self.dim = 3 * len(self._idx)
@@ -118,8 +126,9 @@ class GalerkinSpace:
             self.dim = len(self._idx2) + self._naxial
         elif self.kind == "div_free":
             idx = _total_degree_indices(self.degree + 1, 3)
-            self._idx = [m for m in idx if sum(m) >= 1]
-            self.dim = 3 * len(self._idx)
+            self._idx_x = [m for m in idx if m[2] >= 1]  # rows of psi_x
+            self._idx_y = [m for m in idx if m[0] >= 1 or m[2] >= 1]  # rows of psi_y
+            self.dim = len(self._idx_x) + len(self._idx_y)
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
         self._separate()
@@ -141,22 +150,25 @@ class GalerkinSpace:
         def second(u, v):  # derivative d_u d_v
             return tuple(a + b for a, b in zip(unit[u], unit[v]))
 
-        if self.kind in ("full", "div_free"):
+        if self.kind == "full":
             ijk = np.array(self._idx, dtype=int)
             fams = []
             for c in range(3):
-                if self.kind == "full":
-                    tmpl = {c: (1.0, (0, 0, 0))}
-                    tmpl.update({3 + 3 * c + d: (1.0, unit[d]) for d in range(3)})
-                else:
-                    # field grad(m) x e_c: +d_q m in slot p, -d_p m in slot q;
-                    # gradient rows are the matching Hessian rows
-                    p, q = (c + 1) % 3, (c + 2) % 3
-                    tmpl = {p: (1.0, unit[q]), q: (-1.0, unit[p])}
-                    for d in range(3):
-                        tmpl[3 + 3 * p + d] = (1.0, second(q, d))
-                        tmpl[3 + 3 * q + d] = (-1.0, second(p, d))
+                tmpl = {c: (1.0, (0, 0, 0))}
+                tmpl.update({3 + 3 * c + d: (1.0, unit[d]) for d in range(3)})
                 fams.append((0, ijk, tmpl))
+            return fams
+        if self.kind == "div_free":
+            fams = []
+            for c, idx in ((0, self._idx_x), (1, self._idx_y)):
+                # field curl(m e_c) = grad(m) x e_c: +d_q m in slot p, -d_p m
+                # in slot q; gradient rows are the matching Hessian rows
+                p, q = (c + 1) % 3, (c + 2) % 3
+                tmpl = {p: (1.0, unit[q]), q: (-1.0, unit[p])}
+                for d in range(3):
+                    tmpl[3 + 3 * p + d] = (1.0, second(q, d))
+                    tmpl[3 + 3 * q + d] = (-1.0, second(p, d))
+                fams.append((c, np.array(idx, dtype=int), tmpl))
             return fams
         # potential m -> planar field (m_y, -m_x, 0), constant in z
         pot = np.array([(i, j, 0) for i, j in self._idx2], dtype=int)
@@ -172,7 +184,9 @@ class GalerkinSpace:
 
         P is a planar factor d^nx L_i(x) d^ny L_j(y), Z an axial factor
         d^nz L_k(z); the slot arrays (K, 12) hold the sign (0 where the entry
-        vanishes) and the indices of both factors.
+        vanishes) and the indices of both factors.  A ``div_free`` row's sign
+        carries its scale, 1 / (L^2 norm of its field on the bounding box);
+        every other row has scale 1.
         """
         fams = self._families()
         K = self.dim
@@ -180,12 +194,15 @@ class GalerkinSpace:
         sign = np.zeros((K, 12))
         pcode = np.zeros((K, 12), dtype=int)
         zcode = np.zeros((K, 12), dtype=int)
+        self._row_scale = np.ones(K)
         self._fams = []  # (scalar group, rows, template)
         row = 0
         for grp, ijk, tmpl in fams:
             rows = slice(row, row + len(ijk))
+            if self.kind == "div_free":
+                self._row_scale[rows] = 1.0 / np.sqrt(self._box_norms_sq(ijk, tmpl))
             for e, (sgn, (nx, ny, nz)) in tmpl.items():
-                sign[rows, e] = sgn
+                sign[rows, e] = sgn * self._row_scale[rows]
                 pcode[rows, e] = ((nx * base + ny) * base + ijk[:, 0]) * base + ijk[:, 1]
                 zcode[rows, e] = nz * base + ijk[:, 2]
             self._fams.append((grp, rows, tmpl))
@@ -199,9 +216,27 @@ class GalerkinSpace:
         self._axial_factors = np.stack(np.unravel_index(zf, (base,) * 2), axis=1)  # nz, k
         self._slots = (sign, pidx, zidx)
 
+    def _box_norms_sq(self, ijk: np.ndarray, tmpl: dict) -> np.ndarray:
+        """Squared L^2 norms on the bounding box of a family's fields.
+
+        On an interval of length l, P_n has squared norm l / (2n + 1) and its
+        derivative 2n(n + 1) / l; each value slot is a product of three such
+        factors.
+        """
+        a, zlo, h = self._box
+        lengths = (2.0 * a, 2.0 * a, h - zlo)
+        out = np.zeros(len(ijk))
+        for e, (_, der) in tmpl.items():
+            if e < 3:
+                term = np.ones(len(ijk))
+                for n, d, ell in zip(ijk.T, der, lengths):
+                    term *= 2.0 * n * (n + 1) / ell if d else ell / (2 * n + 1)
+                out += term
+        return out
+
     def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(n_P, n) planar factors at the points (x, y)."""
-        a, _ = self._box
+        a = self._box[0]
         nx, ny, i, j = self._planar_factors.T
         nder, deg = int(max(nx.max(), ny.max())), int(max(i.max(), j.max()))
         Lx = _legendre_tables(x, deg, -a, a, nder)
@@ -210,9 +245,8 @@ class GalerkinSpace:
 
     def _axial(self, z: np.ndarray) -> np.ndarray:
         """(n_Z, n) axial factors at the heights z."""
-        _, h = self._box
+        _, zlo, h = self._box
         nz, k = self._axial_factors.T
-        zlo = 0.0 if self.domain.kind == "cylinder" else -h
         return _legendre_tables(z, int(k.max()), zlo, h, int(nz.max()))[nz, k]
 
     # -- basis tables at the nodes --------------------------------------
@@ -272,20 +306,22 @@ class GalerkinSpace:
 
     # -- rigid displacements ------------------------------------------
 
-    def rigid_coefficients(self) -> np.ndarray | None:
+    def rigid_coefficients(self) -> np.ndarray:
         """Exact coefficient vectors of the representable rigid fields.
 
-        None for ``div_free``, where the null space (rigid plus redundant
-        combinations) is detected numerically instead.
+        ``full`` and ``div_free`` carry all six (translations along x, y, z,
+        then spins about x, y, z); the ansatz spaces their planar
+        translations, the spin about z when the degree allows it, and the
+        axial translation of ``ansatz_k``.  ``div_free`` rows are the
+        potentials of the rigid fields, up to terms whose curl vanishes.
         """
-        a, h = self._box
+        a, zlo, h = self._box
+        # coordinate expansions in the scaled Legendre family
+        #   x = a P1(x/a);  z = mid + half * P1(.) on [zlo, h]
+        zmid, zhalf = 0.5 * (zlo + h), 0.5 * (h - zlo)
         if self.kind == "full":
             nscal = len(self._idx)
             pos = {m: n for n, m in enumerate(self._idx)}
-            zlo = 0.0 if self.domain.kind == "cylinder" else -h
-            # coordinate expansions in the scaled Legendre family
-            #   x = a P1(x/a);  z = mid + half * P1(.) on [zlo, h]
-            zmid, zhalf = 0.5 * (zlo + h), 0.5 * (h - zlo)
             vecs = np.zeros((6, self.dim))
             for c in range(3):  # translations
                 vecs[c, c * nscal + pos[(0, 0, 0)]] = 1.0
@@ -301,27 +337,47 @@ class GalerkinSpace:
             vecs[5, 0 * nscal + pos[(0, 1, 0)]] = -a
             vecs[5, 1 * nscal + pos[(1, 0, 0)]] = a
             return vecs
-        if self.kind in ("ansatz_k", "ansatz_k_div"):
-            pos = {m: n for n, m in enumerate(self._idx2)}
-            rows = []
-            tx = np.zeros(self.dim)
-            tx[pos[(0, 1)]] = a  # potential y -> field (1, 0, 0)
-            rows.append(tx)
-            ty = np.zeros(self.dim)
-            ty[pos[(1, 0)]] = -a  # potential -x -> field (0, 1, 0)
-            rows.append(ty)
-            if self.degree >= 2:
-                spin = np.zeros(self.dim)
-                # potential -(x^2+y^2)/2 -> field (-y, x, 0); x^2 = a^2 (2 P2 + 1)/3
-                spin[pos[(2, 0)]] = -(a * a) / 3.0
-                spin[pos[(0, 2)]] = -(a * a) / 3.0
-                rows.append(spin)
-            if self._naxial:
-                tz = np.zeros(self.dim)
-                tz[len(self._idx2)] = 1.0
-                rows.append(tz)
-            return np.stack(rows)
-        return None
+        if self.kind == "div_free":
+            px = {m: n for n, m in enumerate(self._idx_x)}
+            py = {m: len(px) + n for n, m in enumerate(self._idx_y)}
+            # x^2 = a^2 (2 P2 + 1) / 3 and z^2 = const + z1 P1 + z2 P2; constant
+            # potentials (and psi_x(x), psi_y(y)) have no curl and are dropped
+            x2, z1, z2 = 2.0 * a * a / 3.0, 2.0 * zmid * zhalf, 2.0 * zhalf * zhalf / 3.0
+            potentials = (
+                {py[0, 0, 1]: -zhalf},  # e_x: psi_y = -z
+                {px[0, 0, 1]: zhalf},  # e_y: psi_x = z
+                {py[1, 0, 0]: a},  # e_z: psi_y = x
+                # spin about x: psi_x = -z^2 / 2, psi_y = xy
+                {px[0, 0, 1]: -0.5 * z1, px[0, 0, 2]: -0.5 * z2, py[1, 1, 0]: a * a},
+                # spin about y: psi_y = -(x^2 + z^2) / 2
+                {py[2, 0, 0]: -0.5 * x2, py[0, 0, 1]: -0.5 * z1, py[0, 0, 2]: -0.5 * z2},
+                # spin about z: psi_x = xz, psi_y = yz
+                {px[1, 0, 1]: a * zhalf, py[0, 1, 1]: a * zhalf},
+            )
+            vecs = np.zeros((6, self.dim))
+            for vec, terms in zip(vecs, potentials):
+                for n, coef in terms.items():
+                    vec[n] = coef / self._row_scale[n]
+            return vecs
+        pos = {m: n for n, m in enumerate(self._idx2)}  # the ansatz spaces
+        rows = []
+        tx = np.zeros(self.dim)
+        tx[pos[(0, 1)]] = a  # potential y -> field (1, 0, 0)
+        rows.append(tx)
+        ty = np.zeros(self.dim)
+        ty[pos[(1, 0)]] = -a  # potential -x -> field (0, 1, 0)
+        rows.append(ty)
+        if self.degree >= 2:
+            spin = np.zeros(self.dim)
+            # potential -(x^2+y^2)/2 -> field (-y, x, 0); x^2 = a^2 (2 P2 + 1)/3
+            spin[pos[(2, 0)]] = -(a * a) / 3.0
+            spin[pos[(0, 2)]] = -(a * a) / 3.0
+            rows.append(spin)
+        if self._naxial:
+            tz = np.zeros(self.dim)
+            tz[len(self._idx2)] = 1.0
+            rows.append(tz)
+        return np.stack(rows)
 
     def recommended_order(self, nonlinear: bool = False) -> int:
         """Quadrature order making the assembled integrands exact.
@@ -357,7 +413,8 @@ class StiffnessSystem:
     A: np.ndarray
     load_moments: np.ndarray  # (K, 3, 3); b_k(R) = <R, T_k>
     kernel: np.ndarray  # orthonormal rows spanning ker A
-    rigid: np.ndarray | None  # exact rigid coefficient vectors
+    kernel_margins: tuple[float, float]  # (smallest kept, largest dropped eigenvalue) / cut
+    rigid: np.ndarray  # exact rigid coefficient vectors, spanning ker A
     pinv: np.ndarray  # A^+, zero on ker A
     projector: np.ndarray  # P = I - (L^2-rigid fit), built once per system
     rotation_form: np.ndarray  # (9, 9) Q = B' A^+ B, where b(R) = B vec(R)
@@ -380,26 +437,35 @@ def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(orthonormal kernel rows, pseudo-inverse) of a symmetric PSD matrix.
+def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """(orthonormal kernel rows, pseudo-inverse, margins) of a symmetric PSD
+    matrix.
 
-    One eigendecomposition; eigenvalues below KERNEL_EIGENVALUE_CUT times the
-    largest (floored at 1) count as the kernel.
+    One eigendecomposition; eigenvalues at or below the cut,
+    KERNEL_EIGENVALUE_CUT times the largest (floored at 1), count as the
+    kernel.  The margins are the smallest kept and the largest dropped
+    eigenvalue divided by the cut (inf when nothing is kept, 0 when nothing
+    is dropped).
     """
     eigvals, V = np.linalg.eigh(M)
-    keep = eigvals > KERNEL_EIGENVALUE_CUT * max(eigvals[-1], 1.0)
-    return V[:, ~keep].T.copy(), (V[:, keep] / eigvals[keep]) @ V[:, keep].T
+    cut = KERNEL_EIGENVALUE_CUT * max(eigvals[-1], 1.0)
+    keep = eigvals > cut
+    kept, dropped = eigvals[keep], eigvals[~keep]
+    margins = (float(kept[0] / cut) if kept.size else np.inf,
+               float(dropped[-1] / cut) if dropped.size else 0.0)
+    return V[:, ~keep].T.copy(), (V[:, keep] / eigvals[keep]) @ V[:, keep].T, margins
 
 
-def _rigid_projector(M: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """P with P x = x minus the L^2-closest field spanned by the basis rows.
+def _rigid_projector(M: np.ndarray, rigid: np.ndarray) -> np.ndarray:
+    """P with P x = x minus the L^2-closest field spanned by the rigid rows.
 
-    M is the L^2 Gram matrix of the space.  The basis fields carry no strain,
-    so P leaves the energy unchanged.
+    M is the L^2 Gram matrix of the space.  The rigid fields are independent,
+    so their own Gram matrix is SPD; they carry no strain, so P leaves the
+    energy unchanged.
     """
-    F = basis @ M  # <basis field a, b_k>
-    G = F @ basis.T  # L^2 Gram matrix of the basis fields
-    return np.eye(M.shape[0]) - basis.T @ np.linalg.lstsq(G, F, rcond=None)[0]
+    F = rigid @ M  # <rigid field a, b_k>
+    G = F @ rigid.T  # L^2 Gram matrix of the rigid fields
+    return np.eye(M.shape[0]) - rigid.T @ np.linalg.solve(G, F)
 
 
 # (slot, slot, scale) pairs with 8 E:E' = 8 sum_i g_ii g'_ii
@@ -447,7 +513,8 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndar
     families is a signed sum, over the slot pairs of _STRAIN_PAIRS (of
     _MASS_PAIRS for M), of derivative Grams: the integrals of d^D m d^D' m'
     over the two families' scalars, each gathered once.  Blocks on and above
-    the diagonal are summed and mirrored, so A and M are exactly symmetric.
+    the diagonal are summed and mirrored, so A and M are exactly symmetric,
+    and then scaled by the row scales carried in the slot signs.
     """
     px, py, pw = rule.planar
     z, wz = rule.axial
@@ -455,6 +522,7 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndar
     Z = space._axial(z) * np.sqrt(wz)
     GP, GZ = P @ P.T, Z @ Z.T
     _, pidx, zidx = space._slots
+    row_scales = np.outer(space._row_scale, space._row_scale)
     cache: dict = {}
 
     def derivative_gram(f, e, g, e2) -> np.ndarray:
@@ -477,7 +545,7 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndar
                     if e in f[2] and e2 in g[2]:
                         sgn = scale * f[2][e][0] * g[2][e2][0]
                         block += sgn * derivative_gram(f, e, g, e2)
-        return np.triu(out) + np.triu(out, 1).T
+        return (np.triu(out) + np.triu(out, 1).T) * row_scales
 
     return gram(3, _STRAIN_PAIRS), gram(0, _MASS_PAIRS)
 
@@ -529,19 +597,16 @@ def assemble(
     vol = rules.volume
     A, M = (_node_grams if vol.planar is None else _factored_grams)(space, vol)
     moments = load_moments(space, load, rules)
-    kernel, pinv = _factor(A)
-    nkern = kernel.shape[0]
-
+    kernel, pinv, margins = _factor(A)
     rigid = space.rigid_coefficients()
-    if rigid is not None:
-        if nkern != rigid.shape[0]:
-            raise AssemblyError(
-                f"numeric kernel dimension {nkern} != analytic rigid dimension "
-                f"{rigid.shape[0]}; assembly is inconsistent"
-            )
-        if _principal_angle(kernel, rigid) > 1e-6:
-            raise AssemblyError("numeric kernel does not span the rigid modes")
-    projector = _rigid_projector(M, kernel if rigid is None else rigid)
+    if kernel.shape[0] != rigid.shape[0]:
+        raise AssemblyError(
+            f"numeric kernel dimension {kernel.shape[0]} != analytic rigid dimension "
+            f"{rigid.shape[0]}; assembly is inconsistent"
+        )
+    if _principal_angle(kernel, rigid) > 1e-6:
+        raise AssemblyError("numeric kernel does not span the rigid modes")
+    projector = _rigid_projector(M, rigid)
     # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
     # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
     # only to second order and m(R) matches solve_quadratic to round-off
@@ -554,6 +619,7 @@ def assemble(
         A=A,
         load_moments=moments,
         kernel=kernel,
+        kernel_margins=margins,
         rigid=rigid,
         pinv=pinv,
         projector=projector,

@@ -16,6 +16,7 @@ results are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,9 +65,18 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
-def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi].
+
+    Memoized per (n, lo, hi); the arrays are read-only.  On [-1, 1] they are
+    numpy's own nodes and weights, bit for bit.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x, w = mid + half * x, half * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _angles(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,11 +89,11 @@ def volume_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
         raise ValueError("order must be >= 1")
     ntheta = 2 * order
     if domain.kind == "cylinder":
-        rr, wr = _gauss01(order)
+        rr, wr = gauss_legendre(order)
         r = domain.radius * rr
         wr = domain.radius * wr * r  # jacobian r
         th, wt = _angles(ntheta)
-        zz, wz = _gauss01(order)
+        zz, wz = gauss_legendre(order)
         z = domain.height * zz
         wz = domain.height * wz
         R, T = np.meshgrid(r, th, indexing="ij")
@@ -93,10 +103,10 @@ def volume_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
         return QuadratureRule(pts, (pw[:, None] * wz[None, :]).ravel(), label=f"cylinder-vol-{order}",
                               planar=(px, py, pw), axial=(z, wz))
     # ball: r in [0,1] with r^2 jacobian, t = cos(polar) in [-1,1], uniform azimuth
-    rr, wr = _gauss01(order)
+    rr, wr = gauss_legendre(order)
     r = domain.radius * rr
     wr = domain.radius * wr * r * r
-    tt, wt = np.polynomial.legendre.leggauss(order)
+    tt, wt = gauss_legendre(order, -1.0, 1.0)
     th, wa = _angles(ntheta)
     R, T, A = np.meshgrid(r, tt, th, indexing="ij")
     W = wr[:, None, None] * wt[None, :, None] * wa[None, None, :]
@@ -116,7 +126,7 @@ def surface_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
         raise ValueError("order must be >= 1")
     ntheta = 2 * order
     th, wt = _angles(ntheta)
-    zz, wz = _gauss01(order)
+    zz, wz = gauss_legendre(order)
     z = domain.height * zz
     wz = domain.height * wz
     a = domain.radius
@@ -128,7 +138,7 @@ def surface_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
     lat_n = np.stack([np.cos(T).ravel(), np.sin(T).ravel(), np.zeros(lat_w.size)], axis=1)
 
     # caps: dH^2 = r dr dtheta, normals -e_z (base) and +e_z (top)
-    rr, wr = _gauss01(order)
+    rr, wr = gauss_legendre(order)
     r = a * rr
     wr = a * wr * r
     Rc, Tc = np.meshgrid(r, th, indexing="ij")

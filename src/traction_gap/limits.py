@@ -78,7 +78,7 @@ from .profiles import (
     radial_strain_integral,
     swirl_strain_integral,
 )
-from .rotations import best_axis_rotation, exp_so3, rotation_about_z, skew_from_axis
+from .rotations import best_axis_rotation, exp_so3, rotation_about_z, rotation_angle, skew_from_axis
 
 DEFAULT_DEGREE = 8
 SO3_GRID = 6  # quaternion grid points per coordinate and cube face (4 * 6^3 rotations)
@@ -641,24 +641,32 @@ class RotatedCheck:
 
 
 def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> RotatedCheck:
-    """With the optimal kernel rotation folded into the loads, the relaxed
-    and the classical linear minima agree; quantify the residual difference."""
+    """With the optimal kernel rotation R* folded into the loads, the relaxed
+    and the classical linear minima agree; quantify the residual difference.
+
+    R* is the relaxed minimizer of ``min_limit``: the closed-form minimum
+    about a kernel axis, the SO(3) search on a full-SO(3) kernel.  The
+    reported angle is R*'s signed angle about the kernel axis, or its
+    rotation angle in [0, pi] on a full-SO(3) kernel.
+    """
     kernel = compatibility_report(spec)
     if kernel.classification not in (AXIS_SUBGROUP, FULL_SO3):
         raise SolverError("rotated check needs a nontrivial rotation kernel")
-    axis = kernel.axis if kernel.classification == AXIS_SUBGROUP else np.array([0.0, 0.0, 1.0])
     system = _system_for(spec, "full", degree)
-    R_star = _axis_minimum(system.rotation_form, axis)
-    theta_star = best_axis_rotation(R_star, axis)[0]
+    limit = _limit_solve(system, kernel)
+    R_star = limit.rotation
+    if kernel.classification == AXIS_SUBGROUP:
+        theta_star = best_axis_rotation(R_star, kernel.axis)[0]
+    else:
+        theta_star = rotation_angle(R_star)
 
     # rotated loads: L_R(v) = L(R v); their linear minimum solves against the
-    # load vector of the rotated forces.  Their relaxed minimum over R_star
-    # composed with the axis group, which is the axis group itself, is the
-    # value at R_star
+    # load vector of the rotated forces.  Their relaxed minimum over R*
+    # composed with the kernel, which is the kernel itself, is the value at R*
     rotated = RotatedLoad(base=spec, rotation=R_star)
     b_rot = np.einsum("kii->k", load_moments(system.space, rotated, system.rules))
     min_E_rot = solve_quadratic(system, b=b_rot).value
-    min_G_rot = solve_quadratic(system, R=R_star).value
+    min_G_rot = limit.value
     if min_E_rot == 0.0:
         raise SolverError("the basis does no work against the rotated loads (linear "
                           "minimum 0); no relative difference exists")

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .geometry import gauss_legendre
+
 GAUSS_1D_POINTS = 64  # exact through polynomial degree 127
 
 
@@ -25,11 +27,6 @@ def as_poly(coeffs) -> Polynomial:
     if isinstance(coeffs, Polynomial):
         return coeffs
     return Polynomial(np.asarray(coeffs, dtype=float))
-
-
-def gauss01(n: int = GAUSS_1D_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def radial_conditions(phi: Polynomial) -> dict[str, float]:
@@ -110,7 +107,7 @@ def radial_strain_integral(eta: Polynomial) -> float:
     """integral_0^1 (eta'^2 + (eta/r)^2) r dr for the in-plane radial field."""
     eta = as_poly(eta)
     p = planar_profile(eta)  # eta/r = p(r^2)
-    r, w = gauss01()
+    r, w = gauss_legendre(GAUSS_1D_POINTS)
     s = r * r
     d = eta.deriv()(r)
     return float(np.dot(w, (d * d + p(s) ** 2) * r))
@@ -120,7 +117,7 @@ def swirl_strain_integral(eta: Polynomial) -> float:
     """integral_0^1 2 (eta' - eta/r)^2 r dr for the in-plane swirl field."""
     eta = as_poly(eta)
     p = planar_profile(eta)
-    r, w = gauss01()
+    r, w = gauss_legendre(GAUSS_1D_POINTS)
     s = r * r
     d = eta.deriv()(r)
     diff = d - p(s)
@@ -130,7 +127,7 @@ def swirl_strain_integral(eta: Polynomial) -> float:
 def axial_strain_integral(axial: Polynomial) -> float:
     """integral_0^1 w'(z)^2 dz."""
     d = as_poly(axial).deriv()
-    z, w = gauss01()
+    z, w = gauss_legendre(GAUSS_1D_POINTS)
     v = d(z)
     return float(np.dot(w, v * v))
 

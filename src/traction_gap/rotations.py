@@ -131,6 +131,13 @@ def coercivity_profile(t, p: float):
     return float(out) if out.ndim == 0 else out
 
 
+def rotation_angle(R: np.ndarray) -> float:
+    """Rotation angle in [0, pi] of R: cos t = (tr R - 1) / 2 and
+    |R - R'| = 2 sqrt(2) sin t, combined by atan2 for accuracy at every t."""
+    return float(np.arctan2(np.linalg.norm(R - R.T) / (2.0 * np.sqrt(2.0)),
+                            0.5 * (np.trace(R) - 1.0)))
+
+
 def best_axis_rotation(Y: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarray]:
     """Angle t and rotation R_t = exp(t W) about the axis maximizing <R_t, Y>.
 

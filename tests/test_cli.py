@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from traction_gap import cli
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
 from traction_gap.limits import RotatedCheck
+from traction_gap.rotations import rotation_angle
 
 
 def run_cli(args, tmp_path, config=None):
@@ -250,6 +251,29 @@ def test_rotated_check_cli(tmp_path):
     code, report, _ = run_cli(["rotated-check"], tmp_path, {"basis": {"degree": 6}})
     assert code == 0
     assert report["results"]["relative_difference"] < 1e-6
+
+
+def test_rotated_check_folds_in_the_so3_minimizer(tmp_path):
+    # on a full-SO(3) kernel the folded rotation is solve-limit's minimizer,
+    # so the rotated loads' relaxed minimum is solve-limit's value
+    cfg = {"beta": 0.0, "basis": {"degree": 6}}
+    code, rotated, _ = run_cli(["rotated-check"], tmp_path, cfg)
+    assert code == 0
+    code, limit, _ = run_cli(["solve-limit"], tmp_path, cfg)
+    assert code == 0
+    res, value = rotated["results"], limit["results"]["value"]
+    assert res["min_G_rotated"] == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert res["relative_difference"] < 1e-6
+    angle = rotation_angle(np.array(limit["results"]["rotation"]))
+    assert res["rotation_theta"] == pytest.approx(angle, rel=1e-12)
+
+
+def test_solve_linear_incompressible_upper_at_degree_8(tmp_path):
+    # the gauge-fixed divergence-free basis spans the curls of all potentials
+    code, report, _ = run_cli(["solve-linear"], tmp_path)
+    assert code == 0
+    upper = report["results"]["incompressible"]["upper"]
+    assert upper == pytest.approx(-0.00614485494319541, rel=1e-13, abs=0.0)
 
 
 def test_nonuniqueness_cli(tmp_path):

@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from conftest import random_rotations
 from traction_gap.galerkin import (
+    KERNEL_EIGENVALUE_CUT,
     AssemblyError,
     GalerkinSpace,
     SolverError,
@@ -74,6 +77,71 @@ def test_divfree_curl_space_is_divergence_free():
     assert float(np.max(np.abs(div))) < 1e-11
 
 
+def test_divfree_dimension_is_that_of_divergence_free_fields():
+    # fields of degree <= d (3 C(d+3, 3)) whose divergence, of degree <= d - 1
+    # (C(d+2, 3) conditions, onto), vanishes
+    for degree in range(1, 13):
+        space = build_space("div_free", degree, CYL)
+        assert space.dim == 3 * comb(degree + 3, 3) - comb(degree + 2, 3)
+
+
+@pytest.mark.parametrize("degree", (2, 3, 5))
+def test_divfree_spans_every_curl_of_a_legendre_scalar(degree):
+    # grad(m) x e_c for every m = L_i(x) L_j(y) L_k(z) of total degree
+    # <= degree + 1 (the span of all vector potentials) is reproduced by its
+    # discrete L^2 projection onto the gauge-fixed space
+    space = build_space("div_free", degree, CYL)
+    rule = volume_quadrature(CYL, space.recommended_order())
+    sw = np.sqrt(rule.weights)[:, None]
+    vals, _ = space.tables(rule)
+    basis = (vals * sw).reshape(space.dim, -1).T
+    legendre = np.polynomial.Legendre
+    domains = ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0])
+    targets = []
+    for m in [(i, j, k) for i in range(degree + 2) for j in range(degree + 2 - i)
+              for k in range(degree + 2 - i - j)]:
+        factors = [legendre.basis(n, domain=dom) for n, dom in zip(m, domains)]
+        grad = np.stack([np.prod([(f.deriv() if a == d else f)(rule.points[:, a])
+                                  for a, f in enumerate(factors)], axis=0)
+                         for d in range(3)], axis=1)
+        for c in np.eye(3):
+            field = np.cross(grad, c) * sw
+            if np.linalg.norm(field) > 1e-8:
+                targets.append(field.ravel())
+    targets = np.array(targets).T
+    coef = np.linalg.lstsq(basis, targets, rcond=None)[0]
+    residual = np.linalg.norm(basis @ coef - targets, axis=0)
+    assert float(np.max(residual / np.linalg.norm(targets, axis=0))) < 1e-12
+
+
+@pytest.mark.parametrize("domain", [CYL, BALL], ids=["cylinder", "ball"])
+def test_divfree_rigid_rows_are_the_rigid_fields(domain):
+    rule = volume_quadrature(domain, 6)
+    x, y, z = rule.points.T
+    o, i = np.zeros_like(x), np.ones_like(x)
+    expected = np.stack([np.stack(f, axis=1) for f in (
+        (i, o, o), (o, i, o), (o, o, i), (o, -z, y), (z, o, -x), (-y, x, o))])
+    for degree in (1, 4, 8):
+        space = build_space("div_free", degree, domain)
+        got = space.evaluate(space.rigid_coefficients().T, rule)
+        assert float(np.max(np.abs(got - expected))) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["full", "div_free"])
+@pytest.mark.parametrize("degree", [8, 12])
+def test_kernel_cut_has_margins_on_both_sides(preset, kind, degree):
+    # the six rigid directions sit far below the eigenvalue cut and every
+    # other direction far above it
+    system = assemble(build_space(kind, degree, CYL), preset)
+    kept, dropped = system.kernel_margins
+    assert system.kernel.shape[0] == 6
+    assert kept >= 10.0
+    assert dropped <= 1e-3
+    eigvals = np.linalg.eigvalsh(system.A)
+    cut = KERNEL_EIGENVALUE_CUT * eigvals[-1]
+    assert kept == pytest.approx(eigvals[6] / cut, rel=1e-6)
+
+
 def test_basis_gradients_match_finite_differences(rng):
     from traction_gap.geometry import QuadratureRule
 
@@ -134,13 +202,16 @@ def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
 @pytest.mark.parametrize(
     "spec,kind,degree,d1",
     [(spec, *space) for space in [("full", 3, None), ("ansatz_k", 4, 2),
-                                  ("ansatz_k_div", 6, None), ("div_free", 2, None)]
+                                  ("ansatz_k_div", 6, None), ("div_free", 3, None)]
      for spec in (LoadSpec.cylinder_preset(beta=0.01), LoadSpec(surface_pressure=1.0))],
     ids=[f"{kind}{load}" for kind in ("", "ansatz_k-", "ansatz_k_div-", "div_free-")
          for load in ("preset", "pressure")])
 def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d1):
     # c . b(R) = L(R u_c), with L by quadrature on an independent, finer rule;
-    # the pressure load covers the surface moments
+    # the pressure load covers the surface moments.  The preset's planar force
+    # does no work on any field of degree <= 2 (its radial moment vanishes),
+    # so div_free takes degree 3: at degree 2 the work is the beta-scaled
+    # axial part alone, 1e4 times below the terms both sides sum
     space = build_space(kind, degree, CYL, degree1d=d1)
     system = assemble(space, spec)
     c = rng.normal(size=space.dim)
@@ -186,6 +257,7 @@ def test_kernel_matches_rigid_dimension(preset):
         ("full", 2, None, 6),
         ("ansatz_k", 4, 2, 4),
         ("ansatz_k_div", 4, None, 3),
+        ("div_free", 3, None, 6),
     ):
         space = build_space(kind, degree, CYL, degree1d=d1)
         system = assemble(space, preset)
@@ -193,6 +265,14 @@ def test_kernel_matches_rigid_dimension(preset):
         scale = float(np.linalg.norm(system.A))
         for vec in system.rigid:
             assert float(np.linalg.norm(system.A @ vec)) < 1e-9 * scale
+
+
+def test_strain_free_space_is_all_kernel(preset):
+    # ansatz_k_div at degree 1 holds the two planar translations alone
+    system = assemble(build_space("ansatz_k_div", 1, CYL), preset)
+    assert system.kernel.shape[0] == system.dim == 2
+    assert system.kernel_margins == (np.inf, 0.0)
+    assert solve_quadratic(system, R=rotation_about_z(-np.pi / 2)).value == 0.0
 
 
 def test_solve_zero_loads():

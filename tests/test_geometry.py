@@ -4,6 +4,7 @@ import pytest
 from traction_gap.geometry import (
     Domain,
     IntegrationError,
+    gauss_legendre,
     integrate_dot,
     integrate_scalar,
     surface_quadrature,
@@ -123,3 +124,15 @@ def test_domain_validation():
         Domain("cube")
     with pytest.raises(ValueError):
         Domain("cylinder", radius=-1.0)
+
+
+def test_gauss_legendre_is_memoized_read_only_and_exact():
+    x, w = gauss_legendre(9, -1.0, 1.0)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(9)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    u, v = gauss_legendre(9)
+    assert np.array_equal(u, 0.5 * (ref_x + 1.0)) and np.array_equal(v, 0.5 * ref_w)
+    assert gauss_legendre(9)[0] is u
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    assert float(v @ u ** 17) == pytest.approx(1.0 / 18.0, rel=1e-14)

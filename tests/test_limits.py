@@ -21,8 +21,9 @@ from traction_gap.limits import (
     work_moment,
 )
 from traction_gap.loads import LoadSpec, default_rules
+from traction_gap.geometry import gauss_legendre
 from traction_gap.profiles import (
-    gauss01,
+    GAUSS_1D_POINTS,
     radial_displacement_profile,
     radial_ode_residual,
 )
@@ -189,7 +190,7 @@ def _dual_bound_by_profiles(spec) -> float:
     # u0 = eta(r) e_r + w(z) e_z has the cylindrical strain diag(eta', eta/r, w');
     # tensor Gauss in (r, z), independent of the 3D rule and field evaluators
     sol = explicit_minimizers(spec)
-    t, wt = gauss01()
+    t, wt = gauss_legendre(GAUSS_1D_POINTS)
     r, z = t[:, None], t[None, :]
     e_rr = sol.eta.deriv()(r)
     e_tt = sol.planar(r * r)

@@ -11,6 +11,7 @@ from traction_gap.rotations import (
     nearest_rotation,
     rodrigues,
     rotation_about_z,
+    rotation_angle,
     skew_matrix,
 )
 
@@ -185,3 +186,12 @@ def test_distance_to_axis_rotations():
     assert distance_to_axis_rotations(R, axis) < 1e-14
     tilted = exp_so3(np.array([0.5, 0.0, 0.0]))
     assert distance_to_axis_rotations(tilted, axis) > 0.1
+
+
+def test_rotation_angle_of_axis_rotations(rng):
+    for t in (0.0, 1e-9, 0.3, -2.0, np.pi / 2, np.pi - 1e-9, np.pi):
+        assert rotation_angle(rotation_about_z(t)) == pytest.approx(abs(t), abs=1e-15)
+    for _ in range(20):
+        omega = rng.normal(size=3)
+        omega *= rng.uniform(0.0, np.pi) / np.linalg.norm(omega)
+        assert rotation_angle(exp_so3(omega)) == pytest.approx(np.linalg.norm(omega), abs=1e-14)
