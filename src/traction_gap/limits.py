@@ -30,7 +30,9 @@ bound; otherwise the report says so rather than asserting the inequality.
 The relaxed minimum minimizes the per-rotation Galerkin value
 m(R) = -vec(R)' Q vec(R) / 2 over the rotation kernel: in closed form about a
 kernel axis, where m is a trigonometric polynomial of degree 2 in the angle;
-by a quaternion grid and Riemannian Newton on the full SO(3) kernel.
+by a quaternion grid and Procrustes ascent on the full SO(3) kernel, where
+Q is positive semidefinite and every step of the ascent is the exact
+maximizer of the tangent plane of the convex -m, so no step raises m.
 """
 
 from __future__ import annotations
@@ -78,15 +80,22 @@ from .profiles import (
     radial_strain_integral,
     swirl_strain_integral,
 )
-from .rotations import best_axis_rotation, exp_so3, rotation_about_z, rotation_angle, skew_from_axis
+from .rotations import (
+    best_axis_rotation,
+    nearest_rotation,
+    rotation_about_z,
+    rotation_angle,
+    skew_from_axis,
+)
 
 DEFAULT_DEGREE = 8
 SO3_GRID = 6  # quaternion grid points per coordinate and cube face (4 * 6^3 rotations)
-POLISH_STARTS = 8  # lowest grid rotations polished by Newton
-NEWTON_ITERATIONS = 50
-NEWTON_TOL = 1e-14  # round-off level of m and its gradient, relative to sum |Q_ij|
-NEWTON_MAX_STEP = 0.5  # radians
-NEWTON_STEP_TOL = 1e-15  # radians
+POLISH_STARTS = 8  # lowest grid rotations refined by Procrustes ascent
+# the ascent converges linearly, slowly where the minimum is nearly flat: one
+# random positive semidefinite Q in 400 needed 1489 steps
+ASCENT_MAX_STEPS = 10_000
+# round-off level of m relative to sum |Q_ij|, and of a rotation's entries
+ROUNDOFF_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -420,62 +429,32 @@ def _axis_minimum(Q: np.ndarray, axis: np.ndarray) -> np.ndarray:
     z = z[np.argsort(np.angle(z))]
     candidates = (np.stack([np.ones(z.size), z.imag, z.real], axis=1) @ B).reshape(-1, 3, 3)
     values = _rotation_values(Q, candidates)
-    tol = NEWTON_TOL * float(np.abs(Q).sum())
+    tol = ROUNDOFF_TOL * float(np.abs(Q).sum())
     return candidates[np.flatnonzero(values <= values.min() + tol)[0]]
-
-
-def _rotation_derivatives(Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of t -> m(R exp(sum_i t_i W_i)) at t = 0, with
-    W_i the generator of rotations about the i-th coordinate axis."""
-    gens = [skew_from_axis(a) for a in np.eye(3)]
-    Qr = Q @ R.ravel()
-    V = np.stack([(R @ W).ravel() for W in gens])
-    curvature = np.array([[Qr @ (R @ (Wi @ Wj + Wj @ Wi)).ravel() for Wj in gens]
-                          for Wi in gens])
-    return -V @ Qr, -V @ Q @ V.T - 0.5 * curvature
-
-
-def _newton_polish(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Riemannian Newton descent of m on SO(3) from R.
-
-    Stops once the gradient is at the round-off level of m.  The Hessian
-    enters in absolute value, so each step points downhill; steps are capped
-    at NEWTON_MAX_STEP radians and halved while they raise m beyond round-off.
-    """
-    tol = NEWTON_TOL * float(np.abs(Q).sum())
-    value = _rotation_values(Q, R)[0]
-    for _ in range(NEWTON_ITERATIONS):
-        grad, hess = _rotation_derivatives(Q, R)
-        if np.linalg.norm(grad) <= tol:
-            break
-        lam, U = np.linalg.eigh(hess)
-        lam = np.maximum(np.abs(lam), 1e-8 * np.abs(lam).max() + tol)
-        step = -U @ ((U.T @ grad) / lam)
-        step *= min(1.0, NEWTON_MAX_STEP / np.linalg.norm(step))
-        while True:
-            trial = R @ exp_so3(step)
-            trial_value = _rotation_values(Q, trial)[0]
-            if trial_value <= value + tol:
-                break
-            step = 0.5 * step
-            if np.linalg.norm(step) < NEWTON_STEP_TOL:
-                return R
-        R, value = trial, trial_value
-    return R
 
 
 def _search(Q: np.ndarray) -> np.ndarray:
     """Rotation of SO(3) minimizing m(R), where m is a quartic form in the
     unit quaternion and has no closed-form minimum.
 
-    m is evaluated on every rotation of the quaternion grid; the
-    POLISH_STARTS lowest are polished by Newton, and the lowest polished
-    rotation is returned.
+    m is evaluated on every rotation of the quaternion grid, and the
+    POLISH_STARTS lowest are refined together by Procrustes ascent,
+    R <- nearest_rotation(mat(Q vec R)), until no entry of R moves by more
+    than ROUNDOFF_TOL (at most ASCENT_MAX_STEPS steps); the lowest refined
+    rotation is returned.  On a full-SO(3) kernel Q is positive
+    semidefinite, so -m is convex and lies above its tangent plane at R,
+    <mat(Q vec R), R' - R>; the step maximizes that plane over SO(3) and can
+    therefore never raise m.  Its fixed points are stationary points of m.
     """
     grid = _quaternion_grid()
-    starts = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:POLISH_STARTS]]
-    polished = np.stack([_newton_polish(Q, R) for R in starts])
-    return polished[int(np.argmin(_rotation_values(Q, polished)))]
+    R = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:POLISH_STARTS]]
+    for _ in range(ASCENT_MAX_STEPS):
+        step = nearest_rotation(np.einsum("ij,nj->ni", Q, R.reshape(-1, 9)).reshape(-1, 3, 3))[0]
+        moved = np.max(np.abs(step - R))
+        R = step
+        if moved <= ROUNDOFF_TOL:
+            break
+    return R[int(np.argmin(_rotation_values(Q, R)))]
 
 
 def min_limit(
@@ -510,6 +489,14 @@ def _limit_solve(system: StiffnessSystem, report: KernelReport) -> SolveResult:
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+def _kernel_angle(R: np.ndarray, kernel: KernelReport) -> float:
+    """Angle of a relaxed minimizer R*: its signed angle about the kernel axis,
+    or its rotation angle in [0, pi] on a full-SO(3) kernel."""
+    if kernel.classification == AXIS_SUBGROUP:
+        return best_axis_rotation(R, kernel.axis)[0]
+    return rotation_angle(R)
 
 
 @dataclass
@@ -582,12 +569,6 @@ def gap_report(
     rel_E = abs(galerkin_E.value - min_E) / abs(min_E)
     rel_G = abs(limit_res.value - min_G) / abs(min_G)
 
-    # optimal rotation angle about the kernel axis, from the limit minimum
-    if kernel.classification == AXIS_SUBGROUP and limit_res.rotation is not None:
-        theta_opt = best_axis_rotation(limit_res.rotation, kernel.axis)[0]
-    else:
-        theta_opt = -0.5 * np.pi
-
     rows = []
     for theta in DECOMPOSITION_THETAS:
         u_theta = sol.minimizer_field(theta)
@@ -615,7 +596,7 @@ def gap_report(
     return GapReport(
         min_E=min_E,
         min_G=min_G,
-        optimal_theta=float(theta_opt),
+        optimal_theta=_kernel_angle(limit_res.rotation, kernel),
         margin=sol.margin,
         relative_margin=sol.margin / abs(min_E),
         classification=kernel.classification,
@@ -655,10 +636,6 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
     system = _system_for(spec, "full", degree)
     limit = _limit_solve(system, kernel)
     R_star = limit.rotation
-    if kernel.classification == AXIS_SUBGROUP:
-        theta_star = best_axis_rotation(R_star, kernel.axis)[0]
-    else:
-        theta_star = rotation_angle(R_star)
 
     # rotated loads: L_R(v) = L(R v); their linear minimum solves against the
     # load vector of the rotated forces.  Their relaxed minimum over R*
@@ -679,7 +656,7 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
     identity_gap = solve_quadratic(system).value - min_G_rot
     diff = abs(min_G_rot - min_E_rot)
     return RotatedCheck(
-        rotation_theta=theta_star,
+        rotation_theta=_kernel_angle(R_star, kernel),
         min_E_rotated=min_E_rot,
         min_G_rotated=min_G_rot,
         difference=diff,

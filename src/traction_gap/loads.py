@@ -276,12 +276,6 @@ class KernelReport:
         return max(self.w2_values.values())
 
 
-def spin_work_form(load, rules: LoadRules) -> np.ndarray:
-    """Symmetric form M with L(W^2 x) = omega' M omega for W with axis omega."""
-    T = moment_matrix(load, rules)
-    return 0.5 * (T + T.T) - np.trace(T) * np.eye(3)
-
-
 def compatibility_report(
     load,
     rules: LoadRules | None = None,

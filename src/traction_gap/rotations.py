@@ -1,7 +1,8 @@
 """3D rotation parameterizations, nearest-rotation projection, and the
 quadratic-to-p-growth coercivity profile.
 
-All matrix arguments are plain (3, 3) float64 numpy arrays.  Skew matrices
+Matrix arguments are plain (3, 3) float64 numpy arrays; ``nearest_rotation``
+also takes stacks (..., 3, 3).  Skew matrices
 follow the row convention ``rows (0, a, b), (-a, 0, c), (-b, -c, 0)``; the
 rotation generated by such a matrix has axis ``(-c, b, -a)``.
 """
@@ -80,6 +81,11 @@ def rodrigues(W: np.ndarray, theta: float) -> np.ndarray:
     norm_sq = float(np.sum(W * W))
     if abs(norm_sq - 2.0) > NORMALIZATION_TOL:
         raise ValueError(f"rodrigues requires |W|^2 = 2, got {norm_sq}")
+    return _rodrigues(W, theta)
+
+
+def _rodrigues(W: np.ndarray, theta: float) -> np.ndarray:
+    """exp(theta W) = I + sin(theta) W + (1 - cos(theta)) W^2 for |W|^2 = 2."""
     return IDENTITY + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
 
 
@@ -91,8 +97,7 @@ def exp_so3(omega: np.ndarray) -> np.ndarray:
         W = skew_from_axis(omega)
         # second-order series; exact enough below the branch cut
         return IDENTITY + W + 0.5 * (W @ W)
-    W = skew_from_axis(omega / theta)
-    return IDENTITY + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
+    return _rodrigues(skew_from_axis(omega / theta), theta)
 
 
 def rotation_about_z(theta: float) -> np.ndarray:
@@ -100,20 +105,24 @@ def rotation_about_z(theta: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def nearest_rotation(F: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthogonal Procrustes projection onto SO(3).
+def nearest_rotation(F: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Orthogonal Procrustes projection onto SO(3), over any leading axes.
 
-    Returns (R, dist) with R minimizing the Frobenius distance |F - R|.
-    A negative-determinant branch is handled by flipping the sign of the
-    smallest singular value in the reconstruction.
+    Returns (R, dist) with R minimizing the Frobenius distance |F - R|,
+    equivalently maximizing <R, F>.  A negative-determinant branch is
+    handled by flipping the sign of the smallest singular value in the
+    reconstruction, i.e. of the last left singular vector.  Each matrix of a
+    stack gets the bits of a call on that matrix alone.
     """
     F = np.asarray(F, dtype=float)
     U, _, Vt = np.linalg.svd(F)
-    D = np.eye(3)
-    if np.linalg.det(U @ Vt) < 0.0:
-        D[2, 2] = -1.0
-    R = U @ D @ Vt
-    return R, float(np.linalg.norm(F - R))
+    flip = np.linalg.det(U @ Vt) < 0.0
+    U[..., :, 2] = np.where(flip[..., None], -U[..., :, 2], U[..., :, 2])
+    R = U @ Vt
+    D = (F - R).reshape(*F.shape[:-2], 1, 9)
+    # a dot product of the flattened difference, as np.linalg.norm takes on one matrix
+    dist = np.sqrt(D @ np.swapaxes(D, -1, -2))[..., 0, 0]
+    return R, float(dist) if dist.ndim == 0 else dist
 
 
 def coercivity_profile(t, p: float):
@@ -148,7 +157,7 @@ def best_axis_rotation(Y: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarr
     axis = np.asarray(axis, dtype=float)
     W = skew_from_axis(axis / np.linalg.norm(axis))
     t = float(np.arctan2(np.sum(Y * W), -np.sum(Y * (W @ W))))
-    return t, IDENTITY + np.sin(t) * W + (1.0 - np.cos(t)) * (W @ W)
+    return t, _rodrigues(W, t)
 
 
 def distance_to_axis_rotations(R: np.ndarray, axis: np.ndarray) -> float:

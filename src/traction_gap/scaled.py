@@ -39,13 +39,7 @@ from .loads import (
     default_rules,
     moment_matrix,
 )
-from .rotations import (
-    coercivity_profile,
-    distance_to_axis_rotations,
-    exp_so3,
-    nearest_rotation,
-    skew_from_axis,
-)
+from .rotations import coercivity_profile, distance_to_axis_rotations, exp_so3, nearest_rotation
 
 COEFF_GRAD_TOL = 1e-8
 COEFF_MAX_ITERS = 5000
@@ -54,8 +48,6 @@ ARMIJO_SLOPE = 1e-4
 ALTERNATION_TOL = 1e-10
 ALTERNATION_MAX_ROUNDS = 60
 DIVERGENCE_FLOOR = -1e12
-
-_GENERATORS = [skew_from_axis(np.eye(3)[i]) for i in range(3)]
 
 
 @dataclass
@@ -259,7 +251,12 @@ def best_fit_rotation(gradients: np.ndarray, rule: QuadratureRule, p: float = 2.
     """Rotation minimizing the weighted coercivity profile of |grad y - R|.
 
     Initialized at the Procrustes projection of the mean deformation
-    gradient, then refined by tangent descent with backtracking.
+    gradient, then refined by iteratively reweighted Procrustes.  The
+    profile is concave in s = |G - R|^2 (slope 1 up to s = 1, s^(p/2 - 1)
+    beyond), so the objective lies below its linearization in s at the
+    current R; that linearization is minimized by the Procrustes rotation of
+    sum w slope G, and the step never raises the objective.  Stops when a
+    step no longer lowers it.
     """
     G = np.asarray(gradients, dtype=float)
     w = rule.weights
@@ -270,32 +267,15 @@ def best_fit_rotation(gradients: np.ndarray, rule: QuadratureRule, p: float = 2.
         d = np.linalg.norm(G - Rc, axis=(1, 2))
         return float(np.dot(w, coercivity_profile(d, p)))
 
-    def profile_slope(t: np.ndarray) -> np.ndarray:
-        return np.where(t <= 1.0, 2.0 * t, 2.0 * t ** (p - 1.0))
-
     value = objective(R)
     for _ in range(max_iters):
-        D = G - R
-        t = np.linalg.norm(D, axis=(1, 2))
-        slope = profile_slope(t) / np.maximum(t, 1e-300)
-        # d/ds objective(R exp(s W_i)) = -sum w slope <R W_i, D>
-        M = np.einsum("n,nij->ij", w * slope, D)
-        grad = np.array([-float(np.sum((R @ Wg) * M)) for Wg in _GENERATORS])
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-12 * max(1.0, abs(value)):
+        s = np.sum((G - R) ** 2, axis=(1, 2))
+        slope = np.maximum(s, 1.0) ** (0.5 * p - 1.0)
+        Rn, _ = nearest_rotation(np.einsum("n,nij->ij", w * slope, G))
+        vn = objective(Rn)
+        if not vn < value:
             break
-        step = 1.0
-        accepted = False
-        while step > 1e-16:
-            Rn = R @ exp_so3(-step * grad)
-            vn = objective(Rn)
-            if vn <= value - ARMIJO_SLOPE * step * gnorm * gnorm:
-                R, value = Rn, vn
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
-            break
+        R, value = Rn, vn
     return R
 
 

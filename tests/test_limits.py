@@ -7,8 +7,8 @@ from traction_gap.geometry import Domain
 from traction_gap import cli, limits
 from traction_gap.limits import (
     _axis_minimum,
-    _rotation_derivatives,
     _rotation_values,
+    _search,
     explicit_minimizers,
     gap_report,
     incompressible_linear_bounds,
@@ -27,7 +27,13 @@ from traction_gap.profiles import (
     radial_displacement_profile,
     radial_ode_residual,
 )
-from traction_gap.rotations import best_axis_rotation, exp_so3, rotation_about_z, skew_from_axis
+from traction_gap.rotations import (
+    best_axis_rotation,
+    exp_so3,
+    nearest_rotation,
+    rotation_about_z,
+    skew_from_axis,
+)
 
 # closed forms for the preset profile, from one-dimensional quadrature of
 # eta(r) = r (1 - r^2)^3 / 16 and the axial displacement of beta (z - 1/2)
@@ -126,6 +132,17 @@ def test_min_limit_identity_only_reduces_to_linear():
 def test_min_limit_zero_loads():
     res = min_limit(LoadSpec(), degree=2)
     assert res.value == 0.0
+
+
+def _rotation_derivatives(Q, R):
+    """Gradient and Hessian of t -> m(R exp(sum_i t_i W_i)) at t = 0, with
+    W_i the generator of rotations about the i-th coordinate axis."""
+    gens = [skew_from_axis(a) for a in np.eye(3)]
+    Qr = Q @ R.ravel()
+    V = np.stack([(R @ W).ravel() for W in gens])
+    curvature = np.array([[Qr @ (R @ (Wi @ Wj + Wj @ Wi)).ravel() for Wj in gens]
+                          for Wi in gens])
+    return -V @ Qr, -V @ Q @ V.T - 0.5 * curvature
 
 
 def test_min_limit_full_so3_explores_beyond_the_axis():
@@ -331,16 +348,46 @@ def test_axis_minimum_of_the_preset_is_the_negative_quarter_turn(beta):
         assert theta == pytest.approx(-0.5 * np.pi, abs=1e-10)
 
 
-def test_axis_kernel_never_reaches_newton(monkeypatch, tmp_path):
+def test_axis_kernel_never_reaches_the_so3_search(monkeypatch, tmp_path):
     # only the full-SO(3) search has no closed form; the axis kernel runs
-    # without the Newton polish in every subcommand that minimizes over it
+    # without it in every subcommand that minimizes over it
     def refuse(*args):
-        raise RuntimeError("Newton polish called")
+        raise RuntimeError("SO(3) search called")
 
-    monkeypatch.setattr(limits, "_newton_polish", refuse)
+    monkeypatch.setattr(limits, "_search", refuse)
     for sub in ("solve-limit", "gap-report", "rotated-check"):
         assert cli.main([sub, "--out", str(tmp_path / sub)]) == 0
     config = tmp_path / "beta0.json"
     config.write_text('{"beta": 0.0, "basis": {"degree": 3}}')
-    with pytest.raises(RuntimeError, match="Newton polish called"):
+    with pytest.raises(RuntimeError, match="SO\\(3\\) search called"):
         cli.main(["solve-limit", "--config", str(config), "--out", str(tmp_path / "so3")])
+
+
+def _procrustes_step(Q, R):
+    return nearest_rotation((Q @ R.ravel()).reshape(3, 3))[0]
+
+
+def test_search_is_a_procrustes_fixed_point_below_every_axis(rng):
+    # on a positive semidefinite form (every full-SO(3) kernel's) the search
+    # ends where the ascent step no longer moves, and no rotation about any
+    # axis does better
+    for _ in range(20):
+        A = rng.normal(size=(9, 9))
+        Q = A @ A.T
+        R = _search(Q)
+        assert np.max(np.abs(_procrustes_step(Q, R) - R)) < 1e-13
+        value = _rotation_values(Q, R[None])[0]
+        tol = 1e-12 * np.abs(Q).sum()
+        for axis in rng.normal(size=(10, 3)):
+            R_axis = _axis_minimum(Q, axis / np.linalg.norm(axis))
+            assert value <= _rotation_values(Q, R_axis[None])[0] + tol
+
+
+def test_gap_report_angle_is_the_rotated_check_angle_on_so3():
+    # on a full-SO(3) kernel both reports give the rotation angle of the same R*
+    spec = LoadSpec.cylinder_preset(beta=0.0)
+    gap = gap_report(spec, degree=6)
+    check = rotated_no_gap_check(spec, degree=6)
+    assert gap.classification == "full_so3"
+    assert gap.optimal_theta == check.rotation_theta
+    assert abs(check.rotation_theta - 2.005688783074093) < 1e-8

@@ -111,6 +111,19 @@ def test_nearest_rotation_negative_determinant():
     assert np.isfinite(dist)
 
 
+def test_nearest_rotation_of_a_stack_matches_single_calls(rng):
+    F = rng.normal(size=(4, 5, 3, 3))
+    F[0, 0] = np.diag([1.0, 1.0, -1.0])
+    assert np.any(np.linalg.det(F) < 0.0) and np.any(np.linalg.det(F) > 0.0)
+    R, dist = nearest_rotation(F)
+    assert R.shape == F.shape and dist.shape == F.shape[:2]
+    for idx in np.ndindex(*F.shape[:2]):
+        R1, d1 = nearest_rotation(F[idx])
+        assert np.array_equal(R[idx], R1)
+        assert dist[idx] == d1
+        assert abs(np.linalg.det(R1) - 1.0) < 1e-12
+
+
 def test_nearest_rotation_beats_random_sampling(rng):
     for _ in range(5):
         F = rng.normal(size=(3, 3))

@@ -8,7 +8,7 @@ from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
 from traction_gap.loads import LoadSpec, rotate_loads
-from traction_gap.rotations import exp_so3, rotation_about_z
+from traction_gap.rotations import coercivity_profile, exp_so3, nearest_rotation, rotation_about_z
 from traction_gap.scaled import (
     COEFF_GRAD_TOL,
     DeformationAnsatz,
@@ -172,6 +172,34 @@ def test_best_fit_rotation_recovers_exact(rng):
     for p in (2.0, 1.5):
         R = best_fit_rotation(G, rule, p=p)
         assert np.max(np.abs(R - R0)) < 1e-12
+
+
+def _fit_objective(G, rule, R, p):
+    d = np.linalg.norm(G - R, axis=(1, 2))
+    return float(np.dot(rule.weights, coercivity_profile(d, p)))
+
+
+def test_best_fit_rotation_at_p2_is_the_procrustes_rotation_of_the_mean(rng):
+    # the profile is |G - R|^2 everywhere at p = 2, minimized by projecting the mean
+    rule = volume_quadrature(CYL, 4)
+    G = exp_so3(rng.uniform(-np.pi, np.pi, 3)) + 1.5 * rng.normal(size=(len(rule), 3, 3))
+    mean = np.einsum("n,nij->ij", rule.weights, G) / np.sum(rule.weights)
+    R = best_fit_rotation(G, rule, p=2.0)
+    assert np.max(np.abs(R - nearest_rotation(mean)[0])) < 1e-14
+
+
+def test_best_fit_rotation_is_a_local_minimum_at_p15(rng):
+    # far from the fit the p-growth branch is active; no nearby rotation
+    # exp(eps W) R has a lower objective
+    rule = volume_quadrature(CYL, 4)
+    G = exp_so3(rng.uniform(-np.pi, np.pi, 3)) + 1.5 * rng.normal(size=(len(rule), 3, 3))
+    R = best_fit_rotation(G, rule, p=1.5)
+    assert np.any(np.linalg.norm(G - R, axis=(1, 2)) > 1.0)
+    value = _fit_objective(G, rule, R, 1.5)
+    for eps in (1e-2, 1e-4):
+        for omega in rng.normal(size=(20, 3)):
+            nearby = exp_so3(eps * omega / np.linalg.norm(omega)) @ R
+            assert _fit_objective(G, rule, nearby, 1.5) >= value
 
 
 def test_best_fit_rotation_near_identity(preset_ctx):
