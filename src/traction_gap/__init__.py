@@ -9,6 +9,7 @@ from .energy import (
     density_gradient,
     quadratic_form,
     quadratic_form_incompressible,
+    strain,
     taylor_residual,
 )
 from .galerkin import (
@@ -19,7 +20,6 @@ from .galerkin import (
     assemble,
     build_space,
     solve_quadratic,
-    strain,
 )
 from .geometry import Domain, QuadratureRule, integrate_scalar, surface_quadrature, volume_quadrature
 from .limits import (

@@ -167,21 +167,24 @@ def validate_config(cfg: dict) -> dict:
 
 
 def spec_from_config(cfg: dict) -> LoadSpec:
+    """The config's load; a builtin load ignores the profile keys but keeps the
+    domain and the surface pressure, which LoadSpec then checks."""
     domain = Domain(cfg["domain"]["kind"], cfg["domain"]["radius"], cfg["domain"]["height"])
-    if cfg["builtin"] is not None:
-        return LoadSpec.ball_pull_in()
+    builtin = cfg["builtin"]
     beta = float(cfg["beta"])
     psi = tuple(beta * float(c) for c in cfg["psi_coeffs"]) if beta != 0.0 else ()
     try:
+        if builtin is not None:
+            return LoadSpec(surface_pressure=cfg["surface_pressure"], builtin=builtin,
+                            domain=domain)
         return LoadSpec(
             phi_coeffs=tuple(float(c) for c in cfg["phi_coeffs"]),
             psi_coeffs=psi,
             surface_pressure=cfg["surface_pressure"],
-            builtin=None,
             domain=domain,
         )
     except LoadError as err:
-        raise ConfigError("phi_coeffs/psi_coeffs", str(err))
+        raise ConfigError("builtin" if builtin else "phi_coeffs/psi_coeffs", str(err))
 
 
 def _jsonable(obj):

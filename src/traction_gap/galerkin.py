@@ -396,12 +396,6 @@ class GalerkinSpace:
         return max(fdeg + 2, 10)
 
 
-def strain(gradient: np.ndarray) -> np.ndarray:
-    """Symmetric part of a displacement gradient (batched)."""
-    g = np.asarray(gradient, dtype=float)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-
 def build_space(kind: str, degree: int, domain: Domain, degree1d: int | None = None) -> GalerkinSpace:
     return GalerkinSpace(kind=kind, domain=domain, degree=degree, degree1d=degree1d)
 

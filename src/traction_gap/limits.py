@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .energy import QUADRATIC_SCALE
+from .energy import QUADRATIC_SCALE, strain, sym_norm_sq_sum
 from .galerkin import (
     SolveResult,
     SolverError,
@@ -51,7 +51,6 @@ from .galerkin import (
     build_space,
     load_moments,
     solve_quadratic,
-    strain,
 )
 from .geometry import Domain, volume_quadrature, surface_quadrature
 from .loads import (
@@ -235,7 +234,7 @@ class ExplicitSolution:
         vol = volume_quadrature(Domain.cylinder(), order)
         E = self.u0.strain(vol.points)
         dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
-        return -QUADRATIC_SCALE * float(np.dot(vol.weights, np.einsum("nij,nij->n", dev, dev)))
+        return -QUADRATIC_SCALE * sym_norm_sq_sum(dev, vol.weights)
 
     def min_rotated_value(self, theta: float) -> float:
         c, s = np.cos(theta), np.sin(theta)
@@ -317,10 +316,9 @@ def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 16) -> dict
 
 
 def quadratic_energy(field, rules: LoadRules) -> float:
-    """4 * integral of |E(u)|^2 at a field with a .strain evaluator."""
+    """4 * integral of |E(u)|^2 at a field with a .gradient evaluator."""
     vol = rules.volume
-    E = field.strain(vol.points)
-    return QUADRATIC_SCALE * float(np.dot(vol.weights, np.einsum("nij,nij->n", E, E)))
+    return QUADRATIC_SCALE * sym_norm_sq_sum(field.gradient(vol.points), vol.weights)
 
 
 def rotated_energy_value(spec, field, theta: float, rules: LoadRules) -> float:
@@ -700,11 +698,9 @@ def nonuniqueness_check(spec: LoadSpec, order: int = 16) -> NonuniquenessCheck:
     v_star, _ = limit_value(u_star)
     v_hat, theta_hat = limit_value(u_hat)
 
-    E_star = u_star.strain(vol.points)
-    E_hat = u_hat.strain(vol.points)
-    diff = E_hat - E_star
-    norm_star = np.sqrt(float(np.dot(vol.weights, np.einsum("nij,nij->n", E_star, E_star))))
-    norm_diff = np.sqrt(float(np.dot(vol.weights, np.einsum("nij,nij->n", diff, diff))))
+    G_star = u_star.gradient(vol.points)
+    norm_star = np.sqrt(sym_norm_sq_sum(G_star, vol.weights))
+    norm_diff = np.sqrt(sym_norm_sq_sum(u_hat.gradient(vol.points) - G_star, vol.weights))
     rel = abs(v_hat - v_star) / abs(v_star)
     return NonuniquenessCheck(
         value_at_minimizer=v_star,

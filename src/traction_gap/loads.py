@@ -63,7 +63,7 @@ class LoadSpec:
             if self.builtin != BALL_PULL_IN:
                 raise LoadError(f"unknown builtin load {self.builtin!r}")
             if self.domain.kind != "ball":
-                raise LoadError("the pull-in load lives on the unit ball")
+                raise LoadError("the pull-in load lives on a ball")
             if self.phi_coeffs or self.psi_coeffs or self.surface_pressure is not None:
                 raise LoadError("builtin loads take no profile or pressure fields")
             return

@@ -4,13 +4,14 @@ the best-fit rotation of a deformation, and the h -> 0 convergence study.
 A deformation ansatz is y(x) = R (x + h u(x)) with R a rotation and u a
 field in a Galerkin space; frame indifference turns the scaled energy into
 
-    value(u, R) = h^-2 * integral W(I + h grad u)  -  L(R u)  -  h^-1 L((R - I) x).
+    value(u, R) = h^-2 * integral |C(h grad u)|^2  -  L(R u)  -  h^-1 L((R - I) x),
 
+with C(D) = D + D^T + D^T D the Green strain of ``energy`` (W(I + D) = |C(D)|^2).
 On the ansatz spaces grad u is a 2x2 planar block G(x, y) plus one axial
-entry w'(z), so C(F) = F^T F - I is block diagonal, and on the cylinder's
-tensor rule (weights w_p w_z, totals W_p, W_z) the energy splits as
+entry w'(z), so C is block diagonal, and on the cylinder's tensor rule
+(weights w_p w_z, totals W_p, W_z) the energy splits as
 
-    integral |C(F)|^2 = W_z sum_p w_p |C(I + h G)|^2 + W_p sum_z w_z |C(I + h w' e_z e_z')|^2;
+    integral |C(h grad u)|^2 = W_z sum_p w_p |C(h G)|^2 + W_p sum_z w_z |C(h w' e_z e_z')|^2;
 
 the stress and the coefficient gradient split the same way.  The u-descent
 uses the analytic stress.  The rotation subproblem maximizes the work
@@ -26,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kernels
-from .galerkin import GalerkinSpace, SolverError, assemble, build_space, strain
+from .energy import ksv_density_sum, ksv_weighted_stress, strain, sym_norm_sq_sum
+from .galerkin import GalerkinSpace, SolverError, assemble, build_space
 from .geometry import QuadratureRule
 from .limits import explicit_minimizers
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
     INCOMPATIBLE,
+    KernelReport,
     LoadSpec,
     compatibility_report,
     default_rules,
@@ -131,9 +133,8 @@ def scaled_energy(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
     """Value of the scaled energy at the ansatz (quadrature over the rule)."""
     h, R, c = ansatz.h, ansatz.rotation, ansatz.coeffs
     Gp, Gz = ctx.factor_fields(c)
-    Fp, Fz = np.eye(3) + h * Gp, np.eye(3) + h * Gz
-    value = (kernels.ksv_density_sum(Fp, ctx.planar_weights)
-             + kernels.ksv_density_sum(Fz, ctx.axial_weights)) / (h * h)
+    value = (ksv_density_sum(h * Gp, ctx.planar_weights)
+             + ksv_density_sum(h * Gz, ctx.axial_weights)) / (h * h)
     value -= float(np.sum(R * ctx.work_moment(c)))
     value -= float(np.sum((R - np.eye(3)) * ctx.placement_moment)) / h
     return value
@@ -141,9 +142,8 @@ def scaled_energy(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
 
 def _coeff_gradient(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> np.ndarray:
     Gp, Gz = ctx.factor_fields(c)
-    Fp, Fz = np.eye(3) + h * Gp, np.eye(3) + h * Gz
-    Pp = kernels.ksv_weighted_stress(Fp, ctx.planar_weights)
-    Pz = kernels.ksv_weighted_stress(Fz, ctx.axial_weights)
+    Pp = ksv_weighted_stress(h * Gp, ctx.planar_weights)
+    Pz = ksv_weighted_stress(h * Gz, ctx.axial_weights)
     g = np.concatenate([ctx.planar_grads @ Pp[:, :2, :2].ravel(), ctx.axial_slopes @ Pz[:, 2, 2]])
     return g / h - ctx.load_vector(R)
 
@@ -202,6 +202,7 @@ def minimize_scaled(
     h: float,
     init: DeformationAnsatz,
     ctx: NonlinearContext | None = None,
+    report: KernelReport | None = None,
 ) -> NonlinearResult:
     """Alternating (coefficients, rotation) descent of the scaled energy.
 
@@ -212,7 +213,8 @@ def minimize_scaled(
     ALTERNATION_MAX_ROUNDS; "converged" is replaced by the last coefficient
     descent's stop reason when that descent did not meet COEFF_GRAD_TOL.
     """
-    report = compatibility_report(spec)
+    if report is None:
+        report = compatibility_report(spec)
     if report.classification == INCOMPATIBLE:
         raise SolverError(
             "loads do positive work on some rotation; the scaled energies "
@@ -281,6 +283,10 @@ def best_fit_rotation(gradients: np.ndarray, rule: QuadratureRule, p: float = 2.
 
 @dataclass
 class ConvergenceRow:
+    """One row of the h -> 0 study.  The descent stops once a round lowers
+    the value by less than ALTERNATION_TOL, so a ``gap_to_limit`` below about
+    1e-10 is a descent estimate, not a resolved gap."""
+
     h: float
     value: float
     gap_to_limit: float
@@ -301,8 +307,8 @@ def rescaled_strain_norm(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> fl
     A, B = (R - np.eye(3)) / h + R @ Gp, R @ Gz
     cross = np.sum(strain(np.tensordot(ctx.rule.planar[2], A, 1))
                    * strain(np.tensordot(ctx.rule.axial[1], B, 1)))
-    return float(np.sqrt(kernels.sym_norm_sq_sum(A, ctx.planar_weights)
-                         + kernels.sym_norm_sq_sum(B, ctx.axial_weights) + 2.0 * cross))
+    return float(np.sqrt(sym_norm_sq_sum(A, ctx.planar_weights)
+                         + sym_norm_sq_sum(B, ctx.axial_weights) + 2.0 * cross))
 
 
 def _kernel_distance(R: np.ndarray, report) -> float:
@@ -362,7 +368,7 @@ def convergence_study(
     for h in hs:
         anz = DeformationAnsatz(space, coeffs, R, h)
         try:
-            res = minimize_scaled(spec, h, anz, ctx=ctx)
+            res = minimize_scaled(spec, h, anz, ctx=ctx, report=report)
         except SolverError as err:
             rows.append(
                 ConvergenceRow(

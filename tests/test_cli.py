@@ -102,6 +102,30 @@ def test_check_loads_ball_pull_in(tmp_path):
     assert report["results"]["classification"] == "incompatible"
 
 
+@pytest.mark.parametrize("cfg,message", [
+    ({"builtin": "ball_pull_in"}, "lives on a ball"),
+    ({"builtin": "ball_pull_in", "domain": {"kind": "ball"}, "surface_pressure": 1.0},
+     "no profile or pressure"),
+], ids=["cylinder", "pressure"])
+def test_builtin_keeps_domain_and_pressure(tmp_path, capsys, cfg, message):
+    # the builtin load is built with the config's domain and pressure, which
+    # the load itself rejects: exit 2 instead of a silent run on the unit ball
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 2 and report is None
+    assert message in capsys.readouterr().err
+
+
+def test_builtin_uses_the_ball_radius(tmp_path):
+    # f = -x on a ball of radius 2: the spin form scales with radius^5
+    unit = run_cli(["check-loads"], tmp_path, {"builtin": "ball_pull_in",
+                                                "domain": {"kind": "ball"}})[1]
+    code, report, _ = run_cli(["check-loads"], tmp_path, {
+        "builtin": "ball_pull_in", "domain": {"kind": "ball", "radius": 2.0}})
+    assert code == 0
+    assert np.allclose(report["results"]["spin_form_eigenvalues"],
+                       32.0 * np.array(unit["results"]["spin_form_eigenvalues"]), rtol=1e-12)
+
+
 def test_check_loads_beta_zero(tmp_path):
     code, report, _ = run_cli(["check-loads"], tmp_path, {"beta": 0.0})
     assert code == 0
@@ -379,16 +403,16 @@ def small_configs(draw):
         "basis": {"degree": draw(st.integers(1, 3))},
         "quadrature_order": draw(st.integers(1, 8)),
         "kernel_samples": draw(st.integers(1, 20)),
+        "h_schedule": [0.2, 0.1],
+        "nonlinear_degree": 2,
     }
     if kind == "ball" and draw(st.booleans()):
-        cfg.update(builtin="ball_pull_in", phi_coeffs=[], psi_coeffs=[],
-                   surface_pressure=None)
+        cfg["builtin"] = "ball_pull_in"
     return cfg
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=small_configs(),
-       sub=st.sampled_from(["check-loads", "kernel", "verify-explicit", "solve-limit"]))
+@given(cfg=small_configs(), sub=st.sampled_from(sorted(cli.SUBCOMMANDS)))
 def test_random_configs_end_in_a_documented_exit_code(cfg, sub):
     # every config runs or fails with 2 (config), 3 (solver) or 4
     # (certification); an escaping exception fails the test

@@ -78,9 +78,11 @@ def test_taylor_residual_skew_direction():
 
 
 def test_taylor_residual_identity_direction():
-    # density(I + hI) = 3 (2h + h^2)^2, so the residual is exactly 12h + 3h^2
-    for h in (1e-2, 1e-3, 1e-4):
-        assert np.isclose(taylor_residual(np.eye(3), h), 12.0 * h + 3.0 * h * h, rtol=1e-8)
+    # density(I + hI) = 3 (2h + h^2)^2, so the residual is exactly 12h + 3h^2;
+    # evaluated on hI, not on I + hI, it keeps its relative precision at small h
+    for h in (1e-2, 1e-3, 1e-4, 1e-6):
+        assert np.isclose(taylor_residual(np.eye(3), h), 12.0 * h + 3.0 * h * h,
+                          rtol=1e-8, atol=0.0)
 
 
 def test_taylor_residual_halving_ratio(rng):

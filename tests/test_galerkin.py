@@ -12,8 +12,8 @@ from traction_gap.galerkin import (
     assemble,
     build_space,
     solve_quadratic,
-    strain,
 )
+from traction_gap.energy import strain
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.loads import (
     LoadRules,

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_rotations
 from traction_gap import scaled
-from traction_gap.energy import density, density_gradient
+from traction_gap.energy import ksv_density_sum, ksv_weighted_stress
 from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
@@ -220,13 +220,31 @@ def test_rescaled_strain_blows_up_off_identity(preset_ctx):
     assert n2 > 5.0 * n1
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+def test_elastic_energy_matches_extended_precision_at_thin_films(preset_ctx):
+    # the elastic part at the limit start, evaluated on h G and not on I + h G,
+    # keeps full relative precision; I + h G would lose about 1e-16 / h
+    spec, space, ctx = preset_ctx
+    h = 5e-4
+    c, _, _ = _limit_start(spec, space, ctx)
+    value = scaled_energy(DeformationAnsatz(space, c, np.eye(3), h), ctx)
+    elastic = value + float(np.trace(ctx.work_moment(c)))
+    eye, ref = np.eye(3, dtype=np.longdouble), np.longdouble(0.0)
+    for G, w in zip(ctx.factor_fields(c), (ctx.planar_weights, ctx.axial_weights)):
+        F = eye + np.longdouble(h) * G.astype(np.longdouble)
+        C = np.swapaxes(F, 1, 2) @ F - eye
+        ref += w.astype(np.longdouble) @ np.einsum("nij,nij->n", C, C)
+    ref /= np.longdouble(h) ** 2
+    assert abs(elastic - float(ref)) <= 1e-14 * float(ref)
+
+
 # -- the planar/axial split against node tables -------------------------------
 
 
 class NodeReference:
     """Energy, coefficient gradient and strain norm from node tables: the
     basis tabulated at every node of the context's rule, stripped of its
-    factors, with the stress of energy.density_gradient."""
+    factors, with the energy kernels applied to h grad u at every node."""
 
     def __init__(self, ctx):
         rule = QuadratureRule(ctx.rule.points, ctx.rule.weights)
@@ -237,13 +255,12 @@ class NodeReference:
         return np.tensordot(c, self.grads, axes=(0, 0))
 
     def energy(self, c, R, h):
-        F = np.eye(3) + h * self.gradient_field(c)
-        value = float(self.w @ density(F)) / h ** 2
+        value = ksv_density_sum(h * self.gradient_field(c), self.w) / h ** 2
         value -= float(np.sum(R * self.ctx.work_moment(c)))
         return value - float(np.sum((R - np.eye(3)) * self.ctx.placement_moment)) / h
 
     def coeff_gradient(self, c, R, h):
-        P = density_gradient(np.eye(3) + h * self.gradient_field(c)) * self.w[:, None, None]
+        P = ksv_weighted_stress(h * self.gradient_field(c), self.w)
         return np.einsum("knij,nij->k", self.grads, P) / h - self.ctx.load_vector(R)
 
     def strain_norm(self, c, R, h):
@@ -366,3 +383,24 @@ def test_exact_rotation_step_converges_down_to_thin_films():
     rows = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)
     assert [row.status for row in rows] == ["converged"] * len(hs)
     assert max(row.rotation_distance for row in rows) < 1e-12
+
+
+def test_thin_films_converge_at_rule_order_21(monkeypatch):
+    # order 21 integrates the degree-5 energy as exactly as the default 20, so
+    # every row must converge there too; round-off in I + h G kept the gradient
+    # test out of reach at h = 0.002
+    recommended = GalerkinSpace.recommended_order
+    monkeypatch.setattr(GalerkinSpace, "recommended_order", lambda self, nonlinear=False:
+                        21 if nonlinear else recommended(self))
+    hs = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005)
+    rows = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)
+    assert [row.status for row in rows] == ["converged"] * len(hs)
+
+
+def test_convergence_study_classifies_the_loads_once(monkeypatch):
+    calls = []
+    classify = scaled.compatibility_report
+    monkeypatch.setattr(scaled, "compatibility_report",
+                        lambda spec: calls.append(spec) or classify(spec))
+    convergence_study(LoadSpec.cylinder_preset(), (0.2, 0.1, 0.05), degree=2)
+    assert len(calls) == 1
