@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .galerkin import AssemblyError, SolverError
-from .geometry import Domain
+from .geometry import ORDER_CAP, Domain, IntegrationError
 from .limits import (
     gap_report,
     min_limit,
@@ -45,6 +45,7 @@ from .limits import (
     verify_explicit,
 )
 from .loads import (
+    KernelReport,
     LoadError,
     LoadSpec,
     compatibility_report,
@@ -82,13 +83,13 @@ DEFAULT_CONFIG: dict = {
 # eigendecompositions: K = 1365 for full and 1001 for div_free at degree 12
 # (solve-linear, which assembles both, takes 0.86-0.90 s and 140 MB peak RSS
 # there on 2 cores).  The nonlinear context tabulates its ansatz space on the
-# rule's planar and axial factors (under 8 MB at nonlinear degree 6); node
-# tables remain only on the ball (0.72 GB of full and 0.53 GB of div_free
-# values and gradients at degree 12).
+# rule's planar and axial factors (under 8 MB at nonlinear degree 6).  Past
+# geometry.ORDER_CAP, and past galerkin.BALL_ORDER_CAP for ball assembly and
+# its node tables, a derived rule order exits 2.
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,
-    "quadrature_order": 32,
+    "quadrature_order": ORDER_CAP,
     "kernel_samples": 100_000,
 }
 
@@ -217,18 +218,21 @@ def config_hash(cfg: dict) -> str:
 
 def _classification_rules(spec, cfg):
     """Rules exact for the load's moments; quadrature_order is only a floor."""
-    order = max(cfg["quadrature_order"], exact_order(spec))
-    if order > SIZE_CAPS["quadrature_order"]:
-        raise LoadError(f"the load profiles need quadrature order {order}, past the cap "
-                        f"{SIZE_CAPS['quadrature_order']}")
-    return default_rules(spec, order)
+    return default_rules(spec, max(cfg["quadrature_order"], exact_order(spec)))
+
+
+def _classify(spec, cfg, rules=None) -> KernelReport:
+    """The load's rotation kernel with the config's samples and tolerance;
+    every subcommand that needs it classifies once, here."""
+    return compatibility_report(spec, rules or _classification_rules(spec, cfg),
+                                samples=cfg["kernel_samples"],
+                                tol=cfg["tolerances"]["classification"])
 
 
 def _cmd_check_loads(spec, cfg):
     rules = _classification_rules(spec, cfg)
-    tol = cfg["tolerances"]["classification"]
-    rep = compatibility_report(spec, rules, samples=cfg["kernel_samples"], tol=tol)
-    witness = reversed_compatibility_witness(spec, rules, tol=tol)
+    rep = _classify(spec, cfg, rules)
+    witness = reversed_compatibility_witness(spec, rules, tol=rep.tol)
     results = {
         "classification": rep.classification,
         "axis": rep.axis,
@@ -243,10 +247,7 @@ def _cmd_check_loads(spec, cfg):
 
 
 def _cmd_kernel(spec, cfg):
-    rules = _classification_rules(spec, cfg)
-    rep = compatibility_report(
-        spec, rules, samples=cfg["kernel_samples"], tol=cfg["tolerances"]["classification"]
-    )
+    rep = _classify(spec, cfg)
     rows = [("wx", "wy", "wz", "work_quadratic")] + [
         (d[0], d[1], d[2], v) for d, v in rep.w2_values.items()
     ]
@@ -263,7 +264,7 @@ def _cmd_kernel(spec, cfg):
 
 def _cmd_solve_linear(spec, cfg):
     degree = cfg["basis"]["degree"]
-    res = min_linear(spec, degree=degree)
+    res = min_linear(spec, degree=degree, report=_classify(spec, cfg))
     bounds = incompressible_linear_bounds(spec, degree=degree)
     results = {
         "value": res.value,
@@ -279,7 +280,7 @@ def _cmd_solve_linear(spec, cfg):
 
 
 def _cmd_solve_limit(spec, cfg):
-    res = min_limit(spec, degree=cfg["basis"]["degree"])
+    res = min_limit(spec, degree=cfg["basis"]["degree"], report=_classify(spec, cfg))
     results = {
         "value": res.value,
         "rotation": res.rotation,
@@ -291,7 +292,8 @@ def _cmd_solve_limit(spec, cfg):
 
 
 def _cmd_gap_report(spec, cfg):
-    rep = gap_report(spec, degree=cfg["basis"]["degree"], order=cfg["quadrature_order"])
+    rep = gap_report(spec, degree=cfg["basis"]["degree"], order=cfg["quadrature_order"],
+                     report=_classify(spec, cfg))
     rows = [("theta", "value", "predicted", "residual")] + [
         (r.theta, r.value, r.predicted, r.residual) for r in rep.decomposition
     ]
@@ -312,9 +314,8 @@ def _cmd_verify_explicit(spec, cfg):
 
 
 def _cmd_nonlinear_study(spec, cfg):
-    rows = convergence_study(
-        spec, tuple(cfg["h_schedule"]), degree=cfg["nonlinear_degree"]
-    )
+    rows = convergence_study(spec, tuple(cfg["h_schedule"]), degree=cfg["nonlinear_degree"],
+                             report=_classify(spec, cfg))
     table = [("h", "value_Gh", "gap_to_limit", "rot_dist", "strain_rescaled")] + [
         (r.h, r.value, r.gap_to_limit, r.rotation_distance, r.strain_rescaled)
         for r in rows
@@ -325,14 +326,14 @@ def _cmd_nonlinear_study(spec, cfg):
 
 
 def _cmd_rotated_check(spec, cfg):
-    res = rotated_no_gap_check(spec, degree=cfg["basis"]["degree"])
+    res = rotated_no_gap_check(spec, degree=cfg["basis"]["degree"], report=_classify(spec, cfg))
     tol = cfg["tolerances"]["rotated_relative"]
     ok = res.relative_difference < tol and res.kernel_unchanged
     return {**_jsonable(res), "tolerance": tol}, None, 0 if ok else 4
 
 
 def _cmd_nonuniqueness(spec, cfg):
-    res = nonuniqueness_check(spec, order=cfg["quadrature_order"])
+    res = nonuniqueness_check(spec, order=cfg["quadrature_order"], report=_classify(spec, cfg))
     tol = cfg["tolerances"]["nonuniqueness_relative"]
     ok = res.relative_value_difference < tol and res.distinct
     return {**_jsonable(res), "tolerance": tol}, None, 0 if ok else 4
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, AssemblyError, np.linalg.LinAlgError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
-    except LoadError as err:
+    except (LoadError, IntegrationError) as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,9 @@ small Gram matrices of 1D tables; no (K, N) table of the nodes is built.
 Rules without these factors (the ball's volume rule) take node tables and
 one symmetric rank-k product A = S S' of the six weighted strain
 components; so do the values on a pressure load's surface rule.  The
-nonlinear context tabulates its ansatz space on the two factors.  Load
+nonlinear context tabulates its ansatz space on the two factors.  The
+default rules are the lowest order exact for fields of degree f: the L^2 Gram
+matrix has degree 2f (A has 2f - 2), the work the forces' degree + f.  Load
 vectors per rotation come from precomputed first-moment tensors:
 L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
 system gives its kernel and its pseudo-inverse.  Every space carries exact
@@ -47,11 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
-from .loads import LoadRules, body_force, surface_force
+from .geometry import Domain, IntegrationError, QuadratureRule, exact_order
+from .loads import LoadRules, body_force, default_rules, force_degree, surface_force
 
 KERNEL_EIGENVALUE_CUT = 1e-10
 COMPATIBILITY_TOL = 1e-8
+# Ball assembly builds (K, N, 12) node tables, 0.72 GB at order 14 (the
+# degree-12 full space); a derived order past it is refused before that.
+BALL_ORDER_CAP = 14
 
 
 class AssemblyError(RuntimeError):
@@ -379,21 +384,13 @@ class GalerkinSpace:
             rows.append(tz)
         return np.stack(rows)
 
-    def recommended_order(self, nonlinear: bool = False) -> int:
-        """Quadrature order making the assembled integrands exact.
-
-        Field degree d gives stiffness integrands of polynomial degree
-        2(d-1) (quartic in the nonlinear energy); the radial Gauss rule of
-        order n is exact through degree 2n-1 and the angular rule carries
-        2n nodes (harmonics through 2n-1).
-        """
+    @property
+    def field_degree(self) -> int:
+        """Total degree of the space's fields; the ansatz spaces' planar fields
+        are derivatives of their potentials."""
         if self.kind in ("full", "div_free"):
-            fdeg = self.degree
-        else:
-            fdeg = max(self.degree - 1, (self._naxial - 1) if self._naxial else 1)
-        if nonlinear:
-            return max(2 * fdeg + 2, 12)
-        return max(fdeg + 2, 10)
+            return self.degree
+        return max(self.degree - 1, self._naxial - 1)
 
 
 def build_space(kind: str, degree: int, domain: Domain, degree1d: int | None = None) -> GalerkinSpace:
@@ -584,10 +581,12 @@ def assemble(
 ) -> StiffnessSystem:
     """Quadratic form, load moments, its factorization and rotation form."""
     if rules is None:
-        order = space.recommended_order()
-        vol = volume_quadrature(space.domain, order)
-        surf = surface_quadrature(space.domain, order) if load.has_surface_term else None
-        rules = LoadRules(volume=vol, surface=surf)
+        f = space.field_degree
+        order = exact_order(space.domain, max(2 * f, force_degree(load) + f))
+        if space.domain.kind == "ball" and order > BALL_ORDER_CAP:
+            raise IntegrationError(f"assembly on the ball needs quadrature order {order}, "
+                                   f"past its node-table cap {BALL_ORDER_CAP}")
+        rules = default_rules(load, order)
     vol = rules.volume
     A, M = (_node_grams if vol.planar is None else _factored_grams)(space, vol)
     moments = load_moments(space, load, rules)

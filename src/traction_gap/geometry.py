@@ -3,8 +3,9 @@
 Two preset domains: a cylinder of unit radius and height with its axis on
 z and base at z = 0, and the unit ball.  Volume rules are tensor products
 of Gauss-Legendre in the radial/axial directions and a uniform (periodic)
-rule in the angle; the angular direction carries 2*order nodes so that
-stiffness integrands of polynomial bases through degree ~order stay exact.
+rule in the angle; the angular direction carries 2*order nodes.  Every
+rule order in the package comes from ``exact_order``, the lowest order
+integrating all polynomials of a given total degree exactly.
 The cylinder's volume rule also carries its two factors, a planar (r, theta)
 rule and a Gauss rule in z: node planar_index * N_z + z_index sits at
 (x_p, y_p, z_k) with weight w_p * w_k, which lets Galerkin assembly integrate
@@ -79,12 +80,27 @@ def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0) -> tuple[np.ndarray
     return x, w
 
 
+ORDER_CAP = 32  # largest order exact_order returns
+
+
+def exact_order(domain: Domain, degree: int) -> int:
+    """Rule order exact for every polynomial of total degree `degree`: each
+    factor of the order-n rule is exact through degree 2n - 1, and the
+    jacobian adds r on the cylinder, r^2 on the ball.  IntegrationError past
+    ORDER_CAP."""
+    order = degree // 2 + 1 if domain.kind == "cylinder" else (degree + 4) // 2
+    if order > ORDER_CAP:
+        raise IntegrationError(f"integrands of degree {degree} need quadrature order {order}, "
+                               f"past the cap {ORDER_CAP}")
+    return order
+
+
 def _angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     return th, np.full(n, 2.0 * np.pi / n)
 
 
-def volume_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
+def volume_quadrature(domain: Domain, order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
     ntheta = 2 * order
@@ -118,7 +134,7 @@ def volume_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
     return QuadratureRule(pts, W.ravel(), label=f"ball-vol-{order}")
 
 
-def surface_quadrature(domain: Domain, order: int = 16) -> QuadratureRule:
+def surface_quadrature(domain: Domain, order: int) -> QuadratureRule:
     """Lateral wall plus both caps of the cylinder, with outward normals."""
     if domain.kind != "cylinder":
         raise ValueError("surface quadrature is unsupported for this domain")

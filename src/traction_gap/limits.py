@@ -52,7 +52,7 @@ from .galerkin import (
     load_moments,
     solve_quadratic,
 )
-from .geometry import Domain, volume_quadrature, surface_quadrature
+from .geometry import Domain, exact_order, volume_quadrature, surface_quadrature
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
@@ -163,17 +163,6 @@ class StructuredField:
         return out
 
 
-def _cylinder_order(planar: int, axial: int) -> int:
-    """Lowest cylinder rule order exact for a polynomial of degree `planar` in
-    (x, y) times one of degree `axial` in z.
-
-    Order n is exact when the radial Gauss rule, with its r jacobian, reaches
-    degree planar + 1 and the angular and axial rules reach their degrees:
-    2n - 1 >= planar + 1 and 2n - 1 >= axial.
-    """
-    return max(planar, axial) // 2 + 1
-
-
 @dataclass
 class ExplicitSolution:
     phi: Polynomial
@@ -218,8 +207,8 @@ class ExplicitSolution:
         work deg psi + deg w.
         """
         dp, dw = self.planar.degree(), self.axial.degree()
-        return _cylinder_order(max(4 * dp, self.phi.degree() + 2 * dp),
-                               max(2 * dw - 2, self.psi.degree() + dw))
+        return exact_order(Domain.cylinder(), max(4 * dp, self.phi.degree() + 2 * dp,
+                                                  2 * dw - 2, self.psi.degree() + dw))
 
     @property
     def min_incompressible_lower(self) -> float:
@@ -230,8 +219,8 @@ class ExplicitSolution:
         planar strain has degree 2 deg p in (x, y), squared 4 deg p; the axial
         strain squared has degree 2 deg w - 2.
         """
-        order = _cylinder_order(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
-        vol = volume_quadrature(Domain.cylinder(), order)
+        degree = max(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
+        vol = volume_quadrature(Domain.cylinder(), exact_order(Domain.cylinder(), degree))
         E = self.u0.strain(vol.points)
         dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
         return -QUADRATIC_SCALE * sym_norm_sq_sum(dev, vol.weights)
@@ -267,7 +256,7 @@ def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
     )
 
 
-def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 16) -> dict[str, float]:
+def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 1) -> dict[str, float]:
     """Residuals of the closed-form solution against its defining equations.
 
     The rules have order max(order, the solution's exact order).
@@ -345,20 +334,17 @@ def _system_for(spec, kind: str, degree: int) -> StiffnessSystem:
 
 def min_linear(
     spec: LoadSpec,
-    incompressible: bool = False,
     degree: int = DEFAULT_DEGREE,
+    report: KernelReport | None = None,
 ) -> SolveResult:
-    """Galerkin minimum of the linear energy (divergence-free space when
-    the incompressible flag is set, giving an upper bound of that minimum)."""
-    report = compatibility_report(spec)
+    """Galerkin minimum of the linear energy over the full polynomial space."""
+    report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError(
             "loads violate the rigid-rotation work condition; the scaled "
             "energies are unbounded below and no linear minimum exists"
         )
-    kind = "div_free" if incompressible else "full"
-    system = _system_for(spec, kind, degree)
-    return solve_quadratic(system)
+    return solve_quadratic(_system_for(spec, "full", degree))
 
 
 @dataclass
@@ -457,7 +443,6 @@ def _search(Q: np.ndarray) -> np.ndarray:
 
 def min_limit(
     spec: LoadSpec,
-    incompressible: bool = False,
     degree: int = DEFAULT_DEGREE,
     report: KernelReport | None = None,
 ) -> SolveResult:
@@ -470,8 +455,7 @@ def min_limit(
             "rotation kernel is incompatible (some rotation does positive "
             "work); the limit energy is unbounded below"
         )
-    kind = "div_free" if incompressible else "full"
-    return _limit_solve(_system_for(spec, kind, degree), report)
+    return _limit_solve(_system_for(spec, "full", degree), report)
 
 
 def _limit_solve(system: StiffnessSystem, report: KernelReport) -> SolveResult:
@@ -537,7 +521,8 @@ DECOMPOSITION_THETAS = (-0.5 * np.pi, -0.25 * np.pi, 0.0, 0.25 * np.pi, 0.5 * np
 def gap_report(
     spec: LoadSpec,
     degree: int = DEFAULT_DEGREE,
-    order: int = 16,
+    order: int = 1,
+    report: KernelReport | None = None,
 ) -> GapReport:
     """Certify the gap between the relaxed and the classical linear minima.
 
@@ -547,7 +532,7 @@ def gap_report(
     the module docstring.  The decomposition rows integrate with rules of
     order max(order, the closed-form solution's exact order).
     """
-    kernel = compatibility_report(spec)
+    kernel = compatibility_report(spec) if report is None else report
     if kernel.classification == INCOMPATIBLE:
         raise SolverError("gap report requires compatible loads")
     sol = explicit_minimizers(spec)
@@ -619,16 +604,18 @@ class RotatedCheck:
     gap_at_identity: float
 
 
-def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> RotatedCheck:
+def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
+                         report: KernelReport | None = None) -> RotatedCheck:
     """With the optimal kernel rotation R* folded into the loads, the relaxed
     and the classical linear minima agree; quantify the residual difference.
 
     R* is the relaxed minimizer of ``min_limit``: the closed-form minimum
     about a kernel axis, the SO(3) search on a full-SO(3) kernel.  The
     reported angle is R*'s signed angle about the kernel axis, or its
-    rotation angle in [0, pi] on a full-SO(3) kernel.
+    rotation angle in [0, pi] on a full-SO(3) kernel.  The rotated loads are
+    classified with the tolerance of the base loads' report.
     """
-    kernel = compatibility_report(spec)
+    kernel = compatibility_report(spec) if report is None else report
     if kernel.classification not in (AXIS_SUBGROUP, FULL_SO3):
         raise SolverError("rotated check needs a nontrivial rotation kernel")
     system = _system_for(spec, "full", degree)
@@ -646,7 +633,7 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> Rotate
         raise SolverError("the basis does no work against the rotated loads (linear "
                           "minimum 0); no relative difference exists")
 
-    kernel_rot = compatibility_report(rotated)
+    kernel_rot = compatibility_report(rotated, tol=kernel.tol)
     unchanged = kernel_rot.classification == kernel.classification
     if unchanged and kernel.classification == AXIS_SUBGROUP:
         unchanged = bool(np.allclose(kernel_rot.axis, kernel.axis, atol=1e-8))
@@ -675,11 +662,12 @@ class NonuniquenessCheck:
     mirror_theta: float
 
 
-def nonuniqueness_check(spec: LoadSpec, order: int = 16) -> NonuniquenessCheck:
+def nonuniqueness_check(spec: LoadSpec, order: int = 1,
+                        report: KernelReport | None = None) -> NonuniquenessCheck:
     """The planar sign flip of the swirl minimizer is again a minimizer but
     differs by more than an infinitesimal rigid displacement.  The rules have
     order max(order, the closed-form solution's exact order)."""
-    kernel = compatibility_report(spec)
+    kernel = compatibility_report(spec) if report is None else report
     if kernel.classification != AXIS_SUBGROUP:
         raise SolverError("nonuniqueness check needs the axis-subgroup kernel")
     sol = explicit_minimizers(spec)

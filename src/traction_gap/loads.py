@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from . import geometry
 from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
 from .profiles import as_poly, axial_conditions, radial_conditions
 from .rotations import SkewParams, nearest_rotation, skew_from_axis
@@ -181,26 +182,28 @@ class LoadRules:
     surface: QuadratureRule | None = None
 
 
-def default_rules(load, order: int = 16) -> LoadRules:
+def default_rules(load, order: int) -> LoadRules:
     dom = load.domain
     surface = surface_quadrature(dom, order) if load.has_surface_term else None
     return LoadRules(volume=volume_quadrature(dom, order), surface=surface)
 
 
-def exact_order(load) -> int:
-    """Lowest rule order integrating the moment matrix and the resultant exactly.
-
-    f_i x_j has degree D = max(deg phi, deg psi + 1, 2) in r and z (2 for
-    the pull-in load).  The radial Gauss rule of order n with its r (ball:
-    r^2) jacobian integrates r^(D+2) exactly from n = (D + 4) // 2 on, and
-    its angular, polar and axial rules then carry degrees through 2n - 1 > D.
-    """
+def force_degree(load) -> int:
+    """Degree of the forces for exact_order: deg psi, 1 for -x and for the
+    pressure, and k - 1 + k % 2 per term r^k of phi.  For odd k, k r^(k-2)
+    (x, y) is no polynomial and does not average out over the angle, so it
+    counts one degree more (on the ball no order integrates it exactly)."""
     base = getattr(load, "base", load)  # a RotatedLoad has its base's degrees
     if base.builtin is not None:
-        degree = 2
-    else:
-        degree = max(base.phi.trim().degree(), base.psi.trim().degree() + 1, 2)
-    return (degree + 4) // 2
+        return 1
+    planar = max((k - 1 + k % 2 for k, c in enumerate(base.phi.coef) if c and k > 1), default=0)
+    return max(planar, base.psi.trim().degree(), int(base.has_surface_term))
+
+
+def exact_order(load) -> int:
+    """Rule order integrating the moment matrix and the resultant exactly:
+    f_i x_j has the forces' degree + 1."""
+    return geometry.exact_order(load.domain, force_degree(load) + 1)
 
 
 def load_functional(load, v, rules: LoadRules) -> float:
@@ -289,7 +292,7 @@ def compatibility_report(
     eigenstructure separates the four cases.
     """
     if rules is None:
-        rules = default_rules(load)
+        rules = default_rules(load, exact_order(load))
     T = moment_matrix(load, rules)
     res = resultant(load, rules)
     momentum = np.array(
@@ -340,7 +343,7 @@ def reversed_compatibility_witness(
     no rotation does more than tol work.
     """
     if rules is None:
-        rules = default_rules(load)
+        rules = default_rules(load, exact_order(load))
     T = moment_matrix(load, rules)
     R, _ = nearest_rotation(T)
     return R if float(np.sum((R - np.eye(3)) * T)) > tol else None

@@ -8,19 +8,15 @@ eta(0) = 0, eta'(1) = 0; the explicit solution is
     eta(r) = -(1/16) r phi(r) + (1/(16 r)) * integral_0^r t^2 phi'(t) dt,
 
 a polynomial whenever phi is.  The axial displacement solves -8 w'' = psi
-with w'(0) = w'(1) = 0.  All integrals here are one-dimensional and are
-evaluated with Gauss-Legendre rules sized to be exact for the polynomial
-integrands; they serve as the independent oracle for the 3D solvers.
+with w'(0) = w'(1) = 0.  All integrals here are one-dimensional integrals
+of polynomials, evaluated exactly through their antiderivatives; they serve
+as the independent oracle for the 3D solvers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import Polynomial
-
-from .geometry import gauss_legendre
-
-GAUSS_1D_POINTS = 64  # exact through polynomial degree 127
 
 
 def as_poly(coeffs) -> Polynomial:
@@ -106,30 +102,24 @@ def planar_profile(eta: Polynomial) -> Polynomial:
 def radial_strain_integral(eta: Polynomial) -> float:
     """integral_0^1 (eta'^2 + (eta/r)^2) r dr for the in-plane radial field."""
     eta = as_poly(eta)
-    p = planar_profile(eta)  # eta/r = p(r^2)
-    r, w = gauss_legendre(GAUSS_1D_POINTS)
-    s = r * r
-    d = eta.deriv()(r)
-    return float(np.dot(w, (d * d + p(s) ** 2) * r))
+    r = Polynomial([0.0, 1.0])
+    over_r = planar_profile(eta)(r * r)  # eta/r = p(r^2)
+    d = eta.deriv()
+    return float(((d * d + over_r * over_r) * r).integ()(1.0))
 
 
 def swirl_strain_integral(eta: Polynomial) -> float:
     """integral_0^1 2 (eta' - eta/r)^2 r dr for the in-plane swirl field."""
     eta = as_poly(eta)
-    p = planar_profile(eta)
-    r, w = gauss_legendre(GAUSS_1D_POINTS)
-    s = r * r
-    d = eta.deriv()(r)
-    diff = d - p(s)
-    return float(np.dot(w, 2.0 * diff * diff * r))
+    r = Polynomial([0.0, 1.0])
+    diff = eta.deriv() - planar_profile(eta)(r * r)
+    return float((2.0 * diff * diff * r).integ()(1.0))
 
 
 def axial_strain_integral(axial: Polynomial) -> float:
     """integral_0^1 w'(z)^2 dz."""
     d = as_poly(axial).deriv()
-    z, w = gauss_legendre(GAUSS_1D_POINTS)
-    v = d(z)
-    return float(np.dot(w, v * v))
+    return float((d * d).integ()(1.0))
 
 
 def planar_laplacian(radial_fn: Polynomial) -> Polynomial:

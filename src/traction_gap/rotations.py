@@ -57,12 +57,6 @@ def skew_matrix(a: float, b: float, c: float) -> np.ndarray:
     return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
 
 
-def skew_params(W: np.ndarray) -> SkewParams:
-    if np.max(np.abs(W + W.T)) > SKEW_TOL:
-        raise ValueError("matrix is not skew-symmetric")
-    return SkewParams(a=float(W[0, 1]), b=float(W[0, 2]), c=float(W[1, 2]))
-
-
 def skew_from_axis(omega: np.ndarray) -> np.ndarray:
     """Skew matrix W with W x = omega x x."""
     wx, wy, wz = omega

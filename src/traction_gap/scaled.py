@@ -29,7 +29,7 @@ import numpy as np
 
 from .energy import ksv_density_sum, ksv_weighted_stress, strain, sym_norm_sq_sum
 from .galerkin import GalerkinSpace, SolverError, assemble, build_space
-from .geometry import QuadratureRule
+from .geometry import QuadratureRule, exact_order
 from .limits import explicit_minimizers
 from .loads import (
     AXIS_SUBGROUP,
@@ -39,6 +39,7 @@ from .loads import (
     LoadSpec,
     compatibility_report,
     default_rules,
+    force_degree,
     moment_matrix,
 )
 from .rotations import coercivity_profile, distance_to_axis_rotations, exp_so3, nearest_rotation
@@ -111,8 +112,13 @@ class NonlinearContext:
 
 def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
     """Context of an ``ansatz_k``/``ansatz_k_div`` space on the cylinder's rule;
-    ValueError for other spaces, whose gradients do not split by factor."""
-    rules = default_rules(spec, space.recommended_order(nonlinear=True))
+    ValueError for other spaces, whose gradients do not split by factor.  The
+    rule is exact for |C(h G)|^2, of degree 4(f - 1) for fields of degree f,
+    for the assembly, and for projecting the closed-form start onto the
+    space; that start has the forces' degree + 2 (equilibrium is of order 2)."""
+    f = space.field_degree
+    degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
+    rules = default_rules(spec, exact_order(spec.domain, degree))
     (_, pg), (_, ag) = space.factor_tables(rules.volume)
     system = assemble(space, spec, rules=rules)
     pw, zw = rules.volume.planar[2], rules.volume.axial[1]
@@ -346,6 +352,7 @@ def convergence_study(
     spec: LoadSpec,
     h_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
     degree: int = 4,
+    report: KernelReport | None = None,
 ) -> list[ConvergenceRow]:
     """Quasi-minimize the scaled energy down a decreasing h schedule.
 
@@ -357,7 +364,7 @@ def convergence_study(
     hs = tuple(h_schedule)
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h schedule must be strictly decreasing")
-    report = compatibility_report(spec)
+    report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")
     explicit_minimizers(spec)  # LoadError off the unit cylinder, before the ansatz space

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from traction_gap import cli
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
+from traction_gap.galerkin import GalerkinSpace, assemble, build_space, solve_quadratic
 from traction_gap.limits import RotatedCheck
+from traction_gap.loads import compatibility_report, default_rules
 from traction_gap.rotations import rotation_angle
 
 
@@ -21,6 +24,7 @@ def run_cli(args, tmp_path, config=None):
         cfg_path.write_text(json.dumps(config))
         argv += ["--config", str(cfg_path)]
     out = tmp_path / "out"
+    (out / "report.json").unlink(missing_ok=True)  # no stale report from an earlier run
     argv += ["--out", str(out)]
     code = main(argv)
     report = None
@@ -86,13 +90,96 @@ def test_low_quadrature_order_integrates_the_closed_forms_exactly(tmp_path, sub)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_profile_order_past_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "exact_order", lambda spec: 33)
-    for sub in ("check-loads", "kernel"):
-        code, report, _ = run_cli([sub], tmp_path)
+def _admissible_phi(n: int) -> list[float]:
+    """Coefficients of a + b r^2 + c r^4 + r^n with phi(1) = phi'(1) = 0 and
+    a vanishing moment of r^2 phi', rounded once from exact fractions."""
+    c = Fraction(3 * n * (2 - n), 4 * (n + 2))
+    b = Fraction(-n, 2) - 2 * c
+    phi = [0.0] * (n + 1)
+    phi[0], phi[2], phi[4], phi[n] = float(-1 - b - c), float(b), float(c), 1.0
+    return phi
+
+
+# the preset psi with phi = -91/16 + (195/8) r^2 - (315/16) r^4 + r^30
+_R30 = {"phi_coeffs": _admissible_phi(30)}
+
+
+def test_profile_order_past_the_cap_is_a_config_error(tmp_path, capsys):
+    # moments of a degree-64 profile need cylinder order 33; every path that
+    # classifies the load refuses it before integrating inexactly
+    for sub in ("check-loads", "kernel", "solve-linear", "solve-limit"):
+        code, report, _ = run_cli([sub], tmp_path, {"phi_coeffs": _admissible_phi(64)})
         assert code == 2
         assert report is None
     assert "past the cap 32" in capsys.readouterr().err
+
+
+def test_high_degree_profile_solves_the_limit(tmp_path):
+    # an r^30 term puts the work at degree 29 + 8; at the order the fields
+    # alone need, the load vector did 2e-5 of work on a rigid rotation
+    code, _, _ = run_cli(["solve-limit"], tmp_path, _R30)
+    assert code == 0
+
+
+def test_high_degree_profile_linear_minimum_is_exact(tmp_path):
+    code, report, _ = run_cli(["solve-linear"], tmp_path, _R30)
+    assert code == 0
+    spec = cli.spec_from_config(cli.validate_config(cli.load_config(str(tmp_path / "config.json"))))
+    system = assemble(build_space("full", 8, spec.domain), spec, rules=default_rules(spec, 32))
+    assert report["results"]["value"] == pytest.approx(solve_quadratic(system).value,
+                                                       rel=1e-12, abs=0.0)
+
+
+def test_odd_profile_powers_integrate_exactly(tmp_path):
+    # phi'(r) (x, y) / r of an r^5 term is 5 r^3 (x, y), no polynomial: the
+    # moment integrand r^6 and the degree-3 work r^8 (jacobian included) need
+    # orders 4 and 5, one more than a degree-4 force would give
+    cfg = {"phi_coeffs": _admissible_phi(5), "basis": {"degree": 3}}
+    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+    assert code == 0
+    spec = cli.spec_from_config(cli.validate_config(cli.load_config(str(tmp_path / "config.json"))))
+    exact = default_rules(spec, 32)
+    system = assemble(build_space("full", 3, spec.domain), spec, rules=exact)
+    assert report["results"]["value"] == pytest.approx(solve_quadratic(system).value,
+                                                       rel=1e-12, abs=0.0)
+    derived, reference = compatibility_report(spec), compatibility_report(spec, exact)
+    assert np.allclose(derived.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-14)
+    assert np.allclose(derived.resultant, reference.resultant, rtol=0.0, atol=1e-14)
+
+
+def test_ball_work_past_the_ball_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a compatible degree-20 profile on the ball: its moments need order 12,
+    # its degree-8 work 27 needs 15, past the cap of 14 for assembly on the ball
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables built past the cap")
+
+    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    cfg = {"domain": {"kind": "ball"}, "beta": 0.0, "phi_coeffs": _admissible_phi(20)}
+    for sub in ("solve-linear", "solve-limit"):
+        code, report, _ = run_cli([sub], tmp_path, cfg)
+        assert code == 2
+        assert report is None
+    assert "past its node-table cap 14" in capsys.readouterr().err
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 0 and report["results"]["classification"] == "identity_only"
+    # classification builds no node tables: moments needing order 17 still run
+    for sub in ("check-loads", "kernel"):
+        code, _, _ = run_cli([sub], tmp_path, {**cfg, "phi_coeffs": _admissible_phi(30)})
+        assert code == 0
+
+
+def test_every_subcommand_classifies_with_the_configured_tolerance(tmp_path, capsys):
+    # at beta = 1e-6 the axial spin eigenvalue lies far below a 1e-3
+    # tolerance, so every subcommand sees the full-SO(3) kernel check-loads sees
+    cfg = {"beta": 1e-6, "tolerances": {"classification": 1e-3}, "h_schedule": [0.2, 0.1]}
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 0 and report["results"]["classification"] == "full_so3"
+    code, report, _ = run_cli(["nonlinear-study"], tmp_path, cfg)
+    assert code == 0
+    assert [row["rotation_distance"] for row in report["results"]["rows"]] == [0.0, 0.0]
+    code, report, _ = run_cli(["nonuniqueness"], tmp_path, cfg)
+    assert code == 3 and report is None
+    assert "axis-subgroup kernel" in capsys.readouterr().err
 
 
 def test_check_loads_ball_pull_in(tmp_path):
@@ -312,7 +399,7 @@ def test_certification_failure_exit_code(tmp_path, monkeypatch):
     failed = RotatedCheck(rotation_theta=-0.5 * math.pi, min_E_rotated=-1.0,
                           min_G_rotated=-0.999, difference=1e-3, relative_difference=1e-3,
                           kernel_unchanged=True, gap_at_identity=0.5)
-    monkeypatch.setattr(cli, "rotated_no_gap_check", lambda spec, degree: failed)
+    monkeypatch.setattr(cli, "rotated_no_gap_check", lambda *args, **kwargs: failed)
     code, report, _ = run_cli(["rotated-check"], tmp_path)
     assert code == 4
     assert report["results"]["relative_difference"] > report["results"]["tolerance"]
@@ -388,18 +475,27 @@ _PHI = DEFAULT_CONFIG["phi_coeffs"]
 _PSI = DEFAULT_CONFIG["psi_coeffs"]
 
 
+# (valid, invalid) draws per field; the invalid one may still land on a valid value
+_FIELDS = {
+    "radius": (st.just(1.0), _numbers),
+    "height": (st.just(1.0), _numbers),
+    "phi_coeffs": (st.sampled_from([_PHI, _ODD_PHI]), st.lists(_numbers, max_size=7)),
+    "psi_coeffs": (st.just(_PSI), st.lists(_numbers, max_size=3)),
+    "beta": (st.sampled_from([0.01, 0.0]), _numbers),
+    "surface_pressure": (st.none(), _numbers),
+}
+
+
 @st.composite
 def small_configs(draw):
-    """Small configs around the preset, with NaN/inf and huge numbers allowed."""
+    """Small configs around the preset with at most one field drawn from its
+    invalid branch (NaN/inf and huge numbers allowed there)."""
+    bad = draw(st.none() | st.sampled_from(list(_FIELDS)))  # half the examples are valid
+    value = {key: draw(pair[key == bad]) for key, pair in _FIELDS.items()}
     kind = draw(st.sampled_from(["cylinder", "cylinder", "ball"]))
     cfg = {
-        "domain": {"kind": kind,
-                   "radius": draw(st.just(1.0) | _numbers),
-                   "height": draw(st.just(1.0) | _numbers)},
-        "phi_coeffs": draw(st.sampled_from([_PHI, _ODD_PHI]) | st.lists(_numbers, max_size=7)),
-        "psi_coeffs": draw(st.just(_PSI) | st.lists(_numbers, max_size=3)),
-        "beta": draw(st.just(0.01) | st.just(0.0) | _numbers),
-        "surface_pressure": draw(st.none() | _numbers),
+        "domain": {"kind": kind, "radius": value.pop("radius"), "height": value.pop("height")},
+        **value,
         "basis": {"degree": draw(st.integers(1, 3))},
         "quadrature_order": draw(st.integers(1, 8)),
         "kernel_samples": draw(st.integers(1, 20)),

@@ -350,7 +350,7 @@ def test_degree5_context_is_small():
     # the node tables of this context took 82 MB for the gradients alone
     space = build_space("ansatz_k", 10, CYL, degree1d=5)
     ctx = nonlinear_context(LoadSpec.cylinder_preset(), space)
-    assert len(ctx.rule) == 16000
+    assert len(ctx.rule) == 17 * 34 * 17  # order 17, exact for the degree-32 energy
     assert _array_bytes(ctx, set()) < 5e6
 
 
@@ -386,12 +386,10 @@ def test_exact_rotation_step_converges_down_to_thin_films():
 
 
 def test_thin_films_converge_at_rule_order_21(monkeypatch):
-    # order 21 integrates the degree-5 energy as exactly as the default 20, so
+    # order 21 integrates the degree-5 energy as exactly as the derived 17, so
     # every row must converge there too; round-off in I + h G kept the gradient
     # test out of reach at h = 0.002
-    recommended = GalerkinSpace.recommended_order
-    monkeypatch.setattr(GalerkinSpace, "recommended_order", lambda self, nonlinear=False:
-                        21 if nonlinear else recommended(self))
+    monkeypatch.setattr(scaled, "exact_order", lambda domain, degree: 21)
     hs = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005)
     rows = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)
     assert [row.status for row in rows] == ["converged"] * len(hs)
