@@ -39,12 +39,13 @@ from .loads import (
     LoadSpec,
     RigidPart,
     body_force,
+    classify_moments,
     compatibility_report,
     default_rules,
     load_functional,
     reversed_compatibility_witness,
     rigid_projection,
-    rotate_loads,
+    work_moment,
 )
 from .profiles import (
     axial_displacement_profile,

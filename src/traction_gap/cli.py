@@ -111,7 +111,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown field")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), here, "must be an object")
             out[key] = _merge(base[key], value, here)
         else:
             out[key] = value

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, IntegrationError, QuadratureRule, exact_order
-from .loads import LoadRules, body_force, default_rules, force_degree, surface_force
+from .loads import LoadRules, body_force, default_rules, force_degree, work_moment
 
 KERNEL_EIGENVALUE_CUT = 1e-10
 COMPATIBILITY_TOL = 1e-8
@@ -385,6 +385,13 @@ class GalerkinSpace:
         return np.stack(rows)
 
     @property
+    def rigid_spins(self) -> np.ndarray:
+        """Which rows of ``rigid_coefficients`` are spins; the others are translations."""
+        if self.kind in ("full", "div_free"):
+            return np.arange(6) >= 3
+        return np.array([False, False] + [True] * (self.degree >= 2) + [False] * (self._naxial > 0))
+
+    @property
     def field_degree(self) -> int:
         """Total degree of the space's fields; the ansatz spaces' planar fields
         are derivatives of their potentials."""
@@ -548,30 +555,24 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     component f_i, an (N_P, N_Z) array of node values, is contracted with the
     weighted planar and axial factors, (P w) F_i (Z w)', and each entry is
     gathered from that; no separability of f is needed.  Other rules (and the
-    surface term) take one matmul of node values into (K, N, 3).
+    surface term) hand node tables (K, N, 3) to ``loads.work_moment``.
     """
-    vol = rules.volume
-    f = body_force(load, vol.points)
+    vol, surf = rules.volume, rules.surface if load.has_surface_term else None
+    svals = None if surf is None else space._build_tables(surf, gradients=False)[0]
     if vol.planar is None:
         vals, _ = space._build_tables(vol, gradients=False)
-        moments = (vol.weights[:, None] * f).T @ vals
-    else:
-        px, py, pw = vol.planar
-        z, wz = vol.axial
-        P = space._planar(px, py) * pw
-        Z = space._axial(z) * wz
-        sign, pidx, zidx = space._slots
-        moments = np.empty((space.dim, 3, 3))
-        for i in range(3):
-            Y = (P @ f[:, i].reshape(pw.size, wz.size)) @ Z.T
-            moments[:, i] = sign[:, :3] * Y[pidx[:, :3], zidx[:, :3]]
-    if load.has_surface_term:
-        surf = rules.surface
-        if surf is None:
-            raise AssemblyError("pressure load assembled without a surface rule")
-        svals, _ = space._build_tables(surf, gradients=False)
-        moments += (surf.weights[:, None] * surface_force(load, surf.normals)).T @ svals
-    return moments
+        return work_moment(load, rules, vals, svals)
+    f = body_force(load, vol.points)
+    px, py, pw = vol.planar
+    z, wz = vol.axial
+    P = space._planar(px, py) * pw
+    Z = space._axial(z) * wz
+    sign, pidx, zidx = space._slots
+    moments = np.empty((space.dim, 3, 3))
+    for i in range(3):
+        Y = (P @ f[:, i].reshape(pw.size, wz.size)) @ Z.T
+        moments[:, i] = sign[:, :3] * Y[pidx[:, :3], zidx[:, :3]]
+    return moments + work_moment(load, rules, None, svals)
 
 
 def assemble(
@@ -647,9 +648,11 @@ def solve_quadratic(
     overlap = Z @ b
     if overlap.size and float(np.max(np.abs(overlap))) > COMPATIBILITY_TOL * bn:
         k = int(np.argmax(np.abs(overlap)))
-        mode = "translation (null-resultant condition)" if _looks_like_translation(
-            system, Z[k]
-        ) else "infinitesimal rotation (null-momentum condition)"
+        # the exact rigid row doing the most work per coefficient norm names the mode
+        rigid = system.rigid
+        worst = int(np.argmax(np.abs(rigid @ b) / np.linalg.norm(rigid, axis=1)))
+        mode = ("infinitesimal rotation (null-momentum condition)" if system.space.rigid_spins[worst]
+                else "translation (null-resultant condition)")
         raise SolverError(
             f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}"
         )
@@ -665,8 +668,3 @@ def solve_quadratic(
         status="factorized",
     )
 
-
-def _looks_like_translation(system: StiffnessSystem, z: np.ndarray) -> bool:
-    vals = system.space.evaluate(z, system.rules.volume)
-    mean = system.rules.volume.weights @ vals / np.sum(system.rules.volume.weights)
-    return float(np.linalg.norm(mean)) > 1e-6

@@ -49,7 +49,6 @@ from .galerkin import (
     StiffnessSystem,
     assemble,
     build_space,
-    load_moments,
     solve_quadratic,
 )
 from .geometry import Domain, exact_order, volume_quadrature, surface_quadrature
@@ -62,11 +61,12 @@ from .loads import (
     LoadError,
     LoadRules,
     LoadSpec,
-    RotatedLoad,
     body_force,
+    classify_moments,
     compatibility_report,
     default_rules,
     load_functional,
+    work_moment,
 )
 from .profiles import (
     as_poly,
@@ -317,13 +317,6 @@ def rotated_energy_value(spec, field, theta: float, rules: LoadRules) -> float:
     return quadratic_energy(field, rules) - work
 
 
-def work_moment(load, values: np.ndarray, rules: LoadRules) -> np.ndarray:
-    """Y with L(R u) = <R, Y> for the given field values on the volume rule."""
-    vol = rules.volume
-    f = body_force(load, vol.points)
-    return np.einsum("n,ni,nj->ij", vol.weights, f, values)
-
-
 # ---------------------------------------------------------------------------
 # Galerkin minimization of the linear and limit energies
 
@@ -458,15 +451,20 @@ def min_limit(
     return _limit_solve(_system_for(spec, "full", degree), report)
 
 
+def _kernel_minimum(Q: np.ndarray, report: KernelReport) -> np.ndarray | None:
+    """Rotation of the kernel minimizing m(R): None (the identity) on an
+    identity-only kernel, the closed form about a kernel axis, the SO(3)
+    search otherwise."""
+    if report.classification == IDENTITY_ONLY:
+        return None
+    if report.classification == AXIS_SUBGROUP:
+        return _axis_minimum(Q, report.axis)
+    return _search(Q)
+
+
 def _limit_solve(system: StiffnessSystem, report: KernelReport) -> SolveResult:
     """The relaxed minimum on an assembled system of compatible loads."""
-    if report.classification == IDENTITY_ONLY:
-        return solve_quadratic(system)
-    if report.classification == AXIS_SUBGROUP:
-        R = _axis_minimum(system.rotation_form, report.axis)
-    else:
-        R = _search(system.rotation_form)
-    return solve_quadratic(system, R=R)
+    return solve_quadratic(system, R=_kernel_minimum(system.rotation_form, report))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +610,13 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
     R* is the relaxed minimizer of ``min_limit``: the closed-form minimum
     about a kernel axis, the SO(3) search on a full-SO(3) kernel.  The
     reported angle is R*'s signed angle about the kernel axis, or its
-    rotation angle in [0, pi] on a full-SO(3) kernel.  The rotated loads are
-    classified with the tolerance of the base loads' report.
+    rotation angle in [0, pi] on a full-SO(3) kernel.
+
+    R* acts on moment data alone.  The folded loads v -> L(R* v) have the
+    moments R*' T and R*' res (classified with the base report's tolerance)
+    and the load vector b(R*): their linear minimum is the solve at R*.
+    Their rotation form is L' Q L, L = R* (x) I, as vec(R* R') = L vec(R');
+    its kernel minimum R', found like min_limit's, gives the solve at R* R'.
     """
     kernel = compatibility_report(spec) if report is None else report
     if kernel.classification not in (AXIS_SUBGROUP, FULL_SO3):
@@ -621,22 +624,19 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
     system = _system_for(spec, "full", degree)
     limit = _limit_solve(system, kernel)
     R_star = limit.rotation
-
-    # rotated loads: L_R(v) = L(R v); their linear minimum solves against the
-    # load vector of the rotated forces.  Their relaxed minimum over R*
-    # composed with the kernel, which is the kernel itself, is the value at R*
-    rotated = RotatedLoad(base=spec, rotation=R_star)
-    b_rot = np.einsum("kii->k", load_moments(system.space, rotated, system.rules))
-    min_E_rot = solve_quadratic(system, b=b_rot).value
-    min_G_rot = limit.value
+    min_E_rot = limit.value
     if min_E_rot == 0.0:
         raise SolverError("the basis does no work against the rotated loads (linear "
                           "minimum 0); no relative difference exists")
 
-    kernel_rot = compatibility_report(rotated, tol=kernel.tol)
+    kernel_rot = classify_moments(R_star.T @ kernel.moments, R_star.T @ kernel.resultant,
+                                  tol=kernel.tol)
     unchanged = kernel_rot.classification == kernel.classification
     if unchanged and kernel.classification == AXIS_SUBGROUP:
         unchanged = bool(np.allclose(kernel_rot.axis, kernel.axis, atol=1e-8))
+    L = np.kron(R_star, np.eye(3))
+    R_rot = _kernel_minimum(L.T @ system.rotation_form @ L, kernel_rot)
+    min_G_rot = solve_quadratic(system, R=R_star if R_rot is None else R_star @ R_rot).value
 
     identity_gap = solve_quadratic(system).value - min_G_rot
     diff = abs(min_G_rot - min_E_rot)
@@ -679,7 +679,7 @@ def nonuniqueness_check(spec: LoadSpec, order: int = 1,
     axis = kernel.axis
 
     def limit_value(fld) -> tuple[float, float]:
-        Y = work_moment(spec, fld.value(vol.points), rules)
+        Y = work_moment(spec, rules, fld.value(vol.points))
         theta, R = best_axis_rotation(Y, axis)
         return quadratic_energy(fld, rules) - float(np.sum(R * Y)), theta
 

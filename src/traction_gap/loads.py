@@ -27,6 +27,10 @@ where omega is the rotation axis of W.  The report combines a sampled
 sweep of unit axes with the eigenvalue structure of M.  The work
 <R - I, T> is linear in R, so the rotation doing the most of it is the
 Procrustes rotation of T, which ``reversed_compatibility_witness`` returns.
+
+Every work is integrated as a first-moment tensor Y = sum w f (x) v by
+``work_moment``, with L(R v) = <R, Y>: T is Y of the placement x, and the
+loads folded by a rotation R, v -> L(R v), have the moments R' Y.
 """
 
 from __future__ import annotations
@@ -76,6 +80,9 @@ class LoadSpec:
             for key in ("value_at_1", "slope_at_1", "moment", "slope_at_0"):
                 if abs(cond[key]) > PROFILE_TOL:
                     raise LoadError(f"radial profile fails {key} = {cond[key]:.3e}")
+            if self.domain.kind == "ball" and np.any(phi.coef[1::2]):
+                raise LoadError("radial profile has odd powers of r, which no ball "
+                                "rule integrates exactly")
             if not _nonzero(_planar_laplacian_profile(phi)):
                 raise LoadError("radial profile has identically zero Laplacian")
         if _nonzero(psi):
@@ -117,22 +124,6 @@ class LoadSpec:
         return LoadSpec(builtin=BALL_PULL_IN, domain=Domain.unit_ball())
 
 
-@dataclass(frozen=True)
-class RotatedLoad:
-    """The functional v -> L(R v), i.e. the base load with forces R^T f, R^T g."""
-
-    base: LoadSpec
-    rotation: np.ndarray
-
-    @property
-    def domain(self) -> Domain:
-        return self.base.domain
-
-    @property
-    def has_surface_term(self) -> bool:
-        return self.base.has_surface_term
-
-
 def _nonzero(p: Polynomial) -> bool:
     return bool(np.any(np.abs(p.coef) > 0.0))
 
@@ -149,8 +140,6 @@ def _planar_laplacian_profile(phi: Polynomial) -> Polynomial:
 def body_force(load, points: np.ndarray) -> np.ndarray:
     """Volume force at an (N, 3) array of points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(load, RotatedLoad):
-        return body_force(load.base, points) @ load.rotation  # (R^T f)_n = f_n R
     if load.builtin == BALL_PULL_IN:
         return -points
     out = np.zeros_like(points)
@@ -168,9 +157,6 @@ def body_force(load, points: np.ndarray) -> np.ndarray:
 
 def surface_force(load, normals: np.ndarray) -> np.ndarray | None:
     """Surface force lambda * n at surface nodes, or None when absent."""
-    if isinstance(load, RotatedLoad):
-        base = surface_force(load.base, normals)
-        return None if base is None else base @ load.rotation
     if not load.has_surface_term:
         return None
     return load.surface_pressure * np.asarray(normals, dtype=float)
@@ -192,12 +178,12 @@ def force_degree(load) -> int:
     """Degree of the forces for exact_order: deg psi, 1 for -x and for the
     pressure, and k - 1 + k % 2 per term r^k of phi.  For odd k, k r^(k-2)
     (x, y) is no polynomial and does not average out over the angle, so it
-    counts one degree more (on the ball no order integrates it exactly)."""
-    base = getattr(load, "base", load)  # a RotatedLoad has its base's degrees
-    if base.builtin is not None:
+    counts one degree more (LoadSpec refuses odd k on the ball, where no
+    order integrates it exactly)."""
+    if load.builtin is not None:
         return 1
-    planar = max((k - 1 + k % 2 for k, c in enumerate(base.phi.coef) if c and k > 1), default=0)
-    return max(planar, base.psi.trim().degree(), int(base.has_surface_term))
+    planar = max((k - 1 + k % 2 for k, c in enumerate(load.phi.coef) if c and k > 1), default=0)
+    return max(planar, load.psi.trim().degree(), int(load.has_surface_term))
 
 
 def exact_order(load) -> int:
@@ -206,46 +192,51 @@ def exact_order(load) -> int:
     return geometry.exact_order(load.domain, force_degree(load) + 1)
 
 
-def load_functional(load, v, rules: LoadRules) -> float:
-    """L(v) = volume work + surface work for a vector field v."""
-    vol = rules.volume
-    vals = v(vol.points) if callable(v) else np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise LoadError("field evaluation produced non-finite values")
-    f = body_force(load, vol.points)
-    total = float(np.dot(vol.weights, np.einsum("ni,ni->n", f, vals)))
+def work_moment(load, rules: LoadRules, values, surface_values=None):
+    """Y = sum w f (x) v + sum w_s g (x) v_s, so that L(R v) = <R, Y>.
+
+    ``values`` are (..., N, m) field values at the volume nodes and
+    ``surface_values`` (..., N_s, m) at the surface nodes; leading axes
+    broadcast, so a (K, N, 3) table of basis values gives (K, 3, 3).  A
+    pressure load needs the surface rule and the values on it.  ``values``
+    None leaves out the volume term, for a caller that contracts it itself.
+    """
+    Y = 0.0
+    if values is not None:
+        vol = rules.volume
+        Y = np.einsum("n,ni,...nj->...ij", vol.weights, body_force(load, vol.points), values)
     if load.has_surface_term:
-        if rules.surface is None:
-            raise LoadError("surface rule required for a pressure load")
         surf = rules.surface
+        if surf is None or surface_values is None:
+            raise LoadError("a pressure load needs a surface rule and the field on it")
         g = surface_force(load, surf.normals)
-        sv = v(surf.points) if callable(v) else None
-        if sv is None:
-            raise LoadError("pressure loads need a callable field for the surface term")
-        total += float(np.dot(surf.weights, np.einsum("ni,ni->n", g, sv)))
-    return total
+        Y = Y + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
+    return Y
+
+
+def _at_nodes(rules: LoadRules, field) -> tuple[np.ndarray, np.ndarray | None]:
+    """field(points) at the volume nodes and, if there is a surface rule, at its nodes."""
+    surf = rules.surface
+    return field(rules.volume.points), None if surf is None else field(surf.points)
+
+
+def load_functional(load, v, rules: LoadRules) -> float:
+    """L(v) = volume work + surface work for a vector field v: a callable of
+    points, or (N, 3) values at the volume nodes (then without a pressure)."""
+    values, surface_values = _at_nodes(rules, v) if callable(v) else (np.asarray(v, float), None)
+    if not np.all(np.isfinite(values)):
+        raise LoadError("field evaluation produced non-finite values")
+    return float(np.trace(work_moment(load, rules, values, surface_values)))
 
 
 def moment_matrix(load, rules: LoadRules) -> np.ndarray:
     """T with T_ij = work of the load against the linear field x_j e_i."""
-    vol = rules.volume
-    f = body_force(load, vol.points)
-    T = np.einsum("n,ni,nj->ij", vol.weights, f, vol.points)
-    if load.has_surface_term:
-        surf = rules.surface
-        if surf is None:
-            raise LoadError("surface rule required for a pressure load")
-        g = surface_force(load, surf.normals)
-        T += np.einsum("n,ni,nj->ij", surf.weights, g, surf.points)
-    return T
+    return work_moment(load, rules, *_at_nodes(rules, lambda p: p))
 
 
 def resultant(load, rules: LoadRules) -> np.ndarray:
-    vol = rules.volume
-    out = rules.volume.weights @ body_force(load, vol.points)
-    if load.has_surface_term and rules.surface is not None:
-        out = out + rules.surface.weights @ surface_force(load, rules.surface.normals)
-    return out
+    """The total force, the work against the unit translations."""
+    return work_moment(load, rules, *_at_nodes(rules, lambda p: np.ones((len(p), 1))))[:, 0]
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -268,6 +259,7 @@ INCOMPATIBLE = "incompatible"
 class KernelReport:
     classification: str
     axis: np.ndarray | None
+    moments: np.ndarray  # T, the moment matrix classified
     resultant: np.ndarray
     momentum_max: float
     w2_values: dict[tuple[float, float, float], float]
@@ -279,25 +271,25 @@ class KernelReport:
         return max(self.w2_values.values())
 
 
-def compatibility_report(
-    load,
-    rules: LoadRules | None = None,
-    samples: int = 200,
-    tol: float = CLASSIFICATION_TOL,
-) -> KernelReport:
-    """Classify the rotation kernel of the load functional.
+def compatibility_report(load, rules: LoadRules | None = None, samples: int = 200,
+                         tol: float = CLASSIFICATION_TOL) -> KernelReport:
+    """Classify the rotation kernel of the load functional from its moment
+    matrix and resultant (``classify_moments``)."""
+    if rules is None:
+        rules = default_rules(load, exact_order(load))
+    return classify_moments(moment_matrix(load, rules), resultant(load, rules), samples, tol)
+
+
+def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
+                     tol: float = CLASSIFICATION_TOL) -> KernelReport:
+    """The rotation kernel of the loads with moment matrix T and resultant res.
 
     The sampled sweep fills the diagnostics; the classification itself
     uses the exact quadratic form M of the spin directions, whose
-    eigenstructure separates the four cases.
+    eigenstructure separates the four cases.  Loads folded by a rotation R,
+    v -> L(R v), have the moments R' T and R' res.
     """
-    if rules is None:
-        rules = default_rules(load, exact_order(load))
-    T = moment_matrix(load, rules)
-    res = resultant(load, rules)
-    momentum = np.array(
-        [float(np.sum(skew_from_axis(np.eye(3)[k]) * T)) for k in range(3)]
-    )
+    momentum = np.array([float(np.sum(skew_from_axis(np.eye(3)[k]) * T)) for k in range(3)])
     momentum_max = float(np.max(np.abs(momentum)))
     M = 0.5 * (T + T.T) - np.trace(T) * np.eye(3)
 
@@ -319,15 +311,9 @@ def compatibility_report(
             axis = -axis
     else:
         cls = IDENTITY_ONLY
-    return KernelReport(
-        classification=cls,
-        axis=axis,
-        resultant=res,
-        momentum_max=momentum_max,
-        w2_values=w2_values,
-        eigenvalues=eigvals,
-        tol=tol,
-    )
+    return KernelReport(classification=cls, axis=axis, moments=T, resultant=res,
+                        momentum_max=momentum_max, w2_values=w2_values, eigenvalues=eigvals,
+                        tol=tol)
 
 
 def reversed_compatibility_witness(
@@ -389,11 +375,3 @@ def rigid_projection(v, rule: QuadratureRule) -> RigidPart:
         translation=a,
         spin=SkewParams(a=float(W[0, 1]), b=float(W[0, 2]), c=float(W[1, 2])),
     )
-
-
-def rotate_loads(load: LoadSpec, R: np.ndarray) -> RotatedLoad:
-    """Evaluator of v -> L(R v); the load functional of the forces R^T f, R^T g."""
-    R = np.asarray(R, dtype=float)
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-10 or np.linalg.det(R) < 0.0:
-        raise LoadError("rotate_loads needs R in SO(3)")
-    return RotatedLoad(base=load, rotation=R)

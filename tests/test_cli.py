@@ -182,6 +182,37 @@ def test_every_subcommand_classifies_with_the_configured_tolerance(tmp_path, cap
     assert "axis-subgroup kernel" in capsys.readouterr().err
 
 
+def test_rotation_work_is_named_a_rotation(tmp_path, capsys):
+    # at beta = 1e-6 a 1e-3 tolerance classifies the loads as full SO(3), and
+    # the searched rotation leaves work of about 2e-7 on a rigid spin (the
+    # resultant stays zero); the message names the rigid row doing the work
+    cfg = {"beta": 1e-6, "tolerances": {"classification": 1e-3}}
+    code, report, _ = run_cli(["solve-limit"], tmp_path, cfg)
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert "infinitesimal rotation" in err and "translation" not in err
+
+
+def test_odd_profile_powers_are_refused_on_the_ball(tmp_path, capsys):
+    # no ball rule integrates r^5 exactly (it carries sqrt(1 - t^2)^5 in the
+    # cosine t of the polar angle); the cylinder runs the same profile
+    cfg = {"domain": {"kind": "ball"}, "beta": 0.0, "phi_coeffs": _admissible_phi(5)}
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 2 and report is None
+    assert "odd powers of r" in capsys.readouterr().err
+    code, _, _ = run_cli(["check-loads"], tmp_path, {**cfg, "domain": {"kind": "cylinder"}})
+    assert code == 0
+
+
+@pytest.mark.parametrize("cfg,path", [({"basis": 5}, "basis"), ({"domain": 3}, "domain"),
+                                      ({"tolerances": [1]}, "tolerances")],
+                         ids=["basis", "domain", "tolerances"])
+def test_non_object_for_an_object_field_is_a_config_error(tmp_path, capsys, cfg, path):
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 2 and report is None
+    assert f"config field '{path}': must be an object" in capsys.readouterr().err
+
+
 def test_check_loads_ball_pull_in(tmp_path):
     cfg = {"builtin": "ball_pull_in", "domain": {"kind": "ball"}}
     code, report, _ = run_cli(["check-loads"], tmp_path, cfg)

@@ -338,8 +338,23 @@ def test_incompatible_load_vector_raises(preset):
     system = assemble(space, preset)
     b = system.load_vector()
     bad = b + 0.5 * system.rigid[0]  # inject work on a translation
-    with pytest.raises(SolverError, match="rigid"):
+    with pytest.raises(SolverError, match="rigid translation"):
         solve_quadratic(system, b=bad)
+    bad = b + 0.5 * system.rigid[5]  # and on the spin about z
+    with pytest.raises(SolverError, match="rigid infinitesimal rotation"):
+        solve_quadratic(system, b=bad)
+
+
+@pytest.mark.parametrize("kind,degree,d1", [
+    ("full", 2, None), ("div_free", 3, None), ("ansatz_k", 1, 2), ("ansatz_k", 4, 2),
+    ("ansatz_k_div", 1, None), ("ansatz_k_div", 3, None)])
+def test_rigid_spins_are_the_rigid_rows_with_a_gradient(kind, degree, d1):
+    # a rigid translation has a zero gradient, a unit spin a skew one of norm sqrt(2)
+    space = build_space(kind, degree, CYL, degree1d=d1)
+    grads = space.gradients(space.rigid_coefficients().T, volume_quadrature(CYL, 4))
+    size = np.max(np.abs(grads), axis=(1, 2, 3))
+    assert np.all((size > 0.5) == space.rigid_spins)
+    assert np.all(size[~space.rigid_spins] < 1e-12)
 
 
 def test_degree6_value_is_the_containment_limit(preset):

@@ -1,0 +1,47 @@
+"""The nine subcommands' reports on the default config against the reports
+recorded in ``tests/data/default_reports``.
+
+A change meant to keep the numbers keeps every numeric leaf within 1e-12
+relative or 1e-15 absolute, and every other leaf exactly.  The
+nonlinear-study rows are compared at 1e-9 absolute: the descent stops once a
+round lowers the value by less than ALTERNATION_TOL = 1e-10, so they are
+resolved to about that level only.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from traction_gap import cli
+
+RECORDED = Path(__file__).parent / "data" / "default_reports"
+REL, ABS = 1e-12, 1e-15
+DESCENT_ABS = 1e-9
+
+
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for n, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{n}]")
+    else:
+        yield path, obj
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_default_report_matches_the_recorded_one(tmp_path, sub):
+    assert cli.main([sub, "--out", str(tmp_path)]) == 0
+    got = dict(_leaves(json.loads((tmp_path / "report.json").read_text())))
+    want = dict(_leaves(json.loads((RECORDED / f"{sub}.json").read_text())))
+    assert got.keys() == want.keys()
+    for path, expected in want.items():
+        value = got[path]
+        if isinstance(expected, bool) or not isinstance(expected, (int, float)):
+            assert value == expected, path
+        elif sub == "nonlinear-study" and path.startswith("results.rows"):
+            assert abs(value - expected) <= DESCENT_ABS, path
+        else:
+            assert abs(value - expected) <= max(REL * abs(expected), ABS), path

@@ -18,9 +18,8 @@ from traction_gap.limits import (
     quadratic_energy,
     rotated_no_gap_check,
     verify_explicit,
-    work_moment,
 )
-from traction_gap.loads import LoadSpec, default_rules
+from traction_gap.loads import LoadSpec, default_rules, work_moment
 from traction_gap.geometry import gauss_legendre
 from traction_gap.profiles import radial_displacement_profile, radial_ode_residual
 from traction_gap.rotations import (
@@ -279,13 +278,13 @@ def test_limit_value_invariant_under_rigid_shift(preset, preset_rules, rng):
         return float(np.sum(best_axis_rotation(Y, axis)[1] * Y))
 
     base_vals = u.value(vol.points)
-    Y = work_moment(preset, base_vals, preset_rules)
+    Y = work_moment(preset, preset_rules, base_vals)
     v_base = quadratic_energy(u, preset_rules) - best_work(Y)
 
     a = rng.normal(size=3)
     omega = rng.normal(size=3)
     shifted_vals = base_vals + a[None, :] + np.cross(np.broadcast_to(omega, base_vals.shape), vol.points)
-    Y2 = work_moment(preset, shifted_vals, preset_rules)
+    Y2 = work_moment(preset, preset_rules, shifted_vals)
     # strain unchanged by the rigid shift, so reuse the quadratic part
     v_shift = quadratic_energy(u, preset_rules) - best_work(Y2)
     assert abs(v_shift - v_base) < 1e-10 * max(1.0, abs(v_base))
@@ -387,4 +386,27 @@ def test_gap_report_angle_is_the_rotated_check_angle_on_so3():
     check = rotated_no_gap_check(spec, degree=6)
     assert gap.classification == "full_so3"
     assert gap.optimal_theta == check.rotation_theta
+    assert abs(check.min_G_rotated - gap.galerkin_min_G) <= 1e-12 * abs(gap.galerkin_min_G)
     assert abs(check.rotation_theta - 2.005688783074093) < 1e-8
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.0], ids=["axis", "so3"])
+def test_rotated_check_searches_the_conjugated_form(monkeypatch, beta):
+    # the folded loads' relaxed minimum is searched, like min_limit's, on
+    # their rotation form L' Q L with L = R* (x) I, and lands on min_limit's value
+    forms = []
+    search = limits._kernel_minimum
+
+    def spy(Q, report):
+        forms.append(Q)
+        return search(Q, report)
+
+    monkeypatch.setattr(limits, "_kernel_minimum", spy)
+    spec = LoadSpec.cylinder_preset(beta=beta)
+    check = rotated_no_gap_check(spec, degree=4)
+    limit = min_limit(spec, degree=4)
+    assert len(forms) == 3  # R* of the check, the folded search, R* of min_limit
+    L = np.kron(limit.rotation, np.eye(3))
+    assert np.array_equal(forms[1], L.T @ forms[0] @ L)
+    assert abs(check.min_G_rotated - limit.value) <= 1e-12 * abs(limit.value)
+    assert check.min_E_rotated == limit.value

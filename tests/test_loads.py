@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import random_rotations
+from traction_gap.galerkin import assemble, build_space
 from traction_gap.geometry import Domain, volume_quadrature
 from traction_gap.loads import (
     AXIS_SUBGROUP,
@@ -8,16 +10,20 @@ from traction_gap.loads import (
     IDENTITY_ONLY,
     INCOMPATIBLE,
     LoadError,
+    LoadRules,
     LoadSpec,
     body_force,
+    classify_moments,
     compatibility_report,
     default_rules,
     fibonacci_directions,
     load_functional,
     moment_matrix,
+    resultant,
     reversed_compatibility_witness,
     rigid_projection,
-    rotate_loads,
+    surface_force,
+    work_moment,
 )
 from traction_gap.rotations import exp_so3, rotation_about_z, skew_matrix
 
@@ -207,38 +213,83 @@ def test_rigid_projection_idempotent(cylinder_rule, rng):
     assert np.allclose(again.omega, part.omega, atol=1e-12)
 
 
-def test_rotate_loads_identity(preset, preset_rules, rng):
-    rot = rotate_loads(preset, np.eye(3))
-    for _ in range(20):
-        vals = rng.normal(size=(len(preset_rules.volume), 3))
-        assert load_functional(rot, vals, preset_rules) == pytest.approx(
-            load_functional(preset, vals, preset_rules), rel=1e-14, abs=1e-14
-        )
+def test_pressure_without_a_surface_rule_is_refused_everywhere():
+    # every work of a pressure load goes through work_moment, which needs the
+    # surface rule: none of them drops the pressure silently
+    spec = LoadSpec(surface_pressure=1.0)
+    rules = LoadRules(volume=volume_quadrature(spec.domain, 6))
+    pts = rules.volume.points
+    for work in (lambda: resultant(spec, rules), lambda: moment_matrix(spec, rules),
+                 lambda: load_functional(spec, lambda p: p, rules),
+                 lambda: load_functional(spec, pts, rules),
+                 lambda: work_moment(spec, rules, pts)):
+        with pytest.raises(LoadError, match="surface rule"):
+            work()
 
 
-def test_rotate_loads_kernel_composition(preset, preset_rules):
-    # for kernel rotations R, S: L_R((S - I) x) = L((R S - I) x) = 0
+def _folded_quadrature(spec, rules, R, values, surface_values):
+    """sum w (f R) (x) v + sum w_s (g R) (x) v_s: the forces R' f, R' g of the
+    loads v -> L(R v), integrated directly."""
+    vol, surf = rules.volume, rules.surface
+    out = np.einsum("n,ni,...nj->...ij", vol.weights, body_force(spec, vol.points) @ R, values)
+    g = surface_force(spec, surf.normals) @ R
+    return out + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
+
+
+def test_folded_moments_are_the_rotated_force_quadrature(rng):
+    # R' T, R' res and b(R) are the moments and the load vector of the
+    # rotated forces R' f, R' g; the preset's profiles plus a pressure give
+    # both volume and surface forces
+    spec = LoadSpec(phi_coeffs=LoadSpec.cylinder_preset().phi_coeffs, psi_coeffs=(-0.5, 1.0),
+                    surface_pressure=0.5)
+    rules = default_rules(spec, 10)
+    vol, surf = rules.volume, rules.surface
+    report = compatibility_report(spec, rules)
+    system = assemble(build_space("full", 3, spec.domain), spec, rules=rules)
+    vals, _ = system.space.tables(vol)
+    svals, _ = system.space.tables(surf)
+    for R in random_rotations(rng, 4):
+        T_rot = _folded_quadrature(spec, rules, R, vol.points, surf.points)
+        ones = np.ones((len(vol), 1)), np.ones((len(surf), 1))
+        res_rot = _folded_quadrature(spec, rules, R, *ones)[:, 0]
+        b_rot = np.trace(_folded_quadrature(spec, rules, R, vals, svals), axis1=1, axis2=2)
+        assert np.max(np.abs(R.T @ report.moments - T_rot)) < 1e-14
+        assert np.max(np.abs(R.T @ report.resultant - res_rot)) < 1e-14
+        assert np.max(np.abs(system.load_vector(R) - b_rot)) < 1e-14
+
+
+def test_rotate_loads_identity(preset, preset_rules):
+    # folding R = I into the moments leaves the load unchanged: b(I) is the
+    # work of the unrotated load against each basis field
+    system = assemble(build_space("full", 3, preset.domain), preset, rules=preset_rules)
+    vals, _ = system.space.tables(preset_rules.volume)
+    direct = np.array([load_functional(preset, v, preset_rules) for v in vals])
+    assert np.max(np.abs(system.load_vector(np.eye(3)) - direct)) < 1e-14
+    assert np.array_equal(system.load_vector(), system.load_vector(np.eye(3)))
+
+
+def test_rotate_loads_swirl_forces(preset, preset_rules):
+    # the quarter-turn kernel element swaps the planar force components:
+    # R' f = (f_2, -f_1, f_3), and R' T is the moment of the swapped forces
+    R = rotation_about_z(np.pi / 2).T  # the swirl rotation
+    vol = preset_rules.volume
+    f = body_force(preset, vol.points)
+    swapped = np.stack([f[:, 1], -f[:, 0], f[:, 2]], axis=1)
+    assert np.allclose(f @ R, swapped, atol=1e-14)
+    T_swapped = np.einsum("n,ni,nj->ij", vol.weights, swapped, vol.points)
+    T = compatibility_report(preset, preset_rules).moments
+    assert np.max(np.abs(R.T @ T - T_swapped)) < 1e-14
+
+
+def test_folded_moments_keep_the_kernel(preset, preset_rules):
+    # for kernel rotations R, S: L_R((S - I) x) = <S - I, R' T> = L((R S - I) x) = 0,
+    # and the folded loads classify as the axis subgroup about the same axis
+    base = compatibility_report(preset, preset_rules)
     R = rotation_about_z(0.9)
-    rot = rotate_loads(preset, R)
+    T_rot = R.T @ base.moments
     for theta in (-2.0, 0.3, 2.7):
         S = rotation_about_z(theta)
-        val = load_functional(rot, lambda p: p @ (S - np.eye(3)).T, preset_rules)
-        assert abs(val) < 1e-12
-
-
-def test_rotate_loads_swirl_forces(preset):
-    # rotating by the quarter-turn kernel element swaps the planar force
-    # components: R f = (f_2, -f_1, f_3)
-    R = rotation_about_z(np.pi / 2)  # equals the transpose of the swirl rotation
-    rot = rotate_loads(preset, R.T)
-    pts = np.array([[0.3, -0.4, 0.7], [0.1, 0.9, 0.2]])
-    f = body_force(preset, pts)
-    frot = body_force(rot, pts)
-    expected = np.stack([f[:, 1], -f[:, 0], f[:, 2]], axis=1)
-    assert np.allclose(frot, expected, atol=1e-14)
-
-
-def test_rotate_loads_rejects_non_rotation(preset):
-    for R in (2.0 * np.eye(3), -np.eye(3)):  # -I is orthogonal but a reflection
-        with pytest.raises(LoadError):
-            rotate_loads(preset, R)
+        assert abs(float(np.sum((S - np.eye(3)) * T_rot))) < 1e-12
+    folded = classify_moments(T_rot, R.T @ base.resultant)
+    assert folded.classification == AXIS_SUBGROUP
+    assert np.allclose(folded.axis, base.axis, atol=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from traction_gap.energy import ksv_density_sum, ksv_weighted_stress
 from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
-from traction_gap.loads import LoadSpec, rotate_loads
+from traction_gap.loads import LoadSpec
 from traction_gap.rotations import coercivity_profile, exp_so3, nearest_rotation, rotation_about_z
 from traction_gap.scaled import (
     COEFF_GRAD_TOL,
@@ -74,14 +76,16 @@ def test_limit_recovery_for_fixed_field(preset_ctx):
 
 
 def test_energy_invariant_under_kernel_conjugation(preset_ctx, rng):
-    # replacing R by Q^T R and the loads by the Q-rotated loads leaves the
-    # value unchanged when Q lies in the rotation kernel (the h^-1 placement
-    # term shifts by L((Q - I)x) = 0 exactly then)
+    # replacing R by Q^T R and the loads by the Q-rotated loads v -> L(Q v),
+    # whose moments are Q^T T_k and Q^T T, leaves the value unchanged when Q
+    # lies in the rotation kernel (the h^-1 placement term shifts by
+    # L((Q - I)x) = 0 exactly then)
     spec, space, ctx = preset_ctx
     coeffs = rng.normal(scale=0.1, size=space.dim)
     R = exp_so3(np.array([0.0, 0.0, 0.8]))
     Q = rotation_about_z(0.7)
-    ctx_rot = nonlinear_context(rotate_loads(spec, Q), space)
+    ctx_rot = dataclasses.replace(ctx, load_moments=Q.T @ ctx.load_moments,
+                                  placement_moment=Q.T @ ctx.placement_moment)
     h = 0.1
     v_base = scaled_energy(DeformationAnsatz(space, coeffs, R, h), ctx)
     v_conj = scaled_energy(DeformationAnsatz(space, coeffs, Q.T @ R, h), ctx_rot)
