@@ -43,6 +43,7 @@ from .loads import (
     compatibility_report,
     default_rules,
     load_functional,
+    moment_matrix,
     reversed_compatibility_witness,
     rigid_projection,
     work_moment,

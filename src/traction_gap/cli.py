@@ -79,13 +79,14 @@ DEFAULT_CONFIG: dict = {
 
 
 # Upper bounds of the size parameters.  A cylinder's linear systems are
-# assembled from 1D tables, so at the caps their size is bounded by the K x K
-# eigendecompositions: K = 1365 for full and 1001 for div_free at degree 12
-# (solve-linear, which assembles both, takes 0.86-0.90 s and 140 MB peak RSS
-# there on 2 cores).  The nonlinear context tabulates its ansatz space on the
-# rule's planar and axial factors (under 8 MB at nonlinear degree 6).  Past
-# geometry.ORDER_CAP, and past galerkin.BALL_ORDER_CAP for ball assembly and
-# its node tables, a derived rule order exits 2.
+# assembled from 1D tables and eigendecomposed by parity block (at most 196
+# rows), so at the caps their size is bounded by their dense K x K arrays:
+# K = 1365 for full and 1001 for div_free at degree 12 (solve-linear, which
+# assembles both, takes 0.36-0.42 s and 131 MB peak RSS there on 2 cores).
+# The nonlinear context tabulates its ansatz space on the rule's planar and
+# axial factors (under 8 MB at nonlinear degree 6).  Past geometry.ORDER_CAP,
+# and past galerkin.BALL_ORDER_CAP for ball assembly and its node tables, a
+# derived rule order exits 2.
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,
@@ -222,18 +223,17 @@ def _classification_rules(spec, cfg):
     return default_rules(spec, max(cfg["quadrature_order"], exact_order(spec)))
 
 
-def _classify(spec, cfg, rules=None) -> KernelReport:
+def _classify(spec, cfg) -> KernelReport:
     """The load's rotation kernel with the config's samples and tolerance;
     every subcommand that needs it classifies once, here."""
-    return compatibility_report(spec, rules or _classification_rules(spec, cfg),
+    return compatibility_report(spec, _classification_rules(spec, cfg),
                                 samples=cfg["kernel_samples"],
                                 tol=cfg["tolerances"]["classification"])
 
 
 def _cmd_check_loads(spec, cfg):
-    rules = _classification_rules(spec, cfg)
-    rep = _classify(spec, cfg, rules)
-    witness = reversed_compatibility_witness(spec, rules, tol=rep.tol)
+    rep = _classify(spec, cfg)
+    witness = reversed_compatibility_witness(rep.moments, tol=rep.tol)
     results = {
         "classification": rep.classification,
         "axis": rep.axis,

@@ -34,11 +34,17 @@ nonlinear context tabulates its ansatz space on the two factors.  The
 default rules are the lowest order exact for fields of degree f: the L^2 Gram
 matrix has degree 2f (A has 2f - 2), the work the forces' degree + f.  Load
 vectors per rotation come from precomputed first-moment tensors:
-L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).  One eigendecomposition of A per
-system gives its kernel and its pseudo-inverse.  Every space carries exact
-coefficient rows of its rigid fields; the kernel must have their count and
-span, and every solve is x = P A^+ b, with P removing the L^2-rigid part of
-the field, which leaves the energy exact.
+L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).
+Both domains and every bounding box are symmetric under the mirrors x -> -x,
+y -> -y and z about mid-height, E:E' and the L^2 product are isotropic, and
+every basis row has a definite parity under each mirror; so A and M couple
+only rows of one parity class, eight classes in all (``parity_blocks``; the
+symmetry-adapted block diagonalization of Fassler & Stiefel, 1992).  One
+eigendecomposition per block gives the kernel and the pseudo-inverse of A;
+an entry of A coupling two blocks past round-off is an AssemblyError.  Every
+space carries exact coefficient rows of its rigid fields; the kernel must
+have their count and span, and every solve is x = P A^+ b, with P removing
+the L^2-rigid part of the field, which leaves the energy exact.
 Because b is linear in R, the per-rotation minimum is the 9x9 quadratic
 form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
@@ -53,6 +59,9 @@ from .geometry import Domain, IntegrationError, QuadratureRule, exact_order
 from .loads import LoadRules, body_force, default_rules, force_degree, work_moment
 
 KERNEL_EIGENVALUE_CUT = 1e-10
+# largest entry of A between two parity blocks, relative to its largest entry;
+# symmetric rules leave round-off (<= 5e-16) there
+PARITY_LEAK_TOL = 1e-12
 COMPATIBILITY_TOL = 1e-8
 # Ball assembly builds (K, N, 12) node tables, 0.72 GB at order 14 (the
 # degree-12 full space); a derived order past it is refused before that.
@@ -192,6 +201,12 @@ class GalerkinSpace:
         vanishes) and the indices of both factors.  A ``div_free`` row's sign
         carries its scale, 1 / (L^2 norm of its field on the bounding box);
         every other row has scale 1.
+
+        Each row's parity class, bit d set when the field is odd under the
+        mirror of coordinate d (u(x) -> S u(S x)), comes from its family's
+        first value slot: the scalar's parity, (ijk + derivative) mod 2,
+        flipped on the slot's own component.  ``parity_blocks`` lists the
+        rows of each non-empty class.
         """
         fams = self._families()
         K = self.dim
@@ -201,9 +216,14 @@ class GalerkinSpace:
         zcode = np.zeros((K, 12), dtype=int)
         self._row_scale = np.ones(K)
         self._fams = []  # (scalar group, rows, template)
+        parity = np.zeros(K, dtype=int)
         row = 0
         for grp, ijk, tmpl in fams:
             rows = slice(row, row + len(ijk))
+            c = min(e for e in tmpl if e < 3)  # the first value slot
+            bits = (ijk + tmpl[c][1]) % 2
+            bits[:, c] ^= 1
+            parity[rows] = bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
             if self.kind == "div_free":
                 self._row_scale[rows] = 1.0 / np.sqrt(self._box_norms_sq(ijk, tmpl))
             for e, (sgn, (nx, ny, nz)) in tmpl.items():
@@ -220,6 +240,8 @@ class GalerkinSpace:
         self._planar_factors = np.stack(np.unravel_index(pf, (base,) * 4), axis=1)  # nx, ny, i, j
         self._axial_factors = np.stack(np.unravel_index(zf, (base,) * 2), axis=1)  # nz, k
         self._slots = (sign, pidx, zidx)
+        blocks = (np.flatnonzero(parity == n) for n in range(8))
+        self.parity_blocks = [b for b in blocks if b.size]
 
     def _box_norms_sq(self, ijk: np.ndarray, tmpl: dict) -> np.ndarray:
         """Squared L^2 norms on the bounding box of a family's fields.
@@ -435,23 +457,45 @@ def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+def _factor(A: np.ndarray,
+            blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """(orthonormal kernel rows, pseudo-inverse, margins) of a symmetric PSD
-    matrix.
+    matrix that couples only rows within each of its parity blocks.
 
-    One eigendecomposition; eigenvalues at or below the cut,
-    KERNEL_EIGENVALUE_CUT times the largest (floored at 1), count as the
-    kernel.  The margins are the smallest kept and the largest dropped
-    eigenvalue divided by the cut (inf when nothing is kept, 0 when nothing
-    is dropped).
+    One eigendecomposition per block; eigenvalues at or below the cut,
+    KERNEL_EIGENVALUE_CUT times the largest over all blocks (floored at 1),
+    count as the kernel.  Each block's pseudo-inverse is scattered into the
+    dense one and its kernel vectors are embedded as rows of length K.  The
+    margins are the smallest kept and the largest dropped eigenvalue divided
+    by the cut (inf when nothing is kept, 0 when nothing is dropped).  An
+    entry outside the blocks larger than PARITY_LEAK_TOL times the largest
+    entry means A lacks the symmetry the blocks assume: AssemblyError.
     """
-    eigvals, V = np.linalg.eigh(M)
-    cut = KERNEL_EIGENVALUE_CUT * max(eigvals[-1], 1.0)
-    keep = eigvals > cut
-    kept, dropped = eigvals[keep], eigvals[~keep]
-    margins = (float(kept[0] / cut) if kept.size else np.inf,
-               float(dropped[-1] / cut) if dropped.size else 0.0)
-    return V[:, ~keep].T.copy(), (V[:, keep] / eigvals[keep]) @ V[:, keep].T, margins
+    K = A.shape[0]
+    peak = leak = 0.0
+    for b in blocks:
+        rows = np.abs(A[b])
+        peak = max(peak, float(rows.max()))
+        rows[:, b] = 0.0
+        leak = max(leak, float(rows.max()))
+    if leak > PARITY_LEAK_TOL * peak:
+        raise AssemblyError(f"stiffness entry {leak:.3e} couples two parity blocks (largest "
+                            f"entry {peak:.3e}): the domain or rule lacks a mirror symmetry")
+    eigs = [np.linalg.eigh(A[np.ix_(b, b)]) for b in blocks]
+    cut = KERNEL_EIGENVALUE_CUT * max(max(w[-1] for w, _ in eigs), 1.0)
+    kernel, pinv = [np.zeros((0, K))], np.zeros((K, K))
+    kept, dropped = np.inf, 0.0
+    for b, (w, V) in zip(blocks, eigs):
+        keep = w > cut
+        if keep.any():
+            kept = min(kept, float(w[keep][0] / cut))
+            pinv[np.ix_(b, b)] = (V[:, keep] / w[keep]) @ V[:, keep].T
+        if not keep.all():
+            dropped = max(dropped, float(w[~keep][-1] / cut))
+            embedded = np.zeros((int(np.count_nonzero(~keep)), K))
+            embedded[:, b] = V[:, ~keep].T
+            kernel.append(embedded)
+    return np.concatenate(kernel), pinv, (kept, dropped)
 
 
 def _rigid_projector(M: np.ndarray, rigid: np.ndarray) -> np.ndarray:
@@ -543,7 +587,10 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndar
                     if e in f[2] and e2 in g[2]:
                         sgn = scale * f[2][e][0] * g[2][e2][0]
                         block += sgn * derivative_gram(f, e, g, e2)
-        return (np.triu(out) + np.triu(out, 1).T) * row_scales
+        out = np.triu(out)
+        out += np.triu(out, 1).T
+        out *= row_scales
+        return out
 
     return gram(3, _STRAIN_PAIRS), gram(0, _MASS_PAIRS)
 
@@ -591,7 +638,7 @@ def assemble(
     vol = rules.volume
     A, M = (_node_grams if vol.planar is None else _factored_grams)(space, vol)
     moments = load_moments(space, load, rules)
-    kernel, pinv, margins = _factor(A)
+    kernel, pinv, margins = _factor(A, space.parity_blocks)
     rigid = space.rigid_coefficients()
     if kernel.shape[0] != rigid.shape[0]:
         raise AssemblyError(

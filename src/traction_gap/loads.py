@@ -316,21 +316,15 @@ def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
                         tol=tol)
 
 
-def reversed_compatibility_witness(
-    load,
-    rules: LoadRules | None = None,
-    tol: float = CLASSIFICATION_TOL,
-) -> np.ndarray | None:
+def reversed_compatibility_witness(T: np.ndarray, tol: float = CLASSIFICATION_TOL) -> np.ndarray | None:
     """The rotation doing the most work L((R - I) x) = <R - I, T> on the
-    reference placement, when that work exceeds tol.
+    reference placement, given the moment matrix T, when that work exceeds
+    tol.
 
     The work is linear in R, so its maximum over SO(3) is attained at the
     special orthogonal Procrustes rotation of T.  None therefore proves that
     no rotation does more than tol work.
     """
-    if rules is None:
-        rules = default_rules(load, exact_order(load))
-    T = moment_matrix(load, rules)
     R, _ = nearest_rotation(T)
     return R if float(np.sum((R - np.eye(3)) * T)) > tol else None
 

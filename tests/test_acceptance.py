@@ -34,6 +34,7 @@ from traction_gap.loads import (
     LoadSpec,
     compatibility_report,
     default_rules,
+    moment_matrix,
     reversed_compatibility_witness,
     rigid_projection,
 )
@@ -145,7 +146,7 @@ def test_criterion_05_kernel_classifications():
     ball = LoadSpec.ball_pull_in()
     rep_ball = compatibility_report(ball, default_rules(ball, 12))
     pressure = LoadSpec(surface_pressure=-1.0)
-    witness = reversed_compatibility_witness(pressure, default_rules(pressure, 12))
+    witness = reversed_compatibility_witness(moment_matrix(pressure, default_rules(pressure, 12)))
     elapsed = time.perf_counter() - t0
     checks = {
         "preset->axis_subgroup(e_z)": rep_axis.classification == "axis_subgroup"

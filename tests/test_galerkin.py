@@ -9,6 +9,9 @@ from traction_gap.galerkin import (
     AssemblyError,
     GalerkinSpace,
     SolverError,
+    _factor,
+    _factored_grams,
+    _node_grams,
     assemble,
     build_space,
     solve_quadratic,
@@ -127,12 +130,15 @@ def test_divfree_rigid_rows_are_the_rigid_fields(domain):
         assert float(np.max(np.abs(got - expected))) < 1e-13
 
 
-@pytest.mark.parametrize("kind", ["full", "div_free"])
-@pytest.mark.parametrize("degree", [8, 12])
-def test_kernel_cut_has_margins_on_both_sides(preset, kind, degree):
+@pytest.mark.parametrize("kind,degree,domain",
+                         [(k, d, CYL) for d in (8, 12) for k in ("full", "div_free")]
+                         + [(k, 6, BALL) for k in ("full", "div_free")],
+                         ids=["8-full", "8-div_free", "12-full", "12-div_free",
+                              "6-full-ball", "6-div_free-ball"])
+def test_kernel_cut_has_margins_on_both_sides(preset, kind, degree, domain):
     # the six rigid directions sit far below the eigenvalue cut and every
     # other direction far above it
-    system = assemble(build_space(kind, degree, CYL), preset)
+    system = assemble(build_space(kind, degree, domain), preset if domain is CYL else BALL_PROFILE)
     kept, dropped = system.kernel_margins
     assert system.kernel.shape[0] == 6
     assert kept >= 10.0
@@ -250,6 +256,111 @@ def test_cylinder_assembly_builds_no_node_tables(preset, monkeypatch):
         assert np.all(np.isfinite(system.A))
     with pytest.raises(AssertionError, match="node tables"):
         assemble(build_space("full", 2, BALL), BALL_PROFILE)
+
+
+SYMMETRIC_CASES = [(kind, degree, d1, CYL) for kind, degree, d1 in KINDS] + [
+    ("full", 4, None, BALL), ("div_free", 3, None, BALL)]
+SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball", "div_free-ball"]
+
+
+def _grams(space):
+    rule = volume_quadrature(space.domain, exact_order(space.domain, 2 * space.field_degree))
+    return (_node_grams if rule.planar is None else _factored_grams)(space, rule)
+
+
+@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+def test_grams_couple_only_rows_of_one_parity(kind, degree, d1, domain):
+    # the three mirrors map the domain and the Legendre box onto themselves,
+    # and E:E' and the L^2 product are isotropic
+    space = build_space(kind, degree, domain, degree1d=d1)
+    blocks = space.parity_blocks
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(space.dim))
+    assert 1 < len(blocks) <= 8
+    label = np.empty(space.dim, dtype=int)
+    for n, b in enumerate(blocks):
+        label[b] = n
+    off = label[:, None] != label[None, :]
+    for G in _grams(space):
+        assert float(np.max(np.abs(G[off]))) <= 1e-12 * float(np.max(np.abs(G)))
+
+
+@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domain):
+    # low degrees: the dense reference's own round-off grows with the
+    # condition number of A (to 2e-12 relative for full at degree 6)
+    space = build_space(kind, degree, domain, degree1d=d1)
+    A, _ = _grams(space)
+    kernel, pinv, (kept, dropped) = _factor(A, space.parity_blocks)
+    w, V = np.linalg.eigh(A)
+    cut = KERNEL_EIGENVALUE_CUT * max(w[-1], 1.0)
+    keep = w > cut
+    ref = (V[:, keep] / w[keep]) @ V[:, keep].T
+    assert float(np.max(np.abs(pinv - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(A @ pinv @ A - A))) <= 1e-13 * float(np.max(np.abs(A)))
+    n = len(space.rigid_coefficients())
+    assert kernel.shape == (n, space.dim)
+    assert np.allclose(kernel @ kernel.T, np.eye(n), atol=1e-14)
+    # sine of the largest principal angle; arccos resolves no angle below 1.5e-8
+    Vk = V[:, ~keep]
+    assert np.linalg.norm(kernel.T - Vk @ (Vk.T @ kernel.T), 2) <= 1e-8
+    assert kept == pytest.approx(w[keep][0] / cut, rel=1e-6)
+    assert dropped <= 1e-3
+
+
+def test_block_factor_refuses_a_matrix_coupling_two_blocks(rng):
+    blocks = [np.array([0, 2, 3]), np.array([1, 4])]
+    A = np.zeros((5, 5))
+    for b in blocks:
+        X = rng.normal(size=(len(b), len(b)))
+        A[np.ix_(b, b)] = X @ X.T + np.eye(len(b))
+    kernel, pinv, _ = _factor(A, blocks)
+    assert kernel.shape == (0, 5)
+    assert np.allclose(pinv @ A, np.eye(5), atol=1e-12)
+    A[0, 1] = A[1, 0] = 1e-6
+    with pytest.raises(AssemblyError, match="parity blocks"):
+        _factor(A, blocks)
+
+
+def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkeypatch):
+    eigh = np.linalg.eigh
+    for kind, degree, d1, domain in SYMMETRIC_CASES:
+        space = build_space(kind, degree, domain, degree1d=d1)
+        largest = max(len(b) for b in space.parity_blocks)
+        assert largest < space.dim
+        sizes = []
+
+        def refuse(a, *args, **kwargs):
+            if a.shape[0] > largest:
+                raise AssertionError(f"eigh of a {a.shape[0]}-row matrix, past the "
+                                     f"largest parity block ({largest} rows)")
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assemble(space, preset if domain is CYL else BALL_PROFILE)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sorted(sizes) == sorted(len(b) for b in space.parity_blocks)
+
+
+def test_gram_mirror_keeps_the_bits_of_the_summed_mirror(monkeypatch):
+    # mirroring in place performs the same additions of exact zeros as the
+    # summed mirror, so A and M are bit for bit (triu(out) + triu(out, 1)')
+    # times the row scales
+    space = build_space("div_free", 4, CYL)
+    triu, upper = np.triu, []
+
+    def spy(m, k=0):
+        if k == 0:
+            upper.append(m.copy())
+        return triu(m, k)
+
+    monkeypatch.setattr(np, "triu", spy)
+    grams = _grams(space)
+    monkeypatch.setattr(np, "triu", triu)
+    row_scales = np.outer(space._row_scale, space._row_scale)
+    assert len(upper) == 2
+    for G, out in zip(grams, upper):
+        assert np.array_equal(G, (np.triu(out) + np.triu(out, 1).T) * row_scales)
 
 
 def test_kernel_matches_rigid_dimension(preset):

@@ -127,9 +127,9 @@ def test_classification_identity_only():
 def test_reversed_witness_compressive_pressure():
     spec = LoadSpec(surface_pressure=-1.0)
     rules = default_rules(spec, 10)
-    R = reversed_compatibility_witness(spec, rules)
-    assert R is not None
     T = moment_matrix(spec, rules)
+    R = reversed_compatibility_witness(T)
+    assert R is not None
     work = float(np.sum((R - np.eye(3)) * T))
     assert work > 0.0
     # matches lambda * Tr(R - I) * |Omega| for the pressure load
@@ -151,7 +151,7 @@ def test_reversed_witness_does_the_most_work(spec, maximum):
     # 4|c| on the half turns
     rules = default_rules(spec, 10)
     T = moment_matrix(spec, rules)
-    R = reversed_compatibility_witness(spec, rules)
+    R = reversed_compatibility_witness(T)
     assert np.allclose(R.T @ R, np.eye(3), atol=1e-14) and np.linalg.det(R) > 0.0
     work = float(np.sum((R - np.eye(3)) * T))
     assert work == pytest.approx(maximum, rel=1e-13)
@@ -161,9 +161,9 @@ def test_reversed_witness_does_the_most_work(spec, maximum):
 
 
 def test_reversed_witness_absent_for_compatible(preset, preset_rules):
-    assert reversed_compatibility_witness(preset, preset_rules) is None
+    assert reversed_compatibility_witness(moment_matrix(preset, preset_rules)) is None
     zero = LoadSpec()
-    assert reversed_compatibility_witness(zero, default_rules(zero, 6)) is None
+    assert reversed_compatibility_witness(moment_matrix(zero, default_rules(zero, 6))) is None
 
 
 def test_kernel_rotations_do_no_work(preset, preset_rules):
