@@ -26,10 +26,12 @@ d^nx L_i(x) d^ny L_j(y) times an axial factor d^nz L_k(z) of scaled Legendre
 polynomials.  On the cylinder's volume rule, a planar (r, theta) rule times a
 Gauss rule in z, this is sum factorization: every entry of A and of the L^2
 Gram matrix M is a planar Gram entry times an axial one, gathered from two
-small Gram matrices of 1D tables; no (K, N) table of the nodes is built.
-Rules without these factors (the ball's volume rule) take node tables and
-one symmetric rank-k product A = S S' of the six weighted strain
-components; so do the values on a pressure load's surface rule.  The
+small Gram matrices of 1D tables; no (K, N) table of the nodes is built, and
+only entries inside a parity block (below) are gathered, straight into
+per-block storage, so no K x K A or M is formed.  Rules without these factors
+take node tables: the values on a pressure load's surface rule, and the
+ball's volume rule, where one symmetric rank-k product A = S S' of the six
+weighted strain components gives A, split with M into the same blocks.  The
 nonlinear context tabulates its ansatz space on the two factors.  The
 default rules are the lowest order exact for fields of degree f: the L^2 Gram
 matrix has degree 2f (A has 2f - 2), the work the forces' degree + f.  Load
@@ -40,8 +42,12 @@ y -> -y and z about mid-height, E:E' and the L^2 product are isotropic, and
 every basis row has a definite parity under each mirror; so A and M couple
 only rows of one parity class, eight classes in all (``parity_blocks``; the
 symmetry-adapted block diagonalization of Fassler & Stiefel, 1992).  One
-eigendecomposition per block gives the kernel and the pseudo-inverse of A;
-an entry of A coupling two blocks past round-off is an AssemblyError.  Every
+eigendecomposition per block gives the kernel and the pseudo-inverse of A.
+The symmetry is guarded where each path relies on it, and a breach past
+round-off is an AssemblyError: on the factored path, a planar Gram entry
+between factors of different (x, y) parity, an axial one between different
+z parities, or a row whose slots disagree on their parity; on the node-table
+path, an entry of A or M coupling two blocks.  Every
 space carries exact coefficient rows of its rigid fields; the kernel must
 have their count and span, and every solve is x = P A^+ b, with P removing
 the L^2-rigid part of the field, which leaves the energy exact.
@@ -59,8 +65,9 @@ from .geometry import Domain, IntegrationError, QuadratureRule, exact_order
 from .loads import LoadRules, body_force, default_rules, force_degree, work_moment
 
 KERNEL_EIGENVALUE_CUT = 1e-10
-# largest entry of A between two parity blocks, relative to its largest entry;
-# symmetric rules leave round-off (<= 5e-16) there
+# largest Gram entry between two parity classes (of A and M on node tables, of
+# the planar and axial factor Grams on tensor rules), relative to the largest
+# entry; symmetric rules leave round-off (<= 1.5e-15) there
 PARITY_LEAK_TOL = 1e-12
 COMPATIBILITY_TOL = 1e-8
 # Ball assembly builds (K, N, 12) node tables, 0.72 GB at order 14 (the
@@ -98,6 +105,12 @@ def _legendre_tables(x: np.ndarray, deg: int, lo: float, hi: float, nder: int) -
     for d in range(1, nder + 1):
         out[d] *= (2.0 / (hi - lo)) ** d
     return out
+
+
+def _runs(labels: np.ndarray) -> list[slice]:
+    """The runs of equal entries of a sorted label array, as slices."""
+    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1), len(labels)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _total_degree_indices(deg: int, ndim: int) -> list[tuple[int, ...]]:
@@ -202,10 +215,14 @@ class GalerkinSpace:
         carries its scale, 1 / (L^2 norm of its field on the bounding box);
         every other row has scale 1.
 
-        Each row's parity class, bit d set when the field is odd under the
-        mirror of coordinate d (u(x) -> S u(S x)), comes from its family's
-        first value slot: the scalar's parity, (ijk + derivative) mod 2,
-        flipped on the slot's own component.  ``parity_blocks`` lists the
+        Each factor has a parity under the mirror of each of its coordinates,
+        (derivative + index) mod 2.  The factors are ordered by it (x + 2y for
+        the planar ones), and ``_factor_classes`` holds the runs of planar and
+        of axial factors of one parity.  A row's parity class, bit d set when
+        the field is odd under the mirror of coordinate d (u(x) -> S u(S x)),
+        is the parity of each of its live slots, flipped on the slot's
+        component and on its derivative's direction.  A row whose slots
+        disagree has no class: AssemblyError.  ``parity_blocks`` lists the
         rows of each non-empty class.
         """
         fams = self._families()
@@ -216,20 +233,21 @@ class GalerkinSpace:
         zcode = np.zeros((K, 12), dtype=int)
         self._row_scale = np.ones(K)
         self._fams = []  # (scalar group, rows, template)
-        parity = np.zeros(K, dtype=int)
         row = 0
         for grp, ijk, tmpl in fams:
             rows = slice(row, row + len(ijk))
-            c = min(e for e in tmpl if e < 3)  # the first value slot
-            bits = (ijk + tmpl[c][1]) % 2
-            bits[:, c] ^= 1
-            parity[rows] = bits[:, 0] + 2 * bits[:, 1] + 4 * bits[:, 2]
             if self.kind == "div_free":
                 self._row_scale[rows] = 1.0 / np.sqrt(self._box_norms_sq(ijk, tmpl))
-            for e, (sgn, (nx, ny, nz)) in tmpl.items():
-                sign[rows, e] = sgn * self._row_scale[rows]
-                pcode[rows, e] = ((nx * base + ny) * base + ijk[:, 0]) * base + ijk[:, 1]
-                zcode[rows, e] = nz * base + ijk[:, 2]
+            e = np.array(list(tmpl))
+            sgn, der = (np.array(v) for v in zip(*tmpl.values()))  # (slots,), (slots, 3)
+            sign[rows, e] = sgn * self._row_scale[rows, None]
+            # parity leads each factor's code, so the factors of a class form one run
+            odd = (ijk[:, None] + der) % 2
+            pcode[rows, e] = np.ravel_multi_index(
+                (odd[..., 0] + 2 * odd[..., 1], *der[:, :2].T, ijk[:, :1], ijk[:, 1:2]),
+                (4,) + (base,) * 4)
+            zcode[rows, e] = np.ravel_multi_index((odd[..., 2], der[:, 2], ijk[:, 2:]),
+                                                  (2, base, base))
             self._fams.append((grp, rows, tmpl))
             row += len(ijk)
         live = sign != 0.0
@@ -237,11 +255,64 @@ class GalerkinSpace:
         zidx = np.zeros((K, 12), dtype=int)
         pf, pidx[live] = np.unique(pcode[live], return_inverse=True)
         zf, zidx[live] = np.unique(zcode[live], return_inverse=True)
-        self._planar_factors = np.stack(np.unravel_index(pf, (base,) * 4), axis=1)  # nx, ny, i, j
-        self._axial_factors = np.stack(np.unravel_index(zf, (base,) * 2), axis=1)  # nz, k
+        plane, *planar = np.unravel_index(pf, (4,) + (base,) * 4)
+        axial, *axial_factors = np.unravel_index(zf, (2, base, base))
+        self._planar_factors = np.stack(planar, axis=1)  # nx, ny, i, j
+        self._axial_factors = np.stack(axial_factors, axis=1)  # nz, k
         self._slots = (sign, pidx, zidx)
+        self._factor_classes = (_runs(plane), _runs(axial))
+        # slot c is u_c, slot 3 + 3c + d is d_d u_c
+        flips = np.array([1 << c for c in range(3)]
+                         + [(1 << c) ^ (1 << d) for c in range(3) for d in range(3)])
+        code = (plane[pidx] + 4 * axial[zidx]) ^ flips
+        parity = code[np.arange(K), np.argmax(live, axis=1)]
+        clash = np.flatnonzero(np.any(live & (code != parity[:, None]), axis=1))
+        if clash.size:
+            raise AssemblyError(f"basis row {clash[0]} has slots of different mirror parities; "
+                                f"it belongs to no parity block")
         blocks = (np.flatnonzero(parity == n) for n in range(8))
         self.parity_blocks = [b for b in blocks if b.size]
+        # the blocks are stored one after another, each as an n x n array
+        self._block_offsets = np.cumsum([0] + [len(b) ** 2 for b in self.parity_blocks])
+
+    def _block_pairs(self):
+        """Where ``_factored_grams`` gathers and scatters, one family pair
+        f <= g at a time (every space is assembled once, so nothing is kept).
+
+        Yields the flat positions, in the blocks' storage, of the (row,
+        column) pairs of one parity class on and above the diagonal and of
+        their mirror images; the products of their row scales; and, for the
+        strain pairs and then the mass pairs (None where no slot pair is
+        live), the flat indices into the planar and axial Gram matrices of
+        each live slot pair, with its coefficient.
+        """
+        _, pidx, zidx = self._slots
+        nP, nZ = len(self._planar_factors), len(self._axial_factors)
+        sizes, offsets = np.array([len(b) for b in self.parity_blocks]), self._block_offsets
+        block, pos = np.empty(self.dim, dtype=np.int8), np.empty(self.dim, dtype=int)
+        for n, b in enumerate(self.parity_blocks):
+            block[b], pos[b] = n, np.arange(len(b))
+        for n, (_, rf, tf) in enumerate(self._fams):
+            for m, (_, rg, tg) in enumerate(self._fams[n:], start=n):
+                same = block[rf, None] == block[None, rg]
+                if m == n:
+                    same &= np.arange(same.shape[0])[:, None] <= np.arange(same.shape[1])
+                r, s = np.divmod(np.flatnonzero(same), same.shape[1])
+                r, s = r + rf.start, s + rg.start
+                start, width = offsets[block[r]], sizes[block[r]]
+                terms = []
+                for shift, pairs in ((3, _STRAIN_PAIRS), (0, _MASS_PAIRS)):
+                    live = [(scale * tf[e + shift][0] * tg[e2 + shift][0], e + shift, e2 + shift)
+                            for e, e2, scale in pairs if e + shift in tf and e2 + shift in tg]
+                    if not live:
+                        terms.append(None)
+                        continue
+                    coef, E, E2 = (np.array(v) for v in zip(*live))
+                    gp = np.take(pidx[:, E] * nP, r, axis=0) + np.take(pidx[:, E2], s, axis=0)
+                    gz = np.take(zidx[:, E] * nZ, r, axis=0) + np.take(zidx[:, E2], s, axis=0)
+                    terms.append((gp, gz, coef))
+                yield (start + pos[r] * width + pos[s], start + pos[s] * width + pos[r],
+                       self._row_scale[r] * self._row_scale[s], terms)
 
     def _box_norms_sq(self, ijk: np.ndarray, tmpl: dict) -> np.ndarray:
         """Squared L^2 norms on the bounding box of a family's fields.
@@ -457,57 +528,82 @@ def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def _factor(A: np.ndarray,
+def _embed(blocks: list[np.ndarray], mats: list[np.ndarray]) -> np.ndarray:
+    """The dense K x K matrix with the given blocks and zeros between them."""
+    K = sum(len(b) for b in blocks)
+    out = np.zeros((K, K))
+    for b, X in zip(blocks, mats):
+        out[np.ix_(b, b)] = X
+    return out
+
+
+def _refuse_leak(G: np.ndarray, classes: list, what: str):
+    """AssemblyError when an entry of G between two of its parity classes
+    (index arrays or slices of its rows) exceeds PARITY_LEAK_TOL times the
+    largest entry; scanned class row by class row, with no K x K mask."""
+    peak = leak = 0.0
+    for c in classes:
+        rows = np.abs(G[c])
+        peak = max(peak, float(rows.max()))
+        rows[:, c] = 0.0
+        leak = max(leak, float(rows.max()))
+    if leak > PARITY_LEAK_TOL * peak:
+        raise AssemblyError(f"{what} entry {leak:.3e} couples two parity blocks (largest "
+                            f"entry {peak:.3e}): the domain or rule lacks a mirror symmetry")
+
+
+def _parity_split(G: np.ndarray, blocks: list[np.ndarray], what: str) -> list[np.ndarray]:
+    """The diagonal blocks of a dense matrix that couples only rows within
+    each block; a larger entry between blocks is an AssemblyError."""
+    _refuse_leak(G, blocks, what)
+    return [G[np.ix_(b, b)] for b in blocks]
+
+
+def _factor(mats: list[np.ndarray],
             blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """(orthonormal kernel rows, pseudo-inverse, margins) of a symmetric PSD
-    matrix that couples only rows within each of its parity blocks.
+    matrix given as its diagonal blocks ``mats`` on the rows ``blocks``.
 
     One eigendecomposition per block; eigenvalues at or below the cut,
     KERNEL_EIGENVALUE_CUT times the largest over all blocks (floored at 1),
     count as the kernel.  Each block's pseudo-inverse is scattered into the
     dense one and its kernel vectors are embedded as rows of length K.  The
     margins are the smallest kept and the largest dropped eigenvalue divided
-    by the cut (inf when nothing is kept, 0 when nothing is dropped).  An
-    entry outside the blocks larger than PARITY_LEAK_TOL times the largest
-    entry means A lacks the symmetry the blocks assume: AssemblyError.
+    by the cut (inf when nothing is kept, 0 when nothing is dropped).  Both
+    assembly paths hand over blocks, each guarded against parity leaks where
+    it forms them.
     """
-    K = A.shape[0]
-    peak = leak = 0.0
-    for b in blocks:
-        rows = np.abs(A[b])
-        peak = max(peak, float(rows.max()))
-        rows[:, b] = 0.0
-        leak = max(leak, float(rows.max()))
-    if leak > PARITY_LEAK_TOL * peak:
-        raise AssemblyError(f"stiffness entry {leak:.3e} couples two parity blocks (largest "
-                            f"entry {peak:.3e}): the domain or rule lacks a mirror symmetry")
-    eigs = [np.linalg.eigh(A[np.ix_(b, b)]) for b in blocks]
+    K = sum(len(b) for b in blocks)
+    eigs = [np.linalg.eigh(X) for X in mats]
     cut = KERNEL_EIGENVALUE_CUT * max(max(w[-1] for w, _ in eigs), 1.0)
-    kernel, pinv = [np.zeros((0, K))], np.zeros((K, K))
+    kernel, inverses = [np.zeros((0, K))], []
     kept, dropped = np.inf, 0.0
     for b, (w, V) in zip(blocks, eigs):
         keep = w > cut
+        inverses.append((V[:, keep] / w[keep]) @ V[:, keep].T)
         if keep.any():
             kept = min(kept, float(w[keep][0] / cut))
-            pinv[np.ix_(b, b)] = (V[:, keep] / w[keep]) @ V[:, keep].T
         if not keep.all():
             dropped = max(dropped, float(w[~keep][-1] / cut))
             embedded = np.zeros((int(np.count_nonzero(~keep)), K))
             embedded[:, b] = V[:, ~keep].T
             kernel.append(embedded)
-    return np.concatenate(kernel), pinv, (kept, dropped)
+    return np.concatenate(kernel), _embed(blocks, inverses), (kept, dropped)
 
 
-def _rigid_projector(M: np.ndarray, rigid: np.ndarray) -> np.ndarray:
+def _rigid_projector(mass: list[np.ndarray], blocks: list[np.ndarray],
+                     rigid: np.ndarray) -> np.ndarray:
     """P with P x = x minus the L^2-closest field spanned by the rigid rows.
 
-    M is the L^2 Gram matrix of the space.  The rigid fields are independent,
-    so their own Gram matrix is SPD; they carry no strain, so P leaves the
-    energy unchanged.
+    ``mass`` holds the parity blocks of the space's L^2 Gram matrix M.  The
+    rigid fields are independent, so their own Gram matrix is SPD; they carry
+    no strain, so P leaves the energy unchanged.
     """
-    F = rigid @ M  # <rigid field a, b_k>
+    F = np.zeros_like(rigid)  # <rigid field a, b_k> = (rigid M)_ak, block by block
+    for b, X in zip(blocks, mass):
+        F[:, b] = rigid[:, b] @ X
     G = F @ rigid.T  # L^2 Gram matrix of the rigid fields
-    return np.eye(M.shape[0]) - rigid.T @ np.linalg.solve(G, F)
+    return np.eye(rigid.shape[1]) - rigid.T @ np.linalg.solve(G, F)
 
 
 # (slot, slot, scale) pairs with 8 E:E' = 8 sum_i g_ii g'_ii
@@ -547,52 +643,58 @@ def _node_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndarray,
     return A, V @ V.T
 
 
-def _factored_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(A, M) on a tensor rule, from planar and axial Gram matrices alone.
+def _factored_grams(space: GalerkinSpace,
+                    rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(A blocks, M blocks) on a tensor rule, from planar and axial Gram
+    matrices alone; no entry between two parity blocks is formed.
 
     Every slot entry is sign * P * Z, so the integral of a product of two
-    entries is a planar Gram entry times an axial one.  A block of two
-    families is a signed sum, over the slot pairs of _STRAIN_PAIRS (of
-    _MASS_PAIRS for M), of derivative Grams: the integrals of d^D m d^D' m'
-    over the two families' scalars, each gathered once.  Blocks on and above
-    the diagonal are summed and mirrored, so A and M are exactly symmetric,
-    and then scaled by the row scales carried in the slot signs.
+    entries is a planar Gram entry times an axial one.  For each family pair,
+    ``_block_pairs`` lists the in-block (row, column) pairs on and above the
+    diagonal; their entries are signed sums, over the live slot pairs of
+    _STRAIN_PAIRS (of _MASS_PAIRS for M), of one gathered planar entry times
+    one axial entry, scaled by the row scales carried in the slot signs.
+    Each sum is written to its position and to its mirror image, so every
+    block is exactly symmetric.  The mirrors live in the factors: a planar
+    Gram entry between factors of different (x, y) parity, or an axial one
+    between different z parities, is an AssemblyError, and with the slot
+    labels checked in ``_separate`` this bounds every entry between blocks.
     """
     px, py, pw = rule.planar
     z, wz = rule.axial
-    P = space._planar(px, py) * np.sqrt(pw)
-    Z = space._axial(z) * np.sqrt(wz)
+    P, Z = space._planar(px, py), space._axial(z)
+    P *= np.sqrt(pw)
+    Z *= np.sqrt(wz)
     GP, GZ = P @ P.T, Z @ Z.T
-    _, pidx, zidx = space._slots
-    row_scales = np.outer(space._row_scale, space._row_scale)
-    cache: dict = {}
+    del P, Z
+    plane, axial = space._factor_classes
+    _refuse_leak(GP, plane, "planar Gram")
+    _refuse_leak(GZ, axial, "axial Gram")
+    GP, GZ = GP.ravel(), GZ.ravel()
+    offsets = space._block_offsets
+    store = np.zeros((2, offsets[-1]))
+    for up, down, scales, terms in space._block_pairs():
+        for out, term in zip(store, terms):
+            if term is not None:
+                gp, gz, coef = term
+                vals = (GP[gp] * GZ[gz]) @ coef
+                vals *= scales
+                out[up] = vals
+                out[down] = vals
+    return tuple([out[lo:hi].reshape(len(b), len(b))
+                  for b, lo, hi in zip(space.parity_blocks, offsets, offsets[1:])]
+                 for out in store)
 
-    def derivative_gram(f, e, g, e2) -> np.ndarray:
-        (gf, rf, tf), (gg, rg, tg) = f, g
-        key, rev = (gf, tf[e][1], gg, tg[e2][1]), (gg, tg[e2][1], gf, tf[e][1])
-        if rev in cache:
-            return cache[rev].T
-        if key not in cache:
-            cache[key] = (GP[np.ix_(pidx[rf, e], pidx[rg, e2])]
-                          * GZ[np.ix_(zidx[rf, e], zidx[rg, e2])])
-        return cache[key]
 
-    def gram(offset: int, pairs) -> np.ndarray:
-        out = np.zeros((space.dim, space.dim))
-        for n, f in enumerate(space._fams):
-            for g in space._fams[n:]:
-                block = out[f[1], g[1]]
-                for e, e2, scale in pairs:
-                    e, e2 = e + offset, e2 + offset
-                    if e in f[2] and e2 in g[2]:
-                        sgn = scale * f[2][e][0] * g[2][e2][0]
-                        block += sgn * derivative_gram(f, e, g, e2)
-        out = np.triu(out)
-        out += np.triu(out, 1).T
-        out *= row_scales
-        return out
-
-    return gram(3, _STRAIN_PAIRS), gram(0, _MASS_PAIRS)
+def _block_grams(space: GalerkinSpace,
+                 rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(A blocks, M blocks): factored on a tensor rule, else split from the
+    node-table Grams, whose entries between blocks are checked there."""
+    if rule.planar is not None:
+        return _factored_grams(space, rule)
+    A, M = _node_grams(space, rule)
+    return (_parity_split(A, space.parity_blocks, "stiffness"),
+            _parity_split(M, space.parity_blocks, "L^2 Gram"))
 
 
 def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
@@ -635,10 +737,10 @@ def assemble(
             raise IntegrationError(f"assembly on the ball needs quadrature order {order}, "
                                    f"past its node-table cap {BALL_ORDER_CAP}")
         rules = default_rules(load, order)
-    vol = rules.volume
-    A, M = (_node_grams if vol.planar is None else _factored_grams)(space, vol)
+    blocks = space.parity_blocks
+    stiffness, mass = _block_grams(space, rules.volume)
     moments = load_moments(space, load, rules)
-    kernel, pinv, margins = _factor(A, space.parity_blocks)
+    kernel, pinv, margins = _factor(stiffness, blocks)
     rigid = space.rigid_coefficients()
     if kernel.shape[0] != rigid.shape[0]:
         raise AssemblyError(
@@ -647,12 +749,13 @@ def assemble(
         )
     if _principal_angle(kernel, rigid) > 1e-6:
         raise AssemblyError("numeric kernel does not span the rigid modes")
-    projector = _rigid_projector(M, rigid)
+    projector = _rigid_projector(mass, blocks, rigid)
     # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
     # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
     # only to second order and m(R) matches solve_quadratic to round-off
     B = moments.reshape(space.dim, 9)
     S = projector @ (pinv @ B)
+    A = _embed(blocks, stiffness)
     Q = S.T @ B + B.T @ S - S.T @ A @ S
     return StiffnessSystem(
         space=space,

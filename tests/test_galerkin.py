@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -9,9 +10,11 @@ from traction_gap.galerkin import (
     AssemblyError,
     GalerkinSpace,
     SolverError,
+    _block_grams,
     _factor,
     _factored_grams,
     _node_grams,
+    _parity_split,
     assemble,
     build_space,
     solve_quadratic,
@@ -264,14 +267,24 @@ SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball", "div_free-ball"]
 
 
 def _grams(space):
+    """The space's (A blocks, M blocks) on the rule exact for them, and that rule."""
     rule = volume_quadrature(space.domain, exact_order(space.domain, 2 * space.field_degree))
-    return (_node_grams if rule.planar is None else _factored_grams)(space, rule)
+    return _block_grams(space, rule), rule
+
+
+def _dense(blocks, parts):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    for b, X in zip(blocks, parts):
+        out[np.ix_(b, b)] = X
+    return out
 
 
 @pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
 def test_grams_couple_only_rows_of_one_parity(kind, degree, d1, domain):
     # the three mirrors map the domain and the Legendre box onto themselves,
-    # and E:E' and the L^2 product are isotropic
+    # and E:E' and the L^2 product are isotropic.  The dense reference comes
+    # from node tables on the same nodes, so it checks the row labels apart
+    # from the blocks, whose entries must then be its in-block entries
     space = build_space(kind, degree, domain, degree1d=d1)
     blocks = space.parity_blocks
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(space.dim))
@@ -280,8 +293,12 @@ def test_grams_couple_only_rows_of_one_parity(kind, degree, d1, domain):
     for n, b in enumerate(blocks):
         label[b] = n
     off = label[:, None] != label[None, :]
-    for G in _grams(space):
-        assert float(np.max(np.abs(G[off]))) <= 1e-12 * float(np.max(np.abs(G)))
+    grams, rule = _grams(space)
+    for G, parts in zip(_node_grams(space, QuadratureRule(rule.points, rule.weights)), grams):
+        scale = float(np.max(np.abs(G)))
+        assert float(np.max(np.abs(G[off]))) <= 1e-12 * scale
+        for b, X in zip(blocks, parts):
+            assert float(np.max(np.abs(X - G[np.ix_(b, b)]))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
@@ -289,8 +306,9 @@ def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domai
     # low degrees: the dense reference's own round-off grows with the
     # condition number of A (to 2e-12 relative for full at degree 6)
     space = build_space(kind, degree, domain, degree1d=d1)
-    A, _ = _grams(space)
-    kernel, pinv, (kept, dropped) = _factor(A, space.parity_blocks)
+    (stiffness, _), _ = _grams(space)
+    A = _dense(space.parity_blocks, stiffness)
+    kernel, pinv, (kept, dropped) = _factor(stiffness, space.parity_blocks)
     w, V = np.linalg.eigh(A)
     cut = KERNEL_EIGENVALUE_CUT * max(w[-1], 1.0)
     keep = w > cut
@@ -308,17 +326,76 @@ def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domai
 
 
 def test_block_factor_refuses_a_matrix_coupling_two_blocks(rng):
+    # the node-table (ball) path splits a dense matrix into its blocks
     blocks = [np.array([0, 2, 3]), np.array([1, 4])]
     A = np.zeros((5, 5))
     for b in blocks:
         X = rng.normal(size=(len(b), len(b)))
         A[np.ix_(b, b)] = X @ X.T + np.eye(len(b))
-    kernel, pinv, _ = _factor(A, blocks)
+    kernel, pinv, _ = _factor(_parity_split(A, blocks, "stiffness"), blocks)
     assert kernel.shape == (0, 5)
     assert np.allclose(pinv @ A, np.eye(5), atol=1e-12)
     A[0, 1] = A[1, 0] = 1e-6
     with pytest.raises(AssemblyError, match="parity blocks"):
-        _factor(A, blocks)
+        _parity_split(A, blocks, "stiffness")
+
+
+@pytest.mark.parametrize("shift", [(0.01, 0.0, 0.0), (0.0, 0.0, 0.01)], ids=["planar", "axial"])
+def test_factored_path_refuses_a_rule_off_the_mirrors(preset, shift):
+    # nodes moved off the x mirror (or the mid-height one) leave planar (or
+    # axial) Gram entries between factors of different parity
+    space = build_space("full", 4, CYL)
+    rule = volume_quadrature(CYL, exact_order(CYL, 2 * space.field_degree))
+    (px, py, pw), (z, wz) = rule.planar, rule.axial
+    dx, _, dz = shift
+    moved = QuadratureRule(rule.points + np.array(shift), rule.weights,
+                           planar=(px + dx, py, pw), axial=(z + dz, wz))
+    which = "planar" if dx else "axial"
+    with pytest.raises(AssemblyError, match=f"{which} Gram entry .* couples two parity blocks"):
+        assemble(space, preset, rules=LoadRules(moved))
+
+
+def test_a_row_whose_slots_disagree_on_parity_is_refused(monkeypatch):
+    families = GalerkinSpace._families
+
+    def mislabel(self):
+        # slot 3 (d_x u_x) with a y derivative in place of the x one: its
+        # parity flips under both the x and the y mirror, so it disagrees
+        # with the row's value slot
+        (grp, ijk, tmpl), *rest = families(self)
+        return [(grp, ijk, {**tmpl, 3: (1.0, (0, 1, 0))}), *rest]
+
+    monkeypatch.setattr(GalerkinSpace, "_families", mislabel)
+    with pytest.raises(AssemblyError, match="basis row 0 has slots of different mirror parities"):
+        build_space("full", 3, CYL)
+
+
+@pytest.mark.parametrize("kind,degree,d1", KINDS, ids=[k[0] for k in KINDS])
+def test_factored_path_gathers_each_in_block_entry_once(kind, degree, d1):
+    # the gathered positions are the blocks' upper triangles and their
+    # mirror images, each once: nothing between two blocks is gathered
+    space = build_space(kind, degree, CYL, degree1d=d1)
+    upper, lower = [], []
+    for b, lo in zip(space.parity_blocks, space._block_offsets):
+        i, j = np.triu_indices(len(b))
+        upper.append(lo + i * len(b) + j)
+        lower.append(lo + j * len(b) + i)
+    for got, want in zip(zip(*(entry[:2] for entry in space._block_pairs())), (upper, lower)):
+        assert np.array_equal(np.sort(np.concatenate(got)), np.sort(np.concatenate(want)))
+
+
+def test_factored_grams_allocate_less_than_one_dense_matrix():
+    # the blocks hold about 1/8 of the K x K entries; a dense A or M alone
+    # would take K^2 doubles
+    space = build_space("full", 10, CYL)
+    rule = volume_quadrature(CYL, exact_order(CYL, 2 * space.field_degree))
+    tracemalloc.start()
+    try:
+        _factored_grams(space, rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * space.dim ** 2
 
 
 def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkeypatch):
@@ -342,25 +419,14 @@ def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkey
         assert sorted(sizes) == sorted(len(b) for b in space.parity_blocks)
 
 
-def test_gram_mirror_keeps_the_bits_of_the_summed_mirror(monkeypatch):
-    # mirroring in place performs the same additions of exact zeros as the
-    # summed mirror, so A and M are bit for bit (triu(out) + triu(out, 1)')
-    # times the row scales
-    space = build_space("div_free", 4, CYL)
-    triu, upper = np.triu, []
-
-    def spy(m, k=0):
-        if k == 0:
-            upper.append(m.copy())
-        return triu(m, k)
-
-    monkeypatch.setattr(np, "triu", spy)
-    grams = _grams(space)
-    monkeypatch.setattr(np, "triu", triu)
-    row_scales = np.outer(space._row_scale, space._row_scale)
-    assert len(upper) == 2
-    for G, out in zip(grams, upper):
-        assert np.array_equal(G, (np.triu(out) + np.triu(out, 1).T) * row_scales)
+def test_gram_mirror_keeps_the_bits_of_the_summed_mirror():
+    # each block entry is summed once, on or above the diagonal, and written
+    # to its mirror image too: every block is its upper triangle mirrored
+    for kind, degree, d1 in KINDS:
+        for parts in _grams(build_space(kind, degree, CYL, degree1d=d1))[0]:
+            for X in parts:
+                assert np.array_equal(X, X.T)
+                assert np.array_equal(X, np.triu(X) + np.triu(X, 1).T)
 
 
 def test_kernel_matches_rigid_dimension(preset):

@@ -5,7 +5,10 @@ A change meant to keep the numbers keeps every numeric leaf within 1e-12
 relative or 1e-15 absolute, and every other leaf exactly.  The
 nonlinear-study rows are compared at 1e-9 absolute: the descent stops once a
 round lowers the value by less than ALTERNATION_TOL = 1e-10, so they are
-resolved to about that level only.
+resolved to about that level only.  A ``results.residual_norm`` leaf is the
+norm of a residual that is exactly zero in exact arithmetic; its round-off
+depends on the BLAS reduction order (thread count, blocking), so it is held
+to the bound ZERO_NORM_BOUND instead of to its recorded value.
 """
 
 import json
@@ -18,6 +21,7 @@ from traction_gap import cli
 RECORDED = Path(__file__).parent / "data" / "default_reports"
 REL, ABS = 1e-12, 1e-15
 DESCENT_ABS = 1e-9
+ZERO_NORM_BOUND = 1e-12
 
 
 def _leaves(obj, path=""):
@@ -41,6 +45,8 @@ def test_default_report_matches_the_recorded_one(tmp_path, sub):
         value = got[path]
         if isinstance(expected, bool) or not isinstance(expected, (int, float)):
             assert value == expected, path
+        elif path == "results.residual_norm":
+            assert 0.0 <= value <= ZERO_NORM_BOUND, path
         elif sub == "nonlinear-study" and path.startswith("results.rows"):
             assert abs(value - expected) <= DESCENT_ABS, path
         else:
