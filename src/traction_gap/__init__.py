@@ -21,7 +21,7 @@ from .galerkin import (
     build_space,
     solve_quadratic,
 )
-from .geometry import Domain, QuadratureRule, integrate_scalar, surface_quadrature, volume_quadrature
+from .geometry import Domain, QuadratureRule, surface_quadrature, volume_quadrature
 from .limits import (
     ExplicitSolution,
     GapReport,

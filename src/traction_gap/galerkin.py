@@ -23,16 +23,16 @@ The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
 the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.
 Every basis value and gradient entry is +-P * Z, a planar factor
 d^nx L_i(x) d^ny L_j(y) times an axial factor d^nz L_k(z) of scaled Legendre
-polynomials.  On the cylinder's volume rule, a planar (r, theta) rule times a
-Gauss rule in z, this is sum factorization: every entry of A and of the L^2
-Gram matrix M is a planar Gram entry times an axial one, gathered from two
-small Gram matrices of 1D tables; no (K, N) table of the nodes is built, and
-only entries inside a parity block (below) are gathered, straight into
-per-block storage, so no K x K A or M is formed.  Rules without these factors
-take node tables: the values on a pressure load's surface rule, and the
-ball's volume rule, where one symmetric rank-k product A = S S' of the six
-weighted strain components gives A, split with M into the same blocks.  The
-nonlinear context tabulates its ansatz space on the two factors.  The
+polynomials.  Every volume rule is a sum of tensor terms, a planar (r, theta)
+rule times a Gauss rule in z (one term on the cylinder, one per mirror pair
+of z slices on the ball), so this is sum factorization: every entry of A and
+of the L^2 Gram matrix M is a sum over the terms of a planar Gram entry times
+an axial one, gathered from small Gram matrices of 1D tables; no (K, N) table
+of the volume nodes is built, and only entries inside a parity block (below)
+are gathered, straight into per-block storage, so no K x K A or M is formed.
+Node tables remain for the values on a pressure load's surface rule and for
+``evaluate`` and ``gradients``.  The nonlinear context tabulates its ansatz
+space on the cylinder's two factors.  The
 default rules are the lowest order exact for fields of degree f: the L^2 Gram
 matrix has degree 2f (A has 2f - 2), the work the forces' degree + f.  Load
 vectors per rotation come from precomputed first-moment tensors:
@@ -43,11 +43,10 @@ every basis row has a definite parity under each mirror; so A and M couple
 only rows of one parity class, eight classes in all (``parity_blocks``; the
 symmetry-adapted block diagonalization of Fassler & Stiefel, 1992).  One
 eigendecomposition per block gives the kernel and the pseudo-inverse of A.
-The symmetry is guarded where each path relies on it, and a breach past
-round-off is an AssemblyError: on the factored path, a planar Gram entry
-between factors of different (x, y) parity, an axial one between different
-z parities, or a row whose slots disagree on their parity; on the node-table
-path, an entry of A or M coupling two blocks.  Every
+The symmetry is guarded where assembly relies on it, and a breach past
+round-off is an AssemblyError: a planar Gram entry of a term between factors
+of different (x, y) parity, an axial one between different z parities, or a
+row whose slots disagree on their parity.  Every
 space carries exact coefficient rows of its rigid fields; the kernel must
 have their count and span, and every solve is x = P A^+ b, with P removing
 the L^2-rigid part of the field, which leaves the energy exact.
@@ -61,18 +60,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, IntegrationError, QuadratureRule, exact_order
+from .geometry import Domain, QuadratureRule, exact_order
 from .loads import LoadRules, body_force, default_rules, force_degree, work_moment
 
 KERNEL_EIGENVALUE_CUT = 1e-10
-# largest Gram entry between two parity classes (of A and M on node tables, of
-# the planar and axial factor Grams on tensor rules), relative to the largest
-# entry; symmetric rules leave round-off (<= 1.5e-15) there
+# largest entry of a term's planar or axial factor Gram between two parity
+# classes, relative to its largest entry; symmetric rules leave round-off
+# (<= 1.5e-15) there
 PARITY_LEAK_TOL = 1e-12
 COMPATIBILITY_TOL = 1e-8
-# Ball assembly builds (K, N, 12) node tables, 0.72 GB at order 14 (the
-# degree-12 full space); a derived order past it is refused before that.
-BALL_ORDER_CAP = 14
 
 
 class AssemblyError(RuntimeError):
@@ -377,8 +373,9 @@ class GalerkinSpace:
         factor L_0), axial rows (0, 0, w(z)) constant in the plane."""
         if self.kind not in ("ansatz_k", "ansatz_k_div"):
             raise ValueError(f"factor tables exist only for ansatz spaces, not {self.kind!r}")
-        if rule.planar is None:
-            raise ValueError(f"rule {rule.label!r} carries no planar and axial factors")
+        if len(rule.terms) != 1:
+            raise ValueError(f"rule {rule.label!r} is not one product of planar and axial factors")
+        ((px, py, _), (z, _)), = rule.terms
         sign, pidx, zidx = self._slots
         rows_p, rows_a = slice(0, len(self._idx2)), slice(len(self._idx2), self.dim)
         inplane = [0, 1, 3, 4, 6, 7]  # u_x, u_y, then d_d u_c for c, d in (x, y)
@@ -387,7 +384,7 @@ class GalerkinSpace:
         assert not np.delete(sign[rows_a], axial, axis=1).any()
         assert not self._axial_factors[zidx[rows_p][:, inplane]].any()
         assert not self._planar_factors[pidx[rows_a][:, axial]].any()
-        P, Z = self._planar(*rule.planar[:2]), self._axial(rule.axial[0])
+        P, Z = self._planar(px, py), self._axial(z)
         planar = (sign[rows_p][:, inplane, None] * P[pidx[rows_p][:, inplane]]).transpose(0, 2, 1)
         ax = sign[rows_a][:, axial, None] * Z[zidx[rows_a][:, axial]]
         K_P, N_P = planar.shape[:2]
@@ -552,13 +549,6 @@ def _refuse_leak(G: np.ndarray, classes: list, what: str):
                             f"entry {peak:.3e}): the domain or rule lacks a mirror symmetry")
 
 
-def _parity_split(G: np.ndarray, blocks: list[np.ndarray], what: str) -> list[np.ndarray]:
-    """The diagonal blocks of a dense matrix that couples only rows within
-    each block; a larger entry between blocks is an AssemblyError."""
-    _refuse_leak(G, blocks, what)
-    return [G[np.ix_(b, b)] for b in blocks]
-
-
 def _factor(mats: list[np.ndarray],
             blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """(orthonormal kernel rows, pseudo-inverse, margins) of a symmetric PSD
@@ -569,9 +559,7 @@ def _factor(mats: list[np.ndarray],
     count as the kernel.  Each block's pseudo-inverse is scattered into the
     dense one and its kernel vectors are embedded as rows of length K.  The
     margins are the smallest kept and the largest dropped eigenvalue divided
-    by the cut (inf when nothing is kept, 0 when nothing is dropped).  Both
-    assembly paths hand over blocks, each guarded against parity leaks where
-    it forms them.
+    by the cut (inf when nothing is kept, 0 when nothing is dropped).
     """
     K = sum(len(b) for b in blocks)
     eigs = [np.linalg.eigh(X) for X in mats]
@@ -617,67 +605,42 @@ _STRAIN_PAIRS = tuple((3 * i + i, 3 * i + i, 8.0) for i in range(3)) + tuple(
 _MASS_PAIRS = tuple((c, c, 1.0) for c in range(3))
 
 
-def _node_grams(space: GalerkinSpace, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(A, M) from node tables, for rules without tensor factors.
-
-    8 E:E' = 8 sum_i g_ii g'_ii + 4 sum_{i<j} (g_ij + g_ji)(g'_ij + g'_ji), so
-    the six independent strain components, scaled by sqrt(8w) and sqrt(4w),
-    form one (K, 6N) table S with A = S S'.  numpy evaluates S @ S.T as a
-    symmetric rank-k update: half the flops of a general product, and an
-    exactly symmetric result.  The L^2 Gram M is the same product of the
-    weighted values.
-    """
-    vals, grads = space.tables(rule)
-    K, N = space.dim, len(rule)
-    s8, s4 = np.sqrt(8.0 * rule.weights), np.sqrt(4.0 * rule.weights)
-    S = np.empty((K, 6, N))
-    for row, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        np.multiply(grads[:, :, row, row], s8, out=S[:, row])
-        np.add(grads[:, :, i, j], grads[:, :, j, i], out=S[:, 3 + row])
-        S[:, 3 + row] *= s4
-    del grads
-    S = S.reshape(K, 6 * N)
-    A = S @ S.T
-    del S
-    V = (vals * np.sqrt(rule.weights)[:, None]).reshape(K, 3 * N)
-    return A, V @ V.T
-
-
 def _factored_grams(space: GalerkinSpace,
                     rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(A blocks, M blocks) on a tensor rule, from planar and axial Gram
-    matrices alone; no entry between two parity blocks is formed.
+    """(A blocks, M blocks) on a volume rule, from the planar and axial Gram
+    matrices of its terms alone; no entry between two parity blocks is formed.
 
     Every slot entry is sign * P * Z, so the integral of a product of two
-    entries is a planar Gram entry times an axial one.  For each family pair,
-    ``_block_pairs`` lists the in-block (row, column) pairs on and above the
-    diagonal; their entries are signed sums, over the live slot pairs of
-    _STRAIN_PAIRS (of _MASS_PAIRS for M), of one gathered planar entry times
-    one axial entry, scaled by the row scales carried in the slot signs.
-    Each sum is written to its position and to its mirror image, so every
-    block is exactly symmetric.  The mirrors live in the factors: a planar
-    Gram entry between factors of different (x, y) parity, or an axial one
-    between different z parities, is an AssemblyError, and with the slot
-    labels checked in ``_separate`` this bounds every entry between blocks.
+    entries is a sum over the rule's terms of a planar Gram entry times an
+    axial one.  For each family pair, ``_block_pairs`` lists the in-block
+    (row, column) pairs on and above the diagonal; their entries are signed
+    sums, over the live slot pairs of _STRAIN_PAIRS (of _MASS_PAIRS for M), of
+    the gathered planar-times-axial sums, scaled by the row scales carried in
+    the slot signs.  Each sum is written to its position and to its mirror
+    image, so every block is exactly symmetric.  The mirrors live in the
+    factors: a planar Gram entry of a term between factors of different (x, y)
+    parity, or an axial one between different z parities, is an
+    AssemblyError, and with the slot labels checked in ``_separate`` this
+    bounds every entry between blocks.
     """
-    px, py, pw = rule.planar
-    z, wz = rule.axial
-    P, Z = space._planar(px, py), space._axial(z)
-    P *= np.sqrt(pw)
-    Z *= np.sqrt(wz)
-    GP, GZ = P @ P.T, Z @ Z.T
-    del P, Z
     plane, axial = space._factor_classes
-    _refuse_leak(GP, plane, "planar Gram")
-    _refuse_leak(GZ, axial, "axial Gram")
-    GP, GZ = GP.ravel(), GZ.ravel()
+    grams = []
+    for (px, py, pw), (z, wz) in rule.terms:
+        P, Z = space._planar(px, py), space._axial(z)
+        P *= np.sqrt(pw)
+        Z *= np.sqrt(wz)
+        GP, GZ = P @ P.T, Z @ Z.T
+        del P, Z
+        _refuse_leak(GP, plane, "planar Gram")
+        _refuse_leak(GZ, axial, "axial Gram")
+        grams.append((GP.ravel(), GZ.ravel()))
     offsets = space._block_offsets
     store = np.zeros((2, offsets[-1]))
     for up, down, scales, terms in space._block_pairs():
         for out, term in zip(store, terms):
             if term is not None:
                 gp, gz, coef = term
-                vals = (GP[gp] * GZ[gz]) @ coef
+                vals = sum((GP[gp] * GZ[gz]) @ coef for GP, GZ in grams)
                 vals *= scales
                 out[up] = vals
                 out[down] = vals
@@ -686,41 +649,28 @@ def _factored_grams(space: GalerkinSpace,
                  for out in store)
 
 
-def _block_grams(space: GalerkinSpace,
-                 rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(A blocks, M blocks): factored on a tensor rule, else split from the
-    node-table Grams, whose entries between blocks are checked there."""
-    if rule.planar is not None:
-        return _factored_grams(space, rule)
-    A, M = _node_grams(space, rule)
-    return (_parity_split(A, space.parity_blocks, "stiffness"),
-            _parity_split(M, space.parity_blocks, "L^2 Gram"))
-
-
 def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature.
 
-    T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n).  On a tensor rule the force
-    component f_i, an (N_P, N_Z) array of node values, is contracted with the
-    weighted planar and axial factors, (P w) F_i (Z w)', and each entry is
-    gathered from that; no separability of f is needed.  Other rules (and the
-    surface term) hand node tables (K, N, 3) to ``loads.work_moment``.
+    T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n).  On each term of the volume rule
+    the force component f_i, an (N_P, N_Z) array of node values, is contracted
+    with the weighted planar and axial factors, (P w) F_i (Z w)'; each entry
+    is gathered from the sum over the terms, and no separability of f is
+    needed.  The surface term hands node tables (K, N, 3) to
+    ``loads.work_moment``.
     """
     vol, surf = rules.volume, rules.surface if load.has_surface_term else None
     svals = None if surf is None else space._build_tables(surf, gradients=False)[0]
-    if vol.planar is None:
-        vals, _ = space._build_tables(vol, gradients=False)
-        return work_moment(load, rules, vals, svals)
     f = body_force(load, vol.points)
-    px, py, pw = vol.planar
-    z, wz = vol.axial
-    P = space._planar(px, py) * pw
-    Z = space._axial(z) * wz
+    Y, start = 0.0, 0
+    for (px, py, pw), (z, wz) in vol.terms:
+        P = space._planar(px, py) * pw
+        Z = space._axial(z) * wz
+        F = f[start:start + pw.size * wz.size].reshape(pw.size, wz.size, 3)
+        start += pw.size * wz.size
+        Y = Y + np.stack([(P @ F[..., i]) @ Z.T for i in range(3)])
     sign, pidx, zidx = space._slots
-    moments = np.empty((space.dim, 3, 3))
-    for i in range(3):
-        Y = (P @ f[:, i].reshape(pw.size, wz.size)) @ Z.T
-        moments[:, i] = sign[:, :3] * Y[pidx[:, :3], zidx[:, :3]]
+    moments = sign[:, None, :3] * Y[:, pidx[:, :3], zidx[:, :3]].transpose(1, 0, 2)
     return moments + work_moment(load, rules, None, svals)
 
 
@@ -732,13 +682,9 @@ def assemble(
     """Quadratic form, load moments, its factorization and rotation form."""
     if rules is None:
         f = space.field_degree
-        order = exact_order(space.domain, max(2 * f, force_degree(load) + f))
-        if space.domain.kind == "ball" and order > BALL_ORDER_CAP:
-            raise IntegrationError(f"assembly on the ball needs quadrature order {order}, "
-                                   f"past its node-table cap {BALL_ORDER_CAP}")
-        rules = default_rules(load, order)
+        rules = default_rules(load, exact_order(max(2 * f, force_degree(load) + f)))
     blocks = space.parity_blocks
-    stiffness, mass = _block_grams(space, rules.volume)
+    stiffness, mass = _factored_grams(space, rules.volume)
     moments = load_moments(space, load, rules)
     kernel, pinv, margins = _factor(stiffness, blocks)
     rigid = space.rigid_coefficients()

@@ -1,17 +1,19 @@
 """Reference configurations and quadrature.
 
 Two preset domains: a cylinder of unit radius and height with its axis on
-z and base at z = 0, and the unit ball.  Volume rules are tensor products
-of Gauss-Legendre in the radial/axial directions and a uniform (periodic)
-rule in the angle; the angular direction carries 2*order nodes.  Every
-rule order in the package comes from ``exact_order``, the lowest order
-integrating all polynomials of a given total degree exactly.
-The cylinder's volume rule also carries its two factors, a planar (r, theta)
-rule and a Gauss rule in z: node planar_index * N_z + z_index sits at
-(x_p, y_p, z_k) with weight w_p * w_k, which lets Galerkin assembly integrate
-products of planar and axial functions factor by factor.
-Integration sums in fixed node order (numpy pairwise summation), so
-results are reproducible run to run.
+z and base at z = 0, and the unit ball.  Every volume rule is a sum of
+tensor terms, each a planar (r, theta) rule times a Gauss rule in z: the
+planar rule of order n is Gauss-Legendre in r (jacobian r) times a uniform
+(periodic) rule of 2n angles.  The cylinder is one term, with n Gauss nodes
+in z.  The ball is sliced at n + 1 Gauss nodes z_t on [-a, a]; slice t
+carries the planar rule scaled to the radius rho_t = sqrt(a^2 - z_t^2), and
+the two slices of a mirror pair {z_t, -z_t} (or the middle slice, alone)
+form one term.  Node planar_index * N_z + z_index of a term sits at
+(x_p, y_p, z_k) with weight w_p * w_k, and the terms' nodes follow one
+another, which lets Galerkin assembly integrate products of planar and
+axial functions factor by factor, term by term.  Every rule order in the
+package comes from ``exact_order``, the lowest order integrating all
+polynomials of a given total degree exactly.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class QuadratureRule:
     weights: np.ndarray  # (N,)
     normals: np.ndarray | None = None  # (N, 3) outward units, surface rules only
     label: str = ""
-    planar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (x, y, w), tensor rules only
-    axial: tuple[np.ndarray, np.ndarray] | None = None  # (z, w), tensor rules only
+    terms: tuple = ()  # volume rules: ((x, y, w) planar, (z, w) axial) per tensor term
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -83,12 +84,16 @@ def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0) -> tuple[np.ndarray
 ORDER_CAP = 32  # largest order exact_order returns
 
 
-def exact_order(domain: Domain, degree: int) -> int:
-    """Rule order exact for every polynomial of total degree `degree`: each
-    factor of the order-n rule is exact through degree 2n - 1, and the
-    jacobian adds r on the cylinder, r^2 on the ball.  IntegrationError past
-    ORDER_CAP."""
-    order = degree // 2 + 1 if domain.kind == "cylinder" else (degree + 4) // 2
+def exact_order(degree: int) -> int:
+    """Rule order exact for every polynomial of total degree `degree`, on both
+    domains: the order-n rule integrates degree 2n - 1.  A planar monomial of
+    odd degree (< 2n) averages out over the 2n angles; one of even degree k
+    needs r^(k+1) from the n radial nodes, so k <= 2n - 2.  On the cylinder
+    its z factor, of degree <= 2n - 1 - k, needs the n Gauss nodes.  On a
+    ball slice of radius rho the planar part integrates to c rho^(k+2), a
+    polynomial in z, so the whole integrand has degree <= 2n + 1 in z, exact
+    on the n + 1 slices.  IntegrationError past ORDER_CAP."""
+    order = degree // 2 + 1
     if order > ORDER_CAP:
         raise IntegrationError(f"integrands of degree {degree} need quadrature order {order}, "
                                f"past the cap {ORDER_CAP}")
@@ -100,38 +105,43 @@ def _angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return th, np.full(n, 2.0 * np.pi / n)
 
 
+def _disk(order: int, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, w) of the order-`order` planar rule on the disk of `radius`."""
+    rr, wr = gauss_legendre(order)
+    r = radius * rr
+    wr = radius * wr * r  # jacobian r
+    th, wt = _angles(2 * order)
+    R, T = np.meshgrid(r, th, indexing="ij")
+    return (R * np.cos(T)).ravel(), (R * np.sin(T)).ravel(), (wr[:, None] * wt[None, :]).ravel()
+
+
+def _tensor_rule(terms, label: str = "") -> QuadratureRule:
+    """The rule of the given ((x, y, w), (z, w)) terms, their nodes in turn."""
+    pts, wts = [], []
+    for (px, py, pw), (z, wz) in terms:
+        pts.append(np.stack([np.repeat(px, z.size), np.repeat(py, z.size), np.tile(z, pw.size)],
+                            axis=1))
+        wts.append((pw[:, None] * wz[None, :]).ravel())
+    return QuadratureRule(np.concatenate(pts), np.concatenate(wts), label=label, terms=tuple(terms))
+
+
 def volume_quadrature(domain: Domain, order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
-    ntheta = 2 * order
     if domain.kind == "cylinder":
-        rr, wr = gauss_legendre(order)
-        r = domain.radius * rr
-        wr = domain.radius * wr * r  # jacobian r
-        th, wt = _angles(ntheta)
         zz, wz = gauss_legendre(order)
-        z = domain.height * zz
-        wz = domain.height * wz
-        R, T = np.meshgrid(r, th, indexing="ij")
-        px, py = (R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()
-        pw = (wr[:, None] * wt[None, :]).ravel()
-        pts = np.stack([np.repeat(px, z.size), np.repeat(py, z.size), np.tile(z, pw.size)], axis=1)
-        return QuadratureRule(pts, (pw[:, None] * wz[None, :]).ravel(), label=f"cylinder-vol-{order}",
-                              planar=(px, py, pw), axial=(z, wz))
-    # ball: r in [0,1] with r^2 jacobian, t = cos(polar) in [-1,1], uniform azimuth
-    rr, wr = gauss_legendre(order)
-    r = domain.radius * rr
-    wr = domain.radius * wr * r * r
-    tt, wt = gauss_legendre(order, -1.0, 1.0)
-    th, wa = _angles(ntheta)
-    R, T, A = np.meshgrid(r, tt, th, indexing="ij")
-    W = wr[:, None, None] * wt[None, :, None] * wa[None, None, :]
-    sin_pol = np.sqrt(1.0 - T * T)
-    pts = np.stack(
-        [(R * sin_pol * np.cos(A)).ravel(), (R * sin_pol * np.sin(A)).ravel(), (R * T).ravel()],
-        axis=1,
-    )
-    return QuadratureRule(pts, W.ravel(), label=f"ball-vol-{order}")
+        axial = (domain.height * zz, domain.height * wz)
+        return _tensor_rule([(_disk(order, domain.radius), axial)], f"cylinder-vol-{order}")
+    # ball: slices at the n + 1 Gauss nodes, which numpy places mirror-symmetrically
+    a = domain.radius
+    z, wz = gauss_legendre(order + 1, -a, a)
+    rho = np.sqrt(a * a - z * z)
+    px, py, pw = _disk(order, 1.0)
+    terms = []
+    for t in range((z.size + 1) // 2):
+        pair = np.unique([t, z.size - 1 - t])
+        terms.append(((rho[t] * px, rho[t] * py, rho[t] ** 2 * pw), (z[pair], wz[pair])))
+    return _tensor_rule(terms, f"ball-vol-{order}")
 
 
 def surface_quadrature(domain: Domain, order: int) -> QuadratureRule:
@@ -170,33 +180,3 @@ def surface_quadrature(domain: Domain, order: int) -> QuadratureRule:
     wts = np.concatenate([lat_w, cap_w, cap_w])
     nrm = np.concatenate([lat_n, -ez, ez], axis=0)
     return QuadratureRule(pts, wts, normals=nrm, label=f"cylinder-surf-{order}")
-
-
-def _node_values(field, rule: QuadratureRule) -> np.ndarray:
-    vals = field(rule.points) if callable(field) else np.asarray(field, dtype=float)
-    if vals.shape[0] != len(rule):
-        raise IntegrationError(
-            f"field produced {vals.shape[0]} values for {len(rule)} nodes"
-        )
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(vals.T).T))[0][0]
-        raise IntegrationError(
-            f"non-finite field value at node {bad}, x = {rule.points[bad]}"
-        )
-    return vals
-
-
-def integrate_scalar(field, rule: QuadratureRule) -> float:
-    """Sum of w_i * field(x_i); field is callable on (N, 3) or an (N,) array."""
-    vals = _node_values(field, rule)
-    if vals.ndim != 1:
-        raise IntegrationError("integrate_scalar expects scalar node values")
-    return float(np.dot(rule.weights, vals))
-
-
-def integrate_dot(field_a, field_b, rule: QuadratureRule) -> float:
-    """Sum of w_i * a(x_i) . b(x_i) for vector- or matrix-valued fields."""
-    va = _node_values(field_a, rule)
-    vb = _node_values(field_b, rule)
-    prod = (va * vb).reshape(len(rule), -1).sum(axis=1)
-    return float(np.dot(rule.weights, prod))

@@ -207,8 +207,8 @@ class ExplicitSolution:
         work deg psi + deg w.
         """
         dp, dw = self.planar.degree(), self.axial.degree()
-        return exact_order(Domain.cylinder(), max(4 * dp, self.phi.degree() + 2 * dp,
-                                                  2 * dw - 2, self.psi.degree() + dw))
+        return exact_order(max(4 * dp, self.phi.degree() + 2 * dp, 2 * dw - 2,
+                               self.psi.degree() + dw))
 
     @property
     def min_incompressible_lower(self) -> float:
@@ -220,7 +220,7 @@ class ExplicitSolution:
         strain squared has degree 2 deg w - 2.
         """
         degree = max(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
-        vol = volume_quadrature(Domain.cylinder(), exact_order(Domain.cylinder(), degree))
+        vol = volume_quadrature(Domain.cylinder(), exact_order(degree))
         E = self.u0.strain(vol.points)
         dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
         return -QUADRATIC_SCALE * sym_norm_sq_sum(dev, vol.weights)

@@ -189,7 +189,7 @@ def force_degree(load) -> int:
 def exact_order(load) -> int:
     """Rule order integrating the moment matrix and the resultant exactly:
     f_i x_j has the forces' degree + 1."""
-    return geometry.exact_order(load.domain, force_degree(load) + 1)
+    return geometry.exact_order(force_degree(load) + 1)
 
 
 def work_moment(load, rules: LoadRules, values, surface_values=None):

@@ -118,10 +118,10 @@ def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
     space; that start has the forces' degree + 2 (equilibrium is of order 2)."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
-    rules = default_rules(spec, exact_order(spec.domain, degree))
+    rules = default_rules(spec, exact_order(degree))
     (_, pg), (_, ag) = space.factor_tables(rules.volume)
     system = assemble(space, spec, rules=rules)
-    pw, zw = rules.volume.planar[2], rules.volume.axial[1]
+    ((_, _, pw), (_, zw)), = rules.volume.terms
     return NonlinearContext(
         space=space,
         rule=rules.volume,
@@ -311,8 +311,8 @@ def rescaled_strain_norm(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> fl
     h, R = ansatz.h, ansatz.rotation
     Gp, Gz = ctx.factor_fields(ansatz.coeffs)
     A, B = (R - np.eye(3)) / h + R @ Gp, R @ Gz
-    cross = np.sum(strain(np.tensordot(ctx.rule.planar[2], A, 1))
-                   * strain(np.tensordot(ctx.rule.axial[1], B, 1)))
+    ((_, _, pw), (_, zw)), = ctx.rule.terms
+    cross = np.sum(strain(np.tensordot(pw, A, 1)) * strain(np.tensordot(zw, B, 1)))
     return float(np.sqrt(sym_norm_sq_sum(A, ctx.planar_weights)
                          + sym_norm_sq_sum(B, ctx.axial_weights) + 2.0 * cross))
 

@@ -10,23 +10,22 @@ from traction_gap.galerkin import (
     AssemblyError,
     GalerkinSpace,
     SolverError,
-    _block_grams,
     _factor,
     _factored_grams,
-    _node_grams,
-    _parity_split,
+    _refuse_leak,
     assemble,
     build_space,
     solve_quadratic,
 )
 from traction_gap.energy import strain
-from traction_gap.geometry import Domain, QuadratureRule, exact_order, volume_quadrature
+from traction_gap.geometry import Domain, QuadratureRule, _tensor_rule, exact_order, volume_quadrature
 from traction_gap.loads import (
     LoadRules,
     LoadSpec,
     default_rules,
     load_functional,
     rigid_projection,
+    work_moment,
 )
 from traction_gap.rotations import rotation_about_z, skew_matrix
 
@@ -97,7 +96,7 @@ def test_divfree_spans_every_curl_of_a_legendre_scalar(degree):
     # <= degree + 1 (the span of all vector potentials) is reproduced by its
     # discrete L^2 projection onto the gauge-fixed space
     space = build_space("div_free", degree, CYL)
-    rule = volume_quadrature(CYL, exact_order(CYL, 2 * space.field_degree))
+    rule = volume_quadrature(CYL, exact_order(2 * space.field_degree))
     sw = np.sqrt(rule.weights)[:, None]
     vals, _ = space.tables(rule)
     basis = (vals * sw).reshape(space.dim, -1).T
@@ -195,11 +194,10 @@ def test_assemble_zero_loads_and_rotation_independence(preset):
                                                    ("div_free", 2, None, CYL), ("full", 3, None, BALL)],
                          ids=["full", "ansatz_k", "ansatz_k_div", "div_free", "ball"])
 def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
-    # the assembled form against 4 * integral |E|^2 by direct quadrature: the
-    # factored path on the cylinder, the node-table rank-k product on the ball
+    # the assembled form against 4 * integral |E|^2 by direct quadrature, on
+    # the cylinder's one tensor term and on the ball's sliced terms
     space = build_space(kind, degree, domain, degree1d=d1)
     system = assemble(space, preset if domain is CYL else BALL_PROFILE)
-    assert (system.rules.volume.planar is None) == (domain is BALL)
     assert np.array_equal(system.A, system.A.T)
     rule = system.rules.volume
     c = rng.normal(size=space.dim)
@@ -234,31 +232,15 @@ def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d
         assert np.isclose(float(c @ system.load_vector(R)), work, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("kind,degree,d1", KINDS, ids=[k[0] for k in KINDS])
-def test_factored_assembly_matches_node_tables(preset, kind, degree, d1):
-    # the same nodes and weights without their tensor factors take the
-    # node-table path, the reference of the sum-factorized one
-    space = build_space(kind, degree, CYL, degree1d=d1)
-    factored = assemble(space, preset)
-    vol = factored.rules.volume
-    nodes = assemble(space, preset, rules=LoadRules(QuadratureRule(vol.points, vol.weights)))
-    for name in ("A", "load_moments", "projector"):
-        ref = getattr(nodes, name)
-        scale = float(np.max(np.abs(ref)))
-        assert scale > 1e-3
-        assert float(np.max(np.abs(getattr(factored, name) - ref))) <= 1e-13 * scale, name
-
-
-def test_cylinder_assembly_builds_no_node_tables(preset, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("node tables built for a cylinder linear system")
-
-    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
-    for kind, degree, d1 in KINDS:
-        system = assemble(build_space(kind, degree, CYL, degree1d=d1), preset)
-        assert np.all(np.isfinite(system.A))
-    with pytest.raises(AssertionError, match="node tables"):
-        assemble(build_space("full", 2, BALL), BALL_PROFILE)
+def _node_grams(space, rule):
+    """Dense (A, M) from node tables, the reference of the factored assembly:
+    A = 8 S S' with S the strains and M = V V' with V the values, each node
+    weighted by sqrt(w)."""
+    vals, grads = space.tables(rule)
+    root = np.sqrt(rule.weights)[:, None]
+    S = (strain(grads) * root[..., None]).reshape(space.dim, -1)
+    V = (vals * root).reshape(space.dim, -1)
+    return 8.0 * (S @ S.T), V @ V.T
 
 
 SYMMETRIC_CASES = [(kind, degree, d1, CYL) for kind, degree, d1 in KINDS] + [
@@ -266,10 +248,39 @@ SYMMETRIC_CASES = [(kind, degree, d1, CYL) for kind, degree, d1 in KINDS] + [
 SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball", "div_free-ball"]
 
 
+@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+def test_factored_assembly_matches_node_tables(preset, kind, degree, d1, domain):
+    # A, the load moments and the rigid projector against their node-table
+    # references on the same nodes and weights
+    space = build_space(kind, degree, domain, degree1d=d1)
+    load = preset if domain is CYL else BALL_PROFILE
+    system = assemble(space, load)
+    A, M = _node_grams(space, system.rules.volume)
+    vals, _ = space.tables(system.rules.volume)
+    F = system.rigid @ M
+    refs = {"A": A, "load_moments": work_moment(load, system.rules, vals),
+            "projector": np.eye(space.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)}
+    for name, ref in refs.items():
+        scale = float(np.max(np.abs(ref)))
+        assert scale > 1e-3
+        assert float(np.max(np.abs(getattr(system, name) - ref))) <= 1e-13 * scale, name
+
+
+def test_assembly_builds_no_node_tables(preset, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables built for a linear system")
+
+    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    for kind, degree, d1, domain in SYMMETRIC_CASES:
+        system = assemble(build_space(kind, degree, domain, degree1d=d1),
+                          preset if domain is CYL else BALL_PROFILE)
+        assert np.all(np.isfinite(system.A))
+
+
 def _grams(space):
     """The space's (A blocks, M blocks) on the rule exact for them, and that rule."""
-    rule = volume_quadrature(space.domain, exact_order(space.domain, 2 * space.field_degree))
-    return _block_grams(space, rule), rule
+    rule = volume_quadrature(space.domain, exact_order(2 * space.field_degree))
+    return _factored_grams(space, rule), rule
 
 
 def _dense(blocks, parts):
@@ -294,7 +305,7 @@ def test_grams_couple_only_rows_of_one_parity(kind, degree, d1, domain):
         label[b] = n
     off = label[:, None] != label[None, :]
     grams, rule = _grams(space)
-    for G, parts in zip(_node_grams(space, QuadratureRule(rule.points, rule.weights)), grams):
+    for G, parts in zip(_node_grams(space, rule), grams):
         scale = float(np.max(np.abs(G)))
         assert float(np.max(np.abs(G[off]))) <= 1e-12 * scale
         for b, X in zip(blocks, parts):
@@ -326,33 +337,38 @@ def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domai
 
 
 def test_block_factor_refuses_a_matrix_coupling_two_blocks(rng):
-    # the node-table (ball) path splits a dense matrix into its blocks
+    # the leak guard every factor Gram passes, on a dense matrix with blocks
     blocks = [np.array([0, 2, 3]), np.array([1, 4])]
     A = np.zeros((5, 5))
     for b in blocks:
         X = rng.normal(size=(len(b), len(b)))
         A[np.ix_(b, b)] = X @ X.T + np.eye(len(b))
-    kernel, pinv, _ = _factor(_parity_split(A, blocks, "stiffness"), blocks)
+    _refuse_leak(A, blocks, "stiffness")
+    kernel, pinv, _ = _factor([A[np.ix_(b, b)] for b in blocks], blocks)
     assert kernel.shape == (0, 5)
     assert np.allclose(pinv @ A, np.eye(5), atol=1e-12)
     A[0, 1] = A[1, 0] = 1e-6
-    with pytest.raises(AssemblyError, match="parity blocks"):
-        _parity_split(A, blocks, "stiffness")
+    with pytest.raises(AssemblyError, match="stiffness entry .* couples two parity blocks"):
+        _refuse_leak(A, blocks, "stiffness")
 
 
-@pytest.mark.parametrize("shift", [(0.01, 0.0, 0.0), (0.0, 0.0, 0.01)], ids=["planar", "axial"])
-def test_factored_path_refuses_a_rule_off_the_mirrors(preset, shift):
-    # nodes moved off the x mirror (or the mid-height one) leave planar (or
-    # axial) Gram entries between factors of different parity
-    space = build_space("full", 4, CYL)
-    rule = volume_quadrature(CYL, exact_order(CYL, 2 * space.field_degree))
-    (px, py, pw), (z, wz) = rule.planar, rule.axial
-    dx, _, dz = shift
-    moved = QuadratureRule(rule.points + np.array(shift), rule.weights,
-                           planar=(px + dx, py, pw), axial=(z + dz, wz))
-    which = "planar" if dx else "axial"
+@pytest.mark.parametrize("domain,which", [(CYL, "planar"), (CYL, "axial"), (BALL, "planar"),
+                                          (BALL, "axial")],
+                         ids=["planar", "axial", "ball-planar", "ball-axial"])
+def test_factored_path_refuses_a_rule_off_the_mirrors(preset, domain, which):
+    # nodes of the last term moved off the x mirror leave planar Gram entries
+    # between factors of different parity; so does a z slice moved off the
+    # mid-height mirror (on the ball: off its mirror partner) for axial ones
+    space = build_space("full", 4, domain)
+    rule = volume_quadrature(domain, exact_order(2 * space.field_degree))
+    *rest, ((px, py, pw), (z, wz)) = rule.terms
+    if which == "planar":
+        last = ((px + 0.01, py, pw), (z, wz))
+    else:
+        last = ((px, py, pw), (z + 0.01 * (np.arange(z.size) == 0), wz))
+    load = preset if domain is CYL else BALL_PROFILE
     with pytest.raises(AssemblyError, match=f"{which} Gram entry .* couples two parity blocks"):
-        assemble(space, preset, rules=LoadRules(moved))
+        assemble(space, load, rules=LoadRules(_tensor_rule([*rest, last])))
 
 
 def test_a_row_whose_slots_disagree_on_parity_is_refused(monkeypatch):
@@ -388,7 +404,7 @@ def test_factored_grams_allocate_less_than_one_dense_matrix():
     # the blocks hold about 1/8 of the K x K entries; a dense A or M alone
     # would take K^2 doubles
     space = build_space("full", 10, CYL)
-    rule = volume_quadrature(CYL, exact_order(CYL, 2 * space.field_degree))
+    rule = volume_quadrature(CYL, exact_order(2 * space.field_degree))
     tracemalloc.start()
     try:
         _factored_grams(space, rule)

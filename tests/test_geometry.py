@@ -1,12 +1,14 @@
+from math import gamma
+
 import numpy as np
 import pytest
 
 from traction_gap.geometry import (
+    ORDER_CAP,
     Domain,
     IntegrationError,
+    exact_order,
     gauss_legendre,
-    integrate_dot,
-    integrate_scalar,
     surface_quadrature,
     volume_quadrature,
 )
@@ -14,21 +16,76 @@ from traction_gap.geometry import (
 
 def test_cylinder_volume_and_moments():
     rule = volume_quadrature(Domain.cylinder(), 8)
-    ones = np.ones(len(rule))
-    assert np.isclose(integrate_scalar(ones, rule), np.pi, atol=1e-12)
-    assert np.isclose(integrate_scalar(lambda p: p[:, 2], rule), np.pi / 2, atol=1e-12)
-    assert np.isclose(
-        integrate_scalar(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, rule), np.pi / 2, atol=1e-12
-    )
-    zz = integrate_scalar(lambda p: p[:, 2] * (p[:, 2] - 1.0), rule)
-    assert np.isclose(zz, -np.pi / 6, atol=1e-12)
+    x, y, z = rule.points.T
+    assert np.isclose(float(np.sum(rule.weights)), np.pi, atol=1e-12)
+    assert np.isclose(rule.weights @ z, np.pi / 2, atol=1e-12)
+    assert np.isclose(rule.weights @ (x ** 2 + y ** 2), np.pi / 2, atol=1e-12)
+    assert np.isclose(rule.weights @ (z * (z - 1.0)), -np.pi / 6, atol=1e-12)
 
 
 def test_ball_volume():
     rule = volume_quadrature(Domain.unit_ball(), 8)
     assert np.isclose(float(np.sum(rule.weights)), 4 * np.pi / 3, atol=1e-12)
-    r2 = integrate_scalar(lambda p: np.einsum("ni,ni->n", p, p), rule)
+    r2 = rule.weights @ np.einsum("ni,ni->n", rule.points, rule.points)
     assert np.isclose(r2, 4 * np.pi / 5, atol=1e-12)
+
+
+def _monomial_integrals(kind: str, i: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form integrals of x^i y^j z^k and of |x^i y^j z^k| over the unit
+    cylinder or ball, as (j, k) arrays for j + k <= degree - i."""
+    G = np.array([gamma((n + 1) / 2) for n in range(3 * degree + 6)])  # G[n] = gamma((n + 1) / 2)
+    j, k = np.ogrid[:degree + 1 - i, :degree + 1 - i]
+    odd = (i % 2) | (j % 2)
+    if kind == "cylinder":  # unit disk times z in [0, 1]
+        size = G[i] * G[j] / G[i + j + 3] / (k + 1)
+    else:
+        size = 2.0 * G[i] * G[j] * G[k] / (G[i + j + k + 2] * (i + j + k + 3))
+        odd = odd | (k % 2)
+    return np.where(odd, 0.0, size), size
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "ball"])
+@pytest.mark.parametrize("degree", [0, 1, 4, 9, 16, 25, 2 * ORDER_CAP - 1])
+def test_exact_order_integrates_every_monomial_exactly(kind, degree):
+    # every x^i y^j z^k with i + j + k <= degree, against its closed form; the
+    # error is measured against the integral of |x^i y^j z^k|, so the tiny
+    # integrals of high mixed monomials are held to round-off as well
+    rule = volume_quadrature(Domain(kind), exact_order(degree))
+    powers = np.ones((3, degree + 1, len(rule)))
+    for n in range(degree):
+        powers[:, n + 1] = powers[:, n] * rule.points.T
+    for i in range(degree + 1):
+        Y, Z = powers[1, :degree + 1 - i], powers[2, :degree + 1 - i]
+        got = (rule.weights * powers[0, i] * Y) @ Z.T  # (j, k); only j + k <= degree - i is checked
+        ref, size = _monomial_integrals(kind, i, degree)
+        j, k = np.ogrid[:degree + 1 - i, :degree + 1 - i]
+        assert np.all((np.abs(got - ref) <= 1e-13 * size + 1e-15) | (j + k > degree - i)), i
+
+
+def test_ball_terms_are_mirror_pairs_of_slices():
+    # n + 1 slices, paired with their mirror images (the middle one alone),
+    # each a scaled disk rule; the terms' nodes follow one another
+    for order in (1, 2, 5):
+        rule = volume_quadrature(Domain.unit_ball(), order)
+        z = np.concatenate([t[1][0] for t in rule.terms])
+        assert z.size == order + 1 and len(rule.terms) == (order + 2) // 2
+        start = 0
+        for (px, py, pw), (tz, tw) in rule.terms:
+            assert np.array_equal(tz, -tz[::-1]) and np.array_equal(tw, tw[::-1])
+            n = pw.size * tz.size
+            assert np.isclose(pw.sum(), np.pi * (1.0 - tz[0] ** 2), rtol=1e-14)  # disk of radius rho
+            assert np.array_equal(rule.points[start:start + n],
+                                  np.stack([np.repeat(px, tz.size), np.repeat(py, tz.size),
+                                            np.tile(tz, pw.size)], axis=1))
+            assert np.array_equal(rule.weights[start:start + n], np.outer(pw, tw).ravel())
+            start += n
+        assert start == len(rule)
+
+
+def test_exact_order_refuses_past_the_cap():
+    assert exact_order(2 * ORDER_CAP - 1) == ORDER_CAP
+    with pytest.raises(IntegrationError, match=f"past the cap {ORDER_CAP}"):
+        exact_order(2 * ORDER_CAP)
 
 
 def test_cylinder_surface_rule():
@@ -88,7 +145,7 @@ def test_divergence_theorem_on_random_fields(rng):
         flux = float(
             np.dot(surf.weights, np.einsum("ni,ni->n", field(surf.points), surf.normals))
         )
-        bulk = integrate_scalar(divergence, vol)
+        bulk = vol.weights @ divergence(vol.points)
         assert abs(flux - bulk) < 1e-10
 
 
@@ -106,17 +163,8 @@ def test_doubling_order_is_stable_on_load_profiles(preset):
 
 
 def test_integration_errors():
-    rule = volume_quadrature(Domain.cylinder(), 4)
-    with pytest.raises(IntegrationError, match="non-finite"):
-        integrate_scalar(lambda p: np.where(p[:, 0] > 0, np.inf, 1.0), rule)
     with pytest.raises(ValueError):
         volume_quadrature(Domain.cylinder(), 0)
-
-
-def test_integrate_dot():
-    rule = volume_quadrature(Domain.cylinder(), 6)
-    a = np.ones((len(rule), 3))
-    assert np.isclose(integrate_dot(a, a, rule), 3 * np.pi, atol=1e-12)
 
 
 def test_domain_validation():

@@ -393,7 +393,7 @@ def test_thin_films_converge_at_rule_order_21(monkeypatch):
     # order 21 integrates the degree-5 energy as exactly as the derived 17, so
     # every row must converge there too; round-off in I + h G kept the gradient
     # test out of reach at h = 0.002
-    monkeypatch.setattr(scaled, "exact_order", lambda domain, degree: 21)
+    monkeypatch.setattr(scaled, "exact_order", lambda degree: 21)
     hs = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005)
     rows = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)
     assert [row.status for row in rows] == ["converged"] * len(hs)
