@@ -8,9 +8,7 @@ from .energy import (
     density,
     density_gradient,
     quadratic_form,
-    quadratic_form_incompressible,
     strain,
-    taylor_residual,
 )
 from .galerkin import (
     GalerkinSpace,
@@ -54,19 +52,13 @@ from .profiles import (
     radial_ode_residual,
 )
 from .rotations import (
-    AxisAngle,
-    SkewParams,
     coercivity_profile,
     exp_so3,
     nearest_rotation,
-    rodrigues,
     rotation_about_z,
-    skew_matrix,
 )
 from .scaled import (
     ConvergenceRow,
-    DeformationAnsatz,
-    best_fit_rotation,
     convergence_study,
     minimize_scaled,
     nonlinear_context,

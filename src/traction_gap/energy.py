@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 QUADRATIC_SCALE = 4.0
-INCOMPRESSIBLE_TRACE_TOL = 1e-12
 
 _I = np.eye(3)
 
@@ -55,22 +54,6 @@ def density_gradient(F: np.ndarray) -> np.ndarray:
 def quadratic_form(F: np.ndarray) -> np.ndarray | float:
     """Q(F) = 4 |sym F|^2."""
     return QUADRATIC_SCALE * _norm_sq(strain(F))
-
-
-def quadratic_form_incompressible(F: np.ndarray) -> float:
-    """Q(F) when tr F = 0, +inf otherwise."""
-    F = np.asarray(F, dtype=float)
-    if abs(float(np.trace(F))) >= INCOMPRESSIBLE_TRACE_TOL:
-        return np.inf
-    return float(quadratic_form(F))
-
-
-def taylor_residual(B: np.ndarray, h: float) -> float:
-    """|h^-2 density(I + h B) - Q(sym B)|; decays like O(h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    B = np.asarray(B, dtype=float)
-    return abs(_norm_sq(_green(h * B)) / h ** 2 - quadratic_form(B))
 
 
 def ksv_density_sum(D: np.ndarray, w: np.ndarray) -> float:

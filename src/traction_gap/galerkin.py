@@ -31,12 +31,11 @@ an axial one, gathered from small Gram matrices of 1D tables; no (K, N) table
 of the volume nodes is built, and only entries inside a parity block (below)
 are gathered, straight into per-block storage, so no K x K A or M is formed.
 Node tables remain for the values on a pressure load's surface rule and for
-``evaluate`` and ``gradients``.  The nonlinear context tabulates its ansatz
-space on the cylinder's two factors.  The
-default rules are the lowest order exact for fields of degree f: the L^2 Gram
-matrix has degree 2f (A has 2f - 2), the work the forces' degree + f.  Load
-vectors per rotation come from precomputed first-moment tensors:
-L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).
+``tables``.  The nonlinear context tabulates its ansatz space on the
+cylinder's two factors.  The default rules are the lowest order exact for
+fields of degree f: the L^2 Gram matrix has degree 2f (A has 2f - 2), the
+work the forces' degree + f.  Load vectors per rotation come from
+precomputed first-moment tensors: L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).
 Both domains and every bounding box are symmetric under the mirrors x -> -x,
 y -> -y and z about mid-height, E:E' and the L^2 product are isotropic, and
 every basis row has a definite parity under each mirror; so A and M couple
@@ -390,14 +389,6 @@ class GalerkinSpace:
         K_P, N_P = planar.shape[:2]
         return ((planar[..., :2], planar[..., 2:].reshape(K_P, N_P, 2, 2)),
                 (ax[:, 0], ax[:, 1]))
-
-    def evaluate(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        vals, _ = self._build_tables(rule, gradients=False)
-        return np.tensordot(coeffs, vals, axes=(0, 0))
-
-    def gradients(self, coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-        _, grads = self.tables(rule)
-        return np.tensordot(coeffs, grads, axes=(0, 0))
 
     # -- rigid displacements ------------------------------------------
 

@@ -40,12 +40,6 @@ class Domain:
         if self.radius <= 0 or self.height <= 0:
             raise ValueError("radius and height must be positive")
 
-    @property
-    def volume(self) -> float:
-        if self.kind == "cylinder":
-            return np.pi * self.radius ** 2 * self.height
-        return 4.0 * np.pi * self.radius ** 3 / 3.0
-
     @staticmethod
     def cylinder(radius: float = 1.0, height: float = 1.0) -> "Domain":
         return Domain("cylinder", radius, height)

@@ -118,9 +118,6 @@ class StructuredField:
         self.dw = self.w.deriv()
         self.d2w = self.dw.deriv()
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.value(points)
-
     def value(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]

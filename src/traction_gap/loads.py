@@ -43,7 +43,7 @@ from numpy.polynomial import Polynomial
 from . import geometry
 from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
 from .profiles import as_poly, axial_conditions, radial_conditions
-from .rotations import SkewParams, nearest_rotation, skew_from_axis
+from .rotations import nearest_rotation, skew_from_axis
 
 PROFILE_TOL = 1e-12
 CLASSIFICATION_TOL = 1e-9
@@ -105,11 +105,6 @@ class LoadSpec:
     @property
     def has_surface_term(self) -> bool:
         return self.surface_pressure is not None and self.surface_pressure != 0.0
-
-    @property
-    def axial_moment(self) -> float:
-        """First moment of psi, the knob separating axis kernel from full SO(3)."""
-        return axial_conditions(self.psi)["first_moment"]
 
     @staticmethod
     def cylinder_preset(beta: float = 0.01) -> "LoadSpec":
@@ -323,7 +318,10 @@ def reversed_compatibility_witness(T: np.ndarray, tol: float = CLASSIFICATION_TO
 
     The work is linear in R, so its maximum over SO(3) is attained at the
     special orthogonal Procrustes rotation of T.  None therefore proves that
-    no rotation does more than tol work.
+    no rotation does more than tol work.  The maximizer need not be unique:
+    for T = c I with c < 0 (a compressive pressure, ``ball_pull_in``) every
+    half-turn does the same maximal work -4c, and the one returned is
+    whichever half-turn round-off in T picks.
     """
     R, _ = nearest_rotation(T)
     return R if float(np.sum((R - np.eye(3)) * T)) > tol else None
@@ -332,11 +330,7 @@ def reversed_compatibility_witness(T: np.ndarray, tol: float = CLASSIFICATION_TO
 @dataclass
 class RigidPart:
     translation: np.ndarray
-    spin: SkewParams
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.spin.rotation_axis
+    omega: np.ndarray
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -363,9 +357,4 @@ def rigid_projection(v, rule: QuadratureRule) -> RigidPart:
     rhs[:3] = w @ vals
     rhs[3:] = np.einsum("n,ni->i", w, np.cross(x, vals))
     sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    a, omega = sol[:3], sol[3:]
-    W = skew_from_axis(omega)
-    return RigidPart(
-        translation=a,
-        spin=SkewParams(a=float(W[0, 1]), b=float(W[0, 2]), c=float(W[1, 2])),
-    )
+    return RigidPart(translation=sol[:3], omega=sol[3:])

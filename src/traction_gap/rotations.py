@@ -1,81 +1,21 @@
-"""3D rotation parameterizations, nearest-rotation projection, and the
+"""3D rotations from axis vectors, nearest-rotation projection, and the
 quadratic-to-p-growth coercivity profile.
 
 Matrix arguments are plain (3, 3) float64 numpy arrays; ``nearest_rotation``
-also takes stacks (..., 3, 3).  Skew matrices
-follow the row convention ``rows (0, a, b), (-a, 0, c), (-b, -c, 0)``; the
-rotation generated by such a matrix has axis ``(-c, b, -a)``.
+also takes stacks (..., 3, 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 IDENTITY = np.eye(3)
-
-SKEW_TOL = 1e-12
-NORMALIZATION_TOL = 1e-12
-UNIT_AXIS_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class SkewParams:
-    """The three free entries (a, b, c) of a skew-symmetric matrix."""
-
-    a: float
-    b: float
-    c: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return skew_matrix(self.a, self.b, self.c)
-
-    @property
-    def rotation_axis(self) -> np.ndarray:
-        """Axis omega such that W x = omega x x (unnormalized)."""
-        return np.array([-self.c, self.b, -self.a])
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    axis: tuple[float, float, float]
-    theta: float
-
-    def __post_init__(self):
-        n = float(np.linalg.norm(self.axis))
-        if abs(n - 1.0) > UNIT_AXIS_TOL:
-            raise ValueError(f"axis must be unit length, |axis| = {n}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return exp_so3(self.theta * np.asarray(self.axis))
-
-
-def skew_matrix(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
 
 
 def skew_from_axis(omega: np.ndarray) -> np.ndarray:
     """Skew matrix W with W x = omega x x."""
     wx, wy, wz = omega
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-
-def rodrigues(W: np.ndarray, theta: float) -> np.ndarray:
-    """Rotation from a skew generator normalized to |W|^2 = 2.
-
-    Rejects non-skew or wrongly normalized input; use :func:`exp_so3` for
-    the unnormalized exponential map in optimizer loops.
-    """
-    W = np.asarray(W, dtype=float)
-    if np.max(np.abs(W + W.T)) > SKEW_TOL:
-        raise ValueError("rodrigues requires a skew-symmetric generator")
-    norm_sq = float(np.sum(W * W))
-    if abs(norm_sq - 2.0) > NORMALIZATION_TOL:
-        raise ValueError(f"rodrigues requires |W|^2 = 2, got {norm_sq}")
-    return _rodrigues(W, theta)
 
 
 def _rodrigues(W: np.ndarray, theta: float) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Finite-strain energy at thickness h, its alternating descent minimization,
-the best-fit rotation of a deformation, and the h -> 0 convergence study.
+and the h -> 0 convergence study.
 
 A deformation ansatz is y(x) = R (x + h u(x)) with R a rotation and u a
 field in a Galerkin space; frame indifference turns the scaled energy into
@@ -42,7 +42,7 @@ from .loads import (
     force_degree,
     moment_matrix,
 )
-from .rotations import coercivity_profile, distance_to_axis_rotations, exp_so3, nearest_rotation
+from .rotations import distance_to_axis_rotations, exp_so3, nearest_rotation
 
 COEFF_GRAD_TOL = 1e-8
 COEFF_MAX_ITERS = 5000
@@ -51,18 +51,6 @@ ARMIJO_SLOPE = 1e-4
 ALTERNATION_TOL = 1e-10
 ALTERNATION_MAX_ROUNDS = 60
 DIVERGENCE_FLOOR = -1e12
-
-
-@dataclass
-class DeformationAnsatz:
-    space: GalerkinSpace
-    coeffs: np.ndarray
-    rotation: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise ValueError("h must lie in (0, 1)")
 
 
 @dataclass
@@ -98,11 +86,6 @@ class NonlinearContext:
         Gz[:, 2, 2] = coeffs[K_P:] @ self.axial_slopes
         return Gp, Gz
 
-    def gradient_field(self, coeffs: np.ndarray) -> np.ndarray:
-        """(N, 3, 3) displacement gradient, node = planar index * N_z + z index."""
-        Gp, Gz = self.factor_fields(coeffs)
-        return (Gp[:, None] + Gz[None, :]).reshape(-1, 3, 3)
-
     def work_moment(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("k,kij->ij", coeffs, self.load_moments)
 
@@ -135,9 +118,9 @@ def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
     )
 
 
-def scaled_energy(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
-    """Value of the scaled energy at the ansatz (quadrature over the rule)."""
-    h, R, c = ansatz.h, ansatz.rotation, ansatz.coeffs
+def scaled_energy(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> float:
+    """Value of the scaled energy at coefficients c, rotation R and thickness h
+    (quadrature over the context's rule)."""
     Gp, Gz = ctx.factor_fields(c)
     value = (ksv_density_sum(h * Gp, ctx.planar_weights)
              + ksv_density_sum(h * Gz, ctx.axial_weights)) / (h * h)
@@ -155,59 +138,54 @@ def _coeff_gradient(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContex
 
 
 def _descend_coefficients(
-    ansatz: DeformationAnsatz, ctx: NonlinearContext
-) -> tuple[np.ndarray, float, float, str]:
+    c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext
+) -> tuple[np.ndarray, float, str]:
     """Armijo-backtracked gradient descent in the coefficient vector.
 
-    Returns the coefficients, their value, the metric gradient norm and why
-    the descent stopped: "converged" (norm below COEFF_GRAD_TOL),
+    Returns the coefficients, their value and why the descent stopped:
+    "converged" (metric gradient norm below COEFF_GRAD_TOL),
     "line_search_failed" (no step passed the Armijo test) or "max_iters".
     """
-    c = ansatz.coeffs.copy()
-    h, R = ansatz.h, ansatz.rotation
-    value = scaled_energy(DeformationAnsatz(ansatz.space, c, R, h), ctx)
-    gnorm = np.inf
+    value = scaled_energy(c, R, h, ctx)
     for _ in range(COEFF_MAX_ITERS):
         g = _coeff_gradient(c, R, h, ctx)
         d = ctx.metric @ g  # descent direction in the limit-stiffness metric
         slope = float(g @ d)
-        gnorm = float(np.sqrt(max(slope, 0.0)))
-        if gnorm < COEFF_GRAD_TOL:
-            return c, value, gnorm, "converged"
+        if float(np.sqrt(max(slope, 0.0))) < COEFF_GRAD_TOL:
+            return c, value, "converged"
         step = 1.0
         while step > 1e-16:
             trial = c - step * d
-            v_trial = scaled_energy(DeformationAnsatz(ansatz.space, trial, R, h), ctx)
+            v_trial = scaled_energy(trial, R, h, ctx)
             if v_trial <= value - ARMIJO_SLOPE * step * slope:
                 c, value = trial, v_trial
                 break
             step *= ARMIJO_SHRINK
         else:
-            return c, value, gnorm, "line_search_failed"
+            return c, value, "line_search_failed"
         if value < DIVERGENCE_FLOOR:
             raise SolverError(
                 "scaled energy diverged below the admissible floor; the loads "
                 "look incompatible"
             )
-    return c, value, gnorm, "max_iters"
+    return c, value, "max_iters"
 
 
 @dataclass
 class NonlinearResult:
     coefficients: np.ndarray
     rotation: np.ndarray
-    h: float
     value: float
-    gradient_norm: float
     rounds: int
     status: str
 
 
 def minimize_scaled(
     spec: LoadSpec,
+    coeffs: np.ndarray,
+    R: np.ndarray,
     h: float,
-    init: DeformationAnsatz,
-    ctx: NonlinearContext | None = None,
+    ctx: NonlinearContext,
     report: KernelReport | None = None,
 ) -> NonlinearResult:
     """Alternating (coefficients, rotation) descent of the scaled energy.
@@ -226,16 +204,13 @@ def minimize_scaled(
             "loads do positive work on some rotation; the scaled energies "
             "are unbounded below as h -> 0"
         )
-    if ctx is None:
-        ctx = nonlinear_context(spec, init.space)
-    c, R = init.coeffs.copy(), init.rotation.copy()
-    value = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
+    c = coeffs.copy()
+    value = scaled_energy(c, R, h, ctx)
     status = "max_rounds"
     for rounds in range(1, ALTERNATION_MAX_ROUNDS + 1):
-        anz = DeformationAnsatz(init.space, c, R, h)
-        c, _, gnorm, descent = _descend_coefficients(anz, ctx)
+        c, _, descent = _descend_coefficients(c, R, h, ctx)
         R, _ = nearest_rotation(ctx.work_moment(c) + ctx.placement_moment / h)
-        v_after = scaled_energy(DeformationAnsatz(init.space, c, R, h), ctx)
+        v_after = scaled_energy(c, R, h, ctx)
         decrease = value - v_after
         value = v_after
         if decrease < ALTERNATION_TOL:
@@ -243,48 +218,7 @@ def minimize_scaled(
             break
     if status != "max_rounds" and descent != "converged":
         status = descent
-    return NonlinearResult(
-        coefficients=c,
-        rotation=R,
-        h=h,
-        value=value,
-        gradient_norm=gnorm,
-        rounds=rounds,
-        status=status,
-    )
-
-
-def best_fit_rotation(gradients: np.ndarray, rule: QuadratureRule, p: float = 2.0,
-                      max_iters: int = 200) -> np.ndarray:
-    """Rotation minimizing the weighted coercivity profile of |grad y - R|.
-
-    Initialized at the Procrustes projection of the mean deformation
-    gradient, then refined by iteratively reweighted Procrustes.  The
-    profile is concave in s = |G - R|^2 (slope 1 up to s = 1, s^(p/2 - 1)
-    beyond), so the objective lies below its linearization in s at the
-    current R; that linearization is minimized by the Procrustes rotation of
-    sum w slope G, and the step never raises the objective.  Stops when a
-    step no longer lowers it.
-    """
-    G = np.asarray(gradients, dtype=float)
-    w = rule.weights
-    mean = np.einsum("n,nij->ij", w, G) / float(np.sum(w))
-    R, _ = nearest_rotation(mean)
-
-    def objective(Rc: np.ndarray) -> float:
-        d = np.linalg.norm(G - Rc, axis=(1, 2))
-        return float(np.dot(w, coercivity_profile(d, p)))
-
-    value = objective(R)
-    for _ in range(max_iters):
-        s = np.sum((G - R) ** 2, axis=(1, 2))
-        slope = np.maximum(s, 1.0) ** (0.5 * p - 1.0)
-        Rn, _ = nearest_rotation(np.einsum("n,nij->ij", w * slope, G))
-        vn = objective(Rn)
-        if not vn < value:
-            break
-        R, value = Rn, vn
-    return R
+    return NonlinearResult(coefficients=c, rotation=R, value=value, rounds=rounds, status=status)
 
 
 @dataclass
@@ -301,15 +235,14 @@ class ConvergenceRow:
     status: str
 
 
-def rescaled_strain_norm(ansatz: DeformationAnsatz, ctx: NonlinearContext) -> float:
+def rescaled_strain_norm(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> float:
     """L^2 norm of the strain of v = (y - x)/h, which blows up off identity.
 
     grad v = A + B with A = (R - I)/h + R G_p planar and B = R G_z axial, so
     the integral of |sym grad v|^2 is the planar sum of |sym A|^2, the axial
     sum of |sym B|^2 and twice the product of their weighted integrals.
     """
-    h, R = ansatz.h, ansatz.rotation
-    Gp, Gz = ctx.factor_fields(ansatz.coeffs)
+    Gp, Gz = ctx.factor_fields(c)
     A, B = (R - np.eye(3)) / h + R @ Gp, R @ Gz
     ((_, _, pw), (_, zw)), = ctx.rule.terms
     cross = np.sum(strain(np.tensordot(pw, A, 1)) * strain(np.tensordot(zw, B, 1)))
@@ -362,8 +295,8 @@ def convergence_study(
     the previous one, the first from the projected limit minimizer.
     """
     hs = tuple(h_schedule)
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h schedule must be strictly decreasing")
+    if not all(0.0 < h < 1.0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h schedule must be strictly decreasing in (0, 1)")
     report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")
@@ -373,9 +306,8 @@ def convergence_study(
     coeffs, R, limit_value = _limit_start(spec, space, ctx)
     rows: list[ConvergenceRow] = []
     for h in hs:
-        anz = DeformationAnsatz(space, coeffs, R, h)
         try:
-            res = minimize_scaled(spec, h, anz, ctx=ctx, report=report)
+            res = minimize_scaled(spec, coeffs, R, h, ctx, report=report)
         except SolverError as err:
             rows.append(
                 ConvergenceRow(
@@ -386,14 +318,13 @@ def convergence_study(
             )
             continue
         coeffs, R = res.coefficients, res.rotation
-        final = DeformationAnsatz(space, coeffs, R, h)
         rows.append(
             ConvergenceRow(
                 h=h,
                 value=res.value,
                 gap_to_limit=abs(res.value - limit_value),
                 rotation_distance=_kernel_distance(R, report),
-                strain_rescaled=rescaled_strain_norm(final, ctx),
+                strain_rescaled=rescaled_strain_norm(coeffs, R, h, ctx),
                 status=res.status,
             )
         )

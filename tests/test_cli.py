@@ -219,6 +219,14 @@ def test_check_loads_ball_pull_in(tmp_path):
     code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
     assert code == 0  # diagnosis is success
     assert report["results"]["classification"] == "incompatible"
+    # T = -(4 pi / 15) I, so every half-turn does the maximal work; which one
+    # is reported is left to round-off, so only its kind and work are checked
+    R = np.array(report["results"]["reversed_witness"])
+    assert np.allclose(R.T @ R, np.eye(3), rtol=0.0, atol=1e-14)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+    assert np.trace(R) == pytest.approx(-1.0, abs=1e-14)
+    work = -(4.0 * math.pi / 15.0) * (np.trace(R) - 3.0)
+    assert work == pytest.approx(16.0 * math.pi / 15.0, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("cfg,message", [

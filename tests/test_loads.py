@@ -25,7 +25,8 @@ from traction_gap.loads import (
     surface_force,
     work_moment,
 )
-from traction_gap.rotations import exp_so3, rotation_about_z, skew_matrix
+from traction_gap.profiles import axial_conditions
+from traction_gap.rotations import exp_so3, rotation_about_z, skew_from_axis
 
 
 def test_body_force_preset_axis_value(preset):
@@ -63,16 +64,16 @@ def test_load_kills_constants_and_spins(preset, preset_rules):
     for c in np.eye(3):
         vals = np.tile(c, (len(preset_rules.volume), 1))
         assert abs(load_functional(preset, vals, preset_rules)) < 1e-12
-    for params in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, -0.5, 0.8)]:
-        W = skew_matrix(*params)
+    for axis in [(0, 0, -1), (0, 1, 0), (-1, 0, 0), (-0.8, -0.5, -0.3)]:
+        W = skew_from_axis(np.array(axis, dtype=float))
         assert abs(load_functional(preset, lambda p: p @ W.T, preset_rules)) < 1e-12
 
 
 def test_load_quadratic_spin_work_formula(preset, preset_rules):
     # work of W^2 x is -pi (b^2 + c^2) * first moment of the axial profile
-    moment = preset.axial_moment
+    moment = axial_conditions(preset.psi)["first_moment"]
     for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, -0.7, 1.1)]:
-        W = skew_matrix(a, b, c)
+        W = skew_from_axis(np.array([-c, b, -a]))
         val = load_functional(preset, lambda p: p @ (W @ W).T, preset_rules)
         assert np.isclose(val, -np.pi * (b * b + c * c) * moment, atol=1e-12)
 
@@ -96,7 +97,7 @@ def test_classification_preset(preset, preset_rules):
     assert rep.momentum_max < 1e-12
     assert np.linalg.norm(rep.resultant) < 1e-12
     # the two negative eigenvalues equal -pi * axial moment
-    expected = -np.pi * preset.axial_moment
+    expected = -np.pi * axial_conditions(preset.psi)["first_moment"]
     assert np.allclose(np.sort(rep.eigenvalues)[:2], expected, atol=1e-12)
 
 

@@ -4,26 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traction_gap.rotations import (
-    SkewParams,
     coercivity_profile,
     distance_to_axis_rotations,
     exp_so3,
     nearest_rotation,
-    rodrigues,
     rotation_about_z,
     rotation_angle,
-    skew_matrix,
+    skew_from_axis,
 )
 
-UNIT_Z_GENERATOR = skew_matrix(1.0, 0.0, 0.0)  # |W|^2 = 2, axis e_z
+# the unit axis whose skew matrix has rows (0, 1, 0), (-1, 0, 0), (0, 0, 0):
+# exp(t W) about it is rotation_about_z(t)
+Z_GENERATOR_AXIS = np.array([0.0, 0.0, -1.0])
 
 
 def test_skew_matrix_zero():
-    assert np.array_equal(skew_matrix(0, 0, 0), np.zeros((3, 3)))
+    assert np.array_equal(skew_from_axis(np.zeros(3)), np.zeros((3, 3)))
 
 
 def test_skew_matrix_single_entry_is_z_generator():
-    W = skew_matrix(1, 0, 0)
+    W = skew_from_axis(Z_GENERATOR_AXIS)
     x = np.array([1.0, 2.0, 3.0])
     # acts in the xy-plane only: W x = (y, -x, 0)
     assert np.allclose(W @ x, [2.0, -1.0, 0.0])
@@ -31,56 +31,52 @@ def test_skew_matrix_single_entry_is_z_generator():
 
 
 def test_skew_matrix_norm_identity():
-    W = skew_matrix(1, 1, 1)
-    assert np.isclose(np.sum(W * W), 6.0)  # |W|^2 = 2(a^2+b^2+c^2)
+    W = skew_from_axis(np.array([-1.0, 1.0, -1.0]))
+    assert np.isclose(np.sum(W * W), 6.0)  # |W|^2 = 2 |omega|^2
 
 
 def test_skew_params_axis():
-    # W x = omega x x with omega = (-c, b, -a)
-    p = SkewParams(a=0.3, b=-0.2, c=0.9)
+    # the skew matrix with rows (0, a, b), (-a, 0, c), (-b, -c, 0) has axis
+    # omega = (-c, b, -a), and W x = omega x x
+    a, b, c = 0.3, -0.2, 0.9
+    W = skew_from_axis(np.array([-c, b, -a]))
+    assert np.array_equal(W, [[0.0, a, b], [-a, 0.0, c], [-b, -c, 0.0]])
     x = np.array([0.4, -1.2, 2.0])
-    assert np.allclose(p.matrix @ x, np.cross(p.rotation_axis, x))
+    assert np.allclose(W @ x, np.cross([-c, b, -a], x))
 
 
 def test_rodrigues_zero_angle():
-    assert np.allclose(rodrigues(UNIT_Z_GENERATOR, 0.0), np.eye(3))
+    assert np.allclose(exp_so3(0.0 * Z_GENERATOR_AXIS), np.eye(3))
 
 
 def test_rodrigues_pi_about_z():
-    R = rodrigues(UNIT_Z_GENERATOR, np.pi)
+    R = exp_so3(np.pi * Z_GENERATOR_AXIS)
     assert np.allclose(R, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
 
 def test_rodrigues_quarter_turn_matches_swirl_rotation():
-    R = rodrigues(UNIT_Z_GENERATOR, np.pi / 2)
+    R = exp_so3(0.5 * np.pi * Z_GENERATOR_AXIS)
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(R, expected, atol=1e-15)
     assert np.allclose(R, rotation_about_z(np.pi / 2))
-
-
-def test_rodrigues_rejects_bad_generators():
-    with pytest.raises(ValueError):
-        rodrigues(np.eye(3), 0.1)
-    with pytest.raises(ValueError):
-        rodrigues(2.0 * UNIT_Z_GENERATOR, 0.1)  # |W|^2 = 8
 
 
 def test_rodrigues_random_generators_give_rotations(rng):
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        W = skew_matrix(*v)
         theta = rng.uniform(-np.pi, np.pi)
-        R = rodrigues(W, theta)
+        R = exp_so3(theta * v)
         assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
         assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
 def test_exp_so3_matches_rodrigues():
-    # exp about e_z by theta equals the normalized generator formula
+    # exp about e_z by theta equals Rodrigues' formula on the unit generator
+    W = skew_from_axis(np.array([0.0, 0.0, 1.0]))
     for theta in (0.0, 1e-14, 0.3, -2.5):
         R1 = exp_so3(np.array([0.0, 0.0, theta]))
-        R2 = rodrigues(skew_matrix(-1.0, 0.0, 0.0), theta)  # axis +e_z
+        R2 = np.eye(3) + np.sin(theta) * W + (1.0 - np.cos(theta)) * (W @ W)
         assert np.allclose(R1, R2, atol=1e-12)
 
 
@@ -182,15 +178,6 @@ def test_discrete_growth_inequality(rng, cylinder_rule):
             lhs = float(np.dot(w, coercivity_profile(h * np.abs(eta), p))) / h**2
             rhs = float(np.dot(w, np.abs(eta) ** p)) - (2.0 - p) / p * volume
             assert lhs >= rhs - 1e-10
-
-
-def test_axis_angle_container():
-    from traction_gap.rotations import AxisAngle
-
-    aa = AxisAngle(axis=(0.0, 0.0, 1.0), theta=0.4)
-    assert np.allclose(aa.matrix, exp_so3(np.array([0.0, 0.0, 0.4])))
-    with pytest.raises(ValueError):
-        AxisAngle(axis=(0.0, 0.0, 2.0), theta=0.1)
 
 
 def test_distance_to_axis_rotations():

@@ -10,12 +10,9 @@ from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
 from traction_gap.loads import LoadSpec
-from traction_gap.rotations import coercivity_profile, exp_so3, nearest_rotation, rotation_about_z
+from traction_gap.rotations import exp_so3, rotation_about_z
 from traction_gap.scaled import (
-    COEFF_GRAD_TOL,
-    DeformationAnsatz,
     _limit_start,
-    best_fit_rotation,
     convergence_study,
     minimize_scaled,
     nonlinear_context,
@@ -36,13 +33,13 @@ def preset_ctx():
 def test_zero_displacement_energies(preset_ctx):
     spec, space, ctx = preset_ctx
     zero = np.zeros(space.dim)
-    assert scaled_energy(DeformationAnsatz(space, zero, np.eye(3), 0.1), ctx) == 0.0
+    assert scaled_energy(zero, np.eye(3), 0.1, ctx) == 0.0
     # kernel rotations cost nothing
     Rk = rotation_about_z(1.2)
-    assert abs(scaled_energy(DeformationAnsatz(space, zero, Rk, 0.1), ctx)) < 1e-13
+    assert abs(scaled_energy(zero, Rk, 0.1, ctx)) < 1e-13
     # off-kernel rotations cost h^-1 * (-L((R - I) x)) > 0
     Rx = exp_so3(np.array([1.2, 0.0, 0.0]))
-    val = scaled_energy(DeformationAnsatz(space, zero, Rx, 0.1), ctx)
+    val = scaled_energy(zero, Rx, 0.1, ctx)
     assert val > 1e-3
 
 
@@ -54,7 +51,7 @@ def test_reversed_witness_drives_energy_down():
     zero = np.zeros(space.dim)
     R = exp_so3(np.array([0.0, 0.0, np.pi]))
     vals = [
-        scaled_energy(DeformationAnsatz(space, zero, R, h), ctx) for h in (0.2, 0.1, 0.05)
+        scaled_energy(zero, R, h, ctx) for h in (0.2, 0.1, 0.05)
     ]
     assert vals[0] < 0 and vals[1] < 2 * vals[0] * 0.9 and vals[2] < vals[1]
     work = -1.0 * (np.trace(R) - 3.0) * np.pi  # L((R-I)x) = lambda Tr(R-I) |Omega|
@@ -68,7 +65,7 @@ def test_limit_recovery_for_fixed_field(preset_ctx):
     coeffs, R, limit_value = _limit_start(spec, space, ctx)
     errs = []
     for h in (0.04, 0.02, 0.01, 0.005):
-        v = scaled_energy(DeformationAnsatz(space, coeffs, R, h), ctx)
+        v = scaled_energy(coeffs, R, h, ctx)
         errs.append(abs(v - limit_value))
     for a, b in zip(errs, errs[1:]):
         assert b < 0.75 * a
@@ -87,19 +84,19 @@ def test_energy_invariant_under_kernel_conjugation(preset_ctx, rng):
     ctx_rot = dataclasses.replace(ctx, load_moments=Q.T @ ctx.load_moments,
                                   placement_moment=Q.T @ ctx.placement_moment)
     h = 0.1
-    v_base = scaled_energy(DeformationAnsatz(space, coeffs, R, h), ctx)
-    v_conj = scaled_energy(DeformationAnsatz(space, coeffs, Q.T @ R, h), ctx_rot)
+    v_base = scaled_energy(coeffs, R, h, ctx)
+    v_conj = scaled_energy(coeffs, Q.T @ R, h, ctx_rot)
     assert np.isclose(v_base, v_conj, rtol=1e-12, atol=1e-14)
 
 
 def test_minimize_close_to_limit(preset_ctx):
     spec, space, ctx = preset_ctx
     coeffs, R, limit_value = _limit_start(spec, space, ctx)
-    res = minimize_scaled(spec, 0.1, DeformationAnsatz(space, coeffs, R, 0.1), ctx=ctx)
+    res = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert res.status == "converged"
     assert abs(res.value - limit_value) < 0.1 * abs(limit_value)
     # descent never lands above the warm start
-    start_val = scaled_energy(DeformationAnsatz(space, coeffs, R, 0.1), ctx)
+    start_val = scaled_energy(coeffs, R, 0.1, ctx)
     assert res.value <= start_val + 1e-14
 
 
@@ -108,11 +105,10 @@ def test_minimize_reports_max_rounds(preset_ctx, monkeypatch):
     # the status says so instead of claiming convergence
     spec, space, ctx = preset_ctx
     coeffs, R, _ = _limit_start(spec, space, ctx)
-    init = DeformationAnsatz(space, coeffs, R, 0.1)
-    full = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    full = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert full.status == "converged" and full.rounds >= 2
     monkeypatch.setattr(scaled, "ALTERNATION_MAX_ROUNDS", 1)
-    capped = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    capped = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert capped.status == "max_rounds" and capped.rounds == 1
 
 
@@ -121,23 +117,24 @@ def test_minimize_zero_loads():
     space = build_space("ansatz_k", 4, CYL, degree1d=2)
     ctx = nonlinear_context(spec, space)
     zero = np.zeros(space.dim)
-    res = minimize_scaled(spec, 0.1, DeformationAnsatz(space, zero, np.eye(3), 0.1), ctx=ctx)
+    res = minimize_scaled(spec, zero, np.eye(3), 0.1, ctx)
     assert abs(res.value) < 1e-14
     assert np.allclose(res.coefficients, 0.0, atol=1e-10)
 
 
 def test_minimize_rejects_incompatible():
-    spec = LoadSpec.ball_pull_in()
-    space = build_space("full", 2, Domain.unit_ball())
+    # a compressive pressure does positive work on every half-turn
+    spec = LoadSpec(surface_pressure=-1.0)
+    ctx = nonlinear_context(spec, build_space("ansatz_k", 4, CYL, degree1d=2))
     with pytest.raises(SolverError):
-        minimize_scaled(spec, 0.1, DeformationAnsatz(space, np.zeros(space.dim), np.eye(3), 0.1))
+        minimize_scaled(spec, np.zeros(ctx.space.dim), np.eye(3), 0.1, ctx)
 
 
 def test_far_rotation_init_returns_to_kernel(preset_ctx):
     spec, space, ctx = preset_ctx
     coeffs, _, _ = _limit_start(spec, space, ctx)
     far = exp_so3(np.array([np.pi / 2, 0.0, 0.0]))  # x-axis quarter turn
-    res = minimize_scaled(spec, 0.1, DeformationAnsatz(space, coeffs, far, 0.1), ctx=ctx)
+    res = minimize_scaled(spec, coeffs, far, 0.1, ctx)
     from traction_gap.loads import compatibility_report
     from traction_gap.scaled import _kernel_distance
 
@@ -165,62 +162,16 @@ def test_convergence_study_zero_loads():
 
 def test_convergence_study_rejects_bad_schedule(preset_ctx):
     spec, _, _ = preset_ctx
-    with pytest.raises(ValueError):
-        convergence_study(spec, (0.1, 0.2), degree=2)
-
-
-def test_best_fit_rotation_recovers_exact(rng):
-    rule = volume_quadrature(CYL, 6)
-    R0 = exp_so3(rng.uniform(-np.pi, np.pi, 3))
-    G = np.tile(R0, (len(rule), 1, 1))
-    for p in (2.0, 1.5):
-        R = best_fit_rotation(G, rule, p=p)
-        assert np.max(np.abs(R - R0)) < 1e-12
-
-
-def _fit_objective(G, rule, R, p):
-    d = np.linalg.norm(G - R, axis=(1, 2))
-    return float(np.dot(rule.weights, coercivity_profile(d, p)))
-
-
-def test_best_fit_rotation_at_p2_is_the_procrustes_rotation_of_the_mean(rng):
-    # the profile is |G - R|^2 everywhere at p = 2, minimized by projecting the mean
-    rule = volume_quadrature(CYL, 4)
-    G = exp_so3(rng.uniform(-np.pi, np.pi, 3)) + 1.5 * rng.normal(size=(len(rule), 3, 3))
-    mean = np.einsum("n,nij->ij", rule.weights, G) / np.sum(rule.weights)
-    R = best_fit_rotation(G, rule, p=2.0)
-    assert np.max(np.abs(R - nearest_rotation(mean)[0])) < 1e-14
-
-
-def test_best_fit_rotation_is_a_local_minimum_at_p15(rng):
-    # far from the fit the p-growth branch is active; no nearby rotation
-    # exp(eps W) R has a lower objective
-    rule = volume_quadrature(CYL, 4)
-    G = exp_so3(rng.uniform(-np.pi, np.pi, 3)) + 1.5 * rng.normal(size=(len(rule), 3, 3))
-    R = best_fit_rotation(G, rule, p=1.5)
-    assert np.any(np.linalg.norm(G - R, axis=(1, 2)) > 1.0)
-    value = _fit_objective(G, rule, R, 1.5)
-    for eps in (1e-2, 1e-4):
-        for omega in rng.normal(size=(20, 3)):
-            nearby = exp_so3(eps * omega / np.linalg.norm(omega)) @ R
-            assert _fit_objective(G, rule, nearby, 1.5) >= value
-
-
-def test_best_fit_rotation_near_identity(preset_ctx):
-    spec, space, ctx = preset_ctx
-    coeffs, _, _ = _limit_start(spec, space, ctx)
-    G = np.eye(3) + 1e-3 * ctx.gradient_field(coeffs)
-    R2 = best_fit_rotation(G, ctx.rule, p=2.0)
-    R15 = best_fit_rotation(G, ctx.rule, p=1.5)
-    assert np.max(np.abs(R2 - np.eye(3))) < 1e-2
-    assert np.max(np.abs(R2 - R15)) < 1e-3
+    for schedule in [(0.1, 0.2), (0.2, 0.0), (1.0, 0.5)]:
+        with pytest.raises(ValueError, match="strictly decreasing in"):
+            convergence_study(spec, schedule, degree=2)
 
 
 def test_rescaled_strain_blows_up_off_identity(preset_ctx):
     spec, space, ctx = preset_ctx
     coeffs, R, _ = _limit_start(spec, space, ctx)
-    n1 = rescaled_strain_norm(DeformationAnsatz(space, coeffs, R, 0.2), ctx)
-    n2 = rescaled_strain_norm(DeformationAnsatz(space, coeffs, R, 0.02), ctx)
+    n1 = rescaled_strain_norm(coeffs, R, 0.2, ctx)
+    n2 = rescaled_strain_norm(coeffs, R, 0.02, ctx)
     assert n2 > 5.0 * n1
 
 
@@ -231,7 +182,7 @@ def test_elastic_energy_matches_extended_precision_at_thin_films(preset_ctx):
     spec, space, ctx = preset_ctx
     h = 5e-4
     c, _, _ = _limit_start(spec, space, ctx)
-    value = scaled_energy(DeformationAnsatz(space, c, np.eye(3), h), ctx)
+    value = scaled_energy(c, np.eye(3), h, ctx)
     elastic = value + float(np.trace(ctx.work_moment(c)))
     eye, ref = np.eye(3, dtype=np.longdouble), np.longdouble(0.0)
     for G, w in zip(ctx.factor_fields(c), (ctx.planar_weights, ctx.axial_weights)):
@@ -282,6 +233,13 @@ def split_and_reference(request):
     return ctx, NodeReference(ctx)
 
 
+def _gradient_field(ctx, c):
+    """(N, 3, 3) displacement gradient from the context's factor fields,
+    node = planar index * N_z + z index, the order of the rule's nodes."""
+    Gp, Gz = ctx.factor_fields(c)
+    return (Gp[:, None] + Gz[None, :]).reshape(-1, 3, 3)
+
+
 def _rel(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
@@ -292,11 +250,10 @@ def test_split_matches_node_tables(split_and_reference, rng, h):
     space = ctx.space
     for R in [np.eye(3)] + random_rotations(rng, 2):
         c = rng.normal(scale=0.3, size=space.dim)
-        anz = DeformationAnsatz(space, c, R, h)
-        assert _rel(scaled_energy(anz, ctx), ref.energy(c, R, h)) <= 1e-13
+        assert _rel(scaled_energy(c, R, h, ctx), ref.energy(c, R, h)) <= 1e-13
         assert _rel(scaled._coeff_gradient(c, R, h, ctx), ref.coeff_gradient(c, R, h)) <= 1e-13
-        assert _rel(ctx.gradient_field(c), ref.gradient_field(c)) <= 1e-13
-        assert _rel(rescaled_strain_norm(anz, ctx), ref.strain_norm(c, R, h)) <= 1e-13
+        assert _rel(_gradient_field(ctx, c), ref.gradient_field(c)) <= 1e-13
+        assert _rel(rescaled_strain_norm(c, R, h, ctx), ref.strain_norm(c, R, h)) <= 1e-13
 
 
 @pytest.mark.parametrize("h", [0.2, 1e-2])
@@ -309,8 +266,8 @@ def test_coeff_gradient_matches_central_differences(split_and_reference, rng, h)
     step = 1e-5
     for _ in range(3):
         d = rng.normal(size=space.dim)
-        plus = scaled_energy(DeformationAnsatz(space, c + step * d, R, h), ctx)
-        minus = scaled_energy(DeformationAnsatz(space, c - step * d, R, h), ctx)
+        plus = scaled_energy(c + step * d, R, h, ctx)
+        minus = scaled_energy(c - step * d, R, h, ctx)
         assert np.isclose((plus - minus) / (2 * step), g @ d, rtol=1e-6)
 
 
@@ -367,15 +324,14 @@ def test_failed_backtrack_is_reported(preset_ctx, monkeypatch):
     coeffs, R, _ = _limit_start(spec, space, ctx)
     energy = scaled.scaled_energy
 
-    def refuse_trials(anz, context):
-        return energy(anz, context) if np.array_equal(anz.coeffs, coeffs) else np.inf
+    def refuse_trials(c, R, h, context):
+        return energy(c, R, h, context) if np.array_equal(c, coeffs) else np.inf
 
     monkeypatch.setattr(scaled, "scaled_energy", refuse_trials)
-    init = DeformationAnsatz(space, coeffs, R, 0.1)
-    c, _, gnorm, stop = scaled._descend_coefficients(init, ctx)
+    c, _, stop = scaled._descend_coefficients(coeffs, R, 0.1, ctx)
     assert stop == "line_search_failed"
-    assert np.array_equal(c, coeffs) and gnorm >= COEFF_GRAD_TOL
-    res = minimize_scaled(spec, 0.1, init, ctx=ctx)
+    assert np.array_equal(c, coeffs)
+    res = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert res.status == "line_search_failed"
     assert np.array_equal(res.coefficients, coeffs)
 
