@@ -80,12 +80,12 @@ DEFAULT_CONFIG: dict = {
 
 # Upper bounds of the size parameters.  On both domains the linear systems
 # are assembled from 1D tables of the rule's tensor terms straight into their
-# parity blocks (at most 196 rows) and eigendecomposed block by block, so at
-# the caps their size is bounded by the dense K x K arrays they still hand on
-# (A, A^+ and the rigid projector; no K x K L^2 Gram matrix is formed):
-# K = 1365 for full and 1001 for div_free at degree 12 (solve-linear, which
-# assembles both, takes 0.15-0.20 s and 89 MB peak RSS there on the cylinder,
-# 0.3-0.4 s and 94 MB on the ball, on 2 cores).
+# parity blocks (at most 196 rows), eigendecomposed, solved and reduced to
+# the rotation form block by block; no K x K array is formed, and a system
+# keeps its blocks of A and A^+ and 6 x K rigid rows: K = 1365 for full and
+# 1001 for div_free at degree 12 (solve-linear, which assembles both, takes
+# 0.14-0.15 s and 55 MB peak RSS there on the cylinder, 0.26-0.27 s and
+# 73 MB on the ball, on 2 cores).
 # The nonlinear context tabulates its ansatz space on the cylinder rule's
 # planar and axial factors (under 8 MB at nonlinear degree 6).  Past
 # geometry.ORDER_CAP a derived rule order exits 2.

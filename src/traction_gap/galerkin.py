@@ -41,7 +41,11 @@ y -> -y and z about mid-height, E:E' and the L^2 product are isotropic, and
 every basis row has a definite parity under each mirror; so A and M couple
 only rows of one parity class, eight classes in all (``parity_blocks``; the
 symmetry-adapted block diagonalization of Fassler & Stiefel, 1992).  One
-eigendecomposition per block gives the kernel and the pseudo-inverse of A.
+eigendecomposition per block gives the kernel and the blocks of A^+, and the
+system keeps only per-block data: the blocks of A and A^+, and a 6 x K rigid
+fit.  Every solve, its value and residual, and the rotation form go block by
+block, so no K x K array is formed (``StiffnessSystem.A`` embeds one on
+demand, for checks).
 The symmetry is guarded where assembly relies on it, and a breach past
 round-off is an AssemblyError: a planar Gram entry of a term between factors
 of different (x, y) parity, an axial one between different z parities, or a
@@ -489,23 +493,33 @@ def build_space(kind: str, degree: int, domain: Domain, degree1d: int | None = N
 class StiffnessSystem:
     space: GalerkinSpace
     rules: LoadRules
-    A: np.ndarray
+    stiffness: list[np.ndarray]  # parity blocks of A, on the rows space.parity_blocks
     load_moments: np.ndarray  # (K, 3, 3); b_k(R) = <R, T_k>
     kernel: np.ndarray  # orthonormal rows spanning ker A
     kernel_margins: tuple[float, float]  # (smallest kept, largest dropped eigenvalue) / cut
     rigid: np.ndarray  # exact rigid coefficient vectors, spanning ker A
-    pinv: np.ndarray  # A^+, zero on ker A
-    projector: np.ndarray  # P = I - (L^2-rigid fit), built once per system
+    pinv: list[np.ndarray]  # parity blocks of A^+, zero on ker A
+    rigid_fit: np.ndarray  # H = G^-1 F: rigid' (H x) is the L^2-closest rigid field to x
     rotation_form: np.ndarray  # (9, 9) Q = B' A^+ B, where b(R) = B vec(R)
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.space.dim
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense stiffness matrix, embedded from its blocks on each call."""
+        return self.embed(self.stiffness)
+
+    def embed(self, mats: list[np.ndarray]) -> np.ndarray:
+        """The dense K x K matrix with the parity blocks ``mats`` and zeros between them."""
+        out = np.zeros((self.dim, self.dim))
+        for b, X in zip(self.space.parity_blocks, mats):
+            out[np.ix_(b, b)] = X
+        return out
 
     def load_vector(self, R: np.ndarray | None = None) -> np.ndarray:
-        if R is None:
-            R = np.eye(3)
-        return np.einsum("kij,ij->k", self.load_moments, R)
+        return np.einsum("kij,ij->k", self.load_moments, np.eye(3) if R is None else R)
 
 
 def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
@@ -516,13 +530,20 @@ def _principal_angle(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
 
 
-def _embed(blocks: list[np.ndarray], mats: list[np.ndarray]) -> np.ndarray:
-    """The dense K x K matrix with the given blocks and zeros between them."""
-    K = sum(len(b) for b in blocks)
-    out = np.zeros((K, K))
+def _apply(blocks: list[np.ndarray], mats: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with blocks ``mats`` on the rows ``blocks``
+    times x, a vector or one column per right-hand side."""
+    out = np.empty_like(x, dtype=float)
     for b, X in zip(blocks, mats):
-        out[np.ix_(b, b)] = X
+        out[b] = X @ x[b]
     return out
+
+
+def _minimizer(blocks: list[np.ndarray], pinv: list[np.ndarray], rigid: np.ndarray,
+               rigid_fit: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = P A^+ b block by block, with P x = x - rigid' (rigid_fit x)."""
+    x = _apply(blocks, pinv, b)
+    return x - rigid.T @ (rigid_fit @ x)
 
 
 def _refuse_leak(G: np.ndarray, classes: list, what: str):
@@ -541,14 +562,14 @@ def _refuse_leak(G: np.ndarray, classes: list, what: str):
 
 
 def _factor(mats: list[np.ndarray],
-            blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """(orthonormal kernel rows, pseudo-inverse, margins) of a symmetric PSD
-    matrix given as its diagonal blocks ``mats`` on the rows ``blocks``.
+            blocks: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], tuple[float, float]]:
+    """(orthonormal kernel rows, pseudo-inverse blocks, margins) of a symmetric
+    PSD matrix given as its diagonal blocks ``mats`` on the rows ``blocks``.
 
     One eigendecomposition per block; eigenvalues at or below the cut,
     KERNEL_EIGENVALUE_CUT times the largest over all blocks (floored at 1),
-    count as the kernel.  Each block's pseudo-inverse is scattered into the
-    dense one and its kernel vectors are embedded as rows of length K.  The
+    count as the kernel.  Each block's pseudo-inverse stays a block, and its
+    kernel vectors are embedded as rows of length K.  The
     margins are the smallest kept and the largest dropped eigenvalue divided
     by the cut (inf when nothing is kept, 0 when nothing is dropped).
     """
@@ -567,22 +588,22 @@ def _factor(mats: list[np.ndarray],
             embedded = np.zeros((int(np.count_nonzero(~keep)), K))
             embedded[:, b] = V[:, ~keep].T
             kernel.append(embedded)
-    return np.concatenate(kernel), _embed(blocks, inverses), (kept, dropped)
+    return np.concatenate(kernel), inverses, (kept, dropped)
 
 
-def _rigid_projector(mass: list[np.ndarray], blocks: list[np.ndarray],
-                     rigid: np.ndarray) -> np.ndarray:
-    """P with P x = x minus the L^2-closest field spanned by the rigid rows.
+def _rigid_fit(mass: list[np.ndarray], blocks: list[np.ndarray],
+               rigid: np.ndarray) -> np.ndarray:
+    """H = G^-1 F, so that rigid' (H x) is the L^2-closest field to x spanned
+    by the rigid rows and P x = x - rigid' (H x) removes it.
 
     ``mass`` holds the parity blocks of the space's L^2 Gram matrix M.  The
-    rigid fields are independent, so their own Gram matrix is SPD; they carry
-    no strain, so P leaves the energy unchanged.
+    rigid fields are independent, so their own Gram matrix G is SPD; they
+    carry no strain, so P leaves the energy unchanged.
     """
     F = np.zeros_like(rigid)  # <rigid field a, b_k> = (rigid M)_ak, block by block
     for b, X in zip(blocks, mass):
         F[:, b] = rigid[:, b] @ X
-    G = F @ rigid.T  # L^2 Gram matrix of the rigid fields
-    return np.eye(rigid.shape[1]) - rigid.T @ np.linalg.solve(G, F)
+    return np.linalg.solve(F @ rigid.T, F)
 
 
 # (slot, slot, scale) pairs with 8 E:E' = 8 sum_i g_ii g'_ii
@@ -665,11 +686,7 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     return moments + work_moment(load, rules, None, svals)
 
 
-def assemble(
-    space: GalerkinSpace,
-    load,
-    rules: LoadRules | None = None,
-) -> StiffnessSystem:
+def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None) -> StiffnessSystem:
     """Quadratic form, load moments, its factorization and rotation form."""
     if rules is None:
         f = space.field_degree
@@ -680,32 +697,20 @@ def assemble(
     kernel, pinv, margins = _factor(stiffness, blocks)
     rigid = space.rigid_coefficients()
     if kernel.shape[0] != rigid.shape[0]:
-        raise AssemblyError(
-            f"numeric kernel dimension {kernel.shape[0]} != analytic rigid dimension "
-            f"{rigid.shape[0]}; assembly is inconsistent"
-        )
+        raise AssemblyError(f"numeric kernel dimension {kernel.shape[0]} != analytic rigid "
+                            f"dimension {rigid.shape[0]}; assembly is inconsistent")
     if _principal_angle(kernel, rigid) > 1e-6:
         raise AssemblyError("numeric kernel does not span the rigid modes")
-    projector = _rigid_projector(mass, blocks, rigid)
+    fit = _rigid_fit(mass, blocks, rigid)
     # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
     # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
     # only to second order and m(R) matches solve_quadratic to round-off
     B = moments.reshape(space.dim, 9)
-    S = projector @ (pinv @ B)
-    A = _embed(blocks, stiffness)
-    Q = S.T @ B + B.T @ S - S.T @ A @ S
-    return StiffnessSystem(
-        space=space,
-        rules=rules,
-        A=A,
-        load_moments=moments,
-        kernel=kernel,
-        kernel_margins=margins,
-        rigid=rigid,
-        pinv=pinv,
-        projector=projector,
-        rotation_form=0.5 * (Q + Q.T),
-    )
+    S = _minimizer(blocks, pinv, rigid, fit, B)
+    Q = S.T @ B + B.T @ S - S.T @ _apply(blocks, stiffness, S)
+    return StiffnessSystem(space=space, rules=rules, stiffness=stiffness, load_moments=moments,
+                           kernel=kernel, kernel_margins=margins, rigid=rigid, pinv=pinv,
+                           rigid_fit=fit, rotation_form=0.5 * (Q + Q.T))
 
 
 @dataclass
@@ -718,40 +723,31 @@ class SolveResult:
     status: str
 
 
-def solve_quadratic(
-    system: StiffnessSystem,
-    R: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-) -> SolveResult:
+def solve_quadratic(system: StiffnessSystem, R: np.ndarray | None = None,
+                    b: np.ndarray | None = None) -> SolveResult:
     """Minimize c'Ac/2 - c'b over the complement of the rigid modes.
 
     The minimizer is x = P A^+ b: the system's pseudo-inverse, then its
-    L^2-rigid projector.
+    L^2-rigid projector, each applied block by block like A x.
     """
     if b is None:
         b = system.load_vector(R)
-    Z = system.kernel
+    Z, rigid = system.kernel, system.rigid
     bn = max(1.0, float(np.linalg.norm(b)))
     overlap = Z @ b
     if overlap.size and float(np.max(np.abs(overlap))) > COMPATIBILITY_TOL * bn:
         k = int(np.argmax(np.abs(overlap)))
         # the exact rigid row doing the most work per coefficient norm names the mode
-        rigid = system.rigid
         worst = int(np.argmax(np.abs(rigid @ b) / np.linalg.norm(rigid, axis=1)))
         mode = ("infinitesimal rotation (null-momentum condition)" if system.space.rigid_spins[worst]
                 else "translation (null-resultant condition)")
-        raise SolverError(
-            f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}"
-        )
-    A = system.A
-    x = system.projector @ (system.pinv @ b)
-    r = b - A @ x
-    return SolveResult(
-        coefficients=x,
-        value=0.5 * float(x @ A @ x) - float(x @ b),
-        rotation=None if R is None else np.asarray(R, dtype=float),
-        residual_norm=float(np.linalg.norm(r - Z.T @ (Z @ r))),
-        iterations=0,
-        status="factorized",
-    )
+        raise SolverError(f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}")
+    blocks = system.space.parity_blocks
+    x = _minimizer(blocks, system.pinv, rigid, system.rigid_fit, b)
+    Ax = _apply(blocks, system.stiffness, x)
+    r = b - Ax
+    return SolveResult(coefficients=x, value=0.5 * float(x @ Ax) - float(x @ b),
+                       rotation=None if R is None else np.asarray(R, dtype=float),
+                       residual_norm=float(np.linalg.norm(r - Z.T @ (Z @ r))),
+                       iterations=0, status="factorized")
 

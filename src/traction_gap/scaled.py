@@ -74,7 +74,7 @@ class NonlinearContext:
     axial_weights: np.ndarray  # (N_z,) axial weights times the planar total
     load_moments: np.ndarray  # (K, 3, 3): L(R b_k) = <R, T_k>
     placement_moment: np.ndarray  # (3, 3): L((R - I) x) = <R - I, T>
-    metric: np.ndarray  # (K, K) preconditioner
+    metric: np.ndarray  # (K, K) preconditioner, embedded once from the blocks of A^+ (K <= 71)
 
     def factor_fields(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The displacement gradient's planar block (N_P, 3, 3) and axial
@@ -114,7 +114,7 @@ def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
         axial_weights=zw * np.sum(pw),
         load_moments=system.load_moments,
         placement_moment=moment_matrix(spec, rules),
-        metric=system.pinv,
+        metric=system.embed(system.pinv),
     )
 
 

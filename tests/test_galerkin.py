@@ -262,7 +262,8 @@ SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball", "div_free-ball"]
 @pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
 def test_factored_assembly_matches_node_tables(preset, kind, degree, d1, domain):
     # A, the load moments and the rigid projector against their node-table
-    # references on the same nodes and weights
+    # references on the same nodes and weights; the system keeps the
+    # projector as its rigid fit H, P = I - rigid' H
     space = build_space(kind, degree, domain, degree1d=d1)
     load = preset if domain is CYL else BALL_PROFILE
     system = assemble(space, load)
@@ -271,10 +272,12 @@ def test_factored_assembly_matches_node_tables(preset, kind, degree, d1, domain)
     F = system.rigid @ M
     refs = {"A": A, "load_moments": work_moment(load, system.rules, vals),
             "projector": np.eye(space.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)}
+    got = {"A": system.A, "load_moments": system.load_moments,
+           "projector": np.eye(space.dim) - system.rigid.T @ system.rigid_fit}
     for name, ref in refs.items():
         scale = float(np.max(np.abs(ref)))
         assert scale > 1e-3
-        assert float(np.max(np.abs(getattr(system, name) - ref))) <= 1e-13 * scale, name
+        assert float(np.max(np.abs(got[name] - ref))) <= 1e-13 * scale, name
 
 
 def test_assembly_builds_no_node_tables(preset, monkeypatch):
@@ -330,7 +333,8 @@ def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domai
     space = build_space(kind, degree, domain, degree1d=d1)
     (stiffness, _), _ = _grams(space)
     A = _dense(space.parity_blocks, stiffness)
-    kernel, pinv, (kept, dropped) = _factor(stiffness, space.parity_blocks)
+    kernel, pinv_blocks, (kept, dropped) = _factor(stiffness, space.parity_blocks)
+    pinv = _dense(space.parity_blocks, pinv_blocks)
     w, V = np.linalg.eigh(A)
     cut = KERNEL_EIGENVALUE_CUT * max(w[-1], 1.0)
     keep = w > cut
@@ -357,7 +361,7 @@ def test_block_factor_refuses_a_matrix_coupling_two_blocks(rng):
     _refuse_leak(A, blocks, "stiffness")
     kernel, pinv, _ = _factor([A[np.ix_(b, b)] for b in blocks], blocks)
     assert kernel.shape == (0, 5)
-    assert np.allclose(pinv @ A, np.eye(5), atol=1e-12)
+    assert np.allclose(_dense(blocks, pinv) @ A, np.eye(5), atol=1e-12)
     A[0, 1] = A[1, 0] = 1e-6
     with pytest.raises(AssemblyError, match="stiffness entry .* couples two parity blocks"):
         _refuse_leak(A, blocks, "stiffness")
@@ -423,6 +427,59 @@ def test_factored_grams_allocate_less_than_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * space.dim ** 2
+
+
+@pytest.mark.parametrize("kind", ["full", "div_free"])
+def test_assembled_system_keeps_less_than_one_dense_matrix(preset, kind):
+    # degree 12 (K = 1365 for full, 1001 for div_free): the system keeps the
+    # blocks of A and A^+ and 6 x K rows, about 1/4 of K^2 doubles, and no
+    # array of K^2 entries.  full's assembly also peaks below one dense
+    # matrix; div_free's peak is its planar Gram of second-derivative factors
+    space = build_space(kind, 12, CYL)
+    K = space.dim
+    tracemalloc.start()
+    try:
+        system = assemble(space, preset)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * K ** 2
+    if kind == "full":
+        assert peak < 8 * K ** 2
+    for name, value in vars(system).items():
+        for array in value if isinstance(value, list) else [value]:
+            if isinstance(array, np.ndarray):
+                assert array.size < K ** 2, name
+
+
+@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+def test_block_solve_matches_a_dense_reference(preset, kind, degree, d1, domain):
+    # x = (I - rigid' G^-1 F) A^+ b with A^+ embedded from its blocks and F,
+    # G from the node-table L^2 Gram; its value, its residual off the kernel
+    # and the rotation form Q = S'B + B'S - S'AS, S = P A^+ B, in dense products
+    space = build_space(kind, degree, domain, degree1d=d1)
+    system = assemble(space, preset if domain is CYL else BALL_PROFILE)
+    _, M = _node_grams(space, system.rules.volume)
+    F = system.rigid @ M
+    P = np.eye(space.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)
+    A, pinv, Z = system.A, _dense(space.parity_blocks, system.pinv), system.kernel
+    B = system.load_moments.reshape(space.dim, 9)
+    S = P @ pinv @ B
+    Q = S.T @ B + B.T @ S - S.T @ A @ S
+    Q = 0.5 * (Q + Q.T)
+    assert float(np.max(np.abs(system.rotation_form - Q))) <= 1e-12 * float(np.max(np.abs(Q)))
+    # the ball profile is compatible at the identity alone, the preset about e_z
+    for R in (np.eye(3), rotation_about_z(0.7)) if domain is CYL else (np.eye(3),):
+        b = system.load_vector(R)
+        x = P @ (pinv @ b)
+        value = 0.5 * float(x @ A @ x) - float(x @ b)
+        r = b - A @ x
+        res = solve_quadratic(system, R=R)
+        assert value < 0.0
+        assert float(np.max(np.abs(res.coefficients - x))) <= 1e-12 * float(np.max(np.abs(x)))
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+        residual = float(np.linalg.norm(r - Z.T @ (Z @ r)))
+        assert abs(res.residual_norm - residual) <= 1e-12 * float(np.linalg.norm(b))
 
 
 def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkeypatch):
