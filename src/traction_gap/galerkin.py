@@ -332,13 +332,16 @@ class GalerkinSpace:
         return out
 
     def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(n_P, n) planar factors at the points (x, y)."""
+        """(n_P, n) planar factors at the points (x, y): the x factors
+        d^nx L_i(x), times the y factors of one parity run at a time, in place."""
         a = self._box[0]
         nx, ny, i, j = self._planar_factors.T
         nder, deg = int(max(nx.max(), ny.max())), int(max(i.max(), j.max()))
-        Lx = _legendre_tables(x, deg, -a, a, nder)
         Ly = _legendre_tables(y, deg, -a, a, nder)
-        return Lx[nx, i] * Ly[ny, j]
+        out = _legendre_tables(x, deg, -a, a, nder)[nx, i]
+        for run in self._factor_classes[0]:
+            out[run] *= Ly[ny[run], j[run]]
+        return out
 
     def _axial(self, z: np.ndarray) -> np.ndarray:
         """(n_Z, n) axial factors at the heights z."""
@@ -373,7 +376,9 @@ class GalerkinSpace:
         """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
         (values (K_A, N_z), slopes (K_A, N_z)) tables of an ansatz space on a
         tensor rule: potential rows are in-plane and constant in z (axial
-        factor L_0), axial rows (0, 0, w(z)) constant in the plane."""
+        factor L_0), axial rows (0, 0, w(z)) constant in the plane.  Each slot
+        is written straight into its place in the preallocated output;
+        gradient entry [c, d] is d_d u_c."""
         if self.kind not in ("ansatz_k", "ansatz_k_div"):
             raise ValueError(f"factor tables exist only for ansatz spaces, not {self.kind!r}")
         if len(rule.terms) != 1:
@@ -383,16 +388,24 @@ class GalerkinSpace:
         rows_p, rows_a = slice(0, len(self._idx2)), slice(len(self._idx2), self.dim)
         inplane = [0, 1, 3, 4, 6, 7]  # u_x, u_y, then d_d u_c for c, d in (x, y)
         axial = [2, 11]  # u_z and d_z u_z
-        assert not np.delete(sign[rows_p], inplane, axis=1).any()
-        assert not np.delete(sign[rows_a], axial, axis=1).any()
-        assert not self._axial_factors[zidx[rows_p][:, inplane]].any()
-        assert not self._planar_factors[pidx[rows_a][:, axial]].any()
-        P, Z = self._planar(px, py), self._axial(z)
-        planar = (sign[rows_p][:, inplane, None] * P[pidx[rows_p][:, inplane]]).transpose(0, 2, 1)
-        ax = sign[rows_a][:, axial, None] * Z[zidx[rows_a][:, axial]]
-        K_P, N_P = planar.shape[:2]
-        return ((planar[..., :2], planar[..., 2:].reshape(K_P, N_P, 2, 2)),
-                (ax[:, 0], ax[:, 1]))
+        for breach, what in (
+            (np.delete(sign[rows_p], inplane, 1), "potential row has a live out-of-plane slot"),
+            (np.delete(sign[rows_a], axial, 1), "axial row has a live slot besides u_z, d_z u_z"),
+            (self._axial_factors[zidx[rows_p][:, inplane]], "potential row varies in z"),
+            (self._planar_factors[pidx[rows_a][:, axial]], "axial row varies in the plane"),
+        ):
+            if breach.any():
+                raise AssemblyError(f"a {what}; the space does not split into planar and "
+                                    f"axial factors")
+        P = self._planar(px, py)
+        values = np.empty((rows_p.stop, P.shape[1], 2))
+        grads = np.empty((rows_p.stop, P.shape[1], 2, 2))
+        outs = [values[..., c] for c in range(2)] + [grads[..., c, d] for c in range(2)
+                                                     for d in range(2)]
+        for e, out in zip(inplane, outs):
+            np.multiply(sign[rows_p, e, None], P[pidx[rows_p, e]], out=out)
+        Z = self._axial(z)
+        return (values, grads), tuple(sign[rows_a, e, None] * Z[zidx[rows_a, e]] for e in axial)
 
     # -- rigid displacements ------------------------------------------
 
@@ -676,8 +689,9 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     f = body_force(load, vol.points)
     Y, start = 0.0, 0
     for (px, py, pw), (z, wz) in vol.terms:
-        P = space._planar(px, py) * pw
-        Z = space._axial(z) * wz
+        P, Z = space._planar(px, py), space._axial(z)
+        P *= pw
+        Z *= wz
         F = f[start:start + pw.size * wz.size].reshape(pw.size, wz.size, 3)
         start += pw.size * wz.size
         Y = Y + np.stack([(P @ F[..., i]) @ Z.T for i in range(3)])

@@ -343,18 +343,21 @@ class IncompressibleBounds:
     lower: float | None  # dual bound (below min); None without a closed form
 
 
-def incompressible_linear_bounds(spec: LoadSpec,
-                                 degree: int = DEFAULT_DEGREE) -> IncompressibleBounds:
+def incompressible_linear_bounds(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
+                                 sol: ExplicitSolution | None = None) -> IncompressibleBounds:
     """Two-sided bounds of the divergence-free linear minimum EI.
 
-    The lower bound needs the closed-form compressible minimizer, which
-    exists only for profile loads on the unit cylinder.
+    The lower bound needs the closed-form compressible minimizer ``sol``,
+    which exists only for profile loads on the unit cylinder; it is built
+    here when the caller has not built it already.
     """
     upper = solve_quadratic(_system_for(spec, "div_free", degree))
-    try:
-        lower = explicit_minimizers(spec).min_incompressible_lower
-    except LoadError:
-        lower = None
+    if sol is None:
+        try:
+            sol = explicit_minimizers(spec)
+        except LoadError:
+            pass
+    lower = None if sol is None else sol.min_incompressible_lower
     return IncompressibleBounds(upper=upper, lower=lower)
 
 
@@ -562,7 +565,7 @@ def gap_report(
         )
 
     swirl = rotation_about_z(-0.5 * np.pi)
-    bounds = incompressible_linear_bounds(spec, degree=degree)
+    bounds = incompressible_linear_bounds(spec, degree=degree, sol=sol)
     gi_upper = solve_quadratic(_system_for(spec, "ansatz_k_div", degree), R=swirl)
     inc = IncompressibleGap(
         min_EI_upper=bounds.upper.value,

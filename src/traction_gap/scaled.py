@@ -30,7 +30,7 @@ import numpy as np
 from .energy import ksv_density_sum, ksv_weighted_stress, strain, sym_norm_sq_sum
 from .galerkin import GalerkinSpace, SolverError, assemble, build_space
 from .geometry import QuadratureRule, exact_order
-from .limits import explicit_minimizers
+from .limits import ExplicitSolution, explicit_minimizers
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
@@ -55,8 +55,12 @@ DIVERGENCE_FLOOR = -1e12
 
 @dataclass
 class NonlinearContext:
-    """Precomputed tables tying a load and an ansatz space to one tensor rule,
-    the planar rows on its planar factor and the axial rows on its axial one.
+    """What the descent reads of a load and an ansatz space on one tensor
+    rule, and nothing else: the gradients of the planar rows on the rule's
+    planar factor, the slopes of the axial rows on its axial factor, both
+    factors' weights, the load moments, the placement moment and the metric.
+    The rows' values, which only the projection of the limit start reads,
+    are handed to it by ``nonlinear_context`` and not kept.
 
     ``metric`` is the pseudo-inverse of the limit stiffness, zero on its
     kernel: rigid directions are flat (quartic in h) for the finite-strain
@@ -93,17 +97,23 @@ class NonlinearContext:
         return np.einsum("kij,ij->k", self.load_moments, R)
 
 
-def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
-    """Context of an ``ansatz_k``/``ansatz_k_div`` space on the cylinder's rule;
-    ValueError for other spaces, whose gradients do not split by factor.  The
-    rule is exact for |C(h G)|^2, of degree 4(f - 1) for fields of degree f,
-    for the assembly, and for projecting the closed-form start onto the
-    space; that start has the forces' degree + 2 (equilibrium is of order 2)."""
+def nonlinear_context(
+    spec: LoadSpec, space: GalerkinSpace
+) -> tuple[NonlinearContext, tuple[np.ndarray, np.ndarray]]:
+    """Context of an ``ansatz_k``/``ansatz_k_div`` space on the cylinder's
+    rule, and the values of its planar (K_P, N_P, 2) and axial (K_A, N_z) rows
+    for ``_limit_start``; ValueError for other spaces, whose gradients do not
+    split by factor.  The rule is exact for |C(h G)|^2, of degree 4(f - 1)
+    for fields of degree f, for the assembly, and for projecting the
+    closed-form start onto the space; that start has the forces' degree + 2
+    (equilibrium is of order 2).  The space is assembled before it is
+    tabulated, so the assembly's temporaries are gone when the tables are
+    built, and each table is built once."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
     rules = default_rules(spec, exact_order(degree))
-    (_, pg), (_, ag) = space.factor_tables(rules.volume)
     system = assemble(space, spec, rules=rules)
+    (pv, pg), (av, ag) = space.factor_tables(rules.volume)
     ((_, _, pw), (_, zw)), = rules.volume.terms
     return NonlinearContext(
         space=space,
@@ -115,7 +125,7 @@ def nonlinear_context(spec: LoadSpec, space: GalerkinSpace) -> NonlinearContext:
         load_moments=system.load_moments,
         placement_moment=moment_matrix(spec, rules),
         metric=system.embed(system.pinv),
-    )
+    ), (pv, av)
 
 
 def scaled_energy(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> float:
@@ -258,25 +268,26 @@ def _kernel_distance(R: np.ndarray, report) -> float:
     return float(np.linalg.norm(R - np.eye(3)))
 
 
-def _limit_start(spec: LoadSpec, space: GalerkinSpace,
-                 ctx: NonlinearContext) -> tuple[np.ndarray, np.ndarray, float]:
+def _limit_start(sol: ExplicitSolution, ctx: NonlinearContext, planar_values: np.ndarray,
+                 axial_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Limit minimizer projected on the space, its rotation, and its value.
 
     Planar rows have no z component and axial rows only one, so the L^2
-    Gram matrix of the space is block diagonal, one block per factor.
+    Gram matrix of the space is block diagonal, one block per factor, and
+    each block is solved alone.  The swirl minimizer is a planar field plus
+    w(z) e_z, so on the tensor rule each block's right-hand side needs the
+    field only at the N_P planar and the N_z axial nodes.
     """
-    sol = explicit_minimizers(spec)
-    (V, _), (a, _) = space.factor_tables(ctx.rule)
-    gram = np.zeros((space.dim, space.dim))
-    K_P = V.shape[0]
-    gram[:K_P, :K_P] = np.einsum("kpc,p,lpc->kl", V, ctx.planar_weights, V)
-    gram[K_P:, K_P:] = (a * ctx.axial_weights) @ a.T
-    # (N_P, N_z, 3) weighted field at the nodes, node = planar index * N_z + z index
-    U = (sol.u_swirl.value(ctx.rule.points) * ctx.rule.weights[:, None]).reshape(
-        V.shape[1], a.shape[1], 3)
-    moment = np.concatenate([np.einsum("kpc,pc->k", V, U[..., :2].sum(axis=1)),
-                             a @ U[..., 2].sum(axis=0)])
-    coeffs = np.linalg.lstsq(gram, moment, rcond=None)[0]
+    ((px, py, _), (z, _)), = ctx.rule.terms
+    u = sol.u_swirl
+    V, a = planar_values, axial_values
+    planar = u.value(np.stack([px, py, np.zeros_like(px)], axis=1))[:, :2]
+    planar *= ctx.planar_weights[:, None]
+    coeffs = np.concatenate([
+        np.linalg.solve(np.einsum("kpc,p,lpc->kl", V, ctx.planar_weights, V),
+                        np.einsum("kpc,pc->k", V, planar)),
+        np.linalg.solve((a * ctx.axial_weights) @ a.T, a @ (u.w(z) * ctx.axial_weights)),
+    ])
     R = exp_so3(np.array([0.0, 0.0, 0.5 * np.pi]))  # the swirl-optimal rotation
     return coeffs, R, sol.min_swirl_value
 
@@ -300,10 +311,10 @@ def convergence_study(
     report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")
-    explicit_minimizers(spec)  # LoadError off the unit cylinder, before the ansatz space
+    sol = explicit_minimizers(spec)  # LoadError off the unit cylinder, before the ansatz space
     space = build_space("ansatz_k", 2 * degree, spec.domain, degree1d=degree)
-    ctx = nonlinear_context(spec, space)
-    coeffs, R, limit_value = _limit_start(spec, space, ctx)
+    ctx, values = nonlinear_context(spec, space)
+    coeffs, R, limit_value = _limit_start(sol, ctx, *values)
     rows: list[ConvergenceRow] = []
     for h in hs:
         try:

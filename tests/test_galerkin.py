@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from math import comb
 
@@ -12,6 +13,7 @@ from traction_gap.galerkin import (
     SolverError,
     _factor,
     _factored_grams,
+    _legendre_tables,
     _refuse_leak,
     assemble,
     build_space,
@@ -427,6 +429,71 @@ def test_factored_grams_allocate_less_than_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * space.dim ** 2
+
+
+@pytest.mark.parametrize("kind,degree,d1",
+                         [("full", 4, None), ("div_free", 3, None), ("ansatz_k", 6, 3)])
+def test_planar_factors_are_the_products_of_1d_tables_bit_for_bit(kind, degree, d1):
+    # _planar multiplies the y factors into the x factors one parity run at
+    # a time; the product of the two full gathers has the same bits
+    space = build_space(kind, degree, CYL, degree1d=d1)
+    ((px, py, _), _), = volume_quadrature(CYL, 7).terms
+    a = space._box[0]
+    nx, ny, i, j = space._planar_factors.T
+    nder, deg = int(max(nx.max(), ny.max())), int(max(i.max(), j.max()))
+    Lx = _legendre_tables(px, deg, -a, a, nder)
+    Ly = _legendre_tables(py, deg, -a, a, nder)
+    assert len(space._factor_classes[0]) > 1
+    assert np.array_equal(space._planar(px, py), Lx[nx, i] * Ly[ny, j])
+
+
+@pytest.mark.parametrize("kind,degree,d1", [("ansatz_k", 6, 3), ("ansatz_k_div", 6, None)])
+def test_factor_tables_match_the_node_tables(kind, degree, d1):
+    # potential rows are the planar tables, constant in z; axial rows the
+    # axial tables, constant in the plane; every other entry vanishes
+    space = build_space(kind, degree, CYL, degree1d=d1)
+    rule = volume_quadrature(CYL, 6)
+    (pv, pg), (av, slopes) = space.factor_tables(rule)
+    vals, grads = space._build_tables(rule)
+    K_P, N_P, N_z = pv.shape[0], pv.shape[1], rule.terms[0][1][0].size
+    assert av.shape == slopes.shape == (space.dim - K_P, N_z)
+    want_v = np.zeros((space.dim, N_P, N_z, 3))
+    want_v[:K_P, ..., :2] = pv[:, :, None]
+    want_v[K_P:, ..., 2] = av[:, None]
+    want_g = np.zeros((space.dim, N_P, N_z, 3, 3))
+    want_g[:K_P, ..., :2, :2] = pg[:, :, None]
+    want_g[K_P:, ..., 2, 2] = slopes[:, None]
+    assert np.array_equal(vals.reshape(want_v.shape), want_v)
+    assert np.array_equal(grads.reshape(want_g.shape), want_g)
+
+
+def _corrupt(space, which):
+    """A copy of an ansatz space with one slot of its first potential row, or
+    of its first axial row, moved off that row's factor."""
+    sign, pidx, zidx = (a.copy() for a in space._slots)
+    first_axial = len(space._idx2)
+    if which == "potential row has a live out-of-plane slot":
+        sign[0, 2] = 1.0  # a u_z slot
+    elif which == "axial row has a live slot":
+        sign[first_axial, 0] = 1.0  # a u_x slot
+    elif which == "potential row varies in z":
+        zidx[0, 0] = np.flatnonzero(space._axial_factors.any(axis=1))[0]
+    else:
+        pidx[first_axial, 2] = np.flatnonzero(space._planar_factors.any(axis=1))[0]
+    broken = copy.copy(space)
+    broken._slots = (sign, pidx, zidx)
+    return broken
+
+
+@pytest.mark.parametrize("which", ["potential row has a live out-of-plane slot", "axial row has a live slot",
+                                   "potential row varies in z", "axial row varies in the plane"])
+def test_factor_tables_refuse_a_row_off_its_factor(which):
+    # explicit raises, so the checks hold under python -O too
+    space = build_space("ansatz_k", 4, CYL, degree1d=2)
+    rule = volume_quadrature(CYL, 4)
+    with pytest.raises(AssemblyError, match=which):
+        _corrupt(space, which).factor_tables(rule)
+    space.factor_tables(rule)  # the copy's slots were its own
 
 
 @pytest.mark.parametrize("kind", ["full", "div_free"])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,23 @@ CYL = Domain.cylinder()
 
 
 @pytest.fixture(scope="module")
-def preset_ctx():
+def preset_tables():
     spec = LoadSpec.cylinder_preset(beta=0.01)
     space = build_space("ansatz_k", 8, CYL, degree1d=4)
-    return spec, space, nonlinear_context(spec, space)
+    ctx, values = nonlinear_context(spec, space)
+    return spec, space, ctx, values
+
+
+@pytest.fixture(scope="module")
+def preset_ctx(preset_tables):
+    return preset_tables[:3]
+
+
+@pytest.fixture(scope="module")
+def preset_start(preset_tables):
+    """(coefficients, rotation, limit value) of the projected limit start."""
+    spec, _, ctx, values = preset_tables
+    return _limit_start(explicit_minimizers(spec), ctx, *values)
 
 
 def test_zero_displacement_energies(preset_ctx):
@@ -47,7 +61,7 @@ def test_reversed_witness_drives_energy_down():
     # compressive pressure: a pure rotation has energy -h^-1 L((R-I)x) -> -inf
     spec = LoadSpec(surface_pressure=-1.0)
     space = build_space("ansatz_k", 4, CYL, degree1d=2)
-    ctx = nonlinear_context(spec, space)
+    ctx, _ = nonlinear_context(spec, space)
     zero = np.zeros(space.dim)
     R = exp_so3(np.array([0.0, 0.0, np.pi]))
     vals = [
@@ -58,11 +72,11 @@ def test_reversed_witness_drives_energy_down():
     assert np.isclose(vals[1], -work / 0.1, rtol=1e-10)
 
 
-def test_limit_recovery_for_fixed_field(preset_ctx):
+def test_limit_recovery_for_fixed_field(preset_ctx, preset_start):
     # for fixed u and a kernel rotation, the value tends to the limit energy
     # with an O(h) defect
-    spec, space, ctx = preset_ctx
-    coeffs, R, limit_value = _limit_start(spec, space, ctx)
+    spec, _, ctx = preset_ctx
+    coeffs, R, limit_value = preset_start
     errs = []
     for h in (0.04, 0.02, 0.01, 0.005):
         v = scaled_energy(coeffs, R, h, ctx)
@@ -89,9 +103,9 @@ def test_energy_invariant_under_kernel_conjugation(preset_ctx, rng):
     assert np.isclose(v_base, v_conj, rtol=1e-12, atol=1e-14)
 
 
-def test_minimize_close_to_limit(preset_ctx):
-    spec, space, ctx = preset_ctx
-    coeffs, R, limit_value = _limit_start(spec, space, ctx)
+def test_minimize_close_to_limit(preset_ctx, preset_start):
+    spec, _, ctx = preset_ctx
+    coeffs, R, limit_value = preset_start
     res = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert res.status == "converged"
     assert abs(res.value - limit_value) < 0.1 * abs(limit_value)
@@ -100,11 +114,11 @@ def test_minimize_close_to_limit(preset_ctx):
     assert res.value <= start_val + 1e-14
 
 
-def test_minimize_reports_max_rounds(preset_ctx, monkeypatch):
+def test_minimize_reports_max_rounds(preset_ctx, preset_start, monkeypatch):
     # the warm start at h = 0.1 needs two alternation rounds; capped at one,
     # the status says so instead of claiming convergence
-    spec, space, ctx = preset_ctx
-    coeffs, R, _ = _limit_start(spec, space, ctx)
+    spec, _, ctx = preset_ctx
+    coeffs, R, _ = preset_start
     full = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert full.status == "converged" and full.rounds >= 2
     monkeypatch.setattr(scaled, "ALTERNATION_MAX_ROUNDS", 1)
@@ -115,7 +129,7 @@ def test_minimize_reports_max_rounds(preset_ctx, monkeypatch):
 def test_minimize_zero_loads():
     spec = LoadSpec()
     space = build_space("ansatz_k", 4, CYL, degree1d=2)
-    ctx = nonlinear_context(spec, space)
+    ctx, _ = nonlinear_context(spec, space)
     zero = np.zeros(space.dim)
     res = minimize_scaled(spec, zero, np.eye(3), 0.1, ctx)
     assert abs(res.value) < 1e-14
@@ -125,14 +139,14 @@ def test_minimize_zero_loads():
 def test_minimize_rejects_incompatible():
     # a compressive pressure does positive work on every half-turn
     spec = LoadSpec(surface_pressure=-1.0)
-    ctx = nonlinear_context(spec, build_space("ansatz_k", 4, CYL, degree1d=2))
+    ctx, _ = nonlinear_context(spec, build_space("ansatz_k", 4, CYL, degree1d=2))
     with pytest.raises(SolverError):
         minimize_scaled(spec, np.zeros(ctx.space.dim), np.eye(3), 0.1, ctx)
 
 
-def test_far_rotation_init_returns_to_kernel(preset_ctx):
-    spec, space, ctx = preset_ctx
-    coeffs, _, _ = _limit_start(spec, space, ctx)
+def test_far_rotation_init_returns_to_kernel(preset_ctx, preset_start):
+    spec, _, ctx = preset_ctx
+    coeffs, _, _ = preset_start
     far = exp_so3(np.array([np.pi / 2, 0.0, 0.0]))  # x-axis quarter turn
     res = minimize_scaled(spec, coeffs, far, 0.1, ctx)
     from traction_gap.loads import compatibility_report
@@ -167,21 +181,21 @@ def test_convergence_study_rejects_bad_schedule(preset_ctx):
             convergence_study(spec, schedule, degree=2)
 
 
-def test_rescaled_strain_blows_up_off_identity(preset_ctx):
-    spec, space, ctx = preset_ctx
-    coeffs, R, _ = _limit_start(spec, space, ctx)
+def test_rescaled_strain_blows_up_off_identity(preset_ctx, preset_start):
+    spec, _, ctx = preset_ctx
+    coeffs, R, _ = preset_start
     n1 = rescaled_strain_norm(coeffs, R, 0.2, ctx)
     n2 = rescaled_strain_norm(coeffs, R, 0.02, ctx)
     assert n2 > 5.0 * n1
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
-def test_elastic_energy_matches_extended_precision_at_thin_films(preset_ctx):
+def test_elastic_energy_matches_extended_precision_at_thin_films(preset_ctx, preset_start):
     # the elastic part at the limit start, evaluated on h G and not on I + h G,
     # keeps full relative precision; I + h G would lose about 1e-16 / h
-    spec, space, ctx = preset_ctx
+    spec, _, ctx = preset_ctx
     h = 5e-4
-    c, _, _ = _limit_start(spec, space, ctx)
+    c, _, _ = preset_start
     value = scaled_energy(c, np.eye(3), h, ctx)
     elastic = value + float(np.trace(ctx.work_moment(c)))
     eye, ref = np.eye(3, dtype=np.longdouble), np.longdouble(0.0)
@@ -229,7 +243,7 @@ class NodeReference:
 def split_and_reference(request):
     kind, degree, d1 = request.param
     spec = LoadSpec.cylinder_preset(beta=0.01)
-    ctx = nonlinear_context(spec, build_space(kind, degree, CYL, degree1d=d1))
+    ctx, _ = nonlinear_context(spec, build_space(kind, degree, CYL, degree1d=d1))
     return ctx, NodeReference(ctx)
 
 
@@ -310,18 +324,33 @@ def _array_bytes(obj, seen: set) -> int:
 def test_degree5_context_is_small():
     # the node tables of this context took 82 MB for the gradients alone
     space = build_space("ansatz_k", 10, CYL, degree1d=5)
-    ctx = nonlinear_context(LoadSpec.cylinder_preset(), space)
+    ctx, _ = nonlinear_context(LoadSpec.cylinder_preset(), space)
     assert len(ctx.rule) == 17 * 34 * 17  # order 17, exact for the degree-32 energy
     assert _array_bytes(ctx, set()) < 5e6
+
+
+def test_degree5_context_peaks_below_its_old_tables():
+    # the thin-film space: each table is written straight into its final
+    # array, so the context peaks at about 4.1 MB of traced allocations
+    # (5.7 MB when the planar tables were gathered, signed and reshaped in
+    # copies)
+    space = build_space("ansatz_k", 10, CYL, degree1d=5)
+    tracemalloc.start()
+    try:
+        nonlinear_context(LoadSpec.cylinder_preset(), space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 # -- stop reasons -----------------------------------------------------------------
 
 
-def test_failed_backtrack_is_reported(preset_ctx, monkeypatch):
+def test_failed_backtrack_is_reported(preset_ctx, preset_start, monkeypatch):
     # every trial point costs +inf, so no step passes the Armijo test
-    spec, space, ctx = preset_ctx
-    coeffs, R, _ = _limit_start(spec, space, ctx)
+    spec, _, ctx = preset_ctx
+    coeffs, R, _ = preset_start
     energy = scaled.scaled_energy
 
     def refuse_trials(c, R, h, context):
