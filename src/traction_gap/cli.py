@@ -10,8 +10,10 @@ Reports are written as ``report.json`` (deterministic: identical config and
 version produce byte-identical output) plus ``report.csv`` for the tabular
 subcommands; wall time, the process's peak RSS, the numpy version and the
 subcommand go to ``meta.json`` so the main report stays reproducible.
-Exit codes: 0 success, 1 usage, 2 invalid configuration, 3 solver failure,
-4 a certification check failed.
+``config_hash`` in ``report.json`` is the SHA-256 of the canonical config
+JSON, computed with CPython's built-in hash module, without OpenSSL.
+Exit codes: 0 success (and ``-h`` after a subcommand), 1 usage, 2 invalid
+configuration, 3 solver failure, 4 a certification check failed.
 
 CSV columns (fixed):
   nonlinear-study : h,value_Gh,gap_to_limit,rot_dist,strain_rescaled
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import resource
 import sys
@@ -31,6 +32,14 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+try:  # CPython's own SHA-256: ``import hashlib`` maps OpenSSL's libcrypto (3.5 MB RSS)
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256
 
 from . import __version__
 from .galerkin import AssemblyError, SolverError
@@ -84,11 +93,13 @@ DEFAULT_CONFIG: dict = {
 # the rotation form block by block; no K x K array is formed, and a system
 # keeps its blocks of A and A^+ and 6 x K rigid rows: K = 1365 for full and
 # 1001 for div_free at degree 12 (solve-linear, which assembles both, takes
-# 0.14-0.15 s and 55 MB peak RSS there on the cylinder, 0.26-0.27 s and
-# 73 MB on the ball, on 2 cores).
+# 0.12-0.20 s and 52 MB peak RSS there on the cylinder, 0.20-0.34 s and
+# 70 MB on the ball, by meta.json on 2 cores; importing this module with
+# numpy takes about 30 MB of that).
 # The nonlinear context tabulates its ansatz space on the cylinder rule's
-# planar and axial factors (under 8 MB at nonlinear degree 6).  Past
-# geometry.ORDER_CAP a derived rule order exits 2.
+# planar and axial factors (under 8 MB at nonlinear degree 6, where
+# nonlinear-study peaks at 45 MB).  Past geometry.ORDER_CAP a derived rule
+# order exits 2.
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,
@@ -212,7 +223,7 @@ def _jsonable(obj):
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +366,22 @@ SUBCOMMANDS = {
 }
 
 
+def _peak_rss_mb() -> float:
+    """The process's own high-water mark of resident memory so far, in MB.
+
+    On Linux ``ru_maxrss`` keeps the launching process's mark across ``exec``,
+    so ``VmHWM`` is read where ``/proc/self/status`` exists (both in KiB on Linux).
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _write_csv(path: Path, rows) -> None:
     lines = [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -373,7 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog=f"traction-gap {sub}")
     parser.add_argument("--config", default=None, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory for reports")
-    args = parser.parse_args(argv[1:])
+    try:
+        args = parser.parse_args(argv[1:])
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code == 0 else 1
 
     t0 = time.perf_counter()
     try:
@@ -409,8 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     meta = {
         "wall_time_s": time.perf_counter() - t0,
         "subcommand": sub,
-        # the process's high-water mark so far (Linux reports KiB)
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
         "numpy_version": np.__version__,
     }
     (out / "meta.json").write_text(json.dumps(meta) + "\n")

@@ -1,5 +1,10 @@
+import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -38,9 +43,22 @@ def test_unknown_subcommand(tmp_path, capsys):
     assert "unknown subcommand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--bogus"], ["--config"]])
+def test_bad_subcommand_arguments_exit_one(tmp_path, capsys, args):
+    # a usage error returns 1, not argparse's SystemExit(2), the config code
+    assert main(["solve-linear", *args, "--out", str(tmp_path)]) == 1
+    assert "usage: traction-gap solve-linear" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "traction-gap" in capsys.readouterr().out
+
+
+def test_subcommand_help_exits_zero(capsys):
+    assert main(["solve-linear", "-h"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_check_loads_default(tmp_path):
@@ -507,6 +525,43 @@ def test_config_hash_stable():
     h1 = config_hash(DEFAULT_CONFIG)
     h2 = config_hash(json.loads(json.dumps(DEFAULT_CONFIG)))
     assert h1 == h2
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, {**DEFAULT_CONFIG, "beta": 0.0,
+                                                  "basis": {"degree": 6}}])
+def test_config_hash_is_the_sha256_of_the_canonical_config(cfg):
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_does_not_load_openssl():
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this Python build has no built-in SHA-256")
+    proc = _python("import sys, traction_gap.cli; print('_hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc/self/status")
+def test_meta_peak_rss_is_the_cli_processes_own(tmp_path):
+    # ru_maxrss keeps the launching process's high-water mark across exec;
+    # this launcher touches 120 MB before it starts the CLI
+    launcher = ("import subprocess, sys\n"
+                "ballast = b'\\x01' * (120 << 20)\n"
+                "sys.exit(subprocess.call([sys.executable, '-m', 'traction_gap.cli',"
+                " 'check-loads', '--out', sys.argv[1]]))\n")
+    proc = _python(launcher, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    peak = json.loads((tmp_path / "meta.json").read_text())["peak_rss_mb"]
+    assert 0.0 < peak < 90.0
 
 
 _numbers = (st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, 0.0])
