@@ -8,8 +8,11 @@ verify-explicit, nonlinear-study, rotated-check, nonuniqueness.
 
 Reports are written as ``report.json`` (deterministic: identical config and
 version produce byte-identical output) plus ``report.csv`` for the tabular
-subcommands; wall time, the process's peak RSS, the numpy version and the
-subcommand go to ``meta.json`` so the main report stays reproducible.
+subcommands; wall time, the process's peak RSS, the numpy version, the
+subcommand, the BLAS thread and bytecode environment variables and, for
+``nonlinear-study``, each row's descent work (alternation rounds, descent
+steps, Armijo backtracks, stop reasons) go to ``meta.json`` so the main
+report stays reproducible.
 ``config_hash`` in ``report.json`` is the SHA-256 of the canonical config
 JSON, computed with CPython's built-in hash module, without OpenSSL.
 Exit codes: 0 success (and ``-h`` after a subcommand), 1 usage, 2 invalid
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import resource
 import sys
 import time
@@ -228,7 +232,7 @@ def config_hash(cfg: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns (results dict, csv rows or None,
-# exit code)
+# exit code), and optionally a dict of run facts for meta.json
 
 
 def _classification_rules(spec, cfg):
@@ -328,15 +332,16 @@ def _cmd_verify_explicit(spec, cfg):
 
 
 def _cmd_nonlinear_study(spec, cfg):
+    work = []
     rows = convergence_study(spec, tuple(cfg["h_schedule"]), degree=cfg["nonlinear_degree"],
-                             report=_classify(spec, cfg))
+                             report=_classify(spec, cfg), work=work)
     table = [("h", "value_Gh", "gap_to_limit", "rot_dist", "strain_rescaled")] + [
         (r.h, r.value, r.gap_to_limit, r.rotation_distance, r.strain_rescaled)
         for r in rows
     ]
     failed = [r for r in rows if r.status.startswith("error")]
     results = {"rows": rows, "errors": len(failed)}
-    return _jsonable(results), table, 3 if failed else 0
+    return _jsonable(results), table, 3 if failed else 0, {"descent": work}
 
 
 def _cmd_rotated_check(spec, cfg):
@@ -364,6 +369,11 @@ SUBCOMMANDS = {
     "rotated-check": _cmd_rotated_check,
     "nonuniqueness": _cmd_nonuniqueness,
 }
+
+
+# The BLAS thread variables (OpenBLAS reads them when numpy loads, after the
+# package's own defaults) and the bytecode-cache switch, which moves start-up.
+META_ENVIRONMENT = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 
 
 def _peak_rss_mb() -> float:
@@ -414,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        results, csv_rows, code = SUBCOMMANDS[sub](spec, cfg)
+        results, csv_rows, code, *run_facts = SUBCOMMANDS[sub](spec, cfg)
     except (SolverError, AssemblyError, np.linalg.LinAlgError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
@@ -441,7 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         "subcommand": sub,
         "peak_rss_mb": _peak_rss_mb(),
         "numpy_version": np.__version__,
+        "environment": {var: os.environ.get(var) for var in META_ENVIRONMENT},
     }
+    for facts in run_facts:
+        meta.update(facts)
     (out / "meta.json").write_text(json.dumps(meta) + "\n")
     print(f"{sub}: exit {code}; report in {out / 'report.json'}", file=sys.stderr)
     return code

@@ -6,7 +6,9 @@ evaluated on D = h G: forming I + h G and subtracting I again would lose
 about 1e-16 / h of relative precision.  W vanishes exactly on rotations and
 is frame indifferent.  Its Hessian at the identity acts only on symmetric
 strains, so the quadratic form is 4 |sym G|^2.  The batch kernels take
-(N, 3, 3) gradients and weights (N,), as the nonlinear descent consumes them.
+(N, k, k) gradients and weights (N,); the nonlinear descent passes the
+diagonal blocks of a block-diagonal gradient, since C(D) is block diagonal
+with it.
 """
 
 from __future__ import annotations

@@ -13,10 +13,15 @@ entry w'(z), so C is block diagonal, and on the cylinder's tensor rule
 
     integral |C(h grad u)|^2 = W_z sum_p w_p |C(h G)|^2 + W_p sum_z w_z |C(h w' e_z e_z')|^2;
 
-the stress and the coefficient gradient split the same way.  The u-descent
-uses the analytic stress.  The rotation subproblem maximizes the work
-<R, Y(u)> with Y(u) = sum_k c_k T_k + T / h, which is linear in R, so its
-exact solution is the special orthogonal Procrustes rotation of Y(u).
+the stress and the coefficient gradient split the same way.  So the fields
+are kept as the blocks themselves, (N_P, 2, 2) planar and (N_z, 1, 1)
+axial, and the one density and stress kernel of ``energy`` runs on each.
+The u-descent uses the analytic stress.  The fields and the work are linear
+in the coefficients, so each descent iteration forms the fields of its
+direction once, and an Armijo trial costs an axpy of fields plus the density
+kernel.  The rotation subproblem maximizes the work <R, Y(u)> with
+Y(u) = sum_k c_k T_k + T / h, which is linear in R, so its exact solution
+is the special orthogonal Procrustes rotation of Y(u).
 Descent only certifies upper bounds of the finite-h infima, which is the
 side the limit comparison needs.
 """
@@ -81,14 +86,11 @@ class NonlinearContext:
     metric: np.ndarray  # (K, K) preconditioner, embedded once from the blocks of A^+ (K <= 71)
 
     def factor_fields(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The displacement gradient's planar block (N_P, 3, 3) and axial
-        entry (N_z, 3, 3), each zero outside its block."""
+        """The displacement gradient's planar block (N_P, 2, 2) and axial
+        block (N_z, 1, 1); grad u is zero off these blocks."""
         K_P = self.planar_grads.shape[0]
-        Gp = np.zeros((self.planar_weights.size, 3, 3))
-        Gp[:, :2, :2] = (coeffs[:K_P] @ self.planar_grads).reshape(-1, 2, 2)
-        Gz = np.zeros((self.axial_weights.size, 3, 3))
-        Gz[:, 2, 2] = coeffs[K_P:] @ self.axial_slopes
-        return Gp, Gz
+        return ((coeffs[:K_P] @ self.planar_grads).reshape(-1, 2, 2),
+                (coeffs[K_P:] @ self.axial_slopes).reshape(-1, 1, 1))
 
     def work_moment(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("k,kij->ij", coeffs, self.load_moments)
@@ -128,57 +130,84 @@ def nonlinear_context(
     ), (pv, av)
 
 
+def _elastic_energy(fields: tuple[np.ndarray, np.ndarray], h: float,
+                    ctx: NonlinearContext) -> float:
+    """h^-2 times the integral of |C(D)|^2 at the blocks D = h G of ``factor_fields``."""
+    Dp, Dz = fields
+    return (ksv_density_sum(Dp, ctx.planar_weights)
+            + ksv_density_sum(Dz, ctx.axial_weights)) / (h * h)
+
+
 def scaled_energy(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> float:
     """Value of the scaled energy at coefficients c, rotation R and thickness h
     (quadrature over the context's rule)."""
-    Gp, Gz = ctx.factor_fields(c)
-    value = (ksv_density_sum(h * Gp, ctx.planar_weights)
-             + ksv_density_sum(h * Gz, ctx.axial_weights)) / (h * h)
+    value = _elastic_energy(ctx.factor_fields(h * c), h, ctx)
     value -= float(np.sum(R * ctx.work_moment(c)))
     value -= float(np.sum((R - np.eye(3)) * ctx.placement_moment)) / h
     return value
 
 
-def _coeff_gradient(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext) -> np.ndarray:
-    Gp, Gz = ctx.factor_fields(c)
-    Pp = ksv_weighted_stress(h * Gp, ctx.planar_weights)
-    Pz = ksv_weighted_stress(h * Gz, ctx.axial_weights)
-    g = np.concatenate([ctx.planar_grads @ Pp[:, :2, :2].ravel(), ctx.axial_slopes @ Pz[:, 2, 2]])
-    return g / h - ctx.load_vector(R)
+def _coeff_gradient(fields: tuple[np.ndarray, np.ndarray], load: np.ndarray, h: float,
+                    ctx: NonlinearContext) -> np.ndarray:
+    """Gradient in the coefficients at the blocks D = h G of ``factor_fields``,
+    with ``load`` the load vector of the rotation."""
+    Dp, Dz = fields
+    Pp = ksv_weighted_stress(Dp, ctx.planar_weights)
+    Pz = ksv_weighted_stress(Dz, ctx.axial_weights)
+    g = np.concatenate([ctx.planar_grads @ Pp.ravel(), ctx.axial_slopes @ Pz.ravel()])
+    return g / h - load
 
 
 def _descend_coefficients(
     c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearContext
-) -> tuple[np.ndarray, float, str]:
+) -> tuple[np.ndarray, float, str, int, int]:
     """Armijo-backtracked gradient descent in the coefficient vector.
 
-    Returns the coefficients, their value and why the descent stopped:
+    The fields h G(c) are formed from c on entry and carried with it: each
+    iteration forms the fields h G(d) and the work <d, b(R)> of its direction
+    d once, and the trial c - s d has the fields h G(c) - s h G(d) and the
+    work <c, b(R)> - s <d, b(R)>.
+
+    Returns the coefficients, their value, why the descent stopped:
     "converged" (metric gradient norm below COEFF_GRAD_TOL),
-    "line_search_failed" (no step passed the Armijo test) or "max_iters".
+    "line_search_failed" (no step passed the Armijo test) or "max_iters",
+    and the numbers of accepted steps and of rejected Armijo trials.
     """
-    value = scaled_energy(c, R, h, ctx)
-    for _ in range(COEFF_MAX_ITERS):
-        g = _coeff_gradient(c, R, h, ctx)
+    load = ctx.load_vector(R)
+    placement = float(np.sum((R - np.eye(3)) * ctx.placement_moment)) / h
+    fields = ctx.factor_fields(h * c)
+    trial = tuple(np.empty_like(D) for D in fields)
+    work = float(c @ load)
+    value = _elastic_energy(fields, h, ctx) - work - placement
+    backtracks = 0
+    for steps in range(COEFF_MAX_ITERS):
+        g = _coeff_gradient(fields, load, h, ctx)
         d = ctx.metric @ g  # descent direction in the limit-stiffness metric
         slope = float(g @ d)
         if float(np.sqrt(max(slope, 0.0))) < COEFF_GRAD_TOL:
-            return c, value, "converged"
+            return c, value, "converged", steps, backtracks
+        direction = ctx.factor_fields(h * d)
+        d_work = float(d @ load)
         step = 1.0
         while step > 1e-16:
-            trial = c - step * d
-            v_trial = scaled_energy(trial, R, h, ctx)
+            for T, D, S in zip(trial, fields, direction):
+                np.multiply(S, -step, out=T)
+                T += D
+            v_trial = _elastic_energy(trial, h, ctx) - (work - step * d_work) - placement
             if v_trial <= value - ARMIJO_SLOPE * step * slope:
-                c, value = trial, v_trial
+                c, value, work = c - step * d, v_trial, work - step * d_work
+                fields, trial = trial, fields
                 break
+            backtracks += 1
             step *= ARMIJO_SHRINK
         else:
-            return c, value, "line_search_failed"
+            return c, value, "line_search_failed", steps, backtracks
         if value < DIVERGENCE_FLOOR:
             raise SolverError(
                 "scaled energy diverged below the admissible floor; the loads "
                 "look incompatible"
             )
-    return c, value, "max_iters"
+    return c, value, "max_iters", COEFF_MAX_ITERS, backtracks
 
 
 @dataclass
@@ -188,6 +217,9 @@ class NonlinearResult:
     value: float
     rounds: int
     status: str
+    steps: int  # accepted coefficient-descent steps over all rounds
+    backtracks: int  # rejected Armijo trials over all rounds
+    descent_stops: list[str]  # each round's coefficient-descent stop reason
 
 
 def minimize_scaled(
@@ -217,8 +249,13 @@ def minimize_scaled(
     c = coeffs.copy()
     value = scaled_energy(c, R, h, ctx)
     status = "max_rounds"
+    steps = backtracks = 0
+    descent_stops = []
     for rounds in range(1, ALTERNATION_MAX_ROUNDS + 1):
-        c, _, descent = _descend_coefficients(c, R, h, ctx)
+        c, _, descent, round_steps, round_backtracks = _descend_coefficients(c, R, h, ctx)
+        steps += round_steps
+        backtracks += round_backtracks
+        descent_stops.append(descent)
         R, _ = nearest_rotation(ctx.work_moment(c) + ctx.placement_moment / h)
         v_after = scaled_energy(c, R, h, ctx)
         decrease = value - v_after
@@ -228,7 +265,8 @@ def minimize_scaled(
             break
     if status != "max_rounds" and descent != "converged":
         status = descent
-    return NonlinearResult(coefficients=c, rotation=R, value=value, rounds=rounds, status=status)
+    return NonlinearResult(coefficients=c, rotation=R, value=value, rounds=rounds, status=status,
+                           steps=steps, backtracks=backtracks, descent_stops=descent_stops)
 
 
 @dataclass
@@ -253,7 +291,10 @@ def rescaled_strain_norm(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearC
     sum of |sym B|^2 and twice the product of their weighted integrals.
     """
     Gp, Gz = ctx.factor_fields(c)
-    A, B = (R - np.eye(3)) / h + R @ Gp, R @ Gz
+    A = np.repeat(((R - np.eye(3)) / h)[None], len(Gp), axis=0)
+    A[:, :, :2] += R[:, :2] @ Gp
+    B = np.zeros((len(Gz), 3, 3))
+    B[:, :, 2:] = R[:, 2:] @ Gz
     ((_, _, pw), (_, zw)), = ctx.rule.terms
     cross = np.sum(strain(np.tensordot(pw, A, 1)) * strain(np.tensordot(zw, B, 1)))
     return float(np.sqrt(sym_norm_sq_sum(A, ctx.planar_weights)
@@ -282,10 +323,9 @@ def _limit_start(sol: ExplicitSolution, ctx: NonlinearContext, planar_values: np
     u = sol.u_swirl
     V, a = planar_values, axial_values
     planar = u.value(np.stack([px, py, np.zeros_like(px)], axis=1))[:, :2]
-    planar *= ctx.planar_weights[:, None]
+    Vw = (V * ctx.planar_weights[:, None]).reshape(len(V), -1)
     coeffs = np.concatenate([
-        np.linalg.solve(np.einsum("kpc,p,lpc->kl", V, ctx.planar_weights, V),
-                        np.einsum("kpc,pc->k", V, planar)),
+        np.linalg.solve(Vw @ V.reshape(len(V), -1).T, Vw @ planar.ravel()),
         np.linalg.solve((a * ctx.axial_weights) @ a.T, a @ (u.w(z) * ctx.axial_weights)),
     ])
     R = exp_so3(np.array([0.0, 0.0, 0.5 * np.pi]))  # the swirl-optimal rotation
@@ -297,13 +337,17 @@ def convergence_study(
     h_schedule: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
     degree: int = 4,
     report: KernelReport | None = None,
+    work: list | None = None,
 ) -> list[ConvergenceRow]:
     """Quasi-minimize the scaled energy down a decreasing h schedule.
 
     The working space is the structured ansatz with planar potential degree
     2 * degree (a total-degree-`degree` space cannot represent the limit
     minimizer and would cap the achievable gap); each row warm-starts from
-    the previous one, the first from the projected limit minimizer.
+    the previous one, the first from the projected limit minimizer.  Given a
+    list as ``work``, one dict per row is appended to it: the row's h and
+    status and, unless the row failed, its alternation rounds, accepted
+    descent steps, rejected Armijo trials and each round's descent stop reason.
     """
     hs = tuple(h_schedule)
     if not all(0.0 < h < 1.0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
@@ -327,7 +371,12 @@ def convergence_study(
                     status=f"error: {err}",
                 )
             )
+            if work is not None:
+                work.append({"h": h, "status": rows[-1].status})
             continue
+        if work is not None:
+            work.append({"h": h, "status": res.status, "rounds": res.rounds, "steps": res.steps,
+                         "backtracks": res.backtracks, "descent_stops": res.descent_stops})
         coeffs, R = res.coefficients, res.rotation
         rows.append(
             ConvergenceRow(

@@ -70,6 +70,9 @@ def test_check_loads_default(tmp_path):
     assert meta["subcommand"] == "check-loads"
     assert meta["peak_rss_mb"] > 0.0
     assert meta["numpy_version"] == np.__version__
+    assert meta["environment"] == {var: os.environ.get(var) for var in
+                                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "PYTHONDONTWRITEBYTECODE")}
 
 
 @pytest.mark.parametrize("sub", ["check-loads", "kernel"])
@@ -414,6 +417,14 @@ def test_nonlinear_study_cli(tmp_path):
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "h,value_Gh,gap_to_limit,rot_dist,strain_rescaled"
     assert report["results"]["errors"] == 0
+    # meta.json, not report.json, carries each row's descent work
+    rows = report["results"]["rows"]
+    descent = json.loads((out / "meta.json").read_text())["descent"]
+    assert [(d["h"], d["status"]) for d in descent] == [(r["h"], r["status"]) for r in rows]
+    for d in descent:
+        assert d["rounds"] == len(d["descent_stops"]) >= 1
+        assert d["steps"] >= 0 and d["backtracks"] >= 0
+    assert "descent" not in json.dumps(report)
 
 
 def test_rotated_check_cli(tmp_path):
@@ -534,11 +545,49 @@ def test_config_hash_is_the_sha256_of_the_canonical_config(cfg):
     assert config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    env = os.environ if env is None else env
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+                          text=True, timeout=120, env={**env, "PYTHONPATH": src})
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# the thread variables after the import, then the bundled OpenBLAS's own thread
+# count where the numpy wheel ships one
+_BLAS_PROBE = """
+import ctypes, glob, os, sys
+import traction_gap
+import numpy as np
+print(*(os.environ[var] for var in sys.argv[1:]))
+threads = None
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+for lib in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        getter = getattr(ctypes.CDLL(lib), symbol, None)
+        if getter is not None and threads is None:
+            getter.restype = ctypes.c_int
+            threads = getter()
+print(threads)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+def test_blas_threads_default_to_one(preset):
+    # importing the package before numpy sets one BLAS thread unless the
+    # variable was already set; a value the caller set is kept
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(_BLAS_VARS, preset))
+    proc = _python(_BLAS_PROBE, *_BLAS_VARS, env=env)
+    assert proc.returncode == 0, proc.stderr
+    variables, threads = proc.stdout.splitlines()
+    assert variables.split() == [preset or "1"] * 2
+    if threads != "None":  # a numpy wheel with a bundled OpenBLAS, capped at the cores
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert int(threads) == min(int(preset or "1"), cores)
 
 
 def test_import_does_not_load_openssl():

@@ -198,8 +198,9 @@ def test_elastic_energy_matches_extended_precision_at_thin_films(preset_ctx, pre
     c, _, _ = preset_start
     value = scaled_energy(c, np.eye(3), h, ctx)
     elastic = value + float(np.trace(ctx.work_moment(c)))
-    eye, ref = np.eye(3, dtype=np.longdouble), np.longdouble(0.0)
+    ref = np.longdouble(0.0)
     for G, w in zip(ctx.factor_fields(c), (ctx.planar_weights, ctx.axial_weights)):
+        eye = np.eye(G.shape[-1], dtype=np.longdouble)  # one diagonal block of F
         F = eye + np.longdouble(h) * G.astype(np.longdouble)
         C = np.swapaxes(F, 1, 2) @ F - eye
         ref += w.astype(np.longdouble) @ np.einsum("nij,nij->n", C, C)
@@ -247,11 +248,24 @@ def split_and_reference(request):
     return ctx, NodeReference(ctx)
 
 
+def _padded(fields):
+    """The planar (N_P, 2, 2) and axial (N_z, 1, 1) blocks as zero-padded
+    (N_P, 3, 3) and (N_z, 3, 3) gradients."""
+    Gp, Gz = fields
+    P, Z = np.zeros((len(Gp), 3, 3)), np.zeros((len(Gz), 3, 3))
+    P[:, :2, :2], Z[:, 2:, 2:] = Gp, Gz
+    return P, Z
+
+
 def _gradient_field(ctx, c):
     """(N, 3, 3) displacement gradient from the context's factor fields,
     node = planar index * N_z + z index, the order of the rule's nodes."""
-    Gp, Gz = ctx.factor_fields(c)
-    return (Gp[:, None] + Gz[None, :]).reshape(-1, 3, 3)
+    P, Z = _padded(ctx.factor_fields(c))
+    return (P[:, None] + Z[None, :]).reshape(-1, 3, 3)
+
+
+def _gradient(c, R, h, ctx):
+    return scaled._coeff_gradient(ctx.factor_fields(h * c), ctx.load_vector(R), h, ctx)
 
 
 def _rel(a, b) -> float:
@@ -265,7 +279,7 @@ def test_split_matches_node_tables(split_and_reference, rng, h):
     for R in [np.eye(3)] + random_rotations(rng, 2):
         c = rng.normal(scale=0.3, size=space.dim)
         assert _rel(scaled_energy(c, R, h, ctx), ref.energy(c, R, h)) <= 1e-13
-        assert _rel(scaled._coeff_gradient(c, R, h, ctx), ref.coeff_gradient(c, R, h)) <= 1e-13
+        assert _rel(_gradient(c, R, h, ctx), ref.coeff_gradient(c, R, h)) <= 1e-13
         assert _rel(_gradient_field(ctx, c), ref.gradient_field(c)) <= 1e-13
         assert _rel(rescaled_strain_norm(c, R, h, ctx), ref.strain_norm(c, R, h)) <= 1e-13
 
@@ -276,13 +290,67 @@ def test_coeff_gradient_matches_central_differences(split_and_reference, rng, h)
     space = ctx.space
     c = rng.normal(scale=0.3, size=space.dim)
     R = random_rotations(rng, 1)[0]
-    g = scaled._coeff_gradient(c, R, h, ctx)
+    g = _gradient(c, R, h, ctx)
     step = 1e-5
     for _ in range(3):
         d = rng.normal(size=space.dim)
         plus = scaled_energy(c + step * d, R, h, ctx)
         minus = scaled_energy(c - step * d, R, h, ctx)
         assert np.isclose((plus - minus) / (2 * step), g @ d, rtol=1e-6)
+
+
+@pytest.mark.parametrize("h", [0.2, 5e-4])
+def test_block_fields_match_zero_padded_fields(split_and_reference, rng, h):
+    # the kernels on the 2x2 and 1x1 blocks against the same kernels on the
+    # blocks zero-padded to 3x3: C(D) of a block-diagonal D is block diagonal
+    ctx, _ = split_and_reference
+    c = rng.normal(scale=0.3, size=ctx.space.dim)
+    R = random_rotations(rng, 1)[0]
+    P, Z = _padded(ctx.factor_fields(h * c))
+    value = (ksv_density_sum(P, ctx.planar_weights) + ksv_density_sum(Z, ctx.axial_weights)) / h**2
+    value -= float(np.sum(R * ctx.work_moment(c)))
+    value -= float(np.sum((R - np.eye(3)) * ctx.placement_moment)) / h
+    SP, SZ = ksv_weighted_stress(P, ctx.planar_weights), ksv_weighted_stress(Z, ctx.axial_weights)
+    grad = np.concatenate([ctx.planar_grads @ SP[:, :2, :2].ravel(),
+                           ctx.axial_slopes @ SZ[:, 2, 2]]) / h - ctx.load_vector(R)
+    assert _rel(scaled_energy(c, R, h, ctx), value) <= 1e-13
+    assert _rel(_gradient(c, R, h, ctx), grad) <= 1e-13
+
+
+@pytest.mark.parametrize("h", [0.2, 5e-4])
+def test_linear_trial_value_matches_scaled_energy(preset_ctx, preset_start, rng, h, monkeypatch):
+    # one accepted step: its value comes from the fields h G(c) - s h G(d)
+    # and the work <c - s d, b>, never from the coefficients c - s d
+    _, space, ctx = preset_ctx
+    coeffs, R, _ = preset_start
+    c0 = coeffs + rng.normal(scale=0.01, size=space.dim)
+    monkeypatch.setattr(scaled, "COEFF_MAX_ITERS", 1)
+    c, value, stop, steps, _ = scaled._descend_coefficients(c0, R, h, ctx)
+    assert stop == "max_iters" and steps == 1 and not np.array_equal(c, c0)
+    assert _rel(value, scaled_energy(c, R, h, ctx)) <= 1e-12
+
+
+def test_carried_fields_do_not_drift(preset_ctx, rng, monkeypatch):
+    # the fields updated by axpy through a whole descent against the fields
+    # formed afresh from its final coefficients; the round-off of an axpy is
+    # relative to its operands, so the start fields count in the scale
+    _, space, ctx = preset_ctx
+    h, R = 0.2, random_rotations(rng, 1)[0]
+    seen = []
+    gradient = scaled._coeff_gradient
+
+    def record(fields, *rest):
+        seen.append(tuple(D.copy() for D in fields))  # the descent reuses the buffers
+        return gradient(fields, *rest)
+
+    monkeypatch.setattr(scaled, "_coeff_gradient", record)
+    c, value, stop, steps, backtracks = scaled._descend_coefficients(
+        rng.normal(scale=0.3, size=space.dim), R, h, ctx)
+    assert stop == "converged" and steps >= 10 and backtracks > 0
+    for carried, fresh, start in zip(seen[-1], ctx.factor_fields(h * c), seen[0]):
+        scale = max(np.max(np.abs(fresh)), np.max(np.abs(start)))
+        assert np.max(np.abs(carried - fresh)) <= 1e-12 * scale
+    assert _rel(value, scaled_energy(c, R, h, ctx)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["full", "div_free"])
@@ -351,18 +419,23 @@ def test_failed_backtrack_is_reported(preset_ctx, preset_start, monkeypatch):
     # every trial point costs +inf, so no step passes the Armijo test
     spec, _, ctx = preset_ctx
     coeffs, R, _ = preset_start
-    energy = scaled.scaled_energy
+    start = ctx.factor_fields(0.1 * coeffs)
+    energy = scaled._elastic_energy
 
-    def refuse_trials(c, R, h, context):
-        return energy(c, R, h, context) if np.array_equal(c, coeffs) else np.inf
+    def refuse_trials(fields, h, context):
+        at_start = all(np.array_equal(D, S) for D, S in zip(fields, start))
+        return energy(fields, h, context) if at_start else np.inf
 
-    monkeypatch.setattr(scaled, "scaled_energy", refuse_trials)
-    c, _, stop = scaled._descend_coefficients(coeffs, R, 0.1, ctx)
+    monkeypatch.setattr(scaled, "_elastic_energy", refuse_trials)
+    c, _, stop, steps, backtracks = scaled._descend_coefficients(coeffs, R, 0.1, ctx)
     assert stop == "line_search_failed"
     assert np.array_equal(c, coeffs)
+    assert steps == 0 and backtracks == 54  # steps 1, 1/2, ..., 2^-53
     res = minimize_scaled(spec, coeffs, R, 0.1, ctx)
     assert res.status == "line_search_failed"
     assert np.array_equal(res.coefficients, coeffs)
+    assert (res.rounds, res.steps, res.backtracks) == (1, 0, 54)
+    assert res.descent_stops == ["line_search_failed"]
 
 
 def test_exact_rotation_step_converges_down_to_thin_films():
