@@ -290,7 +290,7 @@ def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
 
     dirs = fibonacci_directions(samples)
     vals = np.einsum("ni,ij,nj->n", dirs, M, dirs)
-    w2_values = {tuple(np.round(d, 12)): float(v) for d, v in zip(dirs, vals)}
+    w2_values = dict(zip(map(tuple, np.round(dirs, 12).tolist()), vals.tolist()))
 
     eigvals, eigvecs = np.linalg.eigh(M)  # ascending
     axis = None

@@ -1,14 +1,17 @@
 """The nine subcommands' reports on the default config against the reports
-recorded in ``tests/data/default_reports``.
+recorded in ``tests/data/default_reports``, and the thin-film
+``nonlinear-study`` (degree 5, h down to 5e-4) against the report and the
+``meta.json`` descent counts recorded in ``tests/data/thin_film``.
 
 A change meant to keep the numbers keeps every numeric leaf within 1e-12
 relative or 1e-15 absolute, and every other leaf exactly.  The
 nonlinear-study rows are compared at 1e-9 absolute: the descent stops once a
 round lowers the value by less than ALTERNATION_TOL = 1e-10, so they are
-resolved to about that level only.  A ``results.residual_norm`` leaf is the
-norm of a residual that is exactly zero in exact arithmetic; its round-off
-depends on the BLAS reduction order (thread count, blocking), so it is held
-to the bound ZERO_NORM_BOUND instead of to its recorded value.
+resolved to about that level only.  The descent counts (rounds, steps,
+backtracks, stop reasons) must match exactly.  A ``results.residual_norm``
+leaf is the norm of a residual that is exactly zero in exact arithmetic; its
+round-off depends on the BLAS reduction order (thread count, blocking), so
+it is held to the bound ZERO_NORM_BOUND instead of to its recorded value.
 """
 
 import json
@@ -19,6 +22,7 @@ import pytest
 from traction_gap import cli
 
 RECORDED = Path(__file__).parent / "data" / "default_reports"
+THIN_FILM = Path(__file__).parent / "data" / "thin_film"
 REL, ABS = 1e-12, 1e-15
 DESCENT_ABS = 1e-9
 ZERO_NORM_BOUND = 1e-12
@@ -35,11 +39,9 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
-@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
-def test_default_report_matches_the_recorded_one(tmp_path, sub):
-    assert cli.main([sub, "--out", str(tmp_path)]) == 0
-    got = dict(_leaves(json.loads((tmp_path / "report.json").read_text())))
-    want = dict(_leaves(json.loads((RECORDED / f"{sub}.json").read_text())))
+def _assert_report_matches(sub, out, recorded):
+    got = dict(_leaves(json.loads((out / "report.json").read_text())))
+    want = dict(_leaves(json.loads(recorded.read_text())))
     assert got.keys() == want.keys()
     for path, expected in want.items():
         value = got[path]
@@ -51,3 +53,17 @@ def test_default_report_matches_the_recorded_one(tmp_path, sub):
             assert abs(value - expected) <= DESCENT_ABS, path
         else:
             assert abs(value - expected) <= max(REL * abs(expected), ABS), path
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_default_report_matches_the_recorded_one(tmp_path, sub):
+    assert cli.main([sub, "--out", str(tmp_path)]) == 0
+    _assert_report_matches(sub, tmp_path, RECORDED / f"{sub}.json")
+
+
+def test_thin_film_study_matches_the_recorded_one(tmp_path):
+    config = THIN_FILM / "config.json"
+    assert cli.main(["nonlinear-study", "--config", str(config), "--out", str(tmp_path)]) == 0
+    _assert_report_matches("nonlinear-study", tmp_path, THIN_FILM / "nonlinear-study.json")
+    descent = json.loads((tmp_path / "meta.json").read_text())["descent"]
+    assert descent == json.loads((THIN_FILM / "descent.json").read_text())
