@@ -45,15 +45,14 @@ from .loads import (
     KernelReport,
     LoadSpec,
     RigidPart,
-    body_force,
     classify_moments,
     compatibility_report,
     default_rules,
-    load_functional,
+    factor_forces,
     moment_matrix,
+    placement_moments,
     reversed_compatibility_witness,
     rigid_projection,
-    work_moment,
 )
 from .profiles import (
     axial_displacement_profile,

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, QuadratureRule, exact_order
-from .loads import LoadRules, body_force, default_rules, force_degree, work_moment
+from .loads import LoadRules, default_rules, factor_forces, force_degree, surface_moment
 
 KERNEL_EIGENVALUE_CUT = 1e-10
 # largest entry of a term's planar or axial factor Gram between two parity
@@ -372,13 +372,14 @@ class GalerkinSpace:
             return vals, None
         return vals, table(slice(3, 12)).reshape(self.dim, -1, 3, 3)
 
-    def factor_tables(self, rule: QuadratureRule):
+    def factor_tables(self, rule: QuadratureRule, planar: np.ndarray | None = None):
         """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
         (values (K_A, N_z), slopes (K_A, N_z)) tables of an ansatz space on a
         tensor rule: potential rows are in-plane and constant in z (axial
         factor L_0), axial rows (0, 0, w(z)) constant in the plane.  Each slot
         is written straight into its place in the preallocated output;
-        gradient entry [c, d] is d_d u_c."""
+        gradient entry [c, d] is d_d u_c.  ``planar`` is the rule's planar
+        factor table when the caller has built it."""
         if self.kind not in ("ansatz_k", "ansatz_k_div"):
             raise ValueError(f"factor tables exist only for ansatz spaces, not {self.kind!r}")
         if len(rule.terms) != 1:
@@ -397,7 +398,7 @@ class GalerkinSpace:
             if breach.any():
                 raise AssemblyError(f"a {what}; the space does not split into planar and "
                                     f"axial factors")
-        P = self._planar(px, py)
+        P = self._planar(px, py) if planar is None else planar
         values = np.empty((rows_p.stop, P.shape[1], 2))
         grads = np.empty((rows_p.stop, P.shape[1], 2, 2))
         outs = [values[..., c] for c in range(2)] + [grads[..., c, d] for c in range(2)
@@ -630,10 +631,12 @@ _STRAIN_PAIRS = tuple((3 * i + i, 3 * i + i, 8.0) for i in range(3)) + tuple(
 _MASS_PAIRS = tuple((c, c, 1.0) for c in range(3))
 
 
-def _factored_grams(space: GalerkinSpace,
-                    rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
+                    planar: list | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(A blocks, M blocks) on a volume rule, from the planar and axial Gram
     matrices of its terms alone; no entry between two parity blocks is formed.
+    ``planar`` holds the planar factor table of each term when the caller has
+    built them; else each is built when it is reached.
 
     Every slot entry is sign * P * Z, so the integral of a product of two
     entries is a sum over the rule's terms of a planar Gram entry times an
@@ -650,9 +653,9 @@ def _factored_grams(space: GalerkinSpace,
     """
     plane, axial = space._factor_classes
     grams = []
-    for (px, py, pw), (z, wz) in rule.terms:
-        P, Z = space._planar(px, py), space._axial(z)
-        P *= np.sqrt(pw)
+    planar = planar or (space._planar(px, py) for (px, py, _), _ in rule.terms)
+    for P, ((_, _, pw), (z, wz)) in zip(planar, rule.terms):
+        P, Z = P * np.sqrt(pw), space._axial(z)
         Z *= np.sqrt(wz)
         GP, GZ = P @ P.T, Z @ Z.T
         del P, Z
@@ -674,40 +677,44 @@ def _factored_grams(space: GalerkinSpace,
                  for out in store)
 
 
-def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
+def load_moments(space: GalerkinSpace, load, rules: LoadRules,
+                 planar: list | None = None) -> np.ndarray:
     """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature.
 
     T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n).  On each term of the volume rule
-    the force component f_i, an (N_P, N_Z) array of node values, is contracted
-    with the weighted planar and axial factors, (P w) F_i (Z w)'; each entry
-    is gathered from the sum over the terms, and no separability of f is
-    needed.  The surface term hands node tables (K, N, 3) to
-    ``loads.work_moment``.
+    the force's factors (``loads.factor_forces``) are broadcast to the
+    (N_P, N_Z) node values F_i of each component, which are contracted with
+    the weighted planar and axial factors, (P w) F_i (Z w)'; each entry is
+    gathered from the sum over the terms.  The surface term hands node
+    tables (K, N, 3) to ``loads.surface_moment``.  ``planar`` is as for
+    ``_factored_grams``.
     """
     vol, surf = rules.volume, rules.surface if load.has_surface_term else None
     svals = None if surf is None else space._build_tables(surf, gradients=False)[0]
-    f = body_force(load, vol.points)
-    Y, start = 0.0, 0
-    for (px, py, pw), (z, wz) in vol.terms:
-        P, Z = space._planar(px, py), space._axial(z)
-        P *= pw
+    Y = 0.0
+    planar = planar or (space._planar(px, py) for (px, py, _), _ in vol.terms)
+    for P, term in zip(planar, vol.terms):
+        (_, _, pw), (z, wz) = term
+        P, Z = P * pw, space._axial(z)
         Z *= wz
-        F = f[start:start + pw.size * wz.size].reshape(pw.size, wz.size, 3)
-        start += pw.size * wz.size
+        fP, fz = factor_forces(load, term)  # broadcast to the (N_P, N_Z, 3) node forces
+        F = np.dstack([np.repeat(fP[:, None], wz.size, axis=1), np.tile(fz, (pw.size, 1))])
         Y = Y + np.stack([(P @ F[..., i]) @ Z.T for i in range(3)])
     sign, pidx, zidx = space._slots
     moments = sign[:, None, :3] * Y[:, pidx[:, :3], zidx[:, :3]].transpose(1, 0, 2)
-    return moments + work_moment(load, rules, None, svals)
+    return moments + surface_moment(load, rules, svals)
 
 
-def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None) -> StiffnessSystem:
-    """Quadratic form, load moments, its factorization and rotation form."""
+def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None,
+             planar: list | None = None) -> StiffnessSystem:
+    """Quadratic form, load moments, its factorization and rotation form;
+    ``planar`` is as for ``_factored_grams``."""
     if rules is None:
         f = space.field_degree
         rules = default_rules(load, exact_order(max(2 * f, force_degree(load) + f)))
     blocks = space.parity_blocks
-    stiffness, mass = _factored_grams(space, rules.volume)
-    moments = load_moments(space, load, rules)
+    stiffness, mass = _factored_grams(space, rules.volume, planar)
+    moments = load_moments(space, load, rules, planar)
     kernel, pinv, margins = _factor(stiffness, blocks)
     rigid = space.rigid_coefficients()
     if kernel.shape[0] != rigid.shape[0]:

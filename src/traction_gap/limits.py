@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .energy import QUADRATIC_SCALE, strain, sym_norm_sq_sum
 from .galerkin import (
@@ -51,7 +52,7 @@ from .galerkin import (
     build_space,
     solve_quadratic,
 )
-from .geometry import Domain, exact_order, volume_quadrature, surface_quadrature
+from .geometry import Domain, QuadratureRule, exact_order, volume_quadrature, surface_quadrature
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
@@ -61,15 +62,14 @@ from .loads import (
     LoadError,
     LoadRules,
     LoadSpec,
-    body_force,
     classify_moments,
     compatibility_report,
     default_rules,
-    load_functional,
-    work_moment,
+    factor_forces,
+    factor_moment,
+    surface_moment,
 )
 from .profiles import (
-    as_poly,
     axial_displacement_profile,
     axial_strain_integral,
     biharmonic_residual,
@@ -104,60 +104,64 @@ ROUNDOFF_TOL = 1e-14
 class StructuredField:
     """Displacement p(r^2)(a x + b y, a y - b x, 0) + (0, 0, w(z)).
 
-    All derivatives are exact polynomial evaluations, including the
-    divergence of the strain needed for equilibrium residuals.
+    Its in-plane part depends on (x, y) alone and its axial part on z alone,
+    and so does every derivative (grad u is a 2x2 in-plane block plus w'), so
+    it is evaluated on a rule's planar and axial factors, exactly.
     """
 
     def __init__(self, a: float, b: float, p: Polynomial, w: Polynomial):
-        self.a = float(a)
-        self.b = float(b)
-        self.p = as_poly(p)
-        self.dp = self.p.deriv()
-        self.d2p = self.dp.deriv()
-        self.w = as_poly(w)
-        self.dw = self.w.deriv()
-        self.d2w = self.dw.deriv()
+        self.a, self.b, self.p, self.w = float(a), float(b), p, w
+        self._p = (p.coef, polyder(p.coef), polyder(p.coef, 2))
+        self._w = (w.coef, polyder(w.coef), polyder(w.coef, 2))
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    def planar(self, x: np.ndarray, y: np.ndarray):
+        """In-plane (values (N, 2), gradient block (N, 2, 2), div E (N, 2)) at
+        the planar points (x, y); gradient entry [c, d] is d_d u_c, and
+        -8 div E(u) is the equilibrium operator."""
         s = x * x + y * y
-        ps = self.p(s)
-        out = np.empty_like(pts)
-        out[:, 0] = ps * (self.a * x + self.b * y)
-        out[:, 1] = ps * (self.a * y - self.b * x)
-        out[:, 2] = self.w(z)
-        return out
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        s = x * x + y * y
-        ps, dps = self.p(s), self.dp(s)
+        ps, dps, d2ps = (polyval(s, c) for c in self._p)
         u1_rad = self.a * x + self.b * y
         u2_rad = self.a * y - self.b * x
-        G = np.zeros((pts.shape[0], 3, 3))
+        G = np.empty((s.size, 2, 2))
         G[:, 0, 0] = self.a * ps + 2.0 * x * dps * u1_rad
         G[:, 0, 1] = self.b * ps + 2.0 * y * dps * u1_rad
         G[:, 1, 0] = -self.b * ps + 2.0 * x * dps * u2_rad
         G[:, 1, 1] = self.a * ps + 2.0 * y * dps * u2_rad
-        G[:, 2, 2] = self.dw(z)
-        return G
+        coeff = 0.5 * (8.0 * dps + 4.0 * s * d2ps)
+        div = np.stack([coeff * (2.0 * self.a * x + self.b * y),
+                        coeff * (2.0 * self.a * y - self.b * x)], axis=1)
+        return np.stack([ps * u1_rad, ps * u2_rad], axis=1), G, div
 
-    def strain(self, points: np.ndarray) -> np.ndarray:
-        return strain(self.gradient(points))
+    def axial(self, z: np.ndarray):
+        """(w, w', w'') at the heights z; w'' is the axial div E."""
+        return tuple(polyval(z, c) for c in self._w)
 
-    def div_strain(self, points: np.ndarray) -> np.ndarray:
-        """div E(u), the equilibrium operator up to the factor -8."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        s = x * x + y * y
-        coeff = 0.5 * (8.0 * self.dp(s) + 4.0 * s * self.d2p(s))
-        out = np.empty_like(pts)
-        out[:, 0] = coeff * (2.0 * self.a * x + self.b * y)
-        out[:, 1] = coeff * (2.0 * self.a * y - self.b * x)
-        out[:, 2] = self.d2w(z)
-        return out
+    def at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values (N, 3), gradients (N, 3, 3)) at 3D points."""
+        (v, Gp, _), (w, dw, _) = self.planar(points[:, 0], points[:, 1]), self.axial(points[:, 2])
+        G = np.zeros((len(points), 3, 3))
+        G[:, :2, :2], G[:, 2, 2] = Gp, dw
+        return np.c_[v, w], G
+
+
+def _on_factors(field: StructuredField, rule: QuadratureRule) -> list:
+    """(term, field.planar, field.axial) on each tensor term of a volume rule."""
+    if not rule.terms:
+        raise ValueError(f"rule {rule.label!r} is no sum of planar-by-axial terms")
+    return [(term, field.planar(*term[0][:2]), field.axial(term[1][0])) for term in rule.terms]
+
+
+def _energy(factors) -> float:
+    """4 * integral of |E|^2: per term W_z sum_p w_p |sym G_P|^2 + W_p sum_z w_z w'^2."""
+    return QUADRATIC_SCALE * sum(
+        np.sum(zw) * sym_norm_sq_sum(G, pw) + np.sum(pw) * float(zw @ (dw * dw))
+        for ((_, _, pw), (_, zw)), (_, G, _), (_, dw, _) in factors)
+
+
+def _work_moment(load, factors) -> np.ndarray:
+    """Y = sum w f (x) u, with L(R u) = <R, Y>."""
+    return sum(factor_moment(term, factor_forces(load, term), (v, w))
+               for term, (v, _, _), (w, _, _) in factors)
 
 
 @dataclass
@@ -214,13 +218,18 @@ class ExplicitSolution:
 
         The quadrature order follows from the profile degrees alone: the
         planar strain has degree 2 deg p in (x, y), squared 4 deg p; the axial
-        strain squared has degree 2 deg w - 2.
+        strain squared has degree 2 deg w - 2.  On the rule's factors,
+        |dev E|^2 = |E|^2 - (tr E)^2 / 3 with tr E = tr E_P + w', whose square
+        integrates to W_z sum w_p (tr E_P)^2 + 2 (sum w_p tr E_P)(sum w_z w')
+        + W_p sum w_z w'^2.
         """
         degree = max(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
-        vol = volume_quadrature(Domain.cylinder(), exact_order(degree))
-        E = self.u0.strain(vol.points)
-        dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
-        return -QUADRATIC_SCALE * sym_norm_sq_sum(dev, vol.weights)
+        factors = _on_factors(self.u0, volume_quadrature(Domain.cylinder(), exact_order(degree)))
+        (((_, _, pw), (_, zw)), (_, G, _), (_, dw, _)), = factors
+        tr = G[:, 0, 0] + G[:, 1, 1]
+        trace_sq = (np.sum(zw) * float(pw @ (tr * tr)) + 2.0 * float(pw @ tr) * float(zw @ dw)
+                    + np.sum(pw) * float(zw @ (dw * dw)))
+        return QUADRATIC_SCALE * trace_sq / 3.0 - _energy(factors)
 
     def min_rotated_value(self, theta: float) -> float:
         c, s = np.cos(theta), np.sin(theta)
@@ -241,15 +250,16 @@ def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
         planar = planar_profile(eta)
     except ValueError as err:  # odd powers of r in phi: eta(r)/r is not a polynomial in r^2
         raise LoadError(f"explicit minimizers need an odd radial profile: {err}")
+    axial = axial_displacement_profile(spec.psi)
     return ExplicitSolution(
         phi=spec.phi,
         psi=spec.psi,
         eta=eta,
         planar=planar,
-        axial=axial_displacement_profile(spec.psi),
+        axial=axial,
         radial_integral=radial_strain_integral(eta),
         swirl_integral=swirl_strain_integral(eta),
-        axial_integral=axial_strain_integral(axial_displacement_profile(spec.psi)),
+        axial_integral=axial_strain_integral(axial),
     )
 
 
@@ -271,47 +281,50 @@ def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 1) -> dict[
     }
     vol = volume_quadrature(spec.domain, order)
     surf = surface_quadrature(spec.domain, order)
-    interior = vol.points
-    f = body_force(spec, interior)
     u0 = sol.u0
+    (term, (_, G0, div), (_, dw, d2w)), = _on_factors(u0, vol)  # the cylinder's one term
+    ((px, py, pw), (_, zw)), (fP, fz) = term, factor_forces(spec, term)
+    # -8 div E(u0) - f at node (p, k) is (planar residual at p, axial at k)
     out["euler_lagrange_interior"] = float(
-        np.max(np.abs(-8.0 * u0.div_strain(interior) - f))
+        max(np.max(np.abs(-8.0 * div - fP)), np.max(np.abs(-8.0 * d2w - fz))))
+    # E(u0) n on the surface nodes, a part at a time: the lateral wall and the
+    # two caps carry 2 order^2 nodes each
+    out["boundary_traction"] = max(
+        float(np.max(np.abs(np.einsum("nij,nj->ni", strain(u0.at_points(pts)[1]), nrm))))
+        for pts, nrm in zip(np.split(surf.points, 3), np.split(surf.normals, 3))
     )
-    tractions = np.einsum("nij,nj->ni", u0.strain(surf.points), surf.normals)
-    out["boundary_traction"] = float(np.max(np.abs(tractions)))
     # the two minimizers share the same axial strain, so the full contraction
     # equals the axial energy pi * integral w'^2; the orthogonality that the
     # value decomposition rests on is that of the differing planar parts
-    e0 = u0.strain(vol.points)
-    e1 = sol.u_swirl.strain(vol.points)
-    out["strain_orthogonality_full"] = abs(
-        float(np.dot(vol.weights, np.einsum("nij,nij->n", e0, e1)))
-    )
-    zero = Polynomial([0.0])
-    p0 = StructuredField(u0.a, u0.b, sol.planar, zero).strain(vol.points)
-    p1 = StructuredField(0.0, 2.0, sol.planar, zero).strain(vol.points)
-    out["strain_orthogonality"] = abs(
-        float(np.dot(vol.weights, np.einsum("nij,nij->n", p0, p1)))
-    )
+    def planar_dot(G):  # integral of E_P(u0) : E_P(u) from u's gradient block
+        return np.sum(zw) * float(pw @ np.einsum("nij,nij->n", strain(G0), strain(G)))
+
+    out["strain_orthogonality_full"] = abs(planar_dot(sol.u_swirl.planar(px, py)[1])
+                                           + np.sum(pw) * float(zw @ (dw * dw)))
+    swirl = StructuredField(0.0, 2.0, sol.planar, sol.axial)
+    out["strain_orthogonality"] = abs(planar_dot(swirl.planar(px, py)[1]))
     out["axial_overlap"] = np.pi * axial_strain_integral(sol.axial)
     return out
 
 
 # ---------------------------------------------------------------------------
-# quadrature evaluation of the energies at explicit fields
+# quadrature evaluation of the energies at explicit fields, factor by factor
 
 
-def quadratic_energy(field, rules: LoadRules) -> float:
-    """4 * integral of |E(u)|^2 at a field with a .gradient evaluator."""
-    vol = rules.volume
-    return QUADRATIC_SCALE * sym_norm_sq_sum(field.gradient(vol.points), vol.weights)
+def quadratic_energy(field: StructuredField, rules: LoadRules) -> float:
+    """4 * integral of |E(u)|^2, on the volume rule's factors."""
+    return _energy(_on_factors(field, rules.volume))
 
 
-def rotated_energy_value(spec, field, theta: float, rules: LoadRules) -> float:
-    """Energy 4|E|^2 - L(R_theta u) of a structured field, by quadrature."""
-    R = rotation_about_z(theta)
-    work = load_functional(spec, lambda p: field.value(p) @ R.T, rules)
-    return quadratic_energy(field, rules) - work
+def rotated_energy_value(spec, field: StructuredField, theta: float, rules: LoadRules) -> float:
+    """Energy 4|E|^2 - L(R_theta u) of a structured field, by quadrature: the
+    volume work <R_theta, Y> on the rule's factors, a pressure's work on the
+    surface nodes."""
+    factors = _on_factors(field, rules.volume)
+    surf = rules.surface if spec.has_surface_term else None
+    Y = _work_moment(spec, factors) + surface_moment(
+        spec, rules, None if surf is None else field.at_points(surf.points)[0])
+    return _energy(factors) - float(np.sum(rotation_about_z(theta) * Y))
 
 
 # ---------------------------------------------------------------------------
@@ -675,20 +688,20 @@ def nonuniqueness_check(spec: LoadSpec, order: int = 1,
     u_star = sol.u_swirl
     u_hat = StructuredField(-u_star.a, -u_star.b, u_star.p, u_star.w)
 
-    vol = rules.volume
     axis = kernel.axis
 
-    def limit_value(fld) -> tuple[float, float]:
-        Y = work_moment(spec, rules, fld.value(vol.points))
+    def limit_value(fld) -> tuple[float, float, float]:
+        factors = _on_factors(fld, rules.volume)
+        Y, energy = _work_moment(spec, factors), _energy(factors)
         theta, R = best_axis_rotation(Y, axis)
-        return quadratic_energy(fld, rules) - float(np.sum(R * Y)), theta
+        return energy - float(np.sum(R * Y)), theta, energy
 
-    v_star, _ = limit_value(u_star)
-    v_hat, theta_hat = limit_value(u_hat)
-
-    G_star = u_star.gradient(vol.points)
-    norm_star = np.sqrt(sym_norm_sq_sum(G_star, vol.weights))
-    norm_diff = np.sqrt(sym_norm_sq_sum(u_hat.gradient(vol.points) - G_star, vol.weights))
+    v_star, _, energy_star = limit_value(u_star)
+    v_hat, theta_hat, _ = limit_value(u_hat)
+    # the fields differ by the in-plane field of coefficients (-2a, -2b)
+    difference = StructuredField(-2.0 * u_star.a, -2.0 * u_star.b, u_star.p, Polynomial([0.0]))
+    norm_star = np.sqrt(energy_star / QUADRATIC_SCALE)
+    norm_diff = np.sqrt(quadratic_energy(difference, rules) / QUADRATIC_SCALE)
     rel = abs(v_hat - v_star) / abs(v_star)
     return NonuniquenessCheck(
         value_at_minimizer=v_star,

@@ -28,9 +28,12 @@ sweep of unit axes with the eigenvalue structure of M.  The work
 <R - I, T> is linear in R, so the rotation doing the most of it is the
 Procrustes rotation of T, which ``reversed_compatibility_witness`` returns.
 
-Every work is integrated as a first-moment tensor Y = sum w f (x) v by
-``work_moment``, with L(R v) = <R, Y>: T is Y of the placement x, and the
-loads folded by a rotation R, v -> L(R v), have the moments R' Y.
+Every work is integrated as a first-moment tensor Y = sum w f (x) v, with
+L(R v) = <R, Y>: T is Y of the placement x, and the loads folded by a
+rotation R, v -> L(R v), have the moments R' Y.  Every body force splits by
+the factors of a volume rule's terms (``factor_forces``), so for a field
+that splits the same way Y is a sum of planar and axial factor sums
+(``factor_moment``); a pressure's work is summed on the surface nodes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from numpy.polynomial import Polynomial
 
 from . import geometry
 from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
-from .profiles import as_poly, axial_conditions, radial_conditions
+from .profiles import axial_conditions, radial_conditions
 from .rotations import nearest_rotation, skew_from_axis
 
 PROFILE_TOL = 1e-12
@@ -83,7 +86,7 @@ class LoadSpec:
             if self.domain.kind == "ball" and np.any(phi.coef[1::2]):
                 raise LoadError("radial profile has odd powers of r, which no ball "
                                 "rule integrates exactly")
-            if not _nonzero(_planar_laplacian_profile(phi)):
+            if not np.any(phi.coef[2:]):  # the Laplacian phi'' + phi'/r has k^2 c_k r^(k-2)
                 raise LoadError("radial profile has identically zero Laplacian")
         if _nonzero(psi):
             cond = axial_conditions(psi)
@@ -96,11 +99,11 @@ class LoadSpec:
 
     @property
     def phi(self) -> Polynomial:
-        return as_poly(self.phi_coeffs if self.phi_coeffs else [0.0])
+        return Polynomial(self.phi_coeffs or [0.0])
 
     @property
     def psi(self) -> Polynomial:
-        return as_poly(self.psi_coeffs if self.psi_coeffs else [0.0])
+        return Polynomial(self.psi_coeffs or [0.0])
 
     @property
     def has_surface_term(self) -> bool:
@@ -123,38 +126,22 @@ def _nonzero(p: Polynomial) -> bool:
     return bool(np.any(np.abs(p.coef) > 0.0))
 
 
-def _planar_laplacian_profile(phi: Polynomial) -> Polynomial:
-    """phi'' + phi'/r as a polynomial (phi'(0) = 0 makes the division exact)."""
-    d1 = phi.deriv()
-    if d1.coef.size and abs(d1.coef[0]) > PROFILE_TOL:
-        raise LoadError("radial profile needs phi'(0) = 0 for a smooth axis")
-    over_r = Polynomial(d1.coef[1:]) if d1.coef.size > 1 else Polynomial([0.0])
-    return d1.deriv() + over_r
-
-
-def body_force(load, points: np.ndarray) -> np.ndarray:
-    """Volume force at an (N, 3) array of points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def factor_forces(load, term) -> tuple[np.ndarray, np.ndarray]:
+    """The body force on one tensor term ((x, y, w), (z, w)) of a volume rule,
+    as a planar (N_P, 2) and an axial (N_z,) factor: at the node
+    (x_p, y_p, z_k) the force is (f_P[p], f_z[k]).  Every load splits so: a
+    profile load's in-plane force phi'(r)/r (x, y) depends on the planar
+    point alone and psi(z) on the height alone, and -x is -(x, y) and -z."""
+    (px, py, _), (z, _) = term
+    xy = np.stack([px, py], axis=1)
     if load.builtin == BALL_PULL_IN:
-        return -points
-    out = np.zeros_like(points)
+        return -xy, -z
     phi, psi = load.phi, load.psi
+    planar = np.zeros_like(xy)
     if _nonzero(phi):
         ratio = Polynomial(phi.deriv().coef[1:])  # phi'(r)/r, even extension
-        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-        vals = ratio(np.sqrt(r2))
-        out[:, 0] = vals * points[:, 0]
-        out[:, 1] = vals * points[:, 1]
-    if _nonzero(psi):
-        out[:, 2] = psi(points[:, 2])
-    return out
-
-
-def surface_force(load, normals: np.ndarray) -> np.ndarray | None:
-    """Surface force lambda * n at surface nodes, or None when absent."""
-    if not load.has_surface_term:
-        return None
-    return load.surface_pressure * np.asarray(normals, dtype=float)
+        planar = ratio(np.sqrt(px ** 2 + py ** 2))[:, None] * xy
+    return planar, psi(z) if _nonzero(psi) else np.zeros_like(z)
 
 
 @dataclass
@@ -187,51 +174,62 @@ def exact_order(load) -> int:
     return geometry.exact_order(force_degree(load) + 1)
 
 
-def work_moment(load, rules: LoadRules, values, surface_values=None):
-    """Y = sum w f (x) v + sum w_s g (x) v_s, so that L(R v) = <R, Y>.
+def factor_moment(term, force, field) -> np.ndarray:
+    """Y = sum w f (x) v over one tensor term of a volume rule, for a force and
+    a field whose x and y components depend on the planar point alone and
+    whose z component on the height alone, each given as its planar (N_P, 2)
+    and axial (N_z,) factor.  With the term's planar and axial weight totals
+    W_p and W_z, Y sums factor by factor:
 
-    ``values`` are (..., N, m) field values at the volume nodes and
-    ``surface_values`` (..., N_s, m) at the surface nodes; leading axes
-    broadcast, so a (K, N, 3) table of basis values gives (K, 3, 3).  A
-    pressure load needs the surface rule and the values on it.  ``values``
-    None leaves out the volume term, for a caller that contracts it itself.
+        Y[:2, :2] = W_z sum_p w_p f_P (x) v_P,   Y[:2, 2] = (sum_p w_p f_P)(sum_z w_z v_z),
+        Y[2, :2] = (sum_z w_z f_z)(sum_p w_p v_P),   Y[2, 2] = W_p sum_z w_z f_z v_z.
     """
-    Y = 0.0
-    if values is not None:
-        vol = rules.volume
-        Y = np.einsum("n,ni,...nj->...ij", vol.weights, body_force(load, vol.points), values)
-    if load.has_surface_term:
-        surf = rules.surface
-        if surf is None or surface_values is None:
-            raise LoadError("a pressure load needs a surface rule and the field on it")
-        g = surface_force(load, surf.normals)
-        Y = Y + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
+    (_, _, pw), (_, zw) = term
+    (fP, fz), (vP, vz) = force, field
+    Y = np.empty((3, 3))
+    Y[:2, :2] = np.sum(zw) * ((pw[:, None] * fP).T @ vP)
+    Y[:2, 2] = (pw @ fP) * (zw @ vz)
+    Y[2, :2] = (zw @ fz) * (pw @ vP)
+    Y[2, 2] = np.sum(pw) * (zw @ (fz * vz))
     return Y
 
 
-def _at_nodes(rules: LoadRules, field) -> tuple[np.ndarray, np.ndarray | None]:
-    """field(points) at the volume nodes and, if there is a surface rule, at its nodes."""
+def surface_moment(load, rules: LoadRules, values) -> np.ndarray | float:
+    """Y = sum w_s g (x) v_s of the pressure g = lambda n for (..., N_s, m)
+    field values at the surface nodes, leading axes broadcast; 0.0 without a
+    pressure."""
+    if not load.has_surface_term:
+        return 0.0
     surf = rules.surface
-    return field(rules.volume.points), None if surf is None else field(surf.points)
+    if surf is None or values is None:
+        raise LoadError("a pressure load needs a surface rule and the field on it")
+    g = load.surface_pressure * surf.normals
+    return np.einsum("n,ni,...nj->...ij", surf.weights, g, values)
 
 
-def load_functional(load, v, rules: LoadRules) -> float:
-    """L(v) = volume work + surface work for a vector field v: a callable of
-    points, or (N, 3) values at the volume nodes (then without a pressure)."""
-    values, surface_values = _at_nodes(rules, v) if callable(v) else (np.asarray(v, float), None)
-    if not np.all(np.isfinite(values)):
-        raise LoadError("field evaluation produced non-finite values")
-    return float(np.trace(work_moment(load, rules, values, surface_values)))
+def placement_moments(load, rules: LoadRules) -> tuple[np.ndarray, np.ndarray]:
+    """The moment matrix T (T_ij the work against x_j e_i) and the resultant
+    (the work against the unit translations), formed together term by term
+    from factor sums, plus the pressure's work on the surface nodes."""
+    if not rules.volume.terms:
+        raise ValueError(f"rule {rules.volume.label!r} is no sum of planar-by-axial terms")
+    T, res = np.zeros((3, 3)), np.zeros(3)
+    for term in rules.volume.terms:
+        (px, py, pw), (z, zw) = term
+        force = fP, fz = factor_forces(load, term)
+        T += factor_moment(term, force, (np.stack([px, py], axis=1), z))
+        res[:2] += np.sum(zw) * (pw @ fP)
+        res[2] += np.sum(pw) * (zw @ fz)
+    if load.has_surface_term:  # the work against (x, 1) on the surface nodes
+        surf = rules.surface
+        Y = surface_moment(load, rules, None if surf is None else np.c_[surf.points, np.ones(len(surf))])
+        T, res = T + Y[:, :3], res + Y[:, 3]
+    return T, res
 
 
 def moment_matrix(load, rules: LoadRules) -> np.ndarray:
     """T with T_ij = work of the load against the linear field x_j e_i."""
-    return work_moment(load, rules, *_at_nodes(rules, lambda p: p))
-
-
-def resultant(load, rules: LoadRules) -> np.ndarray:
-    """The total force, the work against the unit translations."""
-    return work_moment(load, rules, *_at_nodes(rules, lambda p: np.ones((len(p), 1))))[:, 0]
+    return placement_moments(load, rules)[0]
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -272,7 +270,7 @@ def compatibility_report(load, rules: LoadRules | None = None, samples: int = 20
     matrix and resultant (``classify_moments``)."""
     if rules is None:
         rules = default_rules(load, exact_order(load))
-    return classify_moments(moment_matrix(load, rules), resultant(load, rules), samples, tol)
+    return classify_moments(*placement_moments(load, rules), samples, tol)
 
 
 def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,

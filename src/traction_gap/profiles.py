@@ -11,141 +11,156 @@ a polynomial whenever phi is.  The axial displacement solves -8 w'' = psi
 with w'(0) = w'(1) = 0.  All integrals here are one-dimensional integrals
 of polynomials, evaluated exactly through their antiderivatives; they serve
 as the independent oracle for the 3D solvers.
+
+The algebra runs on power-basis coefficient arrays: products are
+``np.convolve``, derivatives and antiderivatives scale by the index, and the
+integral over (0, 1) is the antiderivative's value at 1.  ``Polynomial``
+appears only where a profile is taken or returned.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyadd, polysub, polyval
 
 
-def as_poly(coeffs) -> Polynomial:
-    if isinstance(coeffs, Polynomial):
-        return coeffs
-    return Polynomial(np.asarray(coeffs, dtype=float))
+def _coef(p) -> np.ndarray:
+    """The coefficient array of a Polynomial or of a coefficient sequence."""
+    return np.atleast_1d(np.asarray(getattr(p, "coef", p), dtype=float))
 
 
-def radial_conditions(phi: Polynomial) -> dict[str, float]:
+def _shift(c: np.ndarray, k: int) -> np.ndarray:
+    """x^k c; for k < 0 the lowest -k coefficients of c must vanish."""
+    if k >= 0:
+        return np.concatenate((np.zeros(k), c))
+    return c[-k:] if c.size > -k else c[:1] * 0.0
+
+
+def _der(c: np.ndarray) -> np.ndarray:
+    return c[1:] * np.arange(1, c.size) if c.size > 1 else c[:1] * 0.0
+
+
+def _antider(c: np.ndarray) -> np.ndarray:
+    """The antiderivative vanishing at 0; a lone zero stays one, as in numpy."""
+    if c.size == 1 and c[0] == 0.0:
+        return c
+    return np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
+
+
+def _integral(c: np.ndarray) -> float:
+    """integral_0^1 of the polynomial c."""
+    return float(polyval(1.0, _antider(c)))
+
+
+def _in_r_squared(p: np.ndarray) -> np.ndarray:
+    """p(r^2) as a polynomial in r."""
+    out = np.zeros(2 * p.size - 1)
+    out[::2] = p
+    return out
+
+
+def radial_conditions(phi) -> dict[str, float]:
     """Constraint residuals for the radial profile.
 
     Keys: value_at_1, slope_at_1, moment (integral of r^2 phi'), slope_at_0.
     All four must vanish for an admissible profile.
     """
-    phi = as_poly(phi)
-    dphi = phi.deriv()
-    moment = (Polynomial([0.0, 0.0, 1.0]) * dphi).integ()(1.0)
+    c = _coef(phi)
+    d = _der(c)
     return {
-        "value_at_1": float(phi(1.0)),
-        "slope_at_1": float(dphi(1.0)),
-        "moment": float(moment),
-        "slope_at_0": float(dphi(0.0)),
+        "value_at_1": float(polyval(1.0, c)),
+        "slope_at_1": float(polyval(1.0, d)),
+        "moment": _integral(_shift(d, 2)),
+        "slope_at_0": float(polyval(0.0, d)),
     }
 
 
-def axial_conditions(psi: Polynomial) -> dict[str, float]:
+def axial_conditions(psi) -> dict[str, float]:
     """Mean and first moment of the axial profile on (0, 1)."""
-    psi = as_poly(psi)
-    return {
-        "mean": float(psi.integ()(1.0)),
-        "first_moment": float((Polynomial([0.0, 1.0]) * psi).integ()(1.0)),
-    }
+    c = _coef(psi)
+    return {"mean": _integral(c), "first_moment": _integral(_shift(c, 1))}
 
 
-def radial_displacement_profile(phi: Polynomial) -> Polynomial:
+def radial_displacement_profile(phi) -> Polynomial:
     """Closed-form solution eta(r) of the planar radial equilibrium ODE."""
-    phi = as_poly(phi)
-    cond = radial_conditions(phi)
+    c = _coef(phi)
+    cond = radial_conditions(c)
     err = abs(cond["value_at_1"]) + abs(cond["slope_at_1"]) + abs(cond["moment"])
     if err > 1e-12:
         raise ValueError(f"radial profile violates the admissibility conditions: {cond}")
-    dphi = phi.deriv()
-    inner = (Polynomial([0.0, 0.0, 1.0]) * dphi).integ()  # integral of t^2 phi'
-    coef = inner.coef
-    if coef.size and abs(coef[0]) > 0:
-        raise ValueError("internal error: integral should have no constant term")
-    # division by r is exact: the integral starts at degree >= 3
-    divided = Polynomial(coef[1:]) if coef.size > 1 else Polynomial([0.0])
-    return Polynomial([0.0, -1.0 / 16.0]) * phi + divided / 16.0
+    # the integral of t^2 phi' starts at degree >= 3, so the division by r is exact
+    inner = _antider(_shift(_der(c), 2))
+    return Polynomial(polyadd(_shift(c, 1) * (-1.0 / 16.0), _shift(inner, -1) / 16.0))
 
 
-def radial_ode_residual(eta: Polynomial, phi: Polynomial, r_grid: np.ndarray) -> float:
+def radial_ode_residual(eta, phi, r_grid: np.ndarray) -> float:
     """Max over the grid of |r^2 eta'' + r eta' - eta + (1/8) r^2 phi'|."""
-    eta = as_poly(eta)
-    phi = as_poly(phi)
+    e = _coef(eta)
     r = np.asarray(r_grid, dtype=float)
-    d1 = eta.deriv()
-    d2 = d1.deriv()
-    res = r * r * d2(r) + r * d1(r) - eta(r) + 0.125 * r * r * phi.deriv()(r)
+    d1 = _der(e)
+    res = (r * r * polyval(r, _der(d1)) + r * polyval(r, d1) - polyval(r, e)
+           + 0.125 * r * r * polyval(r, _der(_coef(phi))))
     return float(np.max(np.abs(res)))
 
 
-def axial_displacement_profile(psi: Polynomial) -> Polynomial:
+def axial_displacement_profile(psi) -> Polynomial:
     """Closed-form axial displacement: -(1/8) double integral of psi from 0."""
-    psi = as_poly(psi)
-    return -psi.integ(2, lbnd=0.0) / 8.0
+    return Polynomial(-_antider(_antider(_coef(psi))) / 8.0)
 
 
-def planar_profile(eta: Polynomial) -> Polynomial:
+def planar_profile(eta) -> Polynomial:
     """p(s) with eta(r) = r p(r^2); exact when eta is odd.
 
     For general admissible phi the solution eta may contain even powers as
     well; those are handled by the field evaluators directly and this helper
     rejects them.
     """
-    eta = as_poly(eta)
-    coef = eta.coef.copy()
-    if coef.size and np.max(np.abs(coef[0::2])) > 1e-14 * max(1.0, np.max(np.abs(coef))):
+    e = _coef(eta)
+    if np.max(np.abs(e[0::2])) > 1e-14 * max(1.0, np.max(np.abs(e))):
         raise ValueError("eta is not an odd polynomial; no profile in r^2 exists")
-    return Polynomial(coef[1::2]) if coef.size > 1 else Polynomial([0.0])
+    return Polynomial(e[1::2] if e.size > 1 else [0.0])
 
 
-def radial_strain_integral(eta: Polynomial) -> float:
+def radial_strain_integral(eta) -> float:
     """integral_0^1 (eta'^2 + (eta/r)^2) r dr for the in-plane radial field."""
-    eta = as_poly(eta)
-    r = Polynomial([0.0, 1.0])
-    over_r = planar_profile(eta)(r * r)  # eta/r = p(r^2)
-    d = eta.deriv()
-    return float(((d * d + over_r * over_r) * r).integ()(1.0))
+    e = _coef(eta)
+    over_r = _in_r_squared(planar_profile(e).coef)  # eta/r = p(r^2)
+    d = _der(e)
+    return _integral(_shift(polyadd(np.convolve(d, d), np.convolve(over_r, over_r)), 1))
 
 
-def swirl_strain_integral(eta: Polynomial) -> float:
+def swirl_strain_integral(eta) -> float:
     """integral_0^1 2 (eta' - eta/r)^2 r dr for the in-plane swirl field."""
-    eta = as_poly(eta)
-    r = Polynomial([0.0, 1.0])
-    diff = eta.deriv() - planar_profile(eta)(r * r)
-    return float((2.0 * diff * diff * r).integ()(1.0))
+    e = _coef(eta)
+    diff = polysub(_der(e), _in_r_squared(planar_profile(e).coef))
+    return _integral(_shift(np.convolve(2.0 * diff, diff), 1))
 
 
-def axial_strain_integral(axial: Polynomial) -> float:
+def axial_strain_integral(axial) -> float:
     """integral_0^1 w'(z)^2 dz."""
-    d = as_poly(axial).deriv()
-    return float((d * d).integ()(1.0))
+    d = _der(_coef(axial))
+    return _integral(np.convolve(d, d))
 
 
-def planar_laplacian(radial_fn: Polynomial) -> Polynomial:
+def _planar_laplacian(g: np.ndarray) -> np.ndarray:
     """Laplacian g'' + g'/r of a radial function given as g(r), exact.
 
     Requires g even (a genuine smooth planar radial function), so that
     g'(r)/r is again a polynomial.
     """
-    g = as_poly(radial_fn)
-    coef = g.coef.copy()
-    if coef.size > 1 and np.max(np.abs(coef[1::2])) > 1e-13 * max(1.0, np.max(np.abs(coef))):
+    scale = max(1.0, np.max(np.abs(g)))
+    if g.size > 1 and np.max(np.abs(g[1::2])) > 1e-13 * scale:
         raise ValueError("radial function must be even for a smooth planar Laplacian")
-    d1 = g.deriv()
-    over_r = Polynomial(d1.coef[1:]) if d1.coef.size > 1 else Polynomial([0.0])
-    if d1.coef.size and abs(d1.coef[0]) > 1e-13 * max(1.0, np.max(np.abs(coef))):
+    d1 = _der(g)
+    if abs(d1[0]) > 1e-13 * scale:
         raise ValueError("derivative has a constant term; cannot divide by r")
-    return d1.deriv() + over_r
+    return polyadd(_der(d1), _shift(d1, -1))
 
 
-def biharmonic_residual(eta: Polynomial, phi: Polynomial, r_grid: np.ndarray) -> float:
+def biharmonic_residual(eta, phi, r_grid: np.ndarray) -> float:
     """Max over the grid of |8 Lap^2 Phi + Lap phi| where Phi' = eta."""
-    eta = as_poly(eta)
-    phi = as_poly(phi)
-    big_phi = eta.integ(lbnd=0.0)
-    lap1 = planar_laplacian(big_phi)
-    lap2 = planar_laplacian(lap1)
-    lap_phi = planar_laplacian(phi)
+    lap2 = _planar_laplacian(_planar_laplacian(_antider(_coef(eta))))
+    lap_phi = _planar_laplacian(_coef(phi))
     r = np.asarray(r_grid, dtype=float)
-    return float(np.max(np.abs(8.0 * lap2(r) + lap_phi(r))))
+    return float(np.max(np.abs(8.0 * polyval(r, lap2) + polyval(r, lap_phi))))

@@ -108,15 +108,17 @@ def nonlinear_context(
     split by factor.  The rule is exact for |C(h G)|^2, of degree 4(f - 1)
     for fields of degree f, for the assembly, and for projecting the
     closed-form start onto the space; that start has the forces' degree + 2
-    (equilibrium is of order 2).  The space is assembled before it is
-    tabulated, so the assembly's temporaries are gone when the tables are
-    built, and each table is built once."""
+    (equilibrium is of order 2).  The planar factor table is built once, and
+    serves the assembly and then the tables; the space is assembled before
+    it is tabulated, so the assembly's temporaries are gone when the tables
+    are built."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
     rules = default_rules(spec, exact_order(degree))
-    system = assemble(space, spec, rules=rules)
-    (pv, pg), (av, ag) = space.factor_tables(rules.volume)
-    ((_, _, pw), (_, zw)), = rules.volume.terms
+    (px, py, pw), (_, zw) = rules.volume.terms[0]  # factor_tables refuses a rule of more terms
+    planar = space._planar(px, py)
+    system = assemble(space, spec, rules=rules, planar=[planar])
+    (pv, pg), (av, ag) = space.factor_tables(rules.volume, planar)
     return NonlinearContext(
         space=space,
         rule=rules.volume,
@@ -322,7 +324,7 @@ def _limit_start(sol: ExplicitSolution, ctx: NonlinearContext, planar_values: np
     ((px, py, _), (z, _)), = ctx.rule.terms
     u = sol.u_swirl
     V, a = planar_values, axial_values
-    planar = u.value(np.stack([px, py, np.zeros_like(px)], axis=1))[:, :2]
+    planar = u.planar(px, py)[0]
     Vw = (V * ctx.planar_weights[:, None]).reshape(len(V), -1)
     coeffs = np.concatenate([
         np.linalg.solve(Vw @ V.reshape(len(V), -1).T, Vw @ planar.ravel()),

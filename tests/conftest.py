@@ -38,3 +38,28 @@ def random_rotations(rng, n):
     from traction_gap.rotations import exp_so3
 
     return [exp_so3(rng.uniform(-np.pi, np.pi, 3)) for _ in range(n)]
+
+
+def body_force_at(load, points):
+    """The body force at (N, 3) points, straight from the load's definition:
+    (phi'(r) x / r, phi'(r) y / r, psi(z)), or -x for the ball's pull-in load."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if load.builtin is not None:
+        return -points
+    x, y, z = points.T
+    r = np.hypot(x, y)
+    ratio = np.divide(load.phi.deriv()(r), r, out=np.zeros_like(r), where=r > 0.0)
+    return np.stack([ratio * x, ratio * y, load.psi(z)], axis=1)
+
+
+def node_moment(load, rules, values, surface_values=None):
+    """sum w f (x) v over the volume nodes, plus sum w_s g (x) v_s over the
+    surface nodes for a pressure load: the explicit node sums every factor
+    sum is checked against.  Leading axes of the values broadcast."""
+    vol = rules.volume
+    Y = np.einsum("n,ni,...nj->...ij", vol.weights, body_force_at(load, vol.points), values)
+    if load.has_surface_term:
+        surf = rules.surface
+        g = load.surface_pressure * surf.normals
+        Y = Y + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
+    return Y

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_rotations
-from traction_gap.galerkin import assemble, build_space
+from conftest import body_force_at, node_moment, random_rotations
+from traction_gap.galerkin import assemble, build_space, load_moments
 from traction_gap.geometry import Domain, volume_quadrature
 from traction_gap.loads import (
     AXIS_SUBGROUP,
@@ -12,39 +12,46 @@ from traction_gap.loads import (
     LoadError,
     LoadRules,
     LoadSpec,
-    body_force,
     classify_moments,
     compatibility_report,
     default_rules,
+    factor_forces,
+    factor_moment,
     fibonacci_directions,
-    load_functional,
     moment_matrix,
-    resultant,
+    placement_moments,
     reversed_compatibility_witness,
     rigid_projection,
-    surface_force,
-    work_moment,
+    surface_moment,
 )
+from traction_gap.limits import explicit_minimizers, rotated_energy_value
 from traction_gap.profiles import axial_conditions
 from traction_gap.rotations import exp_so3, rotation_about_z, skew_from_axis
 
 
+def _force_at(load, point):
+    """factor_forces on the one-node term at the point, as its force vector."""
+    x, y, z = (np.array([c]) for c in point)
+    planar, axial = factor_forces(load, ((x, y, np.ones(1)), (z, np.ones(1))))
+    return np.append(planar[0], axial[0])
+
+
 def test_body_force_preset_axis_value(preset):
     psi0 = preset.psi(0.0)
-    f = body_force(preset, np.array([[0.0, 0.0, 0.0]]))
-    assert np.allclose(f, [[0.0, 0.0, psi0]])
+    f = _force_at(preset, (0.0, 0.0, 0.0))
+    assert np.allclose(f, [0.0, 0.0, psi0])
 
 
 def test_body_force_ball_pull_in():
     spec = LoadSpec.ball_pull_in()
-    f = body_force(spec, np.array([[1.0, 0.0, 0.0]]))
-    assert np.allclose(f, [[-1.0, 0.0, 0.0]])
+    f = _force_at(spec, (1.0, 0.0, 0.0))
+    assert np.allclose(f, [-1.0, 0.0, 0.0])
 
 
 def test_body_force_axial_profile():
     spec = LoadSpec(psi_coeffs=(-0.5, 1.0))
-    f = body_force(spec, np.array([[0.0, 0.0, 1.0]]))
-    assert np.allclose(f, [[0.0, 0.0, 0.5]])
+    f = _force_at(spec, (0.0, 0.0, 1.0))
+    assert np.allclose(f, [0.0, 0.0, 0.5])
 
 
 def test_profile_validation():
@@ -61,32 +68,36 @@ def test_profile_validation():
 
 
 def test_load_kills_constants_and_spins(preset, preset_rules):
+    # L(c) = c . res and L(W x) = <W, T>
+    T, res = placement_moments(preset, preset_rules)
     for c in np.eye(3):
-        vals = np.tile(c, (len(preset_rules.volume), 1))
-        assert abs(load_functional(preset, vals, preset_rules)) < 1e-12
+        assert abs(float(c @ res)) < 1e-12
     for axis in [(0, 0, -1), (0, 1, 0), (-1, 0, 0), (-0.8, -0.5, -0.3)]:
         W = skew_from_axis(np.array(axis, dtype=float))
-        assert abs(load_functional(preset, lambda p: p @ W.T, preset_rules)) < 1e-12
+        assert abs(float(np.sum(W * T))) < 1e-12
 
 
 def test_load_quadratic_spin_work_formula(preset, preset_rules):
     # work of W^2 x is -pi (b^2 + c^2) * first moment of the axial profile
     moment = axial_conditions(preset.psi)["first_moment"]
+    T = moment_matrix(preset, preset_rules)
     for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, -0.7, 1.1)]:
         W = skew_from_axis(np.array([-c, b, -a]))
-        val = load_functional(preset, lambda p: p @ (W @ W).T, preset_rules)
+        val = float(np.sum((W @ W) * T))
         assert np.isclose(val, -np.pi * (b * b + c * c) * moment, atol=1e-12)
 
 
 def test_load_linearity(preset, preset_rules, rng):
-    n = len(preset_rules.volume)
-    u = rng.normal(size=(n, 3))
-    v = rng.normal(size=(n, 3))
+    # the work moment of a field split by factor is linear in the field
+    term = preset_rules.volume.terms[0]
+    force = factor_forces(preset, term)
+    n_p, n_z = term[0][0].size, term[1][0].size
+    u = rng.normal(size=(n_p, 2)), rng.normal(size=n_z)
+    v = rng.normal(size=(n_p, 2)), rng.normal(size=n_z)
     a, b = 0.83, -1.91
-    lhs = load_functional(preset, a * u + b * v, preset_rules)
-    rhs = a * load_functional(preset, u, preset_rules) + b * load_functional(
-        preset, v, preset_rules
-    )
+    lhs = np.trace(factor_moment(term, force, tuple(a * x + b * y for x, y in zip(u, v))))
+    rhs = (a * np.trace(factor_moment(term, force, u))
+           + b * np.trace(factor_moment(term, force, v)))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -168,9 +179,10 @@ def test_reversed_witness_absent_for_compatible(preset, preset_rules):
 
 
 def test_kernel_rotations_do_no_work(preset, preset_rules):
+    T = moment_matrix(preset, preset_rules)
     for theta in np.linspace(-np.pi, np.pi, 100):
         R = rotation_about_z(theta)
-        val = load_functional(preset, lambda p: p @ (R - np.eye(3)).T, preset_rules)
+        val = float(np.sum((R - np.eye(3)) * T))
         assert abs(val) < 1e-10
 
 
@@ -215,15 +227,17 @@ def test_rigid_projection_idempotent(cylinder_rule, rng):
 
 
 def test_pressure_without_a_surface_rule_is_refused_everywhere():
-    # every work of a pressure load goes through work_moment, which needs the
-    # surface rule: none of them drops the pressure silently
+    # every work of a pressure load goes through surface_moment, which needs
+    # the surface rule: none of them drops the pressure silently
     spec = LoadSpec(surface_pressure=1.0)
     rules = LoadRules(volume=volume_quadrature(spec.domain, 6))
     pts = rules.volume.points
-    for work in (lambda: resultant(spec, rules), lambda: moment_matrix(spec, rules),
-                 lambda: load_functional(spec, lambda p: p, rules),
-                 lambda: load_functional(spec, pts, rules),
-                 lambda: work_moment(spec, rules, pts)):
+    field = explicit_minimizers(LoadSpec.cylinder_preset()).u0
+    space = build_space("full", 2, spec.domain)
+    for work in (lambda: placement_moments(spec, rules), lambda: moment_matrix(spec, rules),
+                 lambda: rotated_energy_value(spec, field, 0.3, rules),
+                 lambda: load_moments(space, spec, rules),
+                 lambda: surface_moment(spec, rules, pts)):
         with pytest.raises(LoadError, match="surface rule"):
             work()
 
@@ -232,8 +246,8 @@ def _folded_quadrature(spec, rules, R, values, surface_values):
     """sum w (f R) (x) v + sum w_s (g R) (x) v_s: the forces R' f, R' g of the
     loads v -> L(R v), integrated directly."""
     vol, surf = rules.volume, rules.surface
-    out = np.einsum("n,ni,...nj->...ij", vol.weights, body_force(spec, vol.points) @ R, values)
-    g = surface_force(spec, surf.normals) @ R
+    out = np.einsum("n,ni,...nj->...ij", vol.weights, body_force_at(spec, vol.points) @ R, values)
+    g = spec.surface_pressure * surf.normals @ R
     return out + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
 
 
@@ -264,7 +278,7 @@ def test_rotate_loads_identity(preset, preset_rules):
     # work of the unrotated load against each basis field
     system = assemble(build_space("full", 3, preset.domain), preset, rules=preset_rules)
     vals, _ = system.space.tables(preset_rules.volume)
-    direct = np.array([load_functional(preset, v, preset_rules) for v in vals])
+    direct = np.trace(node_moment(preset, preset_rules, vals), axis1=1, axis2=2)
     assert np.max(np.abs(system.load_vector(np.eye(3)) - direct)) < 1e-14
     assert np.array_equal(system.load_vector(), system.load_vector(np.eye(3)))
 
@@ -274,7 +288,7 @@ def test_rotate_loads_swirl_forces(preset, preset_rules):
     # R' f = (f_2, -f_1, f_3), and R' T is the moment of the swapped forces
     R = rotation_about_z(np.pi / 2).T  # the swirl rotation
     vol = preset_rules.volume
-    f = body_force(preset, vol.points)
+    f = body_force_at(preset, vol.points)
     swapped = np.stack([f[:, 1], -f[:, 0], f[:, 2]], axis=1)
     assert np.allclose(f @ R, swapped, atol=1e-14)
     T_swapped = np.einsum("n,ni,nj->ij", vol.weights, swapped, vol.points)
