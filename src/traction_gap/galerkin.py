@@ -654,7 +654,7 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
     plane, axial = space._factor_classes
     grams = []
     planar = planar or (space._planar(px, py) for (px, py, _), _ in rule.terms)
-    for P, ((_, _, pw), (z, wz)) in zip(planar, rule.terms):
+    for P, ((_, _, pw), (z, wz)) in zip(planar, rule.terms, strict=True):
         P, Z = P * np.sqrt(pw), space._axial(z)
         Z *= np.sqrt(wz)
         GP, GZ = P @ P.T, Z @ Z.T
@@ -693,7 +693,7 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules,
     svals = None if surf is None else space._build_tables(surf, gradients=False)[0]
     Y = 0.0
     planar = planar or (space._planar(px, py) for (px, py, _), _ in vol.terms)
-    for P, term in zip(planar, vol.terms):
+    for P, term in zip(planar, vol.terms, strict=True):
         (_, _, pw), (z, wz) = term
         P, Z = P * pw, space._axial(z)
         Z *= wz

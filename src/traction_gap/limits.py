@@ -287,12 +287,8 @@ def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 1) -> dict[
     # -8 div E(u0) - f at node (p, k) is (planar residual at p, axial at k)
     out["euler_lagrange_interior"] = float(
         max(np.max(np.abs(-8.0 * div - fP)), np.max(np.abs(-8.0 * d2w - fz))))
-    # E(u0) n on the surface nodes, a part at a time: the lateral wall and the
-    # two caps carry 2 order^2 nodes each
-    out["boundary_traction"] = max(
-        float(np.max(np.abs(np.einsum("nij,nj->ni", strain(u0.at_points(pts)[1]), nrm))))
-        for pts, nrm in zip(np.split(surf.points, 3), np.split(surf.normals, 3))
-    )
+    traction = np.einsum("nij,nj->ni", strain(u0.at_points(surf.points)[1]), surf.normals)
+    out["boundary_traction"] = float(np.max(np.abs(traction)))
     # the two minimizers share the same axial strain, so the full contraction
     # equals the axial energy pi * integral w'^2; the orthogonality that the
     # value decomposition rests on is that of the differing planar parts
@@ -319,11 +315,13 @@ def quadratic_energy(field: StructuredField, rules: LoadRules) -> float:
 def rotated_energy_value(spec, field: StructuredField, theta: float, rules: LoadRules) -> float:
     """Energy 4|E|^2 - L(R_theta u) of a structured field, by quadrature: the
     volume work <R_theta, Y> on the rule's factors, a pressure's work on the
-    surface nodes."""
+    surface nodes.  LoadError when the work is not finite."""
     factors = _on_factors(field, rules.volume)
     surf = rules.surface if spec.has_surface_term else None
     Y = _work_moment(spec, factors) + surface_moment(
         spec, rules, None if surf is None else field.at_points(surf.points)[0])
+    if not np.all(np.isfinite(Y)):
+        raise LoadError("field evaluation produced non-finite values")
     return _energy(factors) - float(np.sum(rotation_about_z(theta) * Y))
 
 

@@ -12,17 +12,16 @@ with w'(0) = w'(1) = 0.  All integrals here are one-dimensional integrals
 of polynomials, evaluated exactly through their antiderivatives; they serve
 as the independent oracle for the 3D solvers.
 
-The algebra runs on power-basis coefficient arrays: products are
-``np.convolve``, derivatives and antiderivatives scale by the index, and the
-integral over (0, 1) is the antiderivative's value at 1.  ``Polynomial``
-appears only where a profile is taken or returned.
+The algebra runs on power-basis coefficient arrays (``np.convolve`` and
+``numpy.polynomial.polynomial``); ``Polynomial`` appears only where a
+profile is taken or returned.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyadd, polysub, polyval
+from numpy.polynomial.polynomial import polyadd, polyder, polyint, polymulx, polysub, polyval
 
 
 def _coef(p) -> np.ndarray:
@@ -30,27 +29,14 @@ def _coef(p) -> np.ndarray:
     return np.atleast_1d(np.asarray(getattr(p, "coef", p), dtype=float))
 
 
-def _shift(c: np.ndarray, k: int) -> np.ndarray:
-    """x^k c; for k < 0 the lowest -k coefficients of c must vanish."""
-    if k >= 0:
-        return np.concatenate((np.zeros(k), c))
-    return c[-k:] if c.size > -k else c[:1] * 0.0
-
-
-def _der(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, c.size) if c.size > 1 else c[:1] * 0.0
-
-
-def _antider(c: np.ndarray) -> np.ndarray:
-    """The antiderivative vanishing at 0; a lone zero stays one, as in numpy."""
-    if c.size == 1 and c[0] == 0.0:
-        return c
-    return np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
+def _over_r(c: np.ndarray) -> np.ndarray:
+    """c / r, for c without a constant term."""
+    return c[1:] if c.size > 1 else 0.0 * c
 
 
 def _integral(c: np.ndarray) -> float:
     """integral_0^1 of the polynomial c."""
-    return float(polyval(1.0, _antider(c)))
+    return float(polyval(1.0, polyint(c)))
 
 
 def _in_r_squared(p: np.ndarray) -> np.ndarray:
@@ -67,11 +53,11 @@ def radial_conditions(phi) -> dict[str, float]:
     All four must vanish for an admissible profile.
     """
     c = _coef(phi)
-    d = _der(c)
+    d = polyder(c)
     return {
         "value_at_1": float(polyval(1.0, c)),
         "slope_at_1": float(polyval(1.0, d)),
-        "moment": _integral(_shift(d, 2)),
+        "moment": _integral(polymulx(polymulx(d))),
         "slope_at_0": float(polyval(0.0, d)),
     }
 
@@ -79,7 +65,7 @@ def radial_conditions(phi) -> dict[str, float]:
 def axial_conditions(psi) -> dict[str, float]:
     """Mean and first moment of the axial profile on (0, 1)."""
     c = _coef(psi)
-    return {"mean": _integral(c), "first_moment": _integral(_shift(c, 1))}
+    return {"mean": _integral(c), "first_moment": _integral(polymulx(c))}
 
 
 def radial_displacement_profile(phi) -> Polynomial:
@@ -90,23 +76,23 @@ def radial_displacement_profile(phi) -> Polynomial:
     if err > 1e-12:
         raise ValueError(f"radial profile violates the admissibility conditions: {cond}")
     # the integral of t^2 phi' starts at degree >= 3, so the division by r is exact
-    inner = _antider(_shift(_der(c), 2))
-    return Polynomial(polyadd(_shift(c, 1) * (-1.0 / 16.0), _shift(inner, -1) / 16.0))
+    inner = polyint(polymulx(polymulx(polyder(c))))
+    return Polynomial(polyadd(polymulx(c) * (-1.0 / 16.0), _over_r(inner) / 16.0))
 
 
 def radial_ode_residual(eta, phi, r_grid: np.ndarray) -> float:
     """Max over the grid of |r^2 eta'' + r eta' - eta + (1/8) r^2 phi'|."""
     e = _coef(eta)
     r = np.asarray(r_grid, dtype=float)
-    d1 = _der(e)
-    res = (r * r * polyval(r, _der(d1)) + r * polyval(r, d1) - polyval(r, e)
-           + 0.125 * r * r * polyval(r, _der(_coef(phi))))
+    d1 = polyder(e)
+    res = (r * r * polyval(r, polyder(d1)) + r * polyval(r, d1) - polyval(r, e)
+           + 0.125 * r * r * polyval(r, polyder(_coef(phi))))
     return float(np.max(np.abs(res)))
 
 
 def axial_displacement_profile(psi) -> Polynomial:
     """Closed-form axial displacement: -(1/8) double integral of psi from 0."""
-    return Polynomial(-_antider(_antider(_coef(psi))) / 8.0)
+    return Polynomial(-polyint(_coef(psi), 2) / 8.0)
 
 
 def planar_profile(eta) -> Polynomial:
@@ -126,20 +112,20 @@ def radial_strain_integral(eta) -> float:
     """integral_0^1 (eta'^2 + (eta/r)^2) r dr for the in-plane radial field."""
     e = _coef(eta)
     over_r = _in_r_squared(planar_profile(e).coef)  # eta/r = p(r^2)
-    d = _der(e)
-    return _integral(_shift(polyadd(np.convolve(d, d), np.convolve(over_r, over_r)), 1))
+    d = polyder(e)
+    return _integral(polymulx(polyadd(np.convolve(d, d), np.convolve(over_r, over_r))))
 
 
 def swirl_strain_integral(eta) -> float:
     """integral_0^1 2 (eta' - eta/r)^2 r dr for the in-plane swirl field."""
     e = _coef(eta)
-    diff = polysub(_der(e), _in_r_squared(planar_profile(e).coef))
-    return _integral(_shift(np.convolve(2.0 * diff, diff), 1))
+    diff = polysub(polyder(e), _in_r_squared(planar_profile(e).coef))
+    return _integral(polymulx(np.convolve(2.0 * diff, diff)))
 
 
 def axial_strain_integral(axial) -> float:
     """integral_0^1 w'(z)^2 dz."""
-    d = _der(_coef(axial))
+    d = polyder(_coef(axial))
     return _integral(np.convolve(d, d))
 
 
@@ -152,15 +138,15 @@ def _planar_laplacian(g: np.ndarray) -> np.ndarray:
     scale = max(1.0, np.max(np.abs(g)))
     if g.size > 1 and np.max(np.abs(g[1::2])) > 1e-13 * scale:
         raise ValueError("radial function must be even for a smooth planar Laplacian")
-    d1 = _der(g)
+    d1 = polyder(g)
     if abs(d1[0]) > 1e-13 * scale:
         raise ValueError("derivative has a constant term; cannot divide by r")
-    return polyadd(_der(d1), _shift(d1, -1))
+    return polyadd(polyder(d1), _over_r(d1))
 
 
 def biharmonic_residual(eta, phi, r_grid: np.ndarray) -> float:
     """Max over the grid of |8 Lap^2 Phi + Lap phi| where Phi' = eta."""
-    lap2 = _planar_laplacian(_planar_laplacian(_antider(_coef(eta))))
+    lap2 = _planar_laplacian(_planar_laplacian(polyint(_coef(eta))))
     lap_phi = _planar_laplacian(_coef(phi))
     r = np.asarray(r_grid, dtype=float)
     return float(np.max(np.abs(8.0 * polyval(r, lap2) + polyval(r, lap_phi))))

@@ -41,11 +41,13 @@ from .loads import (
     FULL_SO3,
     INCOMPATIBLE,
     KernelReport,
+    LoadRules,
     LoadSpec,
     compatibility_report,
     default_rules,
+    factor_forces,
     force_degree,
-    moment_matrix,
+    surface_moment,
 )
 from .rotations import distance_to_axis_rotations, exp_so3, nearest_rotation
 
@@ -111,11 +113,11 @@ def nonlinear_context(
     (equilibrium is of order 2).  The planar factor table is built once, and
     serves the assembly and then the tables; the space is assembled before
     it is tabulated, so the assembly's temporaries are gone when the tables
-    are built."""
+    are built.  The placement moment is ``_placement_moment``."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
     rules = default_rules(spec, exact_order(degree))
-    (px, py, pw), (_, zw) = rules.volume.terms[0]  # factor_tables refuses a rule of more terms
+    ((px, py, pw), (_, zw)), = rules.volume.terms  # the cylinder's rule is one tensor term
     planar = space._planar(px, py)
     system = assemble(space, spec, rules=rules, planar=[planar])
     (pv, pg), (av, ag) = space.factor_tables(rules.volume, planar)
@@ -127,9 +129,23 @@ def nonlinear_context(
         planar_weights=pw * np.sum(zw),
         axial_weights=zw * np.sum(pw),
         load_moments=system.load_moments,
-        placement_moment=moment_matrix(spec, rules),
+        placement_moment=_placement_moment(spec, rules),
         metric=system.embed(system.pinv),
     ), (pv, av)
+
+
+def _placement_moment(spec: LoadSpec, rules: LoadRules) -> np.ndarray:
+    """T (``loads.moment_matrix``) summed node by node.  The descent takes
+    T / h, so the rows carry T's round-off over h: the factor sums round the
+    exact zeros of T differently and move the thin-film rows'
+    ``strain_rescaled`` at h = 5e-4 by 7e-11 relative, past what they are
+    recorded to."""
+    term, = rules.volume.terms
+    ((_, _, pw), (_, zw)), (fP, fz) = term, factor_forces(spec, term)
+    f = np.c_[np.repeat(fP, zw.size, axis=0), np.tile(fz, pw.size)]
+    surf = rules.surface
+    return (np.einsum("n,ni,nj->ij", rules.volume.weights, f, rules.volume.points)
+            + surface_moment(spec, rules, None if surf is None else surf.points))
 
 
 def _elastic_energy(fields: tuple[np.ndarray, np.ndarray], h: float,
