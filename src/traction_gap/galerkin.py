@@ -8,8 +8,7 @@ Space kinds
                       degree <= degree.
 * ``ansatz_k``     -- planar fields (m_y, -m_x, 0) from a 2D scalar potential
                       of total degree <= degree, plus axial fields (0, 0, w(z))
-                      with deg w <= degree1d.
-* ``ansatz_k_div`` -- the planar (exactly divergence-free) part only.
+                      with deg w <= degree1d (default 4).
 * ``div_free``     -- curls of gauge-fixed vector potentials (psi_x, psi_y, 0)
                       of total degree <= degree + 1: psi_x takes the Legendre
                       rows (i, j, k) with k >= 1, psi_y those with i >= 1 or
@@ -141,14 +140,11 @@ class GalerkinSpace:
         if self.kind == "full":
             self._idx = _total_degree_indices(self.degree, 3)
             self.dim = 3 * len(self._idx)
-        elif self.kind in ("ansatz_k", "ansatz_k_div"):
+        elif self.kind == "ansatz_k":
             if self.domain.kind != "cylinder":
                 raise ValueError("ansatz spaces are cylinder-only")
+            self._naxial = (self.degree1d if self.degree1d is not None else 4) + 1
             self._idx2 = [ij for ij in _total_degree_indices(self.degree, 2) if ij != (0, 0)]
-            if self.kind == "ansatz_k":
-                self._naxial = (self.degree1d if self.degree1d is not None else 4) + 1
-            else:
-                self._naxial = 0
             self.dim = len(self._idx2) + self._naxial
         elif self.kind == "div_free":
             idx = _total_degree_indices(self.degree + 1, 3)
@@ -198,12 +194,10 @@ class GalerkinSpace:
             return fams
         # potential m -> planar field (m_y, -m_x, 0), constant in z
         pot = np.array([(i, j, 0) for i, j in self._idx2], dtype=int)
-        fams = [(0, pot, {0: (1.0, (0, 1, 0)), 1: (-1.0, (1, 0, 0)), 3: (1.0, (1, 1, 0)),
-                          4: (1.0, (0, 2, 0)), 6: (-1.0, (2, 0, 0)), 7: (-1.0, (1, 1, 0))})]
-        if self._naxial:  # axial fields (0, 0, w(z))
-            ax = np.array([(0, 0, k) for k in range(self._naxial)], dtype=int)
-            fams.append((1, ax, {2: (1.0, (0, 0, 0)), 11: (1.0, (0, 0, 1))}))
-        return fams
+        ax = np.array([(0, 0, k) for k in range(self._naxial)], dtype=int)  # fields (0, 0, w(z))
+        return [(0, pot, {0: (1.0, (0, 1, 0)), 1: (-1.0, (1, 0, 0)), 3: (1.0, (1, 1, 0)),
+                          4: (1.0, (0, 2, 0)), 6: (-1.0, (2, 0, 0)), 7: (-1.0, (1, 1, 0))}),
+                (1, ax, {2: (1.0, (0, 0, 0)), 11: (1.0, (0, 0, 1))})]
 
     def _separate(self):
         """Write every basis value and gradient entry as sign * P * Z.
@@ -374,14 +368,14 @@ class GalerkinSpace:
 
     def factor_tables(self, rule: QuadratureRule, planar: np.ndarray | None = None):
         """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
-        (values (K_A, N_z), slopes (K_A, N_z)) tables of an ansatz space on a
-        tensor rule: potential rows are in-plane and constant in z (axial
-        factor L_0), axial rows (0, 0, w(z)) constant in the plane.  Each slot
-        is written straight into its place in the preallocated output;
-        gradient entry [c, d] is d_d u_c.  ``planar`` is the rule's planar
-        factor table when the caller has built it."""
-        if self.kind not in ("ansatz_k", "ansatz_k_div"):
-            raise ValueError(f"factor tables exist only for ansatz spaces, not {self.kind!r}")
+        (values (K_A, N_z), slopes (K_A, N_z)) tables of an ``ansatz_k``
+        space on a tensor rule: potential rows are in-plane and constant in
+        z (axial factor L_0), axial rows (0, 0, w(z)) constant in the plane.
+        Each slot is written straight into its place in the preallocated
+        output; gradient entry [c, d] is d_d u_c.  ``planar`` is the rule's
+        planar factor table when the caller has built it."""
+        if self.kind != "ansatz_k":
+            raise ValueError(f"factor tables exist only for ansatz_k spaces, not {self.kind!r}")
         if len(rule.terms) != 1:
             raise ValueError(f"rule {rule.label!r} is not one product of planar and axial factors")
         ((px, py, _), (z, _)), = rule.terms
@@ -414,10 +408,10 @@ class GalerkinSpace:
         """Exact coefficient vectors of the representable rigid fields.
 
         ``full`` and ``div_free`` carry all six (translations along x, y, z,
-        then spins about x, y, z); the ansatz spaces their planar
-        translations, the spin about z when the degree allows it, and the
-        axial translation of ``ansatz_k``.  ``div_free`` rows are the
-        potentials of the rigid fields, up to terms whose curl vanishes.
+        then spins about x, y, z); ``ansatz_k`` its planar translations, the
+        spin about z when the degree allows it, and the axial translation.
+        ``div_free`` rows are the potentials of the rigid fields, up to terms
+        whose curl vanishes.
         """
         a, zlo, h = self._box
         # coordinate expansions in the scaled Legendre family
@@ -463,7 +457,7 @@ class GalerkinSpace:
                 for n, coef in terms.items():
                     vec[n] = coef / self._row_scale[n]
             return vecs
-        pos = {m: n for n, m in enumerate(self._idx2)}  # the ansatz spaces
+        pos = {m: n for n, m in enumerate(self._idx2)}  # ansatz_k
         rows = []
         tx = np.zeros(self.dim)
         tx[pos[(0, 1)]] = a  # potential y -> field (1, 0, 0)
@@ -477,10 +471,9 @@ class GalerkinSpace:
             spin[pos[(2, 0)]] = -(a * a) / 3.0
             spin[pos[(0, 2)]] = -(a * a) / 3.0
             rows.append(spin)
-        if self._naxial:
-            tz = np.zeros(self.dim)
-            tz[len(self._idx2)] = 1.0
-            rows.append(tz)
+        tz = np.zeros(self.dim)
+        tz[len(self._idx2)] = 1.0
+        rows.append(tz)
         return np.stack(rows)
 
     @property
@@ -488,11 +481,11 @@ class GalerkinSpace:
         """Which rows of ``rigid_coefficients`` are spins; the others are translations."""
         if self.kind in ("full", "div_free"):
             return np.arange(6) >= 3
-        return np.array([False, False] + [True] * (self.degree >= 2) + [False] * (self._naxial > 0))
+        return np.array([False, False] + [True] * (self.degree >= 2) + [False])
 
     @property
     def field_degree(self) -> int:
-        """Total degree of the space's fields; the ansatz spaces' planar fields
+        """Total degree of the space's fields; ``ansatz_k``'s planar fields
         are derivatives of their potentials."""
         if self.kind in ("full", "div_free"):
             return self.degree

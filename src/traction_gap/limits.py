@@ -13,10 +13,10 @@ decomposes as cos^2(theta) * minE + sin^2(theta) * minSwirl, which is the
 closed form the numerical searches are checked against.
 
 Certification logic for the incompressible gap (GI < EI, the constrained
-swirl and linear minima):
+relaxed and linear minima):
 
-* upper bound for GI: the divergence-free planar ansatz is feasible, so
-  its Galerkin minimum at the swirl rotation sits above GI;
+* upper bound for GI: the divergence-free Galerkin space is feasible, so
+  its relaxed minimum over the rotation kernel (below) sits above GI;
 * lower bound for EI, by complementary energy: sigma = 8 E(u0) + lambda I
   balances the loads (-div sigma = f, sigma n = lambda n), so for every
   divergence-free u the work is L(u) = integral of 8 dev E(u0) : E(u), and
@@ -354,21 +354,18 @@ class IncompressibleBounds:
     lower: float | None  # dual bound (below min); None without a closed form
 
 
-def incompressible_linear_bounds(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
-                                 sol: ExplicitSolution | None = None) -> IncompressibleBounds:
+def incompressible_linear_bounds(spec: LoadSpec,
+                                 degree: int = DEFAULT_DEGREE) -> IncompressibleBounds:
     """Two-sided bounds of the divergence-free linear minimum EI.
 
-    The lower bound needs the closed-form compressible minimizer ``sol``,
-    which exists only for profile loads on the unit cylinder; it is built
-    here when the caller has not built it already.
+    The lower bound needs the closed-form compressible minimizer, which
+    exists only for profile loads on the unit cylinder.
     """
     upper = solve_quadratic(_system_for(spec, "div_free", degree))
-    if sol is None:
-        try:
-            sol = explicit_minimizers(spec)
-        except LoadError:
-            pass
-    lower = None if sol is None else sol.min_incompressible_lower
+    try:
+        lower = explicit_minimizers(spec).min_incompressible_lower
+    except LoadError:
+        lower = None
     return IncompressibleBounds(upper=upper, lower=lower)
 
 
@@ -552,8 +549,9 @@ def gap_report(
     if min_E == 0.0:
         raise LoadError("gap report needs a nonzero load; every minimum is 0")
 
-    # one full system serves both minima; dropped before the div_free
-    # assembly below, so the two systems never coexist
+    # one full system serves both compressible minima and one div_free system
+    # both incompressible ones; the first is dropped before the second is
+    # assembled, so the two never coexist
     system = _system_for(spec, "full", degree)
     galerkin_E = solve_quadratic(system)
     limit_res = _limit_solve(system, kernel)
@@ -575,14 +573,14 @@ def gap_report(
             )
         )
 
-    swirl = rotation_about_z(-0.5 * np.pi)
-    bounds = incompressible_linear_bounds(spec, degree=degree, sol=sol)
-    gi_upper = solve_quadratic(_system_for(spec, "ansatz_k_div", degree), R=swirl)
+    system = _system_for(spec, "div_free", degree)
+    ei_lower = sol.min_incompressible_lower
+    gi_upper = _limit_solve(system, kernel).value
     inc = IncompressibleGap(
-        min_EI_upper=bounds.upper.value,
-        min_EI_lower=bounds.lower,
-        min_GI_upper=gi_upper.value,
-        certified=bool(gi_upper.value < bounds.lower),
+        min_EI_upper=solve_quadratic(system).value,
+        min_EI_lower=ei_lower,
+        min_GI_upper=gi_upper,
+        certified=bool(gi_upper < ei_lower),
         degree=degree,
     )
     return GapReport(

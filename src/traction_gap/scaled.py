@@ -41,13 +41,12 @@ from .loads import (
     FULL_SO3,
     INCOMPATIBLE,
     KernelReport,
-    LoadRules,
+    LoadError,
     LoadSpec,
     compatibility_report,
     default_rules,
-    factor_forces,
     force_degree,
-    surface_moment,
+    placement_moments,
 )
 from .rotations import distance_to_axis_rotations, exp_so3, nearest_rotation
 
@@ -104,16 +103,17 @@ class NonlinearContext:
 def nonlinear_context(
     spec: LoadSpec, space: GalerkinSpace
 ) -> tuple[NonlinearContext, tuple[np.ndarray, np.ndarray]]:
-    """Context of an ``ansatz_k``/``ansatz_k_div`` space on the cylinder's
-    rule, and the values of its planar (K_P, N_P, 2) and axial (K_A, N_z) rows
-    for ``_limit_start``; ValueError for other spaces, whose gradients do not
+    """Context of an ``ansatz_k`` space on the cylinder's rule, and the
+    values of its planar (K_P, N_P, 2) and axial (K_A, N_z) rows for
+    ``_limit_start``; ValueError for other spaces, whose gradients do not
     split by factor.  The rule is exact for |C(h G)|^2, of degree 4(f - 1)
     for fields of degree f, for the assembly, and for projecting the
     closed-form start onto the space; that start has the forces' degree + 2
     (equilibrium is of order 2).  The planar factor table is built once, and
     serves the assembly and then the tables; the space is assembled before
     it is tabulated, so the assembly's temporaries are gone when the tables
-    are built.  The placement moment is ``_placement_moment``."""
+    are built.  The placement moment T is ``loads.placement_moments``'s, on
+    the same rules."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
     rules = default_rules(spec, exact_order(degree))
@@ -129,23 +129,9 @@ def nonlinear_context(
         planar_weights=pw * np.sum(zw),
         axial_weights=zw * np.sum(pw),
         load_moments=system.load_moments,
-        placement_moment=_placement_moment(spec, rules),
+        placement_moment=placement_moments(spec, rules)[0],
         metric=system.embed(system.pinv),
     ), (pv, av)
-
-
-def _placement_moment(spec: LoadSpec, rules: LoadRules) -> np.ndarray:
-    """T (``loads.moment_matrix``) summed node by node.  The descent takes
-    T / h, so the rows carry T's round-off over h: the factor sums round the
-    exact zeros of T differently and move the thin-film rows'
-    ``strain_rescaled`` at h = 5e-4 by 7e-11 relative, past what they are
-    recorded to."""
-    term, = rules.volume.terms
-    ((_, _, pw), (_, zw)), (fP, fz) = term, factor_forces(spec, term)
-    f = np.c_[np.repeat(fP, zw.size, axis=0), np.tile(fz, pw.size)]
-    surf = rules.surface
-    return (np.einsum("n,ni,nj->ij", rules.volume.weights, f, rules.volume.points)
-            + surface_moment(spec, rules, None if surf is None else surf.points))
 
 
 def _elastic_energy(fields: tuple[np.ndarray, np.ndarray], h: float,
@@ -320,8 +306,6 @@ def rescaled_strain_norm(c: np.ndarray, R: np.ndarray, h: float, ctx: NonlinearC
 
 
 def _kernel_distance(R: np.ndarray, report) -> float:
-    if report.classification == FULL_SO3:
-        return 0.0
     if report.classification == AXIS_SUBGROUP:
         return distance_to_axis_rotations(R, report.axis)
     return float(np.linalg.norm(R - np.eye(3)))
@@ -373,6 +357,10 @@ def convergence_study(
     report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")
+    if report.classification == FULL_SO3:
+        raise LoadError("convergence study starts from and compares with the swirl minimum "
+                        "about the z axis, which is not the relaxed minimum on a full-SO(3) "
+                        "kernel")
     sol = explicit_minimizers(spec)  # LoadError off the unit cylinder, before the ansatz space
     space = build_space("ansatz_k", 2 * degree, spec.domain, degree1d=degree)
     ctx, values = nonlinear_context(spec, space)

@@ -197,8 +197,8 @@ def test_every_subcommand_classifies_with_the_configured_tolerance(tmp_path, cap
     code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
     assert code == 0 and report["results"]["classification"] == "full_so3"
     code, report, _ = run_cli(["nonlinear-study"], tmp_path, cfg)
-    assert code == 0
-    assert [row["rotation_distance"] for row in report["results"]["rows"]] == [0.0, 0.0]
+    assert code == 2 and report is None
+    assert "full-SO(3) kernel" in capsys.readouterr().err
     code, report, _ = run_cli(["nonuniqueness"], tmp_path, cfg)
     assert code == 3 and report is None
     assert "axis-subgroup kernel" in capsys.readouterr().err
@@ -475,12 +475,22 @@ def test_certification_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_uncertified_gap_report_exit_code(tmp_path):
-    # at degree 3 the divergence-free swirl upper bound is not below the dual
+    # at degree 2 the divergence-free relaxed upper bound is not below the dual
     # lower bound: a real certification failure, exit 4 with the report written
-    code, report, _ = run_cli(["gap-report"], tmp_path, {"basis": {"degree": 3}})
+    code, report, _ = run_cli(["gap-report"], tmp_path, {"basis": {"degree": 2}})
     assert code == 4
     assert report["results"]["margin"] > 0
     assert report["results"]["incompressible"]["certified"] is False
+
+
+def test_gap_report_certifies_from_degree_3(tmp_path):
+    # the divergence-free relaxed minimum over the kernel, -0.01178, already
+    # sits below the dual lower bound of the linear minimum, -0.01122
+    code, report, _ = run_cli(["gap-report"], tmp_path, {"basis": {"degree": 3}})
+    assert code == 0
+    inc = report["results"]["incompressible"]
+    assert inc["certified"] is True
+    assert inc["min_GI_upper"] < inc["min_EI_lower"]
 
 
 def test_solver_error_exit_code(tmp_path):
@@ -507,6 +517,16 @@ def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub, cfg, message
     assert report is None
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_nonlinear_study_on_a_full_so3_kernel_is_a_config_error(tmp_path, capsys):
+    # at beta = 0 the study's start and limit, the swirl minimum about e_z,
+    # lie above the relaxed minimum over SO(3): exit 2, no traceback
+    code, report, _ = run_cli(["nonlinear-study"], tmp_path, {"beta": 0.0, "h_schedule": [0.2]})
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert "full-SO(3) kernel" in err and "Traceback" not in err
 
 
 def test_nonlinear_study_on_the_ball_is_a_config_error(tmp_path, capsys):

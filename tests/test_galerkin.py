@@ -33,7 +33,7 @@ CYL = Domain.cylinder()
 BALL = Domain.unit_ball()
 # the preset's radial profile on the ball, beta = 0: compatible (identity-only kernel)
 BALL_PROFILE = LoadSpec(phi_coeffs=(-1.0, 0.0, 6.0, 0.0, -9.0, 0.0, 4.0), domain=BALL)
-KINDS = [("full", 4, None), ("ansatz_k", 6, 3), ("ansatz_k_div", 6, None), ("div_free", 3, None)]
+KINDS = [("full", 4, None), ("ansatz_k", 6, 3), ("div_free", 3, None)]
 
 
 def _values(space, coeffs, rule):
@@ -78,11 +78,10 @@ def test_ansatz_rigid_modes_and_divfree_structure():
     for vec in rig:
         E = strain(np.tensordot(vec, grads, axes=(0, 0)))
         assert float(np.max(np.abs(E))) < 1e-12
-    # the quadratic potential maps to the planar spin (2y, -2x, 0)
-    kdiv = build_space("ansatz_k_div", 3, CYL)
-    dvals, dgrads = kdiv.tables(rule)
-    div = np.trace(dgrads, axis1=2, axis2=3)
-    assert float(np.max(np.abs(div))) < 1e-12
+    # the planar rows, curls of the potential, are divergence free
+    planar = grads[:len(space._idx2)]
+    assert np.any(planar)
+    assert float(np.max(np.abs(np.trace(planar, axis1=2, axis2=3)))) < 1e-12
 
 
 def test_divfree_curl_space_is_divergence_free():
@@ -201,9 +200,8 @@ def test_assemble_zero_loads_and_rotation_independence(preset):
 
 
 @pytest.mark.parametrize("kind,degree,d1,domain", [("full", 3, None, CYL), ("ansatz_k", 4, 2, CYL),
-                                                   ("ansatz_k_div", 3, None, CYL),
                                                    ("div_free", 2, None, CYL), ("full", 3, None, BALL)],
-                         ids=["full", "ansatz_k", "ansatz_k_div", "div_free", "ball"])
+                         ids=["full", "ansatz_k", "div_free", "ball"])
 def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
     # the assembled form against 4 * integral |E|^2 by direct quadrature, on
     # the cylinder's one tensor term and on the ball's sliced terms
@@ -219,10 +217,9 @@ def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
 
 @pytest.mark.parametrize(
     "spec,kind,degree,d1",
-    [(spec, *space) for space in [("full", 3, None), ("ansatz_k", 4, 2),
-                                  ("ansatz_k_div", 6, None), ("div_free", 3, None)]
+    [(spec, *space) for space in [("full", 3, None), ("ansatz_k", 4, 2), ("div_free", 3, None)]
      for spec in (LoadSpec.cylinder_preset(beta=0.01), LoadSpec(surface_pressure=1.0))],
-    ids=[f"{kind}{load}" for kind in ("", "ansatz_k-", "ansatz_k_div-", "div_free-")
+    ids=[f"{kind}{load}" for kind in ("", "ansatz_k-", "div_free-")
          for load in ("preset", "pressure")])
 def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d1):
     # c . b(R) = L(R u_c), with L by quadrature on an independent, finer rule;
@@ -447,7 +444,7 @@ def test_planar_factors_are_the_products_of_1d_tables_bit_for_bit(kind, degree, 
     assert np.array_equal(space._planar(px, py), Lx[nx, i] * Ly[ny, j])
 
 
-@pytest.mark.parametrize("kind,degree,d1", [("ansatz_k", 6, 3), ("ansatz_k_div", 6, None)])
+@pytest.mark.parametrize("kind,degree,d1", [("ansatz_k", 6, 3)])
 def test_factor_tables_match_the_node_tables(kind, degree, d1):
     # potential rows are the planar tables, constant in z; axial rows the
     # axial tables, constant in the plane; every other entry vanishes
@@ -584,7 +581,6 @@ def test_kernel_matches_rigid_dimension(preset):
     for kind, degree, d1, expected in (
         ("full", 2, None, 6),
         ("ansatz_k", 4, 2, 4),
-        ("ansatz_k_div", 4, None, 3),
         ("div_free", 3, None, 6),
     ):
         space = build_space(kind, degree, CYL, degree1d=d1)
@@ -596,9 +592,9 @@ def test_kernel_matches_rigid_dimension(preset):
 
 
 def test_strain_free_space_is_all_kernel(preset):
-    # ansatz_k_div at degree 1 holds the two planar translations alone
-    system = assemble(build_space("ansatz_k_div", 1, CYL), preset)
-    assert system.kernel.shape[0] == system.dim == 2
+    # ansatz_k at degree 1 with constant axial rows holds the three translations alone
+    system = assemble(build_space("ansatz_k", 1, CYL, degree1d=0), preset)
+    assert system.kernel.shape[0] == system.dim == 3
     assert system.kernel_margins == (np.inf, 0.0)
     assert solve_quadratic(system, R=rotation_about_z(-np.pi / 2)).value == 0.0
 
@@ -674,8 +670,7 @@ def test_incompatible_load_vector_raises(preset):
 
 
 @pytest.mark.parametrize("kind,degree,d1", [
-    ("full", 2, None), ("div_free", 3, None), ("ansatz_k", 1, 2), ("ansatz_k", 4, 2),
-    ("ansatz_k_div", 1, None), ("ansatz_k_div", 3, None)])
+    ("full", 2, None), ("div_free", 3, None), ("ansatz_k", 1, 2), ("ansatz_k", 4, 2)])
 def test_rigid_spins_are_the_rigid_rows_with_a_gradient(kind, degree, d1):
     # a rigid translation has a zero gradient, a unit spin a skew one of norm sqrt(2)
     space = build_space(kind, degree, CYL, degree1d=d1)

@@ -180,6 +180,16 @@ def test_gap_report(preset):
     assert inc.min_GI_upper >= rep.galerkin_min_G - 1e-10
 
 
+def test_incompressible_relaxed_bound_searches_the_whole_kernel():
+    # at beta = 0 the kernel is all of SO(3): the div_free relaxed minimum
+    # lies below its value at the quarter turn about e_z (-0.03366), and
+    # above the unconstrained relaxed minimum
+    rep = gap_report(LoadSpec.cylinder_preset(beta=0.0), degree=8)
+    assert rep.classification == "full_so3"
+    assert rep.incompressible.min_GI_upper <= -0.0362
+    assert rep.incompressible.min_GI_upper >= rep.galerkin_min_G - 1e-10
+
+
 def test_gap_margin_survives_zero_axial_profile():
     sol = explicit_minimizers(LoadSpec.cylinder_preset(beta=0.0))
     assert np.isclose(sol.margin, MARGIN, rtol=1e-13)

@@ -8,6 +8,11 @@ definition, in ``tests/test_acceptance.py``, or in ``perfbench/``.  In the
 last two an imported name counts too, since deleting it breaks the import.
 Inside ``src/`` an import or an ``__all__`` entry is not a use, so a name
 that only other tests and the package's exports mention fails.
+
+Likewise every kind of ``GalerkinSpace`` (a string its methods compare
+``self.kind`` with) must be passed as a literal call argument, as in
+``build_space("div_free", ...)``, in ``src/`` or in one of those two places:
+a kind that only tests build fails.
 """
 
 import ast
@@ -15,6 +20,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "traction_gap"
+
+
+def _outside() -> list[Path]:
+    """The acceptance gate and the benchmark."""
+    return [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
 
 
 def _public_definitions(tree: ast.Module):
@@ -48,10 +58,9 @@ def _imported(tree: ast.AST):
 
 def _unreached() -> list[str]:
     sources = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
     assert "scaled.py" in {path.name for path in sources}  # a scan of nothing passes vacuously
     reached = set()
-    for tree in (ast.parse(path.read_text()) for path in outside):
+    for tree in (ast.parse(path.read_text()) for path in _outside()):
         reached |= {name for name, _ in _named(tree)} | set(_imported(tree))
     uses = {path: list(_named(tree)) for path, tree in sources.items()}
     missing = []
@@ -67,3 +76,33 @@ def _unreached() -> list[str]:
 
 def test_every_public_name_is_reached():
     assert _unreached() == []
+
+
+def _space_kinds(tree: ast.Module):
+    """The strings that ``GalerkinSpace``'s methods compare ``self.kind`` with."""
+    space, = (node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "GalerkinSpace")
+    for node in ast.walk(space):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute) \
+                and node.left.attr == "kind" and getattr(node.left.value, "id", None) == "self":
+            for constant in (c for comp in node.comparators for c in ast.walk(comp)):
+                if isinstance(constant, ast.Constant) and isinstance(constant.value, str):
+                    yield constant.value
+
+
+def _call_strings(tree: ast.AST):
+    """String literals passed as positional or keyword arguments of a call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            for arg in (*node.args, *(keyword.value for keyword in node.keywords)):
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    yield arg.value
+
+
+def test_every_space_kind_is_built_outside_the_tests():
+    kinds = set(_space_kinds(ast.parse((PACKAGE / "galerkin.py").read_text())))
+    assert {"full", "div_free", "ansatz_k"} <= kinds  # the scan found the branches
+    built = set()
+    for path in (*sorted(PACKAGE.glob("*.py")), *_outside()):
+        built |= set(_call_strings(ast.parse(path.read_text())))
+    assert sorted(kinds - built) == []

@@ -10,7 +10,7 @@ from traction_gap.energy import ksv_density_sum, ksv_weighted_stress
 from traction_gap.galerkin import GalerkinSpace, SolverError, build_space
 from traction_gap.geometry import Domain, QuadratureRule, volume_quadrature
 from traction_gap.limits import explicit_minimizers
-from traction_gap.loads import LoadSpec
+from traction_gap.loads import LoadError, LoadSpec
 from traction_gap.rotations import exp_so3, rotation_about_z
 from traction_gap.scaled import (
     _limit_start,
@@ -170,8 +170,15 @@ def test_convergence_study_rows(preset_ctx):
 
 
 def test_convergence_study_zero_loads():
-    rows = convergence_study(LoadSpec(), (0.2, 0.1), degree=2)
-    assert all(abs(r.value) < 1e-12 for r in rows)
+    # every rotation is in the kernel of zero loads, so the study refuses them;
+    # the descent itself stays at the zero field
+    spec = LoadSpec()
+    with pytest.raises(LoadError, match="full-SO\\(3\\) kernel"):
+        convergence_study(spec, (0.2, 0.1), degree=2)
+    ctx, _ = nonlinear_context(spec, build_space("ansatz_k", 4, CYL, degree1d=2))
+    for h in (0.2, 0.1):
+        res = minimize_scaled(spec, np.zeros(ctx.space.dim), np.eye(3), h, ctx)
+        assert abs(res.value) < 1e-12
 
 
 def test_convergence_study_rejects_bad_schedule(preset_ctx):
@@ -239,8 +246,7 @@ class NodeReference:
         return float(np.sqrt(self.w @ np.einsum("nij,nij->n", S, S)))
 
 
-@pytest.fixture(scope="module", params=[("ansatz_k", 8, 4), ("ansatz_k_div", 6, None)],
-                ids=["ansatz_k", "ansatz_k_div"])
+@pytest.fixture(scope="module", params=[("ansatz_k", 8, 4)], ids=["ansatz_k"])
 def split_and_reference(request):
     kind, degree, d1 = request.param
     spec = LoadSpec.cylinder_preset(beta=0.01)
