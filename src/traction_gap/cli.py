@@ -282,7 +282,7 @@ def _cmd_kernel(spec, cfg):
 
 def _cmd_solve_linear(spec, cfg):
     degree = cfg["basis"]["degree"]
-    res = min_linear(spec, degree=degree, report=_classify(spec, cfg))
+    res = min_linear(spec, degree=degree)
     bounds = incompressible_linear_bounds(spec, degree=degree)
     results = {
         "value": res.value,

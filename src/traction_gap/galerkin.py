@@ -29,10 +29,10 @@ of the L^2 Gram matrix M is a sum over the terms of a planar Gram entry times
 an axial one, gathered from small Gram matrices of 1D tables; no (K, N) table
 of the volume nodes is built, and only entries inside a parity block (below)
 are gathered, straight into per-block storage, so no K x K A or M is formed.
-Node tables remain for the values on a pressure load's surface rule and for
-``tables``.  The nonlinear context tabulates its ansatz space on the
-cylinder's two factors.  The default rules are the lowest order exact for
-fields of degree f: the L^2 Gram matrix has degree 2f (A has 2f - 2), the
+A pressure's work is the volume integral of div v, so the load moments too
+are factor sums, and node tables remain only in ``tables``, for checks.  The
+nonlinear context tabulates its ansatz space on the cylinder's two factors.
+The default rules are the lowest order exact for fields of degree f: the L^2 Gram matrix has degree 2f (A has 2f - 2), the
 work the forces' degree + f.  Load vectors per rotation come from
 precomputed first-moment tensors: L(R b_k) = <R, T_k>, i.e. b(R) = B vec(R).
 Both domains and every bounding box are symmetric under the mirrors x -> -x,
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, QuadratureRule, exact_order
-from .loads import LoadRules, default_rules, factor_forces, force_degree, surface_moment
+from .loads import LoadRules, default_rules, factor_forces, force_degree
 
 KERNEL_EIGENVALUE_CUT = 1e-10
 # largest entry of a term's planar or axial factor Gram between two parity
@@ -346,25 +346,15 @@ class GalerkinSpace:
     # -- basis tables at the nodes --------------------------------------
 
     def tables(self, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-        """(values (K,N,3), gradients (K,N,3,3)) at the rule's nodes."""
-        return self._build_tables(rule)
-
-    def _build_tables(self, rule: QuadratureRule, gradients: bool = True):
-        """Node tables from the separable slots; gradients None unless asked."""
+        """(values (K,N,3), gradients (K,N,3,3)) at the rule's nodes, from the
+        separable slots."""
         sign, pidx, zidx = self._slots
         pts = rule.points
         P, Z = self._planar(pts[:, 0], pts[:, 1]), self._axial(pts[:, 2])
-
-        def table(slots: slice) -> np.ndarray:
-            out = np.empty((self.dim, len(rule), slots.stop - slots.start))
-            for col, e in enumerate(range(slots.start, slots.stop)):
-                np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, col])
-            return out
-
-        vals = table(slice(0, 3))
-        if not gradients:
-            return vals, None
-        return vals, table(slice(3, 12)).reshape(self.dim, -1, 3, 3)
+        out = np.empty((self.dim, len(rule), 12))
+        for e in range(12):
+            np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, e])
+        return out[..., :3], out[..., 3:].reshape(self.dim, -1, 3, 3)
 
     def factor_tables(self, rule: QuadratureRule, planar: np.ndarray | None = None):
         """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
@@ -678,13 +668,15 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules,
     the force's factors (``loads.factor_forces``) are broadcast to the
     (N_P, N_Z) node values F_i of each component, which are contracted with
     the weighted planar and axial factors, (P w) F_i (Z w)'; each entry is
-    gathered from the sum over the terms.  The surface term hands node
-    tables (K, N, 3) to ``loads.surface_moment``.  ``planar`` is as for
-    ``_factored_grams``.
+    gathered from the sum over the terms.  A pressure lambda n adds
+    lambda times the integral of d_i b_kj (divergence theorem), the gradient
+    slot 3 + 3j + i, gathered from the outer products of the weighted factor
+    sums (P w) 1 and (Z w) 1, which are formed only for a pressure load.
+    ``planar`` is as for ``_factored_grams``.
     """
-    vol, surf = rules.volume, rules.surface if load.has_surface_term else None
-    svals = None if surf is None else space._build_tables(surf, gradients=False)[0]
-    Y = 0.0
+    vol = rules.volume
+    pressure = load.surface_pressure if load.has_surface_term else 0.0
+    Y = S = 0.0
     planar = planar or (space._planar(px, py) for (px, py, _), _ in vol.terms)
     for P, term in zip(planar, vol.terms, strict=True):
         (_, _, pw), (z, wz) = term
@@ -693,9 +685,14 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules,
         fP, fz = factor_forces(load, term)  # broadcast to the (N_P, N_Z, 3) node forces
         F = np.dstack([np.repeat(fP[:, None], wz.size, axis=1), np.tile(fz, (pw.size, 1))])
         Y = Y + np.stack([(P @ F[..., i]) @ Z.T for i in range(3)])
+        if pressure:
+            S = S + np.outer(P.sum(axis=1), Z.sum(axis=1))
     sign, pidx, zidx = space._slots
     moments = sign[:, None, :3] * Y[:, pidx[:, :3], zidx[:, :3]].transpose(1, 0, 2)
-    return moments + surface_moment(load, rules, svals)
+    if pressure:  # the integrated gradient slots as (K, 3, 3) [c, d] = d_d u_c, transposed
+        grads = sign[:, 3:] * S[pidx[:, 3:], zidx[:, 3:]]
+        moments += pressure * grads.reshape(-1, 3, 3).transpose(0, 2, 1)
+    return moments
 
 
 def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None,

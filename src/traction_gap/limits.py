@@ -67,7 +67,6 @@ from .loads import (
     default_rules,
     factor_forces,
     factor_moment,
-    surface_moment,
 )
 from .profiles import (
     axial_displacement_profile,
@@ -159,9 +158,16 @@ def _energy(factors) -> float:
 
 
 def _work_moment(load, factors) -> np.ndarray:
-    """Y = sum w f (x) u, with L(R u) = <R, Y>."""
-    return sum(factor_moment(term, factor_forces(load, term), (v, w))
-               for term, (v, _, _), (w, _, _) in factors)
+    """Y = sum w f (x) u, with L(R u) = <R, Y>.  A pressure adds lambda times
+    the integral of (grad u)': per term W_z sum_p w_p G_P' on the planar
+    block and W_p sum_z w_z w' on the axial entry."""
+    Y = sum(factor_moment(term, factor_forces(load, term), (v, w))
+            for term, (v, _, _), (w, _, _) in factors)
+    if load.has_surface_term:
+        for ((_, _, pw), (_, zw)), (_, G, _), (_, dw, _) in factors:
+            Y[:2, :2] += load.surface_pressure * np.sum(zw) * np.tensordot(pw, G, 1).T
+            Y[2, 2] += load.surface_pressure * np.sum(pw) * float(zw @ dw)
+    return Y
 
 
 @dataclass
@@ -314,12 +320,10 @@ def quadratic_energy(field: StructuredField, rules: LoadRules) -> float:
 
 def rotated_energy_value(spec, field: StructuredField, theta: float, rules: LoadRules) -> float:
     """Energy 4|E|^2 - L(R_theta u) of a structured field, by quadrature: the
-    volume work <R_theta, Y> on the rule's factors, a pressure's work on the
-    surface nodes.  LoadError when the work is not finite."""
+    work <R_theta, Y> on the rule's factors.  LoadError when the work is not
+    finite."""
     factors = _on_factors(field, rules.volume)
-    surf = rules.surface if spec.has_surface_term else None
-    Y = _work_moment(spec, factors) + surface_moment(
-        spec, rules, None if surf is None else field.at_points(surf.points)[0])
+    Y = _work_moment(spec, factors)
     if not np.all(np.isfinite(Y)):
         raise LoadError("field evaluation produced non-finite values")
     return _energy(factors) - float(np.sum(rotation_about_z(theta) * Y))
@@ -333,18 +337,14 @@ def _system_for(spec, kind: str, degree: int) -> StiffnessSystem:
     return assemble(build_space(kind, degree, spec.domain), spec)
 
 
-def min_linear(
-    spec: LoadSpec,
-    degree: int = DEFAULT_DEGREE,
-    report: KernelReport | None = None,
-) -> SolveResult:
-    """Galerkin minimum of the linear energy over the full polynomial space."""
-    report = compatibility_report(spec) if report is None else report
-    if report.classification == INCOMPATIBLE:
-        raise SolverError(
-            "loads violate the rigid-rotation work condition; the scaled "
-            "energies are unbounded below and no linear minimum exists"
-        )
+def min_linear(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> SolveResult:
+    """Galerkin minimum of the linear energy over the full polynomial space.
+
+    The linear energy is bounded below when the loads have a null resultant
+    and a null momentum, which ``solve_quadratic`` checks against the exact
+    rigid rows (SolverError otherwise); a positive spin-form eigenvalue, the
+    rest of an ``incompatible`` classification, leaves only the relaxed
+    energy unbounded."""
     return solve_quadratic(_system_for(spec, "full", degree))
 
 

@@ -33,7 +33,9 @@ L(R v) = <R, Y>: T is Y of the placement x, and the loads folded by a
 rotation R, v -> L(R v), have the moments R' Y.  Every body force splits by
 the factors of a volume rule's terms (``factor_forces``), so for a field
 that splits the same way Y is a sum of planar and axial factor sums
-(``factor_moment``); a pressure's work is summed on the surface nodes.
+(``factor_moment``).  A pressure lambda n does the work lambda times the
+integral of div v (divergence theorem), so its moment, lambda times the
+integral of (grad v)', is a volume integral on the same factors.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import geometry
-from .geometry import Domain, QuadratureRule, volume_quadrature, surface_quadrature
+from .geometry import Domain, QuadratureRule, volume_quadrature
 from .profiles import axial_conditions, radial_conditions
 from .rotations import nearest_rotation, skew_from_axis
 
@@ -75,8 +77,6 @@ class LoadSpec:
             if self.phi_coeffs or self.psi_coeffs or self.surface_pressure is not None:
                 raise LoadError("builtin loads take no profile or pressure fields")
             return
-        if self.surface_pressure is not None and self.domain.kind != "cylinder":
-            raise LoadError("surface pressure is unsupported off the cylinder")
         phi, psi = self.phi, self.psi
         if _nonzero(phi):
             cond = radial_conditions(phi)
@@ -147,25 +147,23 @@ def factor_forces(load, term) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class LoadRules:
     volume: QuadratureRule
-    surface: QuadratureRule | None = None
 
 
 def default_rules(load, order: int) -> LoadRules:
-    dom = load.domain
-    surface = surface_quadrature(dom, order) if load.has_surface_term else None
-    return LoadRules(volume=volume_quadrature(dom, order), surface=surface)
+    return LoadRules(volume=volume_quadrature(load.domain, order))
 
 
 def force_degree(load) -> int:
-    """Degree of the forces for exact_order: deg psi, 1 for -x and for the
-    pressure, and k - 1 + k % 2 per term r^k of phi.  For odd k, k r^(k-2)
-    (x, y) is no polynomial and does not average out over the angle, so it
-    counts one degree more (LoadSpec refuses odd k on the ball, where no
-    order integrates it exactly)."""
+    """Degree of the body forces for exact_order: deg psi, 1 for -x, and
+    k - 1 + k % 2 per term r^k of phi; a pressure's work integrates div v,
+    of lower degree than v, and adds none.  For odd k, k r^(k-2) (x, y) is no
+    polynomial and does not average out over the angle, so it counts one
+    degree more (LoadSpec refuses odd k on the ball, where no order
+    integrates it exactly)."""
     if load.builtin is not None:
         return 1
     planar = max((k - 1 + k % 2 for k, c in enumerate(load.phi.coef) if c and k > 1), default=0)
-    return max(planar, load.psi.trim().degree(), int(load.has_surface_term))
+    return max(planar, load.psi.trim().degree())
 
 
 def exact_order(load) -> int:
@@ -194,23 +192,11 @@ def factor_moment(term, force, field) -> np.ndarray:
     return Y
 
 
-def surface_moment(load, rules: LoadRules, values) -> np.ndarray | float:
-    """Y = sum w_s g (x) v_s of the pressure g = lambda n for (..., N_s, m)
-    field values at the surface nodes, leading axes broadcast; 0.0 without a
-    pressure."""
-    if not load.has_surface_term:
-        return 0.0
-    surf = rules.surface
-    if surf is None or values is None:
-        raise LoadError("a pressure load needs a surface rule and the field on it")
-    g = load.surface_pressure * surf.normals
-    return np.einsum("n,ni,...nj->...ij", surf.weights, g, values)
-
-
 def placement_moments(load, rules: LoadRules) -> tuple[np.ndarray, np.ndarray]:
     """The moment matrix T (T_ij the work against x_j e_i) and the resultant
     (the work against the unit translations), formed together term by term
-    from factor sums, plus the pressure's work on the surface nodes."""
+    from factor sums.  A pressure adds lambda times the integral of
+    (grad x)' = I, lambda |Omega| I, to T and nothing to the resultant."""
     if not rules.volume.terms:
         raise ValueError(f"rule {rules.volume.label!r} is no sum of planar-by-axial terms")
     T, res = np.zeros((3, 3)), np.zeros(3)
@@ -220,10 +206,8 @@ def placement_moments(load, rules: LoadRules) -> tuple[np.ndarray, np.ndarray]:
         T += factor_moment(term, force, (np.stack([px, py], axis=1), z))
         res[:2] += np.sum(zw) * (pw @ fP)
         res[2] += np.sum(pw) * (zw @ fz)
-    if load.has_surface_term:  # the work against (x, 1) on the surface nodes
-        surf = rules.surface
-        Y = surface_moment(load, rules, None if surf is None else np.c_[surf.points, np.ones(len(surf))])
-        T, res = T + Y[:, :3], res + Y[:, 3]
+    if load.has_surface_term:
+        T += load.surface_pressure * np.sum(rules.volume.weights) * np.eye(3)
     return T, res
 
 

@@ -52,14 +52,14 @@ def body_force_at(load, points):
     return np.stack([ratio * x, ratio * y, load.psi(z)], axis=1)
 
 
-def node_moment(load, rules, values, surface_values=None):
+def node_moment(load, rules, values, surf=None, surface_values=None):
     """sum w f (x) v over the volume nodes, plus sum w_s g (x) v_s over the
-    surface nodes for a pressure load: the explicit node sums every factor
-    sum is checked against.  Leading axes of the values broadcast."""
+    nodes of the surface rule ``surf`` for a pressure load: the explicit node
+    sums every factor sum is checked against.  Leading axes of the values
+    broadcast."""
     vol = rules.volume
     Y = np.einsum("n,ni,...nj->...ij", vol.weights, body_force_at(load, vol.points), values)
     if load.has_surface_term:
-        surf = rules.surface
         g = load.surface_pressure * surf.normals
         Y = Y + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
     return Y

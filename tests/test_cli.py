@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
-from traction_gap import cli
+from traction_gap import cli, limits
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
 from traction_gap.galerkin import GalerkinSpace, assemble, build_space, solve_quadratic
 from traction_gap.limits import RotatedCheck
@@ -177,7 +179,7 @@ def test_high_degree_ball_work_runs_without_node_tables(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("node tables built for a ball linear system")
 
-    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    monkeypatch.setattr(GalerkinSpace, "tables", refuse)
     cfg = {"domain": {"kind": "ball"}, "beta": 0.0, "phi_coeffs": _admissible_phi(20)}
     for sub in ("solve-linear", "solve-limit"):
         code, report, _ = run_cli([sub], tmp_path, cfg)
@@ -274,6 +276,39 @@ def test_builtin_uses_the_ball_radius(tmp_path):
                        32.0 * np.array(unit["results"]["spin_form_eigenvalues"]), rtol=1e-12)
 
 
+def test_check_loads_strong_tension_pressure(tmp_path):
+    # a tension pressure is strictly compatible at any size: it adds
+    # lambda |Omega| I to T and nothing to the resultant
+    code, report, _ = run_cli(["check-loads"], tmp_path, {"surface_pressure": 1e6})
+    assert code == 0
+    assert report["results"]["classification"] == "identity_only"
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_ball_pressure_linear_minimum(tmp_path, degree):
+    # lambda n on the unit ball: u = lambda x / 8, value -3 lambda^2 |Omega| / 16
+    cfg = {"domain": {"kind": "ball"}, "phi_coeffs": [], "beta": 0.0, "surface_pressure": 0.5,
+           "basis": {"degree": degree}}
+    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+    assert code == 0
+    assert report["results"]["value"] == pytest.approx(-math.pi * 0.5 ** 2 / 4.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("cfg", [{"builtin": "ball_pull_in", "domain": {"kind": "ball"}},
+                                 {"surface_pressure": -0.5}], ids=["pull_in", "compression"])
+def test_linear_minimum_of_incompatible_loads(tmp_path, cfg):
+    # a positive spin-form eigenvalue leaves the linear energy bounded: only
+    # the relaxed energy, and the subcommands built on it, are refused
+    code, report, _ = run_cli(["check-loads"], tmp_path, cfg)
+    assert code == 0 and report["results"]["classification"] == "incompatible"
+    code, report, _ = run_cli(["solve-linear"], tmp_path, cfg)
+    assert code == 0 and report["results"]["value"] < 0.0
+    if "builtin" in cfg:
+        assert report["results"]["value"] == pytest.approx(-2.0 * math.pi / 175.0, rel=1e-13)
+    for sub in ("solve-limit", "gap-report", "nonlinear-study"):
+        assert run_cli([sub], tmp_path, cfg)[0] == 3, sub
+
+
 def test_check_loads_beta_zero(tmp_path):
     code, report, _ = run_cli(["check-loads"], tmp_path, {"beta": 0.0})
     assert code == 0
@@ -307,6 +342,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, cfg):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input on purpose
 def test_overflowing_domain_is_a_solver_error(tmp_path, capsys):
     # finite but overflowing geometry breaks the eigensolvers: exit 3
     cfg = {"domain": {"radius": 2.4e295}, "basis": {"degree": 2}}
@@ -358,6 +394,23 @@ def test_verify_explicit(tmp_path):
     code, report, _ = run_cli(["verify-explicit"], tmp_path)
     assert code == 0
     assert report["results"]["ode_residual"] < 1e-12
+
+
+def test_verify_explicit_catches_a_wrong_field(tmp_path, monkeypatch):
+    # p(s) + 1e-3 s and w(z) + 1e-3 z^3 break the interior equilibrium and
+    # the traction-free boundary: both residuals read it, and the run exits 4
+    exact = limits.explicit_minimizers
+
+    def perturbed(spec):
+        sol = exact(spec)
+        return dataclasses.replace(sol, planar=sol.planar + Polynomial([0.0, 1e-3]),
+                                   axial=sol.axial + Polynomial([0.0, 0.0, 0.0, 1e-3]))
+
+    monkeypatch.setattr(limits, "explicit_minimizers", perturbed)
+    code, report, _ = run_cli(["verify-explicit"], tmp_path)
+    assert code == 4
+    assert report["results"]["euler_lagrange_interior"] == pytest.approx(0.063, rel=0.05)
+    assert report["results"]["boundary_traction"] == pytest.approx(0.003, rel=0.05)
 
 
 def test_solve_linear_and_limit(tmp_path):
@@ -671,6 +724,7 @@ def small_configs(draw):
     return cfg
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input on purpose
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_configs(), sub=st.sampled_from(sorted(cli.SUBCOMMANDS)))
 def test_random_configs_end_in_a_documented_exit_code(cfg, sub):

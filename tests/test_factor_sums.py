@@ -71,11 +71,12 @@ def _close(got, want, scale):
 def test_moments_and_resultant_match_the_node_sums(name):
     load = LOADS[name]
     rules = default_rules(load, 12)
-    vol, surf = rules.volume, rules.surface
+    vol = rules.volume
+    surf = surface_quadrature(load.domain, 12) if load.has_surface_term else None
     T, res = placement_moments(load, rules)
     ones = None if surf is None else np.ones((len(surf), 1))
-    T_nodes = node_moment(load, rules, vol.points, None if surf is None else surf.points)
-    res_nodes = node_moment(load, rules, np.ones((len(vol), 1)), ones)[:, 0]
+    T_nodes = node_moment(load, rules, vol.points, surf, None if surf is None else surf.points)
+    res_nodes = node_moment(load, rules, np.ones((len(vol), 1)), surf, ones)[:, 0]
     # most entries are exact zeros: the scale of a sum is that of its summands,
     # sum w |f| |x| and sum w |f|
     f, x = np.linalg.norm(body_force_at(load, vol.points), axis=1), np.linalg.norm(vol.points, axis=1)
@@ -156,6 +157,21 @@ def test_decomposition_values_match_the_node_sums(beta):
         _close(rotated_energy_value(spec, field, theta, rules), want, abs(want))
 
 
+def test_pressure_work_matches_the_surface_node_sum():
+    # the pressure's work is lambda times the integral of div u, on the
+    # factors; its definition is the sum of lambda n . R u over the surface
+    load = LOADS["pressure"]
+    sol = explicit_minimizers(PRESET)
+    rules = default_rules(load, 16)
+    vol, surf = rules.volume, surface_quadrature(load.domain, 16)
+    for theta in DECOMPOSITION_THETAS:
+        field = sol.minimizer_field(theta)
+        values, grads = field.at_points(vol.points)
+        Y = node_moment(load, rules, values, surf, field.at_points(surf.points)[0])
+        want = 4.0 * _norm_sq(strain(grads), vol.weights) - float(np.sum(rotation_about_z(theta) * Y))
+        _close(rotated_energy_value(load, field, theta, rules), want, abs(want))
+
+
 @pytest.mark.parametrize("beta", [0.01, 0.0])
 def test_incompressible_lower_bound_matches_the_node_sum(beta):
     sol = explicit_minimizers(LoadSpec.cylinder_preset(beta=beta))
@@ -208,6 +224,7 @@ def test_factor_tables_must_cover_every_term():
         load_moments(space, spec, rules, [space._planar(px, py)])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input on purpose
 def test_non_finite_work_is_a_load_error():
     sol = explicit_minimizers(PRESET)
     field = StructuredField(np.inf, 0.0, sol.planar, sol.axial)

@@ -17,10 +17,12 @@ from traction_gap.galerkin import (
     _refuse_leak,
     assemble,
     build_space,
+    load_moments,
     solve_quadratic,
 )
 from traction_gap.energy import strain
-from traction_gap.geometry import Domain, QuadratureRule, _tensor_rule, exact_order, volume_quadrature
+from traction_gap.geometry import (Domain, QuadratureRule, _tensor_rule, exact_order,
+                                   surface_quadrature, volume_quadrature)
 from traction_gap.loads import (
     LoadRules,
     LoadSpec,
@@ -235,8 +237,8 @@ def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d
         return _values(space, c, QuadratureRule(points, np.ones(len(points))))
 
     rules = default_rules(spec, order=12)
-    vol, surf = rules.volume, rules.surface
-    Y = node_moment(spec, rules, u_c(vol.points), None if surf is None else u_c(surf.points))
+    vol, surf = rules.volume, surface_quadrature(CYL, 12)
+    Y = node_moment(spec, rules, u_c(vol.points), surf, u_c(surf.points))
     for R in random_rotations(rng, 2):
         work = float(np.sum(R * Y))  # L(R u) = <R, sum w f (x) u>
         assert np.isclose(float(c @ system.load_vector(R)), work, rtol=1e-12, atol=0.0)
@@ -283,11 +285,45 @@ def test_assembly_builds_no_node_tables(preset, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("node tables built for a linear system")
 
-    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    monkeypatch.setattr(GalerkinSpace, "tables", refuse)
     for kind, degree, d1, domain in SYMMETRIC_CASES:
         system = assemble(build_space(kind, degree, domain, degree1d=d1),
                           preset if domain is CYL else BALL_PROFILE)
         assert np.all(np.isfinite(system.A))
+
+
+PRESSURE_CASES = [(kind, degree, d1, domain) for kind, degree, d1 in
+                  (("full", 4, None), ("div_free", 3, None), ("ansatz_k", 5, 3))
+                  for domain in (CYL, Domain.cylinder(radius=2.0, height=0.5))]
+
+
+@pytest.mark.parametrize("kind,degree,d1,domain", PRESSURE_CASES,
+                         ids=[f"{k}-{d.radius:g}x{d.height:g}" for k, _, _, d in PRESSURE_CASES])
+def test_pressure_load_moments_match_the_surface_node_sums(kind, degree, d1, domain):
+    # the pressure's moments are lambda times the integrated gradients
+    # (divergence theorem); their definition is sum w_s lambda n (x) b_k over
+    # the surface nodes
+    load = LoadSpec(surface_pressure=0.75, domain=domain)
+    space = build_space(kind, degree, domain, degree1d=d1)
+    order = exact_order(2 * space.field_degree)
+    surf = surface_quadrature(domain, order)
+    want = np.einsum("n,ni,knj->kij", surf.weights, load.surface_pressure * surf.normals,
+                     space.tables(surf)[0])
+    got = load_moments(space, load, LoadRules(volume_quadrature(domain, order)))
+    scale = float(np.max(np.abs(want)))
+    assert scale > 0.1
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+
+
+def test_pressure_assembly_builds_no_node_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables built for a pressure load")
+
+    monkeypatch.setattr(GalerkinSpace, "tables", refuse)
+    for domain in (CYL, BALL):
+        load = LoadSpec(phi_coeffs=BALL_PROFILE.phi_coeffs, surface_pressure=0.5, domain=domain)
+        system = assemble(build_space("full", 4, domain), load)
+        assert np.all(np.isfinite(system.load_moments)) and np.any(system.load_moments)
 
 
 def _grams(space):
@@ -451,7 +487,7 @@ def test_factor_tables_match_the_node_tables(kind, degree, d1):
     space = build_space(kind, degree, CYL, degree1d=d1)
     rule = volume_quadrature(CYL, 6)
     (pv, pg), (av, slopes) = space.factor_tables(rule)
-    vals, grads = space._build_tables(rule)
+    vals, grads = space.tables(rule)
     K_P, N_P, N_z = pv.shape[0], pv.shape[1], rule.terms[0][1][0].size
     assert av.shape == slopes.shape == (space.dim - K_P, N_z)
     want_v = np.zeros((space.dim, N_P, N_z, 3))

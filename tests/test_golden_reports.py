@@ -1,7 +1,9 @@
 """The nine subcommands' reports on the default config against the reports
 recorded in ``tests/data/default_reports``, and the thin-film
 ``nonlinear-study`` (degree 5, h down to 5e-4) against the report and the
-``meta.json`` descent counts recorded in ``tests/data/thin_film``.
+``meta.json`` descent counts recorded in ``tests/data/thin_film``, and the
+invariant leaves of the full-SO(3) run (beta = 0, degree 6) recorded in
+``tests/data/cylinder_so3``.
 
 A change meant to keep the numbers keeps every numeric leaf within 1e-12
 relative or 1e-15 absolute, and every other leaf exactly.  The
@@ -12,17 +14,23 @@ backtracks, stop reasons) must match exactly.  A ``results.residual_norm``
 leaf is the norm of a residual that is exactly zero in exact arithmetic; its
 round-off depends on the BLAS reduction order (thread count, blocking), so
 it is held to the bound ZERO_NORM_BOUND instead of to its recorded value.
+On a full-SO(3) kernel the relaxed minimizers form a family and round-off
+picks which one is reported, so only its value and its rotation angle are
+held, not the rotation matrix.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from traction_gap import cli
+from traction_gap.rotations import rotation_angle
 
 RECORDED = Path(__file__).parent / "data" / "default_reports"
 THIN_FILM = Path(__file__).parent / "data" / "thin_film"
+CYLINDER_SO3 = Path(__file__).parent / "data" / "cylinder_so3"
 REL, ABS = 1e-12, 1e-15
 DESCENT_ABS = 1e-9
 ZERO_NORM_BOUND = 1e-12
@@ -67,3 +75,18 @@ def test_thin_film_study_matches_the_recorded_one(tmp_path):
     _assert_report_matches("nonlinear-study", tmp_path, THIN_FILM / "nonlinear-study.json")
     descent = json.loads((tmp_path / "meta.json").read_text())["descent"]
     assert descent == json.loads((THIN_FILM / "descent.json").read_text())
+
+
+def test_cylinder_so3_invariant_leaves(tmp_path):
+    want = json.loads((CYLINDER_SO3 / "invariants.json").read_text())
+    results = {}
+    for sub in ("check-loads", "solve-limit", "rotated-check"):
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", str(CYLINDER_SO3 / "config.json"), "--out", str(out)]) == 0
+        results[sub] = json.loads((out / "report.json").read_text())["results"]
+    assert results["check-loads"]["classification"] == want["classification"]
+    assert results["solve-limit"]["value"] == pytest.approx(want["min_limit_value"], rel=1e-12)
+    angle = rotation_angle(np.array(results["solve-limit"]["rotation"]))
+    assert angle == pytest.approx(want["rotation_angle"], abs=1e-9)
+    assert results["rotated-check"]["rotation_theta"] == pytest.approx(want["rotation_angle"],
+                                                                       abs=1e-9)

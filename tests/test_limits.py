@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from conftest import node_moment
-from traction_gap.galerkin import SolverError, assemble, build_space, solve_quadratic
+from traction_gap.galerkin import assemble, build_space, solve_quadratic
 from traction_gap.geometry import Domain
 from traction_gap import cli, limits
 from traction_gap.limits import (
@@ -104,9 +104,16 @@ def test_min_linear_zero_loads():
     assert res.value == 0.0
 
 
-def test_min_linear_rejects_incompatible():
-    with pytest.raises(SolverError):
-        min_linear(LoadSpec.ball_pull_in(), degree=2)
+def test_min_linear_of_the_pull_in_load():
+    # f = -x on the unit ball has a null resultant and momentum, so its linear
+    # minimum exists although its spin form makes it incompatible.  The
+    # minimizer (r^2 - 3) x / 80 is cubic, with value -2 pi / 175; the best
+    # quadratic field reaches -pi / 100
+    spec = LoadSpec.ball_pull_in()
+    assert min_linear(spec, degree=2).value == pytest.approx(-np.pi / 100.0, rel=1e-14)
+    for degree in (3, 8):
+        assert min_linear(spec, degree=degree).value == pytest.approx(-2.0 * np.pi / 175.0,
+                                                                      rel=1e-13)
 
 
 def test_min_limit_axis_subgroup(preset):

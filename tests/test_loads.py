@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import body_force_at, node_moment, random_rotations
-from traction_gap.galerkin import assemble, build_space, load_moments
-from traction_gap.geometry import Domain, volume_quadrature
+from traction_gap.galerkin import assemble, build_space
+from traction_gap.geometry import Domain, surface_quadrature
 from traction_gap.loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
     IDENTITY_ONLY,
     INCOMPATIBLE,
     LoadError,
-    LoadRules,
     LoadSpec,
     classify_moments,
     compatibility_report,
@@ -22,9 +21,7 @@ from traction_gap.loads import (
     placement_moments,
     reversed_compatibility_witness,
     rigid_projection,
-    surface_moment,
 )
-from traction_gap.limits import explicit_minimizers, rotated_energy_value
 from traction_gap.profiles import axial_conditions
 from traction_gap.rotations import exp_so3, rotation_about_z, skew_from_axis
 
@@ -61,8 +58,8 @@ def test_profile_validation():
         LoadSpec(psi_coeffs=(1.0,))
     with pytest.raises(LoadError, match="first moment"):
         LoadSpec(psi_coeffs=(0.5, -1.0))  # zero mean but negative moment
-    with pytest.raises(LoadError):
-        LoadSpec(surface_pressure=1.0, domain=Domain.unit_ball())
+    # a pressure's work is a volume integral, so it needs no surface rule
+    assert LoadSpec(surface_pressure=1.0, domain=Domain.unit_ball()).has_surface_term
     with pytest.raises(LoadError, match="builtin"):
         LoadSpec(builtin="unknown")
 
@@ -226,26 +223,10 @@ def test_rigid_projection_idempotent(cylinder_rule, rng):
     assert np.allclose(again.omega, part.omega, atol=1e-12)
 
 
-def test_pressure_without_a_surface_rule_is_refused_everywhere():
-    # every work of a pressure load goes through surface_moment, which needs
-    # the surface rule: none of them drops the pressure silently
-    spec = LoadSpec(surface_pressure=1.0)
-    rules = LoadRules(volume=volume_quadrature(spec.domain, 6))
-    pts = rules.volume.points
-    field = explicit_minimizers(LoadSpec.cylinder_preset()).u0
-    space = build_space("full", 2, spec.domain)
-    for work in (lambda: placement_moments(spec, rules), lambda: moment_matrix(spec, rules),
-                 lambda: rotated_energy_value(spec, field, 0.3, rules),
-                 lambda: load_moments(space, spec, rules),
-                 lambda: surface_moment(spec, rules, pts)):
-        with pytest.raises(LoadError, match="surface rule"):
-            work()
-
-
-def _folded_quadrature(spec, rules, R, values, surface_values):
+def _folded_quadrature(spec, rules, surf, R, values, surface_values):
     """sum w (f R) (x) v + sum w_s (g R) (x) v_s: the forces R' f, R' g of the
-    loads v -> L(R v), integrated directly."""
-    vol, surf = rules.volume, rules.surface
+    loads v -> L(R v), integrated directly on the volume and surface nodes."""
+    vol = rules.volume
     out = np.einsum("n,ni,...nj->...ij", vol.weights, body_force_at(spec, vol.points) @ R, values)
     g = spec.surface_pressure * surf.normals @ R
     return out + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
@@ -258,16 +239,16 @@ def test_folded_moments_are_the_rotated_force_quadrature(rng):
     spec = LoadSpec(phi_coeffs=LoadSpec.cylinder_preset().phi_coeffs, psi_coeffs=(-0.5, 1.0),
                     surface_pressure=0.5)
     rules = default_rules(spec, 10)
-    vol, surf = rules.volume, rules.surface
+    vol, surf = rules.volume, surface_quadrature(spec.domain, 10)
     report = compatibility_report(spec, rules)
     system = assemble(build_space("full", 3, spec.domain), spec, rules=rules)
     vals, _ = system.space.tables(vol)
     svals, _ = system.space.tables(surf)
     for R in random_rotations(rng, 4):
-        T_rot = _folded_quadrature(spec, rules, R, vol.points, surf.points)
+        T_rot = _folded_quadrature(spec, rules, surf, R, vol.points, surf.points)
         ones = np.ones((len(vol), 1)), np.ones((len(surf), 1))
-        res_rot = _folded_quadrature(spec, rules, R, *ones)[:, 0]
-        b_rot = np.trace(_folded_quadrature(spec, rules, R, vals, svals), axis1=1, axis2=2)
+        res_rot = _folded_quadrature(spec, rules, surf, R, *ones)[:, 0]
+        b_rot = np.trace(_folded_quadrature(spec, rules, surf, R, vals, svals), axis1=1, axis2=2)
         assert np.max(np.abs(R.T @ report.moments - T_rot)) < 1e-14
         assert np.max(np.abs(R.T @ report.resultant - res_rot)) < 1e-14
         assert np.max(np.abs(system.load_vector(R) - b_rot)) < 1e-14

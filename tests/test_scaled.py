@@ -376,7 +376,7 @@ def test_convergence_study_builds_no_node_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("node tables built in the nonlinear study")
 
-    monkeypatch.setattr(GalerkinSpace, "_build_tables", refuse)
+    monkeypatch.setattr(GalerkinSpace, "tables", refuse)
     rows = convergence_study(LoadSpec.cylinder_preset(), (0.2, 0.1, 0.05, 0.02), degree=4)
     assert [r.status for r in rows] == ["converged"] * 4
 
