@@ -49,7 +49,6 @@ from .loads import (
     compatibility_report,
     default_rules,
     factor_forces,
-    moment_matrix,
     placement_moments,
     reversed_compatibility_witness,
     rigid_projection,

@@ -62,8 +62,6 @@ from .loads import (
     LoadError,
     LoadSpec,
     compatibility_report,
-    default_rules,
-    exact_order,
     reversed_compatibility_witness,
 )
 from .scaled import convergence_study
@@ -235,16 +233,10 @@ def config_hash(cfg: dict) -> str:
 # exit code), and optionally a dict of run facts for meta.json
 
 
-def _classification_rules(spec, cfg):
-    """Rules exact for the load's moments; quadrature_order is only a floor."""
-    return default_rules(spec, max(cfg["quadrature_order"], exact_order(spec)))
-
-
 def _classify(spec, cfg) -> KernelReport:
     """The load's rotation kernel with the config's samples and tolerance;
     every subcommand that needs it classifies once, here."""
-    return compatibility_report(spec, _classification_rules(spec, cfg),
-                                samples=cfg["kernel_samples"],
+    return compatibility_report(spec, samples=cfg["kernel_samples"],
                                 tol=cfg["tolerances"]["classification"])
 
 

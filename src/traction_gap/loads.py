@@ -28,12 +28,13 @@ sweep of unit axes with the eigenvalue structure of M.  The work
 <R - I, T> is linear in R, so the rotation doing the most of it is the
 Procrustes rotation of T, which ``reversed_compatibility_witness`` returns.
 
-Every work is integrated as a first-moment tensor Y = sum w f (x) v, with
-L(R v) = <R, Y>: T is Y of the placement x, and the loads folded by a
-rotation R, v -> L(R v), have the moments R' Y.  Every body force splits by
-the factors of a volume rule's terms (``factor_forces``), so for a field
-that splits the same way Y is a sum of planar and axial factor sums
-(``factor_moment``).  A pressure lambda n does the work lambda times the
+Every work is a first-moment tensor Y = integral f (x) v, with
+L(R v) = <R, Y>, and the loads folded by a rotation R, v -> L(R v), have
+the moments R' Y.  T, Y of the placement x, and the resultant are closed
+forms (``placement_moments``).  Otherwise Y is a rule's sum: every body
+force splits by the factors of a volume rule's terms (``factor_forces``), so
+for a field that splits the same way Y is a sum of planar and axial factor
+sums (``factor_moment``).  A pressure lambda n does the work lambda times the
 integral of div v (divergence theorem), so its moment, lambda times the
 integral of (grad v)', is a volume integral on the same factors.
 """
@@ -44,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyint, polymulx, polyval
 
-from . import geometry
 from .geometry import Domain, QuadratureRule, volume_quadrature
 from .profiles import axial_conditions, radial_conditions
 from .rotations import nearest_rotation, skew_from_axis
@@ -154,22 +155,16 @@ def default_rules(load, order: int) -> LoadRules:
 
 
 def force_degree(load) -> int:
-    """Degree of the body forces for exact_order: deg psi, 1 for -x, and
-    k - 1 + k % 2 per term r^k of phi; a pressure's work integrates div v,
-    of lower degree than v, and adds none.  For odd k, k r^(k-2) (x, y) is no
-    polynomial and does not average out over the angle, so it counts one
-    degree more (LoadSpec refuses odd k on the ball, where no order
-    integrates it exactly)."""
+    """Degree of the body forces, for the orders of the rules their work is
+    integrated on: deg psi, 1 for -x, and k - 1 + k % 2 per term r^k of phi;
+    a pressure's work integrates div v, of lower degree than v, and adds
+    none.  For odd k, k r^(k-2) (x, y) is no polynomial and does not average
+    out over the angle, so it counts one degree more (LoadSpec refuses odd k
+    on the ball, where no order integrates it exactly)."""
     if load.builtin is not None:
         return 1
     planar = max((k - 1 + k % 2 for k, c in enumerate(load.phi.coef) if c and k > 1), default=0)
     return max(planar, load.psi.trim().degree())
-
-
-def exact_order(load) -> int:
-    """Rule order integrating the moment matrix and the resultant exactly:
-    f_i x_j has the forces' degree + 1."""
-    return geometry.exact_order(force_degree(load) + 1)
 
 
 def factor_moment(term, force, field) -> np.ndarray:
@@ -192,28 +187,39 @@ def factor_moment(term, force, field) -> np.ndarray:
     return Y
 
 
-def placement_moments(load, rules: LoadRules) -> tuple[np.ndarray, np.ndarray]:
+def placement_moments(load) -> tuple[np.ndarray, np.ndarray]:
     """The moment matrix T (T_ij the work against x_j e_i) and the resultant
-    (the work against the unit translations), formed together term by term
-    from factor sums.  A pressure adds lambda times the integral of
-    (grad x)' = I, lambda |Omega| I, to T and nothing to the resultant."""
-    if not rules.volume.terms:
-        raise ValueError(f"rule {rules.volume.label!r} is no sum of planar-by-axial terms")
+    (the work against the unit translations) in closed form.  The mirrors
+    x -> -x, y -> -y leave T = diag(t, t, t_z) and the resultant (0, 0, r_z),
+    1D integrals over the slices z of area A = pi rho^2 (rho = a on [0, H],
+    or rho^2 = a^2 - z^2 on the ball's [-a, a], where phi is even):
+
+        t = pi int dz int_0^rho phi'(r) r^2 dr,   t_z = int psi z A dz,   r_z = int psi A dz.
+
+    The pull-in load -x gives -(4 pi / 15) a^5 I; a pressure lambda adds
+    lambda times the integral of (grad x)' = I, lambda |Omega| I."""
+    a, ball = load.domain.radius, load.domain.kind == "ball"
+    lo, hi = (-a, a) if ball else (0.0, load.domain.height)
+    rho_sq = np.array([a * a, 0.0, -1.0] if ball else [a * a])
+    area = np.pi * rho_sq
+
+    def integral(c) -> float:
+        c = polyint(c)
+        return float(polyval(hi, c) - polyval(lo, c))
+
     T, res = np.zeros((3, 3)), np.zeros(3)
-    for term in rules.volume.terms:
-        (px, py, pw), (z, zw) = term
-        force = fP, fz = factor_forces(load, term)
-        T += factor_moment(term, force, (np.stack([px, py], axis=1), z))
-        res[:2] += np.sum(zw) * (pw @ fP)
-        res[2] += np.sum(pw) * (zw @ fz)
+    if load.builtin == BALL_PULL_IN:
+        T -= 4.0 * np.pi / 15.0 * a ** 5 * np.eye(3)
+    else:
+        inner = polyint(polymulx(polymulx(polyder(load.phi.coef))))  # of phi' r^2, in rho
+        inner = Polynomial(inner[::2])(Polynomial(rho_sq)).coef if ball else [polyval(a, inner)]
+        psi_area = np.convolve(load.psi.coef, area)
+        T[0, 0] = T[1, 1] = np.pi * integral(inner)
+        T[2, 2] = integral(polymulx(psi_area))
+        res[2] = integral(psi_area)
     if load.has_surface_term:
-        T += load.surface_pressure * np.sum(rules.volume.weights) * np.eye(3)
+        T += load.surface_pressure * integral(area) * np.eye(3)
     return T, res
-
-
-def moment_matrix(load, rules: LoadRules) -> np.ndarray:
-    """T with T_ij = work of the load against the linear field x_j e_i."""
-    return placement_moments(load, rules)[0]
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -248,13 +254,11 @@ class KernelReport:
         return max(self.w2_values.values())
 
 
-def compatibility_report(load, rules: LoadRules | None = None, samples: int = 200,
+def compatibility_report(load, samples: int = 200,
                          tol: float = CLASSIFICATION_TOL) -> KernelReport:
     """Classify the rotation kernel of the load functional from its moment
     matrix and resultant (``classify_moments``)."""
-    if rules is None:
-        rules = default_rules(load, exact_order(load))
-    return classify_moments(*placement_moments(load, rules), samples, tol)
+    return classify_moments(*placement_moments(load), samples, tol)
 
 
 def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
@@ -302,8 +306,9 @@ def reversed_compatibility_witness(T: np.ndarray, tol: float = CLASSIFICATION_TO
     special orthogonal Procrustes rotation of T.  None therefore proves that
     no rotation does more than tol work.  The maximizer need not be unique:
     for T = c I with c < 0 (a compressive pressure, ``ball_pull_in``) every
-    half-turn does the same maximal work -4c, and the one returned is
-    whichever half-turn round-off in T picks.
+    half-turn does the same maximal work -4c, and the one returned is the
+    half-turn about e_z, where the SVD's sign flip of the last singular
+    vector puts it.
     """
     R, _ = nearest_rotation(T)
     return R if float(np.sum((R - np.eye(3)) * T)) > tol else None

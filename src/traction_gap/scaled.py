@@ -112,8 +112,8 @@ def nonlinear_context(
     (equilibrium is of order 2).  The planar factor table is built once, and
     serves the assembly and then the tables; the space is assembled before
     it is tabulated, so the assembly's temporaries are gone when the tables
-    are built.  The placement moment T is ``loads.placement_moments``'s, on
-    the same rules."""
+    are built.  The placement moment T is ``loads.placement_moments``'s
+    closed form, so the descent's T / h carries no round-off."""
     f = space.field_degree
     degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
     rules = default_rules(spec, exact_order(degree))
@@ -129,7 +129,7 @@ def nonlinear_context(
         planar_weights=pw * np.sum(zw),
         axial_weights=zw * np.sum(pw),
         load_moments=system.load_moments,
-        placement_moment=placement_moments(spec, rules)[0],
+        placement_moment=placement_moments(spec)[0],
         metric=system.embed(system.pinv),
     ), (pv, av)
 
@@ -275,13 +275,11 @@ def minimize_scaled(
 
 @dataclass
 class ConvergenceRow:
-    """One row of the h -> 0 study.  A ``gap_to_limit`` below about 1e-10 is
-    not a resolved gap, and the cause is the placement moment T's round-off
-    divided by h, not the descent: on the thin-film config (degree 5) at
-    h = 5e-4, gap_to_limit / h^2 is 1.106e-4, 1.104e-4, 1.481e-4 and 1.522e-4
-    at the context's rule order plus 0, 2, 4 and 7, and 1.158980e-4 to
-    1.158976e-4 at the same orders with the exact T = diag(0, 0, pi beta / 12),
-    so a closed-form T would resolve these rows."""
+    """One row of the h -> 0 study.  ``gap_to_limit`` is resolved to about
+    1e-15 absolute, where the descent stops (COEFF_GRAD_TOL): on the
+    thin-film config (degree 5) at h = 5e-4, gap_to_limit / h^2 is 1.15898e-4
+    to 1.15900e-4 at the context's rule order plus 0, 2, 4 and 7.  That
+    needs the placement moment T exact: the descent divides it by h."""
 
     h: float
     value: float

@@ -52,14 +52,21 @@ def body_force_at(load, points):
     return np.stack([ratio * x, ratio * y, load.psi(z)], axis=1)
 
 
+def _node_sum(weights, forces, values):
+    """sum_n w_n f_n (x) v_n with the nodes on a contiguous last axis, which
+    numpy sums pairwise: its round-off stays near eps at order 32's 67584
+    ball nodes, where a running sum is off by 1e-14 relative."""
+    terms = np.einsum("n,ni,...nj->...ijn", weights, forces, values)
+    return np.ascontiguousarray(terms).sum(axis=-1)
+
+
 def node_moment(load, rules, values, surf=None, surface_values=None):
     """sum w f (x) v over the volume nodes, plus sum w_s g (x) v_s over the
     nodes of the surface rule ``surf`` for a pressure load: the explicit node
     sums every factor sum is checked against.  Leading axes of the values
     broadcast."""
     vol = rules.volume
-    Y = np.einsum("n,ni,...nj->...ij", vol.weights, body_force_at(load, vol.points), values)
+    Y = _node_sum(vol.weights, body_force_at(load, vol.points), values)
     if load.has_surface_term:
-        g = load.surface_pressure * surf.normals
-        Y = Y + np.einsum("n,ni,...nj->...ij", surf.weights, g, surface_values)
+        Y = Y + _node_sum(surf.weights, load.surface_pressure * surf.normals, surface_values)
     return Y

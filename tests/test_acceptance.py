@@ -34,7 +34,7 @@ from traction_gap.loads import (
     LoadSpec,
     compatibility_report,
     default_rules,
-    moment_matrix,
+    placement_moments,
     reversed_compatibility_witness,
     rigid_projection,
 )
@@ -140,13 +140,13 @@ def test_criterion_04_decomposition_identity():
 
 def test_criterion_05_kernel_classifications():
     t0 = time.perf_counter()
-    rep_axis = compatibility_report(PRESET, default_rules(PRESET, 12))
+    rep_axis = compatibility_report(PRESET)
     beta0 = LoadSpec.cylinder_preset(beta=0.0)
-    rep_full = compatibility_report(beta0, default_rules(beta0, 12))
+    rep_full = compatibility_report(beta0)
     ball = LoadSpec.ball_pull_in()
-    rep_ball = compatibility_report(ball, default_rules(ball, 12))
+    rep_ball = compatibility_report(ball)
     pressure = LoadSpec(surface_pressure=-1.0)
-    witness = reversed_compatibility_witness(moment_matrix(pressure, default_rules(pressure, 12)))
+    witness = reversed_compatibility_witness(placement_moments(pressure)[0])
     elapsed = time.perf_counter() - t0
     checks = {
         "preset->axis_subgroup(e_z)": rep_axis.classification == "axis_subgroup"

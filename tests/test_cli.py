@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from conftest import node_moment
 from traction_gap import cli, limits
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
 from traction_gap.galerkin import GalerkinSpace, assemble, build_space, solve_quadratic
 from traction_gap.limits import RotatedCheck
-from traction_gap.loads import compatibility_report, default_rules
+from traction_gap.loads import classify_moments, compatibility_report, default_rules
 from traction_gap.rotations import rotation_angle
 
 
@@ -79,8 +80,8 @@ def test_check_loads_default(tmp_path):
 
 @pytest.mark.parametrize("sub", ["check-loads", "kernel"])
 def test_low_quadrature_order_classifies_exactly(tmp_path, sub):
-    # quadrature_order is a floor: the rules integrate the preset's moments
-    # exactly, so low orders give the order-16 spin form
+    # the moments are closed forms, so every quadrature_order gives the
+    # order-16 spin form
     _, ref, _ = run_cli([sub], tmp_path, {"quadrature_order": 16})
     for order in (1, 2, 3):
         code, report, _ = run_cli([sub], tmp_path, {"quadrature_order": order})
@@ -128,11 +129,18 @@ _R30 = {"phi_coeffs": _admissible_phi(30)}
 
 
 def test_profile_order_past_the_cap_is_a_config_error(tmp_path, capsys):
-    # moments of a degree-64 profile need order 33 on either domain; every
-    # path that classifies the load refuses it before integrating inexactly
+    # the moments of a degree-64 profile are closed forms, so check-loads and
+    # kernel classify it on either domain; its work needs order 33, so every
+    # path that assembles refuses it before integrating inexactly
+    classification = {"cylinder": "full_so3", "ball": "identity_only"}
     for domain in ("cylinder", "ball"):
         cfg = {"domain": {"kind": domain}, "beta": 0.0, "phi_coeffs": _admissible_phi(64)}
-        for sub in ("check-loads", "kernel", "solve-linear", "solve-limit"):
+        for sub in ("check-loads", "kernel"):
+            code, report, _ = run_cli([sub], tmp_path, cfg)
+            assert code == 0
+            assert report["results"]["classification"] == classification[domain]
+        capsys.readouterr()
+        for sub in ("solve-linear", "solve-limit"):
             code, report, _ = run_cli([sub], tmp_path, cfg)
             assert code == 2
             assert report is None
@@ -167,7 +175,10 @@ def test_odd_profile_powers_integrate_exactly(tmp_path):
     system = assemble(build_space("full", 3, spec.domain), spec, rules=exact)
     assert report["results"]["value"] == pytest.approx(solve_quadratic(system).value,
                                                        rel=1e-12, abs=0.0)
-    derived, reference = compatibility_report(spec), compatibility_report(spec, exact)
+    vol = exact.volume
+    reference = classify_moments(node_moment(spec, exact, vol.points),
+                                 node_moment(spec, exact, np.ones((len(vol), 1)))[:, 0])
+    derived = compatibility_report(spec)
     assert np.allclose(derived.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-14)
     assert np.allclose(derived.resultant, reference.resultant, rtol=0.0, atol=1e-14)
 

@@ -1,10 +1,12 @@
-"""Factor sums against node sums, and the profile algebra against numpy.polynomial.
+"""Factor sums and closed forms against node sums, and the profile algebra
+against numpy.polynomial.
 
-The loads' moments and the closed-form fields' integrals are formed from
-sums over a rule term's planar and axial factors.  Each is checked here
-against the explicit weighted sum over the rule's N_P x N_z nodes, at 1e-13
-of the quantity's scale.  The coefficient-array profile algebra is checked
-against the same formulas written with ``numpy.polynomial.Polynomial``.
+The loads' placement moments are closed forms; their other moments and the
+closed-form fields' integrals are formed from sums over a rule term's planar
+and axial factors.  Each is checked here against the explicit weighted sum
+over a rule's nodes, at 1e-14 (placement moments) or 1e-13 of the
+quantity's scale.  The coefficient-array profile algebra is checked against
+the same formulas written with ``numpy.polynomial.Polynomial``.
 """
 
 import numpy as np
@@ -67,13 +69,38 @@ def _close(got, want, scale):
 # -- the loads' moments ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(LOADS))
+def _sphere_rule(n: int) -> QuadratureRule:
+    """The unit sphere with outward normals: Gauss in z times 2n angles,
+    exact for polynomials of degree 2n - 1."""
+    z, wz = np.polynomial.legendre.leggauss(n)
+    th = 2.0 * np.pi * (np.arange(2 * n) + 0.5) / (2 * n)
+    Z, TH = np.meshgrid(z, th, indexing="ij")
+    rho = np.sqrt(1.0 - Z ** 2)
+    pts = np.stack([rho * np.cos(TH), rho * np.sin(TH), Z], axis=-1).reshape(-1, 3)
+    return QuadratureRule(pts, np.repeat(wz, 2 * n) * np.pi / n, normals=pts)
+
+
+MOMENT_LOADS = {
+    **LOADS,
+    "radius_2_height_half": LoadSpec(phi_coeffs=PRESET.phi_coeffs, psi_coeffs=PRESET.psi_coeffs,
+                                     domain=Domain.cylinder(2.0, 0.5)),
+    "ball_even_profiles": LoadSpec(phi_coeffs=PRESET.phi_coeffs, psi_coeffs=(-1.0 / 3.0, 0.0, 1.0),
+                                   surface_pressure=-0.2, domain=Domain.unit_ball()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_LOADS))
 def test_moments_and_resultant_match_the_node_sums(name):
-    load = LOADS[name]
-    rules = default_rules(load, 12)
+    # T and the resultant in closed form against the work of the forces
+    # (and of the pressure lambda n on the surface nodes) at order 32
+    load = MOMENT_LOADS[name]
+    rules = default_rules(load, 32)
     vol = rules.volume
-    surf = surface_quadrature(load.domain, 12) if load.has_surface_term else None
-    T, res = placement_moments(load, rules)
+    surf = None
+    if load.has_surface_term:
+        surf = (surface_quadrature(load.domain, 32) if load.domain.kind == "cylinder"
+                else _sphere_rule(32))
+    T, res = placement_moments(load)
     ones = None if surf is None else np.ones((len(surf), 1))
     T_nodes = node_moment(load, rules, vol.points, surf, None if surf is None else surf.points)
     res_nodes = node_moment(load, rules, np.ones((len(vol), 1)), surf, ones)[:, 0]
@@ -82,11 +109,14 @@ def test_moments_and_resultant_match_the_node_sums(name):
     f, x = np.linalg.norm(body_force_at(load, vol.points), axis=1), np.linalg.norm(vol.points, axis=1)
     scale_T, scale_res = float(vol.weights @ (f * x)), float(vol.weights @ f)
     if surf is not None:
-        g = abs(load.surface_pressure) * np.linalg.norm(surf.normals, axis=1)
-        scale_T += float(surf.weights @ (g * np.linalg.norm(surf.points, axis=1)))
-        scale_res += float(surf.weights @ g)
-    _close(T, T_nodes, scale_T)
-    _close(res, res_nodes, scale_res)
+        g = abs(load.surface_pressure)
+        scale_T += g * float(surf.weights @ np.linalg.norm(surf.points, axis=1))
+        scale_res += g * float(np.sum(surf.weights))
+    assert float(np.max(np.abs(T - T_nodes))) <= 1e-14 * scale_T
+    assert float(np.max(np.abs(res - res_nodes))) <= 1e-14 * scale_res
+    # the mirror symmetries of both domains zero these entries exactly
+    assert np.all(T[~np.eye(3, dtype=bool)] == 0.0)
+    assert res[0] == 0.0 and res[1] == 0.0
 
 
 def _node_load_moments(space, load, rules):
@@ -206,11 +236,8 @@ def test_nonuniqueness_values_and_norms_match_the_node_sums():
 def test_factor_sums_refuse_a_rule_without_terms():
     rule = volume_quadrature(Domain.cylinder(), 6)
     nodes_only = loads.LoadRules(volume=QuadratureRule(rule.points, rule.weights))
-    field = explicit_minimizers(PRESET).u0
-    for integral in (lambda: placement_moments(PRESET, nodes_only),
-                     lambda: quadratic_energy(field, nodes_only)):
-        with pytest.raises(ValueError, match="planar-by-axial"):
-            integral()
+    with pytest.raises(ValueError, match="planar-by-axial"):
+        quadratic_energy(explicit_minimizers(PRESET).u0, nodes_only)
 
 
 def test_factor_tables_must_cover_every_term():
@@ -271,6 +298,9 @@ def test_closed_form_subcommands_stay_on_the_factors(tmp_path, monkeypatch):
         sizes.clear()
         surface_sizes.clear()
         assert cli.main([sub, "--out", str(tmp_path / sub)]) == 0
+        if sub == "check-loads":  # the moments are closed forms
+            assert not sizes and not surface_sizes
+            continue
         assert sizes, sub
         assert max(sizes) <= largest, sub
         assert max(surface_sizes, default=0) <= surface, sub

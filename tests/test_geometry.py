@@ -149,19 +149,6 @@ def test_divergence_theorem_on_random_fields(rng):
         assert abs(flux - bulk) < 1e-10
 
 
-def test_doubling_order_is_stable_on_load_profiles(preset):
-    # the load profiles are polynomial, so the rules are exact and doubling
-    # the order leaves their first moments untouched
-    from traction_gap.loads import LoadRules, moment_matrix
-
-    for order in (8, 16):
-        r1 = volume_quadrature(Domain.cylinder(), order)
-        r2 = volume_quadrature(Domain.cylinder(), 2 * order)
-        m1 = moment_matrix(preset, LoadRules(volume=r1))
-        m2 = moment_matrix(preset, LoadRules(volume=r2))
-        assert np.max(np.abs(m1 - m2)) < 1e-12
-
-
 def test_integration_errors():
     with pytest.raises(ValueError):
         volume_quadrature(Domain.cylinder(), 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import body_force_at, node_moment, random_rotations
+from traction_gap import geometry, loads
 from traction_gap.galerkin import assemble, build_space
 from traction_gap.geometry import Domain, surface_quadrature
 from traction_gap.loads import (
@@ -17,7 +18,6 @@ from traction_gap.loads import (
     factor_forces,
     factor_moment,
     fibonacci_directions,
-    moment_matrix,
     placement_moments,
     reversed_compatibility_witness,
     rigid_projection,
@@ -64,9 +64,9 @@ def test_profile_validation():
         LoadSpec(builtin="unknown")
 
 
-def test_load_kills_constants_and_spins(preset, preset_rules):
+def test_load_kills_constants_and_spins(preset):
     # L(c) = c . res and L(W x) = <W, T>
-    T, res = placement_moments(preset, preset_rules)
+    T, res = placement_moments(preset)
     for c in np.eye(3):
         assert abs(float(c @ res)) < 1e-12
     for axis in [(0, 0, -1), (0, 1, 0), (-1, 0, 0), (-0.8, -0.5, -0.3)]:
@@ -74,10 +74,10 @@ def test_load_kills_constants_and_spins(preset, preset_rules):
         assert abs(float(np.sum(W * T))) < 1e-12
 
 
-def test_load_quadratic_spin_work_formula(preset, preset_rules):
+def test_load_quadratic_spin_work_formula(preset):
     # work of W^2 x is -pi (b^2 + c^2) * first moment of the axial profile
     moment = axial_conditions(preset.psi)["first_moment"]
-    T = moment_matrix(preset, preset_rules)
+    T = placement_moments(preset)[0]
     for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, -0.7, 1.1)]:
         W = skew_from_axis(np.array([-c, b, -a]))
         val = float(np.sum((W @ W) * T))
@@ -98,8 +98,8 @@ def test_load_linearity(preset, preset_rules, rng):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_classification_preset(preset, preset_rules):
-    rep = compatibility_report(preset, preset_rules)
+def test_classification_preset(preset):
+    rep = compatibility_report(preset)
     assert rep.classification == AXIS_SUBGROUP
     assert np.allclose(rep.axis, [0.0, 0.0, 1.0], atol=1e-10)
     assert rep.momentum_max < 1e-12
@@ -111,13 +111,13 @@ def test_classification_preset(preset, preset_rules):
 
 def test_classification_full_so3():
     spec = LoadSpec.cylinder_preset(beta=0.0)
-    rep = compatibility_report(spec, default_rules(spec, 10))
+    rep = compatibility_report(spec)
     assert rep.classification == FULL_SO3
 
 
 def test_classification_ball_pull_in():
     spec = LoadSpec.ball_pull_in()
-    rep = compatibility_report(spec, default_rules(spec, 10))
+    rep = compatibility_report(spec)
     assert rep.classification == INCOMPATIBLE
     # the quadratic spin work of the pull-in load is 8 pi / 15 on unit axes
     assert np.isclose(rep.w2_max, 8 * np.pi / 15, atol=1e-10)
@@ -127,16 +127,35 @@ def test_classification_ball_pull_in():
 
 def test_classification_identity_only():
     spec = LoadSpec(surface_pressure=1.0)
-    rep = compatibility_report(spec, default_rules(spec, 10))
+    rep = compatibility_report(spec)
     assert rep.classification == IDENTITY_ONLY
     # tension pressure: spin form is -2 lambda pi I
     assert np.allclose(rep.eigenvalues, -2.0 * np.pi, atol=1e-10)
 
 
+@pytest.mark.parametrize("spec", [
+    LoadSpec.cylinder_preset(), LoadSpec.cylinder_preset(beta=0.0),
+    LoadSpec(phi_coeffs=tuple(c / 7.0 for c in (-2.0, 0.0, 20.0, -25.0, 0.0, 7.0))),
+    LoadSpec(psi_coeffs=(-0.5, 1.0), surface_pressure=0.5, domain=Domain.cylinder(2.0, 0.5)),
+    LoadSpec(phi_coeffs=LoadSpec.cylinder_preset().phi_coeffs, psi_coeffs=(-1.0 / 3.0, 0.0, 1.0),
+             surface_pressure=-0.2, domain=Domain.unit_ball()),
+    LoadSpec.ball_pull_in()],
+    ids=["preset", "beta0", "odd_power_phi", "pressure", "ball_profile", "pull_in"])
+def test_classification_builds_no_rule(spec, monkeypatch):
+    # the moments are closed forms on every load family: no rule order is
+    # chosen, and no rule is built, to classify
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built to classify the loads")
+
+    for module in (geometry, loads):
+        monkeypatch.setattr(module, "volume_quadrature", refuse)
+    monkeypatch.setattr(geometry, "gauss_legendre", refuse)
+    compatibility_report(spec)
+
+
 def test_reversed_witness_compressive_pressure():
     spec = LoadSpec(surface_pressure=-1.0)
-    rules = default_rules(spec, 10)
-    T = moment_matrix(spec, rules)
+    T = placement_moments(spec)[0]
     R = reversed_compatibility_witness(T)
     assert R is not None
     work = float(np.sum((R - np.eye(3)) * T))
@@ -158,8 +177,7 @@ def _sweep_rotations():
 def test_reversed_witness_does_the_most_work(spec, maximum):
     # T = c I with c < 0 for both loads, so <R - I, T> = c (tr R - 3) peaks at
     # 4|c| on the half turns
-    rules = default_rules(spec, 10)
-    T = moment_matrix(spec, rules)
+    T = placement_moments(spec)[0]
     R = reversed_compatibility_witness(T)
     assert np.allclose(R.T @ R, np.eye(3), atol=1e-14) and np.linalg.det(R) > 0.0
     work = float(np.sum((R - np.eye(3)) * T))
@@ -169,23 +187,23 @@ def test_reversed_witness_does_the_most_work(spec, maximum):
     assert work >= sweep * (1.0 - 1e-14)
 
 
-def test_reversed_witness_absent_for_compatible(preset, preset_rules):
-    assert reversed_compatibility_witness(moment_matrix(preset, preset_rules)) is None
+def test_reversed_witness_absent_for_compatible(preset):
+    assert reversed_compatibility_witness(placement_moments(preset)[0]) is None
     zero = LoadSpec()
-    assert reversed_compatibility_witness(moment_matrix(zero, default_rules(zero, 6))) is None
+    assert reversed_compatibility_witness(placement_moments(zero)[0]) is None
 
 
-def test_kernel_rotations_do_no_work(preset, preset_rules):
-    T = moment_matrix(preset, preset_rules)
+def test_kernel_rotations_do_no_work(preset):
+    T = placement_moments(preset)[0]
     for theta in np.linspace(-np.pi, np.pi, 100):
         R = rotation_about_z(theta)
         val = float(np.sum((R - np.eye(3)) * T))
         assert abs(val) < 1e-10
 
 
-def test_kernel_subgroup_property(preset, preset_rules, rng):
+def test_kernel_subgroup_property(preset, rng):
     # products and transposes of kernel rotations stay in the kernel
-    T = moment_matrix(preset, preset_rules)
+    T = placement_moments(preset)[0]
     for _ in range(20):
         R = rotation_about_z(rng.uniform(-np.pi, np.pi))
         S = rotation_about_z(rng.uniform(-np.pi, np.pi))
@@ -240,7 +258,7 @@ def test_folded_moments_are_the_rotated_force_quadrature(rng):
                     surface_pressure=0.5)
     rules = default_rules(spec, 10)
     vol, surf = rules.volume, surface_quadrature(spec.domain, 10)
-    report = compatibility_report(spec, rules)
+    report = compatibility_report(spec)
     system = assemble(build_space("full", 3, spec.domain), spec, rules=rules)
     vals, _ = system.space.tables(vol)
     svals, _ = system.space.tables(surf)
@@ -273,14 +291,14 @@ def test_rotate_loads_swirl_forces(preset, preset_rules):
     swapped = np.stack([f[:, 1], -f[:, 0], f[:, 2]], axis=1)
     assert np.allclose(f @ R, swapped, atol=1e-14)
     T_swapped = np.einsum("n,ni,nj->ij", vol.weights, swapped, vol.points)
-    T = compatibility_report(preset, preset_rules).moments
+    T = compatibility_report(preset).moments
     assert np.max(np.abs(R.T @ T - T_swapped)) < 1e-14
 
 
-def test_folded_moments_keep_the_kernel(preset, preset_rules):
+def test_folded_moments_keep_the_kernel(preset):
     # for kernel rotations R, S: L_R((S - I) x) = <S - I, R' T> = L((R S - I) x) = 0,
     # and the folded loads classify as the axis subgroup about the same axis
-    base = compatibility_report(preset, preset_rules)
+    base = compatibility_report(preset)
     R = rotation_about_z(0.9)
     T_rot = R.T @ base.moments
     for theta in (-2.0, 0.3, 2.7):

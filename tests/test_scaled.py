@@ -463,6 +463,21 @@ def test_thin_films_converge_at_rule_order_21(monkeypatch):
     assert [row.status for row in rows] == ["converged"] * len(hs)
 
 
+def test_thin_film_gap_does_not_follow_the_rule_order(monkeypatch):
+    # the placement moment T is exact, so the descent's T / h carries no
+    # round-off: at h = 5e-4 the gap over h^2 is 1.1590e-4 at every order the
+    # context may take, where T summed on the rule spread it by 38%.  What
+    # is left (2.3e-5 with one BLAS thread, 3.4e-6 with two) is the descent's
+    # stop at COEFF_GRAD_TOL, 7e-16 of the gap's 2.9e-11
+    hs = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005)
+    derived, ratios = scaled.exact_order, []
+    for shift in (0, 2, 4, 7):
+        monkeypatch.setattr(scaled, "exact_order", lambda degree, s=shift: derived(degree) + s)
+        row = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)[-1]
+        ratios.append(row.gap_to_limit / row.h ** 2)
+    assert max(ratios) - min(ratios) <= 1e-4 * max(ratios)
+
+
 def test_convergence_study_classifies_the_loads_once(monkeypatch):
     calls = []
     classify = scaled.compatibility_report
