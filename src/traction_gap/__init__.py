@@ -26,6 +26,7 @@ from .galerkin import (
     StiffnessSystem,
     assemble,
     build_space,
+    divergence_free,
     solve_quadratic,
 )
 from .geometry import Domain, QuadratureRule, surface_quadrature, volume_quadrature
@@ -34,7 +35,6 @@ from .limits import (
     GapReport,
     explicit_minimizers,
     gap_report,
-    incompressible_linear_bounds,
     min_limit,
     min_linear,
     nonuniqueness_check,

@@ -46,13 +46,13 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .galerkin import AssemblyError, SolverError
+from .galerkin import (AssemblyError, SolverError, assemble, build_space, divergence_free,
+                       solve_quadratic)
 from .geometry import ORDER_CAP, Domain, IntegrationError
 from .limits import (
+    explicit_minimizers,
     gap_report,
     min_limit,
-    min_linear,
-    incompressible_linear_bounds,
     nonuniqueness_check,
     rotated_no_gap_check,
     verify_explicit,
@@ -94,10 +94,11 @@ DEFAULT_CONFIG: dict = {
 # parity blocks (at most 196 rows), eigendecomposed, solved and reduced to
 # the rotation form block by block; no K x K array is formed, and a system
 # keeps its blocks of A and A^+ and 6 x K rigid rows: K = 1365 for full and
-# 1001 for div_free at degree 12 (solve-linear, which assembles both, takes
-# 0.12-0.20 s and 52 MB peak RSS there on the cylinder, 0.20-0.34 s and
-# 70 MB on the ball, by meta.json on 2 cores; importing this module with
-# numpy takes about 30 MB of that).
+# 1001 for its divergence-free restriction at degree 12 (solve-linear, which
+# assembles the one and restricts it, takes 0.07-0.11 s and 48 MB peak RSS
+# there on the cylinder, 0.10-0.12 s and 49 MB on the ball, by meta.json on
+# 2 cores, 3 runs each; importing this module with numpy takes about 30 MB
+# of that).
 # The nonlinear context tabulates its ansatz space on the cylinder rule's
 # planar and axial factors (under 8 MB at nonlinear degree 6, where
 # nonlinear-study peaks at 45 MB).  Past geometry.ORDER_CAP a derived rule
@@ -274,17 +275,19 @@ def _cmd_kernel(spec, cfg):
 
 def _cmd_solve_linear(spec, cfg):
     degree = cfg["basis"]["degree"]
-    res = min_linear(spec, degree=degree)
-    bounds = incompressible_linear_bounds(spec, degree=degree)
+    system = assemble(build_space("full", degree, spec.domain), spec)
+    res = solve_quadratic(system)
+    try:  # the dual bound needs the closed-form compressible minimizer
+        lower = explicit_minimizers(spec).min_incompressible_lower
+    except LoadError:
+        lower = None
     results = {
         "value": res.value,
         "iterations": res.iterations,
         "residual_norm": res.residual_norm,
         "degree": degree,
-        "incompressible": {
-            "upper": bounds.upper.value,
-            "lower": bounds.lower,
-        },
+        "incompressible": {"upper": solve_quadratic(divergence_free(system)).value,
+                           "lower": lower},
     }
     return results, None, 0
 
@@ -307,8 +310,9 @@ def _cmd_gap_report(spec, cfg):
     rows = [("theta", "value", "predicted", "residual")] + [
         (r.theta, r.value, r.predicted, r.residual) for r in rep.decomposition
     ]
-    code = 0 if (rep.margin > 0 and rep.incompressible.certified) else 4
-    return _jsonable(rep), rows, code
+    margin = rep.margin if rep.margin is not None else rep.margin_lower
+    code = 0 if (margin > 0 and rep.incompressible.certified) else 4
+    return _jsonable(rep.leaves()), rows, code
 
 
 def _cmd_verify_explicit(spec, cfg):

@@ -9,14 +9,11 @@ Space kinds
 * ``ansatz_k``     -- planar fields (m_y, -m_x, 0) from a 2D scalar potential
                       of total degree <= degree, plus axial fields (0, 0, w(z))
                       with deg w <= degree1d (default 4).
-* ``div_free``     -- curls of gauge-fixed vector potentials (psi_x, psi_y, 0)
-                      of total degree <= degree + 1: psi_x takes the Legendre
-                      rows (i, j, k) with k >= 1, psi_y those with i >= 1 or
-                      k >= 1.  The curl is injective on these potentials, so
-                      the basis spans the divergence-free fields of degree
-                      <= degree, 3 C(d+3, 3) - C(d+2, 3) of them, with no
-                      redundant direction.  Each curl field is scaled to unit
-                      L^2 norm on the bounding box.
+
+The divergence-free fields of degree <= d, 3 C(d+3, 3) - C(d+2, 3) of them,
+are no space kind of their own but the kernel of div inside ``full``:
+``divergence_free`` restricts an assembled ``full`` system to it, parity
+block by parity block, on an orthonormal basis N of each block's kernel.
 
 The assembled quadratic form is A_ij = 8 * integral of E(b_i) : E(b_j), so
 the energy of a coefficient vector c is c'Ac/2 = 4 |E(u)|^2 integrated.
@@ -49,9 +46,10 @@ The symmetry is guarded where assembly relies on it, and a breach past
 round-off is an AssemblyError: a planar Gram entry of a term between factors
 of different (x, y) parity, an axial one between different z parities, or a
 row whose slots disagree on their parity.  Every
-space carries exact coefficient rows of its rigid fields; the kernel must
-have their count and span, and every solve is x = P A^+ b, with P removing
-the L^2-rigid part of the field, which leaves the energy exact.
+space carries exact coefficient rows of its rigid fields, and a restriction
+their products with N, exact to round-off; the kernel must have their count
+and span, and every solve is x = P A^+ b, with P removing the L^2-rigid part
+of the field, which leaves the energy exact.
 Because b is linear in R, the per-rotation minimum is the 9x9 quadratic
 form m(R) = -vec(R)' Q vec(R) / 2 with Q = B' A^+ B.
 """
@@ -146,67 +144,38 @@ class GalerkinSpace:
             self._naxial = (self.degree1d if self.degree1d is not None else 4) + 1
             self._idx2 = [ij for ij in _total_degree_indices(self.degree, 2) if ij != (0, 0)]
             self.dim = len(self._idx2) + self._naxial
-        elif self.kind == "div_free":
-            idx = _total_degree_indices(self.degree + 1, 3)
-            self._idx_x = [m for m in idx if m[2] >= 1]  # rows of psi_x
-            self._idx_y = [m for m in idx if m[0] >= 1 or m[2] >= 1]  # rows of psi_y
-            self.dim = len(self._idx_x) + len(self._idx_y)
         else:
             raise ValueError(f"unknown space kind {self.kind!r}")
         self._separate()
 
     # -- separable structure ------------------------------------------
 
-    def _families(self) -> list[tuple[int, np.ndarray, dict]]:
-        """The basis as families (scalar group, scalars (n, 3), slot template).
+    def _families(self) -> list[tuple[np.ndarray, dict]]:
+        """The basis as families (scalars (n, 3), slot template).
 
         Family member k is built from the scalar polynomial L_i(x) L_j(y) L_k(z)
         of its row (i, j, k), scaled Legendre polynomials on the bounding box.
         Its template maps a slot to (sign, derivative (nx, ny, nz) of that
         scalar): slots 0-2 hold the value components, 3 + 3c + d the gradient
-        entry d_d u_c, and slots not listed vanish.  Families of one scalar
-        group share their rows.
+        entry d_d u_c, and slots not listed vanish.
         """
-        unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-        def second(u, v):  # derivative d_u d_v
-            return tuple(a + b for a, b in zip(unit[u], unit[v]))
-
-        if self.kind == "full":
-            ijk = np.array(self._idx, dtype=int)
-            fams = []
-            for c in range(3):
-                tmpl = {c: (1.0, (0, 0, 0))}
-                tmpl.update({3 + 3 * c + d: (1.0, unit[d]) for d in range(3)})
-                fams.append((0, ijk, tmpl))
-            return fams
-        if self.kind == "div_free":
-            fams = []
-            for c, idx in ((0, self._idx_x), (1, self._idx_y)):
-                # field curl(m e_c) = grad(m) x e_c: +d_q m in slot p, -d_p m
-                # in slot q; gradient rows are the matching Hessian rows
-                p, q = (c + 1) % 3, (c + 2) % 3
-                tmpl = {p: (1.0, unit[q]), q: (-1.0, unit[p])}
-                for d in range(3):
-                    tmpl[3 + 3 * p + d] = (1.0, second(q, d))
-                    tmpl[3 + 3 * q + d] = (-1.0, second(p, d))
-                fams.append((c, np.array(idx, dtype=int), tmpl))
-            return fams
+        if self.kind == "full":  # component c of the field is the scalar
+            unit, ijk = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), np.array(self._idx, dtype=int)
+            return [(ijk, {c: (1.0, (0, 0, 0)),
+                           **{3 + 3 * c + d: (1.0, unit[d]) for d in range(3)}}) for c in range(3)]
         # potential m -> planar field (m_y, -m_x, 0), constant in z
         pot = np.array([(i, j, 0) for i, j in self._idx2], dtype=int)
         ax = np.array([(0, 0, k) for k in range(self._naxial)], dtype=int)  # fields (0, 0, w(z))
-        return [(0, pot, {0: (1.0, (0, 1, 0)), 1: (-1.0, (1, 0, 0)), 3: (1.0, (1, 1, 0)),
-                          4: (1.0, (0, 2, 0)), 6: (-1.0, (2, 0, 0)), 7: (-1.0, (1, 1, 0))}),
-                (1, ax, {2: (1.0, (0, 0, 0)), 11: (1.0, (0, 0, 1))})]
+        return [(pot, {0: (1.0, (0, 1, 0)), 1: (-1.0, (1, 0, 0)), 3: (1.0, (1, 1, 0)),
+                       4: (1.0, (0, 2, 0)), 6: (-1.0, (2, 0, 0)), 7: (-1.0, (1, 1, 0))}),
+                (ax, {2: (1.0, (0, 0, 0)), 11: (1.0, (0, 0, 1))})]
 
     def _separate(self):
         """Write every basis value and gradient entry as sign * P * Z.
 
         P is a planar factor d^nx L_i(x) d^ny L_j(y), Z an axial factor
         d^nz L_k(z); the slot arrays (K, 12) hold the sign (0 where the entry
-        vanishes) and the indices of both factors.  A ``div_free`` row's sign
-        carries its scale, 1 / (L^2 norm of its field on the bounding box);
-        every other row has scale 1.
+        vanishes) and the indices of both factors.
 
         Each factor has a parity under the mirror of each of its coordinates,
         (derivative + index) mod 2.  The factors are ordered by it (x + 2y for
@@ -220,20 +189,17 @@ class GalerkinSpace:
         """
         fams = self._families()
         K = self.dim
-        base = 1 + max(2, max(int(ijk.max()) for _, ijk, _ in fams))  # derivatives <= 2
+        base = 1 + max(2, max(int(ijk.max()) for ijk, _ in fams))  # derivatives <= 2
         sign = np.zeros((K, 12))
         pcode = np.zeros((K, 12), dtype=int)
         zcode = np.zeros((K, 12), dtype=int)
-        self._row_scale = np.ones(K)
-        self._fams = []  # (scalar group, rows, template)
+        self._fams = []  # (rows, template)
         row = 0
-        for grp, ijk, tmpl in fams:
+        for ijk, tmpl in fams:
             rows = slice(row, row + len(ijk))
-            if self.kind == "div_free":
-                self._row_scale[rows] = 1.0 / np.sqrt(self._box_norms_sq(ijk, tmpl))
             e = np.array(list(tmpl))
             sgn, der = (np.array(v) for v in zip(*tmpl.values()))  # (slots,), (slots, 3)
-            sign[rows, e] = sgn * self._row_scale[rows, None]
+            sign[rows, e] = sgn
             # parity leads each factor's code, so the factors of a class form one run
             odd = (ijk[:, None] + der) % 2
             pcode[rows, e] = np.ravel_multi_index(
@@ -241,7 +207,7 @@ class GalerkinSpace:
                 (4,) + (base,) * 4)
             zcode[rows, e] = np.ravel_multi_index((odd[..., 2], der[:, 2], ijk[:, 2:]),
                                                   (2, base, base))
-            self._fams.append((grp, rows, tmpl))
+            self._fams.append((rows, tmpl))
             row += len(ijk)
         live = sign != 0.0
         pidx = np.zeros((K, 12), dtype=int)
@@ -274,10 +240,10 @@ class GalerkinSpace:
 
         Yields the flat positions, in the blocks' storage, of the (row,
         column) pairs of one parity class on and above the diagonal and of
-        their mirror images; the products of their row scales; and, for the
-        strain pairs and then the mass pairs (None where no slot pair is
-        live), the flat indices into the planar and axial Gram matrices of
-        each live slot pair, with its coefficient.
+        their mirror images; and, for the strain pairs and then the mass
+        pairs (None where no slot pair is live), the flat indices into the
+        planar and axial Gram matrices of each live slot pair, with its
+        coefficient.
         """
         _, pidx, zidx = self._slots
         nP, nZ = len(self._planar_factors), len(self._axial_factors)
@@ -285,8 +251,8 @@ class GalerkinSpace:
         block, pos = np.empty(self.dim, dtype=np.int8), np.empty(self.dim, dtype=int)
         for n, b in enumerate(self.parity_blocks):
             block[b], pos[b] = n, np.arange(len(b))
-        for n, (_, rf, tf) in enumerate(self._fams):
-            for m, (_, rg, tg) in enumerate(self._fams[n:], start=n):
+        for n, (rf, tf) in enumerate(self._fams):
+            for m, (rg, tg) in enumerate(self._fams[n:], start=n):
                 same = block[rf, None] == block[None, rg]
                 if m == n:
                     same &= np.arange(same.shape[0])[:, None] <= np.arange(same.shape[1])
@@ -304,26 +270,7 @@ class GalerkinSpace:
                     gp = np.take(pidx[:, E] * nP, r, axis=0) + np.take(pidx[:, E2], s, axis=0)
                     gz = np.take(zidx[:, E] * nZ, r, axis=0) + np.take(zidx[:, E2], s, axis=0)
                     terms.append((gp, gz, coef))
-                yield (start + pos[r] * width + pos[s], start + pos[s] * width + pos[r],
-                       self._row_scale[r] * self._row_scale[s], terms)
-
-    def _box_norms_sq(self, ijk: np.ndarray, tmpl: dict) -> np.ndarray:
-        """Squared L^2 norms on the bounding box of a family's fields.
-
-        On an interval of length l, P_n has squared norm l / (2n + 1) and its
-        derivative 2n(n + 1) / l; each value slot is a product of three such
-        factors.
-        """
-        a, zlo, h = self._box
-        lengths = (2.0 * a, 2.0 * a, h - zlo)
-        out = np.zeros(len(ijk))
-        for e, (_, der) in tmpl.items():
-            if e < 3:
-                term = np.ones(len(ijk))
-                for n, d, ell in zip(ijk.T, der, lengths):
-                    term *= 2.0 * n * (n + 1) / ell if d else ell / (2 * n + 1)
-                out += term
-        return out
+                yield start + pos[r] * width + pos[s], start + pos[s] * width + pos[r], terms
 
     def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(n_P, n) planar factors at the points (x, y): the x factors
@@ -397,11 +344,9 @@ class GalerkinSpace:
     def rigid_coefficients(self) -> np.ndarray:
         """Exact coefficient vectors of the representable rigid fields.
 
-        ``full`` and ``div_free`` carry all six (translations along x, y, z,
-        then spins about x, y, z); ``ansatz_k`` its planar translations, the
-        spin about z when the degree allows it, and the axial translation.
-        ``div_free`` rows are the potentials of the rigid fields, up to terms
-        whose curl vanishes.
+        ``full`` carries all six (translations along x, y, z, then spins
+        about x, y, z); ``ansatz_k`` its planar translations, the spin about
+        z when the degree allows it, and the axial translation.
         """
         a, zlo, h = self._box
         # coordinate expansions in the scaled Legendre family
@@ -425,28 +370,6 @@ class GalerkinSpace:
             vecs[5, 0 * nscal + pos[(0, 1, 0)]] = -a
             vecs[5, 1 * nscal + pos[(1, 0, 0)]] = a
             return vecs
-        if self.kind == "div_free":
-            px = {m: n for n, m in enumerate(self._idx_x)}
-            py = {m: len(px) + n for n, m in enumerate(self._idx_y)}
-            # x^2 = a^2 (2 P2 + 1) / 3 and z^2 = const + z1 P1 + z2 P2; constant
-            # potentials (and psi_x(x), psi_y(y)) have no curl and are dropped
-            x2, z1, z2 = 2.0 * a * a / 3.0, 2.0 * zmid * zhalf, 2.0 * zhalf * zhalf / 3.0
-            potentials = (
-                {py[0, 0, 1]: -zhalf},  # e_x: psi_y = -z
-                {px[0, 0, 1]: zhalf},  # e_y: psi_x = z
-                {py[1, 0, 0]: a},  # e_z: psi_y = x
-                # spin about x: psi_x = -z^2 / 2, psi_y = xy
-                {px[0, 0, 1]: -0.5 * z1, px[0, 0, 2]: -0.5 * z2, py[1, 1, 0]: a * a},
-                # spin about y: psi_y = -(x^2 + z^2) / 2
-                {py[2, 0, 0]: -0.5 * x2, py[0, 0, 1]: -0.5 * z1, py[0, 0, 2]: -0.5 * z2},
-                # spin about z: psi_x = xz, psi_y = yz
-                {px[1, 0, 1]: a * zhalf, py[0, 1, 1]: a * zhalf},
-            )
-            vecs = np.zeros((6, self.dim))
-            for vec, terms in zip(vecs, potentials):
-                for n, coef in terms.items():
-                    vec[n] = coef / self._row_scale[n]
-            return vecs
         pos = {m: n for n, m in enumerate(self._idx2)}  # ansatz_k
         rows = []
         tx = np.zeros(self.dim)
@@ -469,7 +392,7 @@ class GalerkinSpace:
     @property
     def rigid_spins(self) -> np.ndarray:
         """Which rows of ``rigid_coefficients`` are spins; the others are translations."""
-        if self.kind in ("full", "div_free"):
+        if self.kind == "full":
             return np.arange(6) >= 3
         return np.array([False, False] + [True] * (self.degree >= 2) + [False])
 
@@ -477,7 +400,7 @@ class GalerkinSpace:
     def field_degree(self) -> int:
         """Total degree of the space's fields; ``ansatz_k``'s planar fields
         are derivatives of their potentials."""
-        if self.kind in ("full", "div_free"):
+        if self.kind == "full":
             return self.degree
         return max(self.degree - 1, self._naxial - 1)
 
@@ -490,18 +413,22 @@ def build_space(kind: str, degree: int, domain: Domain, degree1d: int | None = N
 class StiffnessSystem:
     space: GalerkinSpace
     rules: LoadRules
-    stiffness: list[np.ndarray]  # parity blocks of A, on the rows space.parity_blocks
+    blocks: list[np.ndarray]  # the rows of each parity block
+    stiffness: list[np.ndarray]  # parity blocks of A, on the rows ``blocks``
     load_moments: np.ndarray  # (K, 3, 3); b_k(R) = <R, T_k>
     kernel: np.ndarray  # orthonormal rows spanning ker A
     kernel_margins: tuple[float, float]  # (smallest kept, largest dropped eigenvalue) / cut
-    rigid: np.ndarray  # exact rigid coefficient vectors, spanning ker A
+    rigid: np.ndarray  # rigid coefficient vectors, spanning ker A
     pinv: list[np.ndarray]  # parity blocks of A^+, zero on ker A
     rigid_fit: np.ndarray  # H = G^-1 F: rigid' (H x) is the L^2-closest rigid field to x
     rotation_form: np.ndarray  # (9, 9) Q = B' A^+ B, where b(R) = B vec(R)
+    # None when the rows are the space's; else per block an orthonormal N whose
+    # columns are the space's coefficients, on space.parity_blocks, of its rows
+    basis: list[np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.load_moments)
 
     @property
     def A(self) -> np.ndarray:
@@ -511,7 +438,7 @@ class StiffnessSystem:
     def embed(self, mats: list[np.ndarray]) -> np.ndarray:
         """The dense K x K matrix with the parity blocks ``mats`` and zeros between them."""
         out = np.zeros((self.dim, self.dim))
-        for b, X in zip(self.space.parity_blocks, mats):
+        for b, X in zip(self.blocks, mats):
             out[np.ix_(b, b)] = X
         return out
 
@@ -626,12 +553,11 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
     axial one.  For each family pair, ``_block_pairs`` lists the in-block
     (row, column) pairs on and above the diagonal; their entries are signed
     sums, over the live slot pairs of _STRAIN_PAIRS (of _MASS_PAIRS for M), of
-    the gathered planar-times-axial sums, scaled by the row scales carried in
-    the slot signs.  Each sum is written to its position and to its mirror
-    image, so every block is exactly symmetric.  The mirrors live in the
-    factors: a planar Gram entry of a term between factors of different (x, y)
-    parity, or an axial one between different z parities, is an
-    AssemblyError, and with the slot labels checked in ``_separate`` this
+    the gathered planar-times-axial sums.  Each sum is written to its position
+    and to its mirror image, so every block is exactly symmetric.  The mirrors
+    live in the factors: a planar Gram entry of a term between factors of
+    different (x, y) parity, or an axial one between different z parities, is
+    an AssemblyError, and with the slot labels checked in ``_separate`` this
     bounds every entry between blocks.
     """
     plane, axial = space._factor_classes
@@ -647,12 +573,11 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
         grams.append((GP.ravel(), GZ.ravel()))
     offsets = space._block_offsets
     store = np.zeros((2, offsets[-1]))
-    for up, down, scales, terms in space._block_pairs():
+    for up, down, terms in space._block_pairs():
         for out, term in zip(store, terms):
             if term is not None:
                 gp, gz, coef = term
                 vals = sum((GP[gp] * GZ[gz]) @ coef for GP, GZ in grams)
-                vals *= scales
                 out[up] = vals
                 out[down] = vals
     return tuple([out[lo:hi].reshape(len(b), len(b))
@@ -695,6 +620,29 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules,
     return moments
 
 
+def _factored(space: GalerkinSpace, rules: LoadRules, blocks: list[np.ndarray],
+              stiffness: list[np.ndarray], moments: np.ndarray, rigid: np.ndarray,
+              fit: np.ndarray, basis: list[np.ndarray] | None = None) -> StiffnessSystem:
+    """The system of stiffness blocks on the rows ``blocks``: their factors,
+    whose kernel must have the rigid rows' count and span, and rotation form."""
+    kernel, pinv, margins = _factor(stiffness, blocks)
+    if kernel.shape[0] != rigid.shape[0]:
+        raise AssemblyError(f"numeric kernel dimension {kernel.shape[0]} != analytic rigid "
+                            f"dimension {rigid.shape[0]}; assembly is inconsistent")
+    if _principal_angle(kernel, rigid) > 1e-6:
+        raise AssemblyError("numeric kernel does not span the rigid modes")
+    # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
+    # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
+    # only to second order and m(R) matches solve_quadratic to round-off
+    B = moments.reshape(-1, 9)
+    S = _minimizer(blocks, pinv, rigid, fit, B)
+    Q = S.T @ B + B.T @ S - S.T @ _apply(blocks, stiffness, S)
+    return StiffnessSystem(space=space, rules=rules, blocks=blocks, stiffness=stiffness,
+                           load_moments=moments, kernel=kernel, kernel_margins=margins,
+                           rigid=rigid, pinv=pinv, rigid_fit=fit,
+                           rotation_form=0.5 * (Q + Q.T), basis=basis)
+
+
 def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None,
              planar: list | None = None) -> StiffnessSystem:
     """Quadratic form, load moments, its factorization and rotation form;
@@ -704,24 +652,57 @@ def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None,
         rules = default_rules(load, exact_order(max(2 * f, force_degree(load) + f)))
     blocks = space.parity_blocks
     stiffness, mass = _factored_grams(space, rules.volume, planar)
-    moments = load_moments(space, load, rules, planar)
-    kernel, pinv, margins = _factor(stiffness, blocks)
     rigid = space.rigid_coefficients()
-    if kernel.shape[0] != rigid.shape[0]:
-        raise AssemblyError(f"numeric kernel dimension {kernel.shape[0]} != analytic rigid "
-                            f"dimension {rigid.shape[0]}; assembly is inconsistent")
-    if _principal_angle(kernel, rigid) > 1e-6:
-        raise AssemblyError("numeric kernel does not span the rigid modes")
-    fit = _rigid_fit(mass, blocks, rigid)
-    # Q = B' A^+ B, evaluated as the value x'Ax/2 - x'b at the solutions
-    # x = S vec(R), S = P A^+ B: stationary in S, so its round-off enters
-    # only to second order and m(R) matches solve_quadratic to round-off
-    B = moments.reshape(space.dim, 9)
-    S = _minimizer(blocks, pinv, rigid, fit, B)
-    Q = S.T @ B + B.T @ S - S.T @ _apply(blocks, stiffness, S)
-    return StiffnessSystem(space=space, rules=rules, stiffness=stiffness, load_moments=moments,
-                           kernel=kernel, kernel_margins=margins, rigid=rigid, pinv=pinv,
-                           rigid_fit=fit, rotation_form=0.5 * (Q + Q.T))
+    return _factored(space, rules, blocks, stiffness, load_moments(space, load, rules, planar),
+                     rigid, _rigid_fit(mass, blocks, rigid))
+
+
+def _divergence_free_bases(space: GalerkinSpace) -> list[np.ndarray]:
+    """Per parity block of a ``full`` space, an orthonormal basis N of the
+    coefficients of its divergence-free fields.
+
+    div maps the rows onto the scalar rows of degree <= d - 1, a parity block
+    onto those of one parity, so the right singular vectors past their count
+    span the block's kernel; d_c (L_i L_j L_k e_c) has the coefficients of
+    P_n' (``legder``) along coordinate c, times 2 / (box length)."""
+    d, idx = space.degree, np.array(space._idx)
+    a, zlo, h = space._box
+    low = np.array(_total_degree_indices(d - 1, 3))
+    pos = np.zeros((d + 1,) * 3, dtype=int)  # scalar row of each index of degree <= d - 1
+    pos[tuple(low.T)] = np.arange(len(low))
+    div = np.zeros((len(low), space.dim))
+    for c, length in enumerate((2.0 * a, 2.0 * a, h - zlo)):
+        der = np.polynomial.legendre.legder(np.eye(d + 1), scl=2.0 / length, axis=0)
+        for m, coef in enumerate(der):  # coef[n]: P_m's coefficient in P_n'
+            rows = np.flatnonzero(coef[idx[:, c]])
+            target = idx[rows]
+            target[:, c] = m
+            div[pos[tuple(target.T)], c * len(idx) + rows] = coef[idx[rows, c]]
+    maps = [div[np.ix_(np.any(div[:, b], axis=1), b)] for b in space.parity_blocks]
+    return [np.linalg.svd(D)[2][len(D):].T for D in maps]
+
+
+def divergence_free(system: StiffnessSystem) -> StiffnessSystem:
+    """A ``full`` system restricted to the divergence-free fields of its
+    space, block by block (``_divergence_free_bases``): the stiffness blocks
+    become N' A N, the load moments N' T, and the rigid rows and the rigid
+    fit (rows H x) their products with N.  The rigid fields are divergence
+    free, so N N' keeps the rigid rows to round-off, and H N is the
+    restricted rigid fit with no mass matrix.  The result is factored and
+    its kernel checked like ``assemble``'s."""
+    space = system.space
+    basis = _divergence_free_bases(space)
+    ends = np.cumsum([0] + [N.shape[1] for N in basis])
+    blocks = [np.arange(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+    def restrict(X):  # N' X on every block, along the rows (axis 0) of X
+        return np.concatenate([np.tensordot(N, X[b], (0, 0))
+                               for b, N in zip(system.blocks, basis)])
+
+    stiffness = [N.T @ A @ N for A, N in zip(system.stiffness, basis)]
+    return _factored(space, system.rules, blocks, [0.5 * (X + X.T) for X in stiffness],
+                     restrict(system.load_moments), restrict(system.rigid.T).T,
+                     restrict(system.rigid_fit.T).T, basis)
 
 
 @dataclass
@@ -753,7 +734,7 @@ def solve_quadratic(system: StiffnessSystem, R: np.ndarray | None = None,
         mode = ("infinitesimal rotation (null-momentum condition)" if system.space.rigid_spins[worst]
                 else "translation (null-resultant condition)")
         raise SolverError(f"load vector does work on a rigid {mode}: |Z b| = {abs(overlap[k]):.3e}")
-    blocks = system.space.parity_blocks
+    blocks = system.blocks
     x = _minimizer(blocks, system.pinv, rigid, system.rigid_fit, b)
     Ax = _apply(blocks, system.stiffness, x)
     r = b - Ax

@@ -15,8 +15,9 @@ closed form the numerical searches are checked against.
 Certification logic for the incompressible gap (GI < EI, the constrained
 relaxed and linear minima):
 
-* upper bound for GI: the divergence-free Galerkin space is feasible, so
-  its relaxed minimum over the rotation kernel (below) sits above GI;
+* upper bound for GI: the divergence-free fields of the Galerkin space
+  (``galerkin.divergence_free``) are feasible, so their relaxed minimum
+  over the rotation kernel (below) sits above GI;
 * lower bound for EI, by complementary energy: sigma = 8 E(u0) + lambda I
   balances the loads (-div sigma = f, sigma n = lambda n), so for every
   divergence-free u the work is L(u) = integral of 8 dev E(u0) : E(u), and
@@ -37,7 +38,7 @@ maximizer of the tangent plane of the convex -m, so no step raises m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -50,6 +51,7 @@ from .galerkin import (
     StiffnessSystem,
     assemble,
     build_space,
+    divergence_free,
     solve_quadratic,
 )
 from .geometry import Domain, QuadratureRule, exact_order, volume_quadrature, surface_quadrature
@@ -333,8 +335,8 @@ def rotated_energy_value(spec, field: StructuredField, theta: float, rules: Load
 # Galerkin minimization of the linear and limit energies
 
 
-def _system_for(spec, kind: str, degree: int) -> StiffnessSystem:
-    return assemble(build_space(kind, degree, spec.domain), spec)
+def _system_for(spec, degree: int) -> StiffnessSystem:
+    return assemble(build_space("full", degree, spec.domain), spec)
 
 
 def min_linear(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> SolveResult:
@@ -345,28 +347,7 @@ def min_linear(spec: LoadSpec, degree: int = DEFAULT_DEGREE) -> SolveResult:
     rigid rows (SolverError otherwise); a positive spin-form eigenvalue, the
     rest of an ``incompatible`` classification, leaves only the relaxed
     energy unbounded."""
-    return solve_quadratic(_system_for(spec, "full", degree))
-
-
-@dataclass
-class IncompressibleBounds:
-    upper: SolveResult  # divergence-free Galerkin value (feasible, above min)
-    lower: float | None  # dual bound (below min); None without a closed form
-
-
-def incompressible_linear_bounds(spec: LoadSpec,
-                                 degree: int = DEFAULT_DEGREE) -> IncompressibleBounds:
-    """Two-sided bounds of the divergence-free linear minimum EI.
-
-    The lower bound needs the closed-form compressible minimizer, which
-    exists only for profile loads on the unit cylinder.
-    """
-    upper = solve_quadratic(_system_for(spec, "div_free", degree))
-    try:
-        lower = explicit_minimizers(spec).min_incompressible_lower
-    except LoadError:
-        lower = None
-    return IncompressibleBounds(upper=upper, lower=lower)
+    return solve_quadratic(_system_for(spec, degree))
 
 
 def _quaternion_grid() -> np.ndarray:
@@ -456,7 +437,7 @@ def min_limit(
             "rotation kernel is incompatible (some rotation does positive "
             "work); the limit energy is unbounded below"
         )
-    return _limit_solve(_system_for(spec, "full", degree), report)
+    return _limit_solve(_system_for(spec, degree), report)
 
 
 def _kernel_minimum(Q: np.ndarray, report: KernelReport) -> np.ndarray | None:
@@ -506,19 +487,31 @@ class IncompressibleGap:
 
 @dataclass
 class GapReport:
+    """On an axis kernel min_G is the closed-form relaxed minimum and margin
+    the exact gap.  On a full-SO(3) kernel the closed form minimizes over the
+    rotations about e_z alone, an upper bound ``min_G_axis_upper``, and
+    margin_lower = min_E - galerkin_min_G bounds the gap from below (min_E is
+    exact; a Galerkin value bounds the relaxed minimum from above).  The
+    fields of the other kernel are None, and ``leaves`` leaves them out."""
     min_E: float
-    min_G: float
     optimal_theta: float
-    margin: float
-    relative_margin: float
     classification: str
     galerkin_degree: int
     galerkin_min_E: float
     galerkin_min_G: float
     galerkin_rel_err_E: float
-    galerkin_rel_err_G: float
     incompressible: IncompressibleGap
     decomposition: list[DecompositionRow] = field(default_factory=list)
+    min_G: float | None = None
+    margin: float | None = None
+    relative_margin: float | None = None
+    galerkin_rel_err_G: float | None = None
+    min_G_axis_upper: float | None = None
+    margin_lower: float | None = None
+    relative_margin_lower: float | None = None
+
+    def leaves(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 DECOMPOSITION_THETAS = (-0.5 * np.pi, -0.25 * np.pi, 0.0, 0.25 * np.pi, 0.5 * np.pi)
@@ -534,8 +527,9 @@ def gap_report(
 
     Headline compressible numbers come from the closed-form minimizers via
     one-dimensional quadrature; the Galerkin solves are the independent
-    cross-check.  The incompressible side reports the sandwich described in
-    the module docstring.  The decomposition rows integrate with rules of
+    cross-check, and on a full-SO(3) kernel the bound of the gap
+    (``GapReport``).  The incompressible side reports the sandwich described
+    in the module docstring.  The decomposition rows integrate with rules of
     order max(order, the closed-form solution's exact order).
     """
     kernel = compatibility_report(spec) if report is None else report
@@ -549,15 +543,13 @@ def gap_report(
     if min_E == 0.0:
         raise LoadError("gap report needs a nonzero load; every minimum is 0")
 
-    # one full system serves both compressible minima and one div_free system
-    # both incompressible ones; the first is dropped before the second is
-    # assembled, so the two never coexist
-    system = _system_for(spec, "full", degree)
+    # one full system serves both compressible minima, and its restriction to
+    # the divergence-free fields both incompressible ones
+    system = _system_for(spec, degree)
     galerkin_E = solve_quadratic(system)
     limit_res = _limit_solve(system, kernel)
+    restricted = divergence_free(system)
     del system
-    rel_E = abs(galerkin_E.value - min_E) / abs(min_E)
-    rel_G = abs(limit_res.value - min_G) / abs(min_G)
 
     rows = []
     for theta in DECOMPOSITION_THETAS:
@@ -573,31 +565,22 @@ def gap_report(
             )
         )
 
-    system = _system_for(spec, "div_free", degree)
-    ei_lower = sol.min_incompressible_lower
-    gi_upper = _limit_solve(system, kernel).value
-    inc = IncompressibleGap(
-        min_EI_upper=solve_quadratic(system).value,
-        min_EI_lower=ei_lower,
-        min_GI_upper=gi_upper,
-        certified=bool(gi_upper < ei_lower),
-        degree=degree,
-    )
-    return GapReport(
-        min_E=min_E,
-        min_G=min_G,
-        optimal_theta=_kernel_angle(limit_res.rotation, kernel),
-        margin=sol.margin,
-        relative_margin=sol.margin / abs(min_E),
-        classification=kernel.classification,
-        galerkin_degree=degree,
-        galerkin_min_E=galerkin_E.value,
-        galerkin_min_G=limit_res.value,
-        galerkin_rel_err_E=rel_E,
-        galerkin_rel_err_G=rel_G,
-        incompressible=inc,
-        decomposition=rows,
-    )
+    ei_lower, gi_upper = sol.min_incompressible_lower, _limit_solve(restricted, kernel).value
+    inc = IncompressibleGap(min_EI_upper=solve_quadratic(restricted).value, min_EI_lower=ei_lower,
+                            min_GI_upper=gi_upper, certified=bool(gi_upper < ei_lower),
+                            degree=degree)
+    if kernel.classification == FULL_SO3:
+        margin = min_E - limit_res.value
+        closed_forms = dict(min_G_axis_upper=min_G, margin_lower=margin,
+                            relative_margin_lower=margin / abs(min_E))
+    else:
+        closed_forms = dict(min_G=min_G, margin=sol.margin, relative_margin=sol.margin / abs(min_E),
+                            galerkin_rel_err_G=abs(limit_res.value - min_G) / abs(min_G))
+    return GapReport(min_E=min_E, optimal_theta=_kernel_angle(limit_res.rotation, kernel),
+                     classification=kernel.classification, galerkin_degree=degree,
+                     galerkin_min_E=galerkin_E.value, galerkin_min_G=limit_res.value,
+                     galerkin_rel_err_E=abs(galerkin_E.value - min_E) / abs(min_E),
+                     incompressible=inc, decomposition=rows, **closed_forms)
 
 
 @dataclass
@@ -630,7 +613,7 @@ def rotated_no_gap_check(spec: LoadSpec, degree: int = DEFAULT_DEGREE,
     kernel = compatibility_report(spec) if report is None else report
     if kernel.classification not in (AXIS_SUBGROUP, FULL_SO3):
         raise SolverError("rotated check needs a nontrivial rotation kernel")
-    system = _system_for(spec, "full", degree)
+    system = _system_for(spec, degree)
     limit = _limit_solve(system, kernel)
     R_star = limit.rotation
     min_E_rot = limit.value

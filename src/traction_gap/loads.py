@@ -12,7 +12,8 @@ phi'(0) = 0, which validation enforces.
 Admissibility of the profiles:
 
 * phi(1) = phi'(1) = 0 and the moment integral of r^2 phi'(r) vanishes;
-* psi has zero mean and nonnegative first moment on (0, 1).
+* the axial resultant, the integral of psi over the domain, vanishes, and
+  psi has nonnegative first moment on (0, 1).
 
 The work functional L(v) is linear, kills constants, and does no work on
 infinitesimal rotations; the set of finite rotations with L((R - I) x) = 0
@@ -90,13 +91,14 @@ class LoadSpec:
             if not np.any(phi.coef[2:]):  # the Laplacian phi'' + phi'/r has k^2 c_k r^(k-2)
                 raise LoadError("radial profile has identically zero Laplacian")
         if _nonzero(psi):
-            cond = axial_conditions(psi)
-            if abs(cond["mean"]) > PROFILE_TOL:
-                raise LoadError(f"axial profile has nonzero mean {cond['mean']:.3e}")
-            if cond["first_moment"] < -PROFILE_TOL:
-                raise LoadError(
-                    f"axial profile has negative first moment {cond['first_moment']:.3e}"
-                )
+            # the closed-form resultant on the load's own domain, per unit volume
+            a, resultant = self.domain.radius, placement_moments(self)[1][2]
+            extent = 4.0 * a / 3.0 if self.domain.kind == "ball" else self.domain.height
+            if abs(resultant) > PROFILE_TOL * np.pi * a * a * extent:
+                raise LoadError(f"load has a nonzero resultant: axial component {resultant:.3e}")
+            moment = axial_conditions(psi)["first_moment"]
+            if moment < -PROFILE_TOL:
+                raise LoadError(f"axial profile has negative first moment {moment:.3e}")
 
     @property
     def phi(self) -> Polynomial:

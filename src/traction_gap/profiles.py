@@ -63,9 +63,8 @@ def radial_conditions(phi) -> dict[str, float]:
 
 
 def axial_conditions(psi) -> dict[str, float]:
-    """Mean and first moment of the axial profile on (0, 1)."""
-    c = _coef(psi)
-    return {"mean": _integral(c), "first_moment": _integral(polymulx(c))}
+    """First moment of the axial profile on (0, 1)."""
+    return {"first_moment": _integral(polymulx(_coef(psi)))}
 
 
 def radial_displacement_profile(phi) -> Polynomial:

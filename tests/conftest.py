@@ -1,3 +1,6 @@
+# the package first: it sets the BLAS thread count before numpy loads, so the
+# suite computes with the threads of every CLI run and recorded report
+import traction_gap  # noqa: F401
 import numpy as np
 import pytest
 

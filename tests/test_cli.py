@@ -41,6 +41,25 @@ def run_cli(args, tmp_path, config=None):
     return code, report, out
 
 
+def test_suite_runs_blas_on_the_package_thread_count():
+    # conftest imports the package before numpy, so OpenBLAS runs on the
+    # package's choice, as in every CLI run: the exported value, else 1
+    import ctypes
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS")
+    dll = ctypes.CDLL(str(libs[0]))
+    getters = [getattr(dll, name, None) for name in ("scipy_openblas_get_num_threads64_",
+                                                    "openblas_get_num_threads64_",
+                                                    "openblas_get_num_threads")]
+    getter = next((g for g in getters if g is not None), None)
+    if getter is None:
+        pytest.skip("the bundled OpenBLAS exports no thread-count getter")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    assert getter() == int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
 def test_unknown_subcommand(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert "unknown subcommand" in capsys.readouterr().err
@@ -513,7 +532,7 @@ def test_rotated_check_folds_in_the_so3_minimizer(tmp_path):
 
 
 def test_solve_linear_incompressible_upper_at_degree_8(tmp_path):
-    # the gauge-fixed divergence-free basis spans the curls of all potentials
+    # the divergence-free fields of degree 8, the kernel of div in the full space
     code, report, _ = run_cli(["solve-linear"], tmp_path)
     assert code == 0
     upper = report["results"]["incompressible"]["upper"]
@@ -581,6 +600,57 @@ def test_off_unit_cylinder_is_a_config_error(tmp_path, capsys, sub, cfg, message
     assert report is None
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", [{"height": 2.0}, {"kind": "ball"}], ids=["height2", "ball"])
+def test_axial_resultant_on_the_load_domain_is_a_config_error(tmp_path, capsys, domain):
+    # psi = beta (z - 1/2) has zero mean on (0, 1) but not on [0, 2] (resultant
+    # pi beta) or against the ball's slices on [-1, 1]: every subcommand
+    # exits 2 and names the resultant
+    for sub in cli.SUBCOMMANDS:
+        code, report, _ = run_cli([sub], tmp_path, {"domain": domain})
+        assert (code, report) == (2, None), sub
+        err = capsys.readouterr().err
+        assert "nonzero resultant" in err and "Traceback" not in err, sub
+
+
+def test_incompressible_subcommands_assemble_one_system(tmp_path, monkeypatch):
+    # solve-linear and gap-report restrict the full system they assemble to
+    # its divergence-free fields; they assemble no second system
+    kinds = []
+
+    def counted(space, *args, **kwargs):
+        kinds.append(space.kind)
+        return assemble(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", counted)
+    monkeypatch.setattr(limits, "assemble", counted)
+    for sub in ("solve-linear", "gap-report"):
+        kinds.clear()
+        code, _, _ = run_cli([sub], tmp_path, {"basis": {"degree": 4}})
+        assert code == 0 and kinds == ["full"], sub
+
+
+def test_gap_report_on_a_full_so3_kernel_exits_on_the_margin_bound(tmp_path, monkeypatch):
+    # at beta = 0 the closed form is an upper bound and min_E - galerkin_min_G
+    # the proven lower bound of the gap; the exit code follows that bound
+    cfg = {"beta": 0.0, "basis": {"degree": 8}}
+    code, report, _ = run_cli(["gap-report"], tmp_path, cfg)
+    assert code == 0
+    res = report["results"]
+    assert not {"min_G", "margin", "relative_margin", "galerkin_rel_err_G"} & res.keys()
+    assert res["min_G_axis_upper"] == pytest.approx(-0.0336599, abs=1e-7)
+    assert res["galerkin_min_G"] == pytest.approx(-0.0412950, abs=1e-7)
+    assert res["margin_lower"] == res["min_E"] - res["galerkin_min_G"]
+    gap_report = cli.gap_report
+
+    def no_bound(*args, **kwargs):
+        return dataclasses.replace(gap_report(*args, **kwargs), margin_lower=-1e-3)
+
+    monkeypatch.setattr(cli, "gap_report", no_bound)
+    code, report, _ = run_cli(["gap-report"], tmp_path, cfg)
+    assert code == 4
+    assert report["results"]["margin_lower"] == -1e-3
 
 
 def test_nonlinear_study_on_a_full_so3_kernel_is_a_config_error(tmp_path, capsys):

@@ -82,9 +82,12 @@ def _sphere_rule(n: int) -> QuadratureRule:
 
 MOMENT_LOADS = {
     **LOADS,
-    "radius_2_height_half": LoadSpec(phi_coeffs=PRESET.phi_coeffs, psi_coeffs=PRESET.psi_coeffs,
+    # psi of zero resultant on each domain: beta (z - 1/4) on [0, 1/2], and
+    # z^2 - 1/5 against the ball's slice areas pi (1 - z^2) on [-1, 1]
+    "radius_2_height_half": LoadSpec(phi_coeffs=PRESET.phi_coeffs,
+                                     psi_coeffs=(-0.25 * PRESET.psi_coeffs[1], PRESET.psi_coeffs[1]),
                                      domain=Domain.cylinder(2.0, 0.5)),
-    "ball_even_profiles": LoadSpec(phi_coeffs=PRESET.phi_coeffs, psi_coeffs=(-1.0 / 3.0, 0.0, 1.0),
+    "ball_even_profiles": LoadSpec(phi_coeffs=PRESET.phi_coeffs, psi_coeffs=(-0.2, 0.0, 1.0),
                                    surface_pressure=-0.2, domain=Domain.unit_ball()),
 }
 
@@ -379,9 +382,7 @@ def test_profile_algebra_matches_numpy_polynomial(t, psi_tail):
     tail = Polynomial(psi_tail)
     psi = tail - tail.integ()(1.0)
     psi_scale = max(1.0, float(np.max(np.abs(psi.coef))))
-    cond = axial_conditions(psi)
-    _close([cond["mean"], cond["first_moment"]],
-           [psi.integ()(1.0), (r * psi).integ()(1.0)], psi_scale)
+    _close(axial_conditions(psi)["first_moment"], (r * psi).integ()(1.0), psi_scale)
     w = axial_displacement_profile(psi)
     want_w = -psi.integ(2, lbnd=0.0) / 8.0
     assert w.degree() == want_w.degree()

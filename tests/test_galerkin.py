@@ -17,6 +17,7 @@ from traction_gap.galerkin import (
     _refuse_leak,
     assemble,
     build_space,
+    divergence_free,
     load_moments,
     solve_quadratic,
 )
@@ -35,7 +36,26 @@ CYL = Domain.cylinder()
 BALL = Domain.unit_ball()
 # the preset's radial profile on the ball, beta = 0: compatible (identity-only kernel)
 BALL_PROFILE = LoadSpec(phi_coeffs=(-1.0, 0.0, 6.0, 0.0, -9.0, 0.0, 4.0), domain=BALL)
-KINDS = [("full", 4, None), ("ansatz_k", 6, 3), ("div_free", 3, None)]
+KINDS = [("full", 4, None), ("ansatz_k", 6, 3)]
+
+
+def _system(kind, degree, d1, domain, load, rules=None):
+    """The assembled system of a space kind; ``div_free`` is the ``full``
+    system restricted to its divergence-free fields."""
+    if kind == "div_free":
+        return divergence_free(assemble(build_space("full", degree, domain), load, rules))
+    return assemble(build_space(kind, degree, domain, degree1d=d1), load, rules)
+
+
+def _lift(system, x):
+    """The space's coefficients of the field(s) with the system's coefficients
+    x (a vector, or one column per field): N x on each block of a restriction."""
+    if system.basis is None:
+        return x
+    out = np.zeros((system.space.dim, *np.shape(x)[1:]))
+    for b, rows, N in zip(system.space.parity_blocks, system.blocks, system.basis):
+        out[b] = N @ x[rows]
+    return out
 
 
 def _values(space, coeffs, rule):
@@ -86,32 +106,39 @@ def test_ansatz_rigid_modes_and_divfree_structure():
     assert float(np.max(np.abs(np.trace(planar, axis1=2, axis2=3)))) < 1e-12
 
 
-def test_divfree_curl_space_is_divergence_free():
-    space = build_space("div_free", 3, CYL)
-    rule = volume_quadrature(CYL, 8)
-    _, grads = space.tables(rule)
-    div = np.trace(grads, axis1=2, axis2=3)
-    assert float(np.max(np.abs(div))) < 1e-11
+def test_divfree_curl_space_is_divergence_free(preset):
+    # the restricted rows' fields, the full node tables contracted with N,
+    # have no divergence at the nodes of a rule exact for their products,
+    # which determine a polynomial of degree d - 1
+    for degree, domain, load in ((1, CYL, preset), (3, CYL, preset), (6, CYL, preset),
+                                 (4, BALL, BALL_PROFILE)):
+        system = _system("div_free", degree, None, domain, load)
+        rule = volume_quadrature(domain, exact_order(2 * degree))
+        grads = _gradients(system.space, _lift(system, np.eye(system.dim)), rule)
+        div = np.trace(grads, axis1=2, axis2=3)
+        assert float(np.max(np.abs(div))) <= 1e-12 * float(np.max(np.abs(grads)))
 
 
 def test_divfree_dimension_is_that_of_divergence_free_fields():
     # fields of degree <= d (3 C(d+3, 3)) whose divergence, of degree <= d - 1
     # (C(d+2, 3) conditions, onto), vanishes
-    for degree in range(1, 13):
-        space = build_space("div_free", degree, CYL)
-        assert space.dim == 3 * comb(degree + 3, 3) - comb(degree + 2, 3)
+    for domain in (CYL, BALL):
+        for degree in range(1, 9):
+            system = _system("div_free", degree, None, domain, LoadSpec(domain=domain))
+            assert system.dim == 3 * comb(degree + 3, 3) - comb(degree + 2, 3)
+            assert sum(N.shape[0] for N in system.basis) == system.space.dim
 
 
 @pytest.mark.parametrize("degree", (2, 3, 5))
 def test_divfree_spans_every_curl_of_a_legendre_scalar(degree):
     # grad(m) x e_c for every m = L_i(x) L_j(y) L_k(z) of total degree
     # <= degree + 1 (the span of all vector potentials) is reproduced by its
-    # discrete L^2 projection onto the gauge-fixed space
-    space = build_space("div_free", degree, CYL)
-    rule = volume_quadrature(CYL, exact_order(2 * space.field_degree))
+    # discrete L^2 projection onto the restricted fields
+    system = _system("div_free", degree, None, CYL, LoadSpec())
+    rule = volume_quadrature(CYL, exact_order(2 * degree))
     sw = np.sqrt(rule.weights)[:, None]
-    vals, _ = space.tables(rule)
-    basis = (vals * sw).reshape(space.dim, -1).T
+    vals = _values(system.space, _lift(system, np.eye(system.dim)), rule)
+    basis = (vals * sw).reshape(system.dim, -1).T
     legendre = np.polynomial.Legendre
     domains = ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0])
     targets = []
@@ -133,15 +160,29 @@ def test_divfree_spans_every_curl_of_a_legendre_scalar(degree):
 
 @pytest.mark.parametrize("domain", [CYL, BALL], ids=["cylinder", "ball"])
 def test_divfree_rigid_rows_are_the_rigid_fields(domain):
+    # the restricted rigid rows are the full ones times N' (exact to
+    # round-off: the rigid fields are divergence free), in the same order
     rule = volume_quadrature(domain, 6)
     x, y, z = rule.points.T
     o, i = np.zeros_like(x), np.ones_like(x)
     expected = np.stack([np.stack(f, axis=1) for f in (
         (i, o, o), (o, i, o), (o, o, i), (o, -z, y), (z, o, -x), (-y, x, o))])
     for degree in (1, 4, 8):
-        space = build_space("div_free", degree, domain)
-        got = _values(space, space.rigid_coefficients().T, rule)
+        system = _system("div_free", degree, None, domain, LoadSpec(domain=domain))
+        got = _values(system.space, _lift(system, system.rigid.T), rule)
         assert float(np.max(np.abs(got - expected))) < 1e-13
+
+
+@pytest.mark.parametrize("degree,domain", [(3, CYL), (8, CYL), (12, CYL), (6, BALL)],
+                         ids=["3", "8", "12", "6-ball"])
+def test_restricted_rigid_rows_span_the_numeric_kernel(preset, degree, domain):
+    # sine of the largest principal angle between the restricted system's
+    # kernel and its rigid rows; assemble's check allows an angle of 1e-6
+    system = _system("div_free", degree, None, domain, preset if domain is CYL else BALL_PROFILE)
+    Z = system.kernel
+    q = np.linalg.qr(system.rigid.T)[0]
+    assert Z.shape == (6, system.dim)
+    assert np.linalg.norm(Z.T - q @ (q.T @ Z.T), 2) <= 1e-7
 
 
 @pytest.mark.parametrize("kind,degree,domain",
@@ -152,7 +193,7 @@ def test_divfree_rigid_rows_are_the_rigid_fields(domain):
 def test_kernel_cut_has_margins_on_both_sides(preset, kind, degree, domain):
     # the six rigid directions sit far below the eigenvalue cut and every
     # other direction far above it
-    system = assemble(build_space(kind, degree, domain), preset if domain is CYL else BALL_PROFILE)
+    system = _system(kind, degree, None, domain, preset if domain is CYL else BALL_PROFILE)
     kept, dropped = system.kernel_margins
     assert system.kernel.shape[0] == 6
     assert kept >= 10.0
@@ -165,7 +206,7 @@ def test_kernel_cut_has_margins_on_both_sides(preset, kind, degree, domain):
 def test_basis_gradients_match_finite_differences(rng):
     from traction_gap.geometry import QuadratureRule
 
-    for kind, degree, d1 in (("full", 3, None), ("ansatz_k", 4, 2), ("div_free", 2, None)):
+    for kind, degree, d1 in (("full", 3, None), ("ansatz_k", 4, 2)):
         space = build_space(kind, degree, CYL, degree1d=d1)
         pts = np.stack(
             [
@@ -207,12 +248,11 @@ def test_assemble_zero_loads_and_rotation_independence(preset):
 def test_assemble_quadratic_consistency(preset, rng, kind, degree, d1, domain):
     # the assembled form against 4 * integral |E|^2 by direct quadrature, on
     # the cylinder's one tensor term and on the ball's sliced terms
-    space = build_space(kind, degree, domain, degree1d=d1)
-    system = assemble(space, preset if domain is CYL else BALL_PROFILE)
+    system = _system(kind, degree, d1, domain, preset if domain is CYL else BALL_PROFILE)
     assert np.array_equal(system.A, system.A.T)
     rule = system.rules.volume
-    c = rng.normal(size=space.dim)
-    E = strain(_gradients(space, c, rule))
+    c = rng.normal(size=system.dim)
+    E = strain(_gradients(system.space, _lift(system, c), rule))
     direct = 4.0 * float(np.dot(rule.weights, np.einsum("nij,nij->n", E, E)))
     assert np.isclose(0.5 * float(c @ system.A @ c), direct, rtol=1e-12)
 
@@ -229,12 +269,11 @@ def test_load_vector_is_the_work_on_the_rotated_field(spec, rng, kind, degree, d
     # does no work on any field of degree <= 2 (its radial moment vanishes),
     # so div_free takes degree 3: at degree 2 the work is the beta-scaled
     # axial part alone, 1e4 times below the terms both sides sum
-    space = build_space(kind, degree, CYL, degree1d=d1)
-    system = assemble(space, spec)
-    c = rng.normal(size=space.dim)
+    system = _system(kind, degree, d1, CYL, spec)
+    c = rng.normal(size=system.dim)
 
     def u_c(points):
-        return _values(space, c, QuadratureRule(points, np.ones(len(points))))
+        return _values(system.space, _lift(system, c), QuadratureRule(points, np.ones(len(points))))
 
     rules = default_rules(spec, order=12)
     vol, surf = rules.volume, surface_quadrature(CYL, 12)
@@ -256,25 +295,29 @@ def _node_grams(space, rule):
 
 
 SYMMETRIC_CASES = [(kind, degree, d1, CYL) for kind, degree, d1 in KINDS] + [
-    ("full", 4, None, BALL), ("div_free", 3, None, BALL)]
-SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball", "div_free-ball"]
+    ("full", 4, None, BALL)]
+SYMMETRIC_IDS = [k[0] for k in KINDS] + ["full-ball"]
+# the same with the divergence-free restriction of full at degree 3
+SYSTEM_CASES = SYMMETRIC_CASES + [("div_free", 3, None, CYL), ("div_free", 3, None, BALL)]
+SYSTEM_IDS = SYMMETRIC_IDS + ["div_free", "div_free-ball"]
 
 
-@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+@pytest.mark.parametrize("kind,degree,d1,domain", SYSTEM_CASES, ids=SYSTEM_IDS)
 def test_factored_assembly_matches_node_tables(preset, kind, degree, d1, domain):
     # A, the load moments and the rigid projector against their node-table
-    # references on the same nodes and weights; the system keeps the
-    # projector as its rigid fit H, P = I - rigid' H
-    space = build_space(kind, degree, domain, degree1d=d1)
+    # references on the same nodes and weights, contracted with N on a
+    # restriction; the system keeps the projector as its rigid fit H,
+    # P = I - rigid' H
     load = preset if domain is CYL else BALL_PROFILE
-    system = assemble(space, load)
-    A, M = _node_grams(space, system.rules.volume)
+    system = _system(kind, degree, d1, domain, load)
+    space, lift = system.space, _lift(system, np.eye(system.dim))
+    A, M = (lift.T @ G @ lift for G in _node_grams(space, system.rules.volume))
     vals, _ = space.tables(system.rules.volume)
     F = system.rigid @ M
-    refs = {"A": A, "load_moments": node_moment(load, system.rules, vals),
-            "projector": np.eye(space.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)}
+    refs = {"A": A, "load_moments": np.tensordot(lift, node_moment(load, system.rules, vals), (0, 0)),
+            "projector": np.eye(system.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)}
     got = {"A": system.A, "load_moments": system.load_moments,
-           "projector": np.eye(space.dim) - system.rigid.T @ system.rigid_fit}
+           "projector": np.eye(system.dim) - system.rigid.T @ system.rigid_fit}
     for name, ref in refs.items():
         scale = float(np.max(np.abs(ref)))
         assert scale > 1e-3
@@ -286,9 +329,8 @@ def test_assembly_builds_no_node_tables(preset, monkeypatch):
         raise AssertionError("node tables built for a linear system")
 
     monkeypatch.setattr(GalerkinSpace, "tables", refuse)
-    for kind, degree, d1, domain in SYMMETRIC_CASES:
-        system = assemble(build_space(kind, degree, domain, degree1d=d1),
-                          preset if domain is CYL else BALL_PROFILE)
+    for kind, degree, d1, domain in SYSTEM_CASES:
+        system = _system(kind, degree, d1, domain, preset if domain is CYL else BALL_PROFILE)
         assert np.all(np.isfinite(system.A))
 
 
@@ -304,12 +346,16 @@ def test_pressure_load_moments_match_the_surface_node_sums(kind, degree, d1, dom
     # (divergence theorem); their definition is sum w_s lambda n (x) b_k over
     # the surface nodes
     load = LoadSpec(surface_pressure=0.75, domain=domain)
-    space = build_space(kind, degree, domain, degree1d=d1)
+    space = build_space("full" if kind == "div_free" else kind, degree, domain, degree1d=d1)
     order = exact_order(2 * space.field_degree)
-    surf = surface_quadrature(domain, order)
+    rules, surf = LoadRules(volume_quadrature(domain, order)), surface_quadrature(domain, order)
+    if kind == "div_free":  # the restricted system's moments, of the fields N x
+        system = divergence_free(assemble(space, load, rules))
+        got, lift = system.load_moments, _lift(system, np.eye(system.dim))
+    else:
+        got, lift = load_moments(space, load, rules), np.eye(space.dim)
     want = np.einsum("n,ni,knj->kij", surf.weights, load.surface_pressure * surf.normals,
-                     space.tables(surf)[0])
-    got = load_moments(space, load, LoadRules(volume_quadrature(domain, order)))
+                     _values(space, lift, surf))
     scale = float(np.max(np.abs(want)))
     assert scale > 0.1
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
@@ -361,23 +407,23 @@ def test_grams_couple_only_rows_of_one_parity(kind, degree, d1, domain):
             assert float(np.max(np.abs(X - G[np.ix_(b, b)]))) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
-def test_block_factor_matches_a_dense_eigendecomposition(kind, degree, d1, domain):
+@pytest.mark.parametrize("kind,degree,d1,domain", SYSTEM_CASES, ids=SYSTEM_IDS)
+def test_block_factor_matches_a_dense_eigendecomposition(preset, kind, degree, d1, domain):
     # low degrees: the dense reference's own round-off grows with the
     # condition number of A (to 2e-12 relative for full at degree 6)
-    space = build_space(kind, degree, domain, degree1d=d1)
-    (stiffness, _), _ = _grams(space)
-    A = _dense(space.parity_blocks, stiffness)
-    kernel, pinv_blocks, (kept, dropped) = _factor(stiffness, space.parity_blocks)
-    pinv = _dense(space.parity_blocks, pinv_blocks)
+    system = _system(kind, degree, d1, domain, preset if domain is CYL else BALL_PROFILE)
+    stiffness, blocks = system.stiffness, system.blocks
+    A = _dense(blocks, stiffness)
+    kernel, pinv_blocks, (kept, dropped) = _factor(stiffness, blocks)
+    pinv = _dense(blocks, pinv_blocks)
     w, V = np.linalg.eigh(A)
     cut = KERNEL_EIGENVALUE_CUT * max(w[-1], 1.0)
     keep = w > cut
     ref = (V[:, keep] / w[keep]) @ V[:, keep].T
     assert float(np.max(np.abs(pinv - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(A @ pinv @ A - A))) <= 1e-13 * float(np.max(np.abs(A)))
-    n = len(space.rigid_coefficients())
-    assert kernel.shape == (n, space.dim)
+    n = len(system.rigid)
+    assert kernel.shape == (n, system.dim)
     assert np.allclose(kernel @ kernel.T, np.eye(n), atol=1e-14)
     # sine of the largest principal angle; arccos resolves no angle below 1.5e-8
     Vk = V[:, ~keep]
@@ -428,8 +474,8 @@ def test_a_row_whose_slots_disagree_on_parity_is_refused(monkeypatch):
         # slot 3 (d_x u_x) with a y derivative in place of the x one: its
         # parity flips under both the x and the y mirror, so it disagrees
         # with the row's value slot
-        (grp, ijk, tmpl), *rest = families(self)
-        return [(grp, ijk, {**tmpl, 3: (1.0, (0, 1, 0))}), *rest]
+        (ijk, tmpl), *rest = families(self)
+        return [(ijk, {**tmpl, 3: (1.0, (0, 1, 0))}), *rest]
 
     monkeypatch.setattr(GalerkinSpace, "_families", mislabel)
     with pytest.raises(AssemblyError, match="basis row 0 has slots of different mirror parities"):
@@ -464,8 +510,7 @@ def test_factored_grams_allocate_less_than_one_dense_matrix():
     assert peak < 8 * space.dim ** 2
 
 
-@pytest.mark.parametrize("kind,degree,d1",
-                         [("full", 4, None), ("div_free", 3, None), ("ansatz_k", 6, 3)])
+@pytest.mark.parametrize("kind,degree,d1", [("full", 4, None), ("ansatz_k", 6, 3)])
 def test_planar_factors_are_the_products_of_1d_tables_bit_for_bit(kind, degree, d1):
     # _planar multiplies the y factors into the x factors one parity run at
     # a time; the product of the two full gathers has the same bits
@@ -532,38 +577,37 @@ def test_factor_tables_refuse_a_row_off_its_factor(which):
 @pytest.mark.parametrize("kind", ["full", "div_free"])
 def test_assembled_system_keeps_less_than_one_dense_matrix(preset, kind):
     # degree 12 (K = 1365 for full, 1001 for div_free): the system keeps the
-    # blocks of A and A^+ and 6 x K rows, about 1/4 of K^2 doubles, and no
-    # array of K^2 entries.  full's assembly also peaks below one dense
-    # matrix; div_free's peak is its planar Gram of second-derivative factors
-    space = build_space(kind, 12, CYL)
-    K = space.dim
+    # blocks of A and A^+ (and of N) and 6 x K rows, about 1/4 of K^2
+    # doubles, and no array of K^2 entries; assembly and restriction each
+    # peak below one dense matrix of the full space
     tracemalloc.start()
     try:
-        system = assemble(space, preset)
+        system = _system(kind, 12, None, CYL, preset)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    K = system.dim
     assert kept < 8 * K ** 2
-    if kind == "full":
-        assert peak < 8 * K ** 2
+    assert peak < 8 * system.space.dim ** 2
     for name, value in vars(system).items():
         for array in value if isinstance(value, list) else [value]:
             if isinstance(array, np.ndarray):
                 assert array.size < K ** 2, name
 
 
-@pytest.mark.parametrize("kind,degree,d1,domain", SYMMETRIC_CASES, ids=SYMMETRIC_IDS)
+@pytest.mark.parametrize("kind,degree,d1,domain", SYSTEM_CASES, ids=SYSTEM_IDS)
 def test_block_solve_matches_a_dense_reference(preset, kind, degree, d1, domain):
     # x = (I - rigid' G^-1 F) A^+ b with A^+ embedded from its blocks and F,
-    # G from the node-table L^2 Gram; its value, its residual off the kernel
-    # and the rotation form Q = S'B + B'S - S'AS, S = P A^+ B, in dense products
-    space = build_space(kind, degree, domain, degree1d=d1)
-    system = assemble(space, preset if domain is CYL else BALL_PROFILE)
-    _, M = _node_grams(space, system.rules.volume)
+    # G from the node-table L^2 Gram (contracted with N on a restriction);
+    # its value, its residual off the kernel and the rotation form
+    # Q = S'B + B'S - S'AS, S = P A^+ B, in dense products
+    system = _system(kind, degree, d1, domain, preset if domain is CYL else BALL_PROFILE)
+    lift = _lift(system, np.eye(system.dim))
+    M = lift.T @ _node_grams(system.space, system.rules.volume)[1] @ lift
     F = system.rigid @ M
-    P = np.eye(space.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)
-    A, pinv, Z = system.A, _dense(space.parity_blocks, system.pinv), system.kernel
-    B = system.load_moments.reshape(space.dim, 9)
+    P = np.eye(system.dim) - system.rigid.T @ np.linalg.solve(F @ system.rigid.T, F)
+    A, pinv, Z = system.A, _dense(system.blocks, system.pinv), system.kernel
+    B = system.load_moments.reshape(system.dim, 9)
     S = P @ pinv @ B
     Q = S.T @ B + B.T @ S - S.T @ A @ S
     Q = 0.5 * (Q + Q.T)
@@ -583,9 +627,10 @@ def test_block_solve_matches_a_dense_reference(preset, kind, degree, d1, domain)
 
 
 def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkeypatch):
+    # a restriction decomposes its own blocks, each within one of the full space's
     eigh = np.linalg.eigh
-    for kind, degree, d1, domain in SYMMETRIC_CASES:
-        space = build_space(kind, degree, domain, degree1d=d1)
+    for kind, degree, d1, domain in SYSTEM_CASES:
+        space = build_space("full" if kind == "div_free" else kind, degree, domain, degree1d=d1)
         largest = max(len(b) for b in space.parity_blocks)
         assert largest < space.dim
         sizes = []
@@ -598,9 +643,10 @@ def test_assembly_decomposes_no_matrix_larger_than_a_parity_block(preset, monkey
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        assemble(space, preset if domain is CYL else BALL_PROFILE)
+        system = _system(kind, degree, d1, domain, preset if domain is CYL else BALL_PROFILE)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert sorted(sizes) == sorted(len(b) for b in space.parity_blocks)
+        restricted = system.blocks if system.basis is not None else []
+        assert sorted(sizes) == sorted(len(b) for b in [*space.parity_blocks, *restricted])
 
 
 def test_gram_mirror_keeps_the_bits_of_the_summed_mirror():
@@ -619,8 +665,7 @@ def test_kernel_matches_rigid_dimension(preset):
         ("ansatz_k", 4, 2, 4),
         ("div_free", 3, None, 6),
     ):
-        space = build_space(kind, degree, CYL, degree1d=d1)
-        system = assemble(space, preset)
+        system = _system(kind, degree, d1, CYL, preset)
         assert system.kernel.shape[0] == expected
         scale = float(np.linalg.norm(system.A))
         for vec in system.rigid:
@@ -708,12 +753,14 @@ def test_incompatible_load_vector_raises(preset):
 @pytest.mark.parametrize("kind,degree,d1", [
     ("full", 2, None), ("div_free", 3, None), ("ansatz_k", 1, 2), ("ansatz_k", 4, 2)])
 def test_rigid_spins_are_the_rigid_rows_with_a_gradient(kind, degree, d1):
-    # a rigid translation has a zero gradient, a unit spin a skew one of norm sqrt(2)
-    space = build_space(kind, degree, CYL, degree1d=d1)
-    grads = _gradients(space, space.rigid_coefficients().T, volume_quadrature(CYL, 4))
+    # a rigid translation has a zero gradient, a unit spin a skew one of norm
+    # sqrt(2); a restriction keeps its space's rigid rows in their order
+    system = _system(kind, degree, d1, CYL, LoadSpec())
+    spins = system.space.rigid_spins
+    grads = _gradients(system.space, _lift(system, system.rigid.T), volume_quadrature(CYL, 4))
     size = np.max(np.abs(grads), axis=(1, 2, 3))
-    assert np.all((size > 0.5) == space.rigid_spins)
-    assert np.all(size[~space.rigid_spins] < 1e-12)
+    assert np.all((size > 0.5) == spins)
+    assert np.all(size[~spins] < 1e-12)
 
 
 def test_degree6_value_is_the_containment_limit(preset):

@@ -3,7 +3,7 @@ recorded in ``tests/data/default_reports``, and the thin-film
 ``nonlinear-study`` (degree 5, h down to 5e-4) against the report and the
 ``meta.json`` descent counts recorded in ``tests/data/thin_film``, and the
 invariant leaves of the full-SO(3) run (beta = 0, degree 6) recorded in
-``tests/data/cylinder_so3``.
+``tests/data/cylinder_so3`` (``gap-report``'s under ``gap_report``).
 
 A change meant to keep the numbers keeps every numeric leaf within 1e-12
 relative or 1e-15 absolute, and every other leaf exactly.  The
@@ -80,10 +80,22 @@ def test_thin_film_study_matches_the_recorded_one(tmp_path):
 def test_cylinder_so3_invariant_leaves(tmp_path):
     want = json.loads((CYLINDER_SO3 / "invariants.json").read_text())
     results = {}
-    for sub in ("check-loads", "solve-limit", "rotated-check"):
+    for sub in ("check-loads", "solve-limit", "rotated-check", "gap-report"):
         out = tmp_path / sub
         assert cli.main([sub, "--config", str(CYLINDER_SO3 / "config.json"), "--out", str(out)]) == 0
         results[sub] = json.loads((out / "report.json").read_text())["results"]
+    # the closed form is a minimum over one axis here, so no report names it
+    # min_G or calls the gap it leaves a margin
+    names = {path.split(".")[-1] for sub in results for path, _ in _leaves(results[sub])}
+    assert not names & {"min_G", "margin", "relative_margin"}
+    gap = dict(_leaves(results["gap-report"]))
+    for path, expected in _leaves(want["gap_report"]):
+        if isinstance(expected, bool):
+            assert gap[path] is expected, path
+        elif path == "optimal_theta":
+            assert gap[path] == pytest.approx(expected, abs=1e-9)
+        else:
+            assert gap[path] == pytest.approx(expected, rel=1e-12), path
     assert results["check-loads"]["classification"] == want["classification"]
     assert results["solve-limit"]["value"] == pytest.approx(want["min_limit_value"], rel=1e-12)
     angle = rotation_angle(np.array(results["solve-limit"]["rotation"]))

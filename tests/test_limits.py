@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from conftest import node_moment
-from traction_gap.galerkin import assemble, build_space, solve_quadratic
+from traction_gap.galerkin import assemble, build_space, divergence_free, solve_quadratic
 from traction_gap.geometry import Domain
 from traction_gap import cli, limits
 from traction_gap.limits import (
@@ -12,7 +12,6 @@ from traction_gap.limits import (
     _search,
     explicit_minimizers,
     gap_report,
-    incompressible_linear_bounds,
     min_limit,
     min_linear,
     nonuniqueness_check,
@@ -188,7 +187,7 @@ def test_gap_report(preset):
 
 
 def test_incompressible_relaxed_bound_searches_the_whole_kernel():
-    # at beta = 0 the kernel is all of SO(3): the div_free relaxed minimum
+    # at beta = 0 the kernel is all of SO(3): the divergence-free relaxed minimum
     # lies below its value at the quarter turn about e_z (-0.03366), and
     # above the unconstrained relaxed minimum
     rep = gap_report(LoadSpec.cylinder_preset(beta=0.0), degree=8)
@@ -203,17 +202,40 @@ def test_gap_margin_survives_zero_axial_profile():
     assert sol.margin > 0.0
 
 
+# min_EI_upper and min_GI_upper of gap_report as the gauge-fixed curl basis
+# gave them, before the divergence-free fields became the kernel of div in full
+INCOMPRESSIBLE_UPPER = {
+    (0.01, 3): (-0.0025730948284711126, -0.011781070625732144),
+    (0.01, 8): (-0.006144854943195414, -0.03366002178053691),
+    (0.0, 3): (-0.0025770877236478765, -0.0126872011010357),
+    (0.0, 8): (-0.006145403500501499, -0.03621338119652493),
+}
+
+
+@pytest.mark.parametrize("beta,degree", list(INCOMPRESSIBLE_UPPER))
+def test_restricted_upper_bounds_match_the_curl_basis(beta, degree):
+    inc = gap_report(LoadSpec.cylinder_preset(beta=beta), degree=degree).incompressible
+    for got, want in zip((inc.min_EI_upper, inc.min_GI_upper), INCOMPRESSIBLE_UPPER[beta, degree]):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _incompressible_upper(spec, degree) -> float:
+    """The linear minimum over the divergence-free fields of degree <= degree."""
+    return solve_quadratic(divergence_free(assemble(build_space("full", degree, spec.domain),
+                                                    spec))).value
+
+
 def test_incompressible_bounds_standalone(preset):
-    bounds = incompressible_linear_bounds(preset, degree=6)
-    assert bounds.lower <= bounds.upper.value
+    lower = explicit_minimizers(preset).min_incompressible_lower
+    assert lower <= _incompressible_upper(preset, 6)
 
 
 def test_incompressible_lower_bound_sits_below_every_upper_bound(preset):
     # the dual bound is proven, so it holds against any feasible value,
-    # whatever the degree either side is computed at
-    assert incompressible_linear_bounds(preset, degree=3).lower <= (
-        incompressible_linear_bounds(preset, degree=7).upper.value
-    )
+    # whatever the degree of the feasible space
+    lower = explicit_minimizers(preset).min_incompressible_lower
+    for degree in (3, 7):
+        assert lower <= _incompressible_upper(preset, degree)
 
 
 def _dual_bound_by_profiles(spec) -> float:
@@ -235,9 +257,8 @@ def _dual_bound_by_profiles(spec) -> float:
 def test_incompressible_lower_bound_is_the_dual_value(beta):
     spec = LoadSpec.cylinder_preset(beta=beta)
     expected = _dual_bound_by_profiles(spec)
-    for degree in (3, 8):
-        lower = incompressible_linear_bounds(spec, degree=degree).lower
-        assert lower == pytest.approx(expected, rel=1e-13)
+    lower = explicit_minimizers(spec).min_incompressible_lower
+    assert lower == pytest.approx(expected, rel=1e-13)
     # between the unconstrained minimum and zero
     assert explicit_minimizers(spec).min_linear_value < expected < 0.0
 
@@ -395,6 +416,27 @@ def test_search_is_a_procrustes_fixed_point_below_every_axis(rng):
         for axis in rng.normal(size=(10, 3)):
             R_axis = _axis_minimum(Q, axis / np.linalg.norm(axis))
             assert value <= _rotation_values(Q, R_axis[None])[0] + tol
+
+
+def test_gap_report_on_a_full_so3_kernel_bounds_the_gap():
+    # the closed form minimizes over the rotations about e_z alone: it is
+    # reported as an upper bound, and the gap's proven lower bound is min_E
+    # less the Galerkin relaxed value (-0.0412950 at degree 8, below the
+    # axis value -0.0336599)
+    rep = gap_report(LoadSpec.cylinder_preset(beta=0.0), degree=8)
+    assert rep.classification == "full_so3"
+    leaves = rep.leaves()
+    for name in ("min_G", "margin", "relative_margin", "galerkin_rel_err_G"):
+        assert name not in leaves
+    assert rep.min_G_axis_upper == pytest.approx(-3.0 * np.pi / 280.0, rel=1e-13)
+    assert rep.galerkin_min_G < rep.min_G_axis_upper - 7e-3
+    assert rep.margin_lower == rep.min_E - rep.galerkin_min_G
+    assert rep.margin_lower == pytest.approx(0.0244650, abs=1e-7)
+    assert rep.relative_margin_lower == rep.margin_lower / abs(rep.min_E)
+    # an axis kernel keeps the closed-form minimum and the exact margin
+    axis = gap_report(LoadSpec.cylinder_preset(beta=0.01), degree=3).leaves()
+    assert {"min_G", "margin", "relative_margin", "galerkin_rel_err_G"} <= axis.keys()
+    assert not {"min_G_axis_upper", "margin_lower", "relative_margin_lower"} & axis.keys()
 
 
 def test_gap_report_angle_is_the_rotated_check_angle_on_so3():

@@ -54,7 +54,7 @@ def test_body_force_axial_profile():
 def test_profile_validation():
     with pytest.raises(LoadError, match="value_at_1"):
         LoadSpec(phi_coeffs=(1.0, 0.0, 1.0))
-    with pytest.raises(LoadError, match="mean"):
+    with pytest.raises(LoadError, match="nonzero resultant"):
         LoadSpec(psi_coeffs=(1.0,))
     with pytest.raises(LoadError, match="first moment"):
         LoadSpec(psi_coeffs=(0.5, -1.0))  # zero mean but negative moment
@@ -136,8 +136,8 @@ def test_classification_identity_only():
 @pytest.mark.parametrize("spec", [
     LoadSpec.cylinder_preset(), LoadSpec.cylinder_preset(beta=0.0),
     LoadSpec(phi_coeffs=tuple(c / 7.0 for c in (-2.0, 0.0, 20.0, -25.0, 0.0, 7.0))),
-    LoadSpec(psi_coeffs=(-0.5, 1.0), surface_pressure=0.5, domain=Domain.cylinder(2.0, 0.5)),
-    LoadSpec(phi_coeffs=LoadSpec.cylinder_preset().phi_coeffs, psi_coeffs=(-1.0 / 3.0, 0.0, 1.0),
+    LoadSpec(psi_coeffs=(-0.25, 1.0), surface_pressure=0.5, domain=Domain.cylinder(2.0, 0.5)),
+    LoadSpec(phi_coeffs=LoadSpec.cylinder_preset().phi_coeffs, psi_coeffs=(-0.2, 0.0, 1.0),
              surface_pressure=-0.2, domain=Domain.unit_ball()),
     LoadSpec.ball_pull_in()],
     ids=["preset", "beta0", "odd_power_phi", "pressure", "ball_profile", "pull_in"])

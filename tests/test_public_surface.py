@@ -11,7 +11,7 @@ that only other tests and the package's exports mention fails.
 
 Likewise every kind of ``GalerkinSpace`` (a string its methods compare
 ``self.kind`` with) must be passed as a literal call argument, as in
-``build_space("div_free", ...)``, in ``src/`` or in one of those two places:
+``build_space("ansatz_k", ...)``, in ``src/`` or in one of those two places:
 a kind that only tests build fails.
 """
 
@@ -101,7 +101,7 @@ def _call_strings(tree: ast.AST):
 
 def test_every_space_kind_is_built_outside_the_tests():
     kinds = set(_space_kinds(ast.parse((PACKAGE / "galerkin.py").read_text())))
-    assert {"full", "div_free", "ansatz_k"} <= kinds  # the scan found the branches
+    assert {"full", "ansatz_k"} <= kinds  # the scan found the branches
     built = set()
     for path in (*sorted(PACKAGE.glob("*.py")), *_outside()):
         built |= set(_call_strings(ast.parse(path.read_text())))

@@ -359,7 +359,7 @@ def test_carried_fields_do_not_drift(preset_ctx, rng, monkeypatch):
     assert _rel(value, scaled_energy(c, R, h, ctx)) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["full", "div_free"])
+@pytest.mark.parametrize("kind", ["full"])
 def test_nonlinear_context_rejects_non_ansatz_spaces(kind):
     with pytest.raises(ValueError, match="ansatz"):
         nonlinear_context(LoadSpec.cylinder_preset(), build_space(kind, 2, CYL))
