@@ -29,7 +29,7 @@ from .galerkin import (
     divergence_free,
     solve_quadratic,
 )
-from .geometry import Domain, QuadratureRule, surface_quadrature, volume_quadrature
+from .geometry import Domain, QuadratureRule, volume_quadrature
 from .limits import (
     ExplicitSolution,
     GapReport,

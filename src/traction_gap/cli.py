@@ -316,7 +316,7 @@ def _cmd_gap_report(spec, cfg):
 
 
 def _cmd_verify_explicit(spec, cfg):
-    res = verify_explicit(spec, order=cfg["quadrature_order"])
+    res = verify_explicit(spec)
     tol = cfg["tolerances"]["explicit_residual"]
     checked = {
         k: v

@@ -53,7 +53,6 @@ class Domain:
 class QuadratureRule:
     points: np.ndarray  # (N, 3)
     weights: np.ndarray  # (N,)
-    normals: np.ndarray | None = None  # (N, 3) outward units, surface rules only
     label: str = ""
     terms: tuple = ()  # volume rules: ((x, y, w) planar, (z, w) axial) per tensor term
 
@@ -136,41 +135,3 @@ def volume_quadrature(domain: Domain, order: int) -> QuadratureRule:
         pair = np.unique([t, z.size - 1 - t])
         terms.append(((rho[t] * px, rho[t] * py, rho[t] ** 2 * pw), (z[pair], wz[pair])))
     return _tensor_rule(terms, f"ball-vol-{order}")
-
-
-def surface_quadrature(domain: Domain, order: int) -> QuadratureRule:
-    """Lateral wall plus both caps of the cylinder, with outward normals."""
-    if domain.kind != "cylinder":
-        raise ValueError("surface quadrature is unsupported for this domain")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    ntheta = 2 * order
-    th, wt = _angles(ntheta)
-    zz, wz = gauss_legendre(order)
-    z = domain.height * zz
-    wz = domain.height * wz
-    a = domain.radius
-
-    # lateral wall: dH^2 = a dtheta dz, normal (cos, sin, 0)
-    T, Z = np.meshgrid(th, z, indexing="ij")
-    lat_pts = np.stack([a * np.cos(T).ravel(), a * np.sin(T).ravel(), Z.ravel()], axis=1)
-    lat_w = (a * wt[:, None] * wz[None, :]).ravel()
-    lat_n = np.stack([np.cos(T).ravel(), np.sin(T).ravel(), np.zeros(lat_w.size)], axis=1)
-
-    # caps: dH^2 = r dr dtheta, normals -e_z (base) and +e_z (top)
-    rr, wr = gauss_legendre(order)
-    r = a * rr
-    wr = a * wr * r
-    Rc, Tc = np.meshgrid(r, th, indexing="ij")
-    cap_w = (wr[:, None] * wt[None, :]).ravel()
-    x_c = (Rc * np.cos(Tc)).ravel()
-    y_c = (Rc * np.sin(Tc)).ravel()
-    bot_pts = np.stack([x_c, y_c, np.zeros(cap_w.size)], axis=1)
-    top_pts = np.stack([x_c, y_c, np.full(cap_w.size, domain.height)], axis=1)
-    ez = np.zeros((cap_w.size, 3))
-    ez[:, 2] = 1.0
-
-    pts = np.concatenate([lat_pts, bot_pts, top_pts], axis=0)
-    wts = np.concatenate([lat_w, cap_w, cap_w])
-    nrm = np.concatenate([lat_n, -ez, ez], axis=0)
-    return QuadratureRule(pts, wts, normals=nrm, label=f"cylinder-surf-{order}")

@@ -10,7 +10,10 @@ with p = eta(r)/r built from the radial equilibrium profile and w the axial
 equilibrium displacement; theta parameterizes the family through
 a = cos(theta), b = -2 sin(theta).  The value of the per-rotation minimum
 decomposes as cos^2(theta) * minE + sin^2(theta) * minSwirl, which is the
-closed form the numerical searches are checked against.
+closed form the numerical searches are checked against.  ``verify_explicit``
+checks the closed form against its defining equations by proven bounds:
+each residual is a polynomial on [0, 1] held as a coefficient array, and the
+sum of its coefficients' magnitudes bounds its maximum there.
 
 Certification logic for the incompressible gap (GI < EI, the constrained
 relaxed and linear minima):
@@ -54,7 +57,7 @@ from .galerkin import (
     divergence_free,
     solve_quadratic,
 )
-from .geometry import Domain, QuadratureRule, exact_order, volume_quadrature, surface_quadrature
+from .geometry import Domain, QuadratureRule, exact_order, volume_quadrature
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
@@ -74,6 +77,7 @@ from .profiles import (
     axial_displacement_profile,
     axial_strain_integral,
     biharmonic_residual,
+    coefficient_bound,
     planar_profile,
     radial_displacement_profile,
     radial_ode_residual,
@@ -106,21 +110,20 @@ class StructuredField:
     """Displacement p(r^2)(a x + b y, a y - b x, 0) + (0, 0, w(z)).
 
     Its in-plane part depends on (x, y) alone and its axial part on z alone,
-    and so does every derivative (grad u is a 2x2 in-plane block plus w'), so
-    it is evaluated on a rule's planar and axial factors, exactly.
+    and so does its gradient (a 2x2 in-plane block plus w'), so it is
+    evaluated on a rule's planar and axial factors, exactly.
     """
 
     def __init__(self, a: float, b: float, p: Polynomial, w: Polynomial):
         self.a, self.b, self.p, self.w = float(a), float(b), p, w
-        self._p = (p.coef, polyder(p.coef), polyder(p.coef, 2))
-        self._w = (w.coef, polyder(w.coef), polyder(w.coef, 2))
+        self._p = (p.coef, polyder(p.coef))
+        self._w = (w.coef, polyder(w.coef))
 
     def planar(self, x: np.ndarray, y: np.ndarray):
-        """In-plane (values (N, 2), gradient block (N, 2, 2), div E (N, 2)) at
-        the planar points (x, y); gradient entry [c, d] is d_d u_c, and
-        -8 div E(u) is the equilibrium operator."""
+        """In-plane (values (N, 2), gradient block (N, 2, 2)) at the planar
+        points (x, y); gradient entry [c, d] is d_d u_c."""
         s = x * x + y * y
-        ps, dps, d2ps = (polyval(s, c) for c in self._p)
+        ps, dps = (polyval(s, c) for c in self._p)
         u1_rad = self.a * x + self.b * y
         u2_rad = self.a * y - self.b * x
         G = np.empty((s.size, 2, 2))
@@ -128,21 +131,11 @@ class StructuredField:
         G[:, 0, 1] = self.b * ps + 2.0 * y * dps * u1_rad
         G[:, 1, 0] = -self.b * ps + 2.0 * x * dps * u2_rad
         G[:, 1, 1] = self.a * ps + 2.0 * y * dps * u2_rad
-        coeff = 0.5 * (8.0 * dps + 4.0 * s * d2ps)
-        div = np.stack([coeff * (2.0 * self.a * x + self.b * y),
-                        coeff * (2.0 * self.a * y - self.b * x)], axis=1)
-        return np.stack([ps * u1_rad, ps * u2_rad], axis=1), G, div
+        return np.stack([ps * u1_rad, ps * u2_rad], axis=1), G
 
     def axial(self, z: np.ndarray):
-        """(w, w', w'') at the heights z; w'' is the axial div E."""
+        """(w, w') at the heights z."""
         return tuple(polyval(z, c) for c in self._w)
-
-    def at_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(values (N, 3), gradients (N, 3, 3)) at 3D points."""
-        (v, Gp, _), (w, dw, _) = self.planar(points[:, 0], points[:, 1]), self.axial(points[:, 2])
-        G = np.zeros((len(points), 3, 3))
-        G[:, :2, :2], G[:, 2, 2] = Gp, dw
-        return np.c_[v, w], G
 
 
 def _on_factors(field: StructuredField, rule: QuadratureRule) -> list:
@@ -156,7 +149,7 @@ def _energy(factors) -> float:
     """4 * integral of |E|^2: per term W_z sum_p w_p |sym G_P|^2 + W_p sum_z w_z w'^2."""
     return QUADRATIC_SCALE * sum(
         np.sum(zw) * sym_norm_sq_sum(G, pw) + np.sum(pw) * float(zw @ (dw * dw))
-        for ((_, _, pw), (_, zw)), (_, G, _), (_, dw, _) in factors)
+        for ((_, _, pw), (_, zw)), (_, G), (_, dw) in factors)
 
 
 def _work_moment(load, factors) -> np.ndarray:
@@ -164,9 +157,9 @@ def _work_moment(load, factors) -> np.ndarray:
     the integral of (grad u)': per term W_z sum_p w_p G_P' on the planar
     block and W_p sum_z w_z w' on the axial entry."""
     Y = sum(factor_moment(term, factor_forces(load, term), (v, w))
-            for term, (v, _, _), (w, _, _) in factors)
+            for term, (v, _), (w, _) in factors)
     if load.has_surface_term:
-        for ((_, _, pw), (_, zw)), (_, G, _), (_, dw, _) in factors:
+        for ((_, _, pw), (_, zw)), (_, G), (_, dw) in factors:
             Y[:2, :2] += load.surface_pressure * np.sum(zw) * np.tensordot(pw, G, 1).T
             Y[2, 2] += load.surface_pressure * np.sum(pw) * float(zw @ dw)
     return Y
@@ -176,7 +169,6 @@ def _work_moment(load, factors) -> np.ndarray:
 class ExplicitSolution:
     phi: Polynomial
     psi: Polynomial
-    eta: Polynomial
     planar: Polynomial  # p(s) with eta(r) = r p(r^2)
     axial: Polynomial  # w(z)
     radial_integral: float
@@ -233,7 +225,7 @@ class ExplicitSolution:
         """
         degree = max(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
         factors = _on_factors(self.u0, volume_quadrature(Domain.cylinder(), exact_order(degree)))
-        (((_, _, pw), (_, zw)), (_, G, _), (_, dw, _)), = factors
+        (((_, _, pw), (_, zw)), (_, G), (_, dw)), = factors
         tr = G[:, 0, 0] + G[:, 1, 1]
         trace_sq = (np.sum(zw) * float(pw @ (tr * tr)) + 2.0 * float(pw @ tr) * float(zw @ dw)
                     + np.sum(pw) * float(zw @ (dw * dw)))
@@ -262,7 +254,6 @@ def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
     return ExplicitSolution(
         phi=spec.phi,
         psi=spec.psi,
-        eta=eta,
         planar=planar,
         axial=axial,
         radial_integral=radial_strain_integral(eta),
@@ -271,32 +262,46 @@ def explicit_minimizers(spec: LoadSpec) -> ExplicitSolution:
     )
 
 
-def verify_explicit(spec: LoadSpec, n_grid: int = 1000, order: int = 1) -> dict[str, float]:
+def verify_explicit(spec: LoadSpec) -> dict[str, float]:
     """Residuals of the closed-form solution against its defining equations.
 
-    The rules have order max(order, the solution's exact order).
+    Each residual leaf is a polynomial on [0, 1], in r or in z, reported as
+    the sum of its coefficients' magnitudes, a proven bound of its maximum
+    (``profiles.coefficient_bound``).  They are read off the field u0 every
+    other check uses, through its radial profile eta(r) = r p(r^2):
+
+    * ode_residual: r^2 eta'' + r eta' - eta + r^2 phi' / 8;
+    * biharmonic_residual: 8 Lap^2 Phi + Lap phi, with Phi' = eta;
+    * euler_lagrange_interior: -8 div E(u0) - f is -(8 / r^2) times the ODE
+      residual along e_r, a polynomial since eta is odd and r^2 phi' has no
+      term below r^2, and -8 w'' - psi along e_z; the larger of the two bounds;
+    * boundary_traction: E(u0) = diag(eta', eta / r, w') in (e_r, e_theta,
+      e_z) has no shear, so the traction E n is eta'(1) e_r on the wall and
+      w'(0), w'(1) times e_z on the caps, exactly.
+
+    The orthogonality leaves are integrals, exact on the volume rule of the
+    solution's exact order.
     """
     sol = explicit_minimizers(spec)
-    order = max(order, sol.exact_order)
-    r_grid = np.linspace(1e-3, 1.0, n_grid)
+    eta = Polynomial([0.0, 1.0]) * sol.planar(Polynomial([0.0, 0.0, 1.0]))  # r p(r^2)
+    ode = radial_ode_residual(eta, spec.phi)
     out = {
-        "ode_residual": radial_ode_residual(sol.eta, spec.phi, r_grid),
-        "eta_at_0": abs(float(sol.eta(0.0))),
-        "eta_slope_at_1": abs(float(sol.eta.deriv()(1.0))),
+        "ode_residual": coefficient_bound(ode),
+        "eta_at_0": abs(float(eta(0.0))),
+        "eta_slope_at_1": abs(float(eta.deriv()(1.0))),
         "axial_slope_at_0": abs(float(sol.axial.deriv()(0.0))),
         "axial_slope_at_1": abs(float(sol.axial.deriv()(1.0))),
-        "biharmonic_residual": biharmonic_residual(sol.eta, spec.phi, r_grid),
+        "biharmonic_residual": coefficient_bound(biharmonic_residual(eta, spec.phi)),
     }
-    vol = volume_quadrature(spec.domain, order)
-    surf = surface_quadrature(spec.domain, order)
-    u0 = sol.u0
-    (term, (_, G0, div), (_, dw, d2w)), = _on_factors(u0, vol)  # the cylinder's one term
-    ((px, py, pw), (_, zw)), (fP, fz) = term, factor_forces(spec, term)
-    # -8 div E(u0) - f at node (p, k) is (planar residual at p, axial at k)
-    out["euler_lagrange_interior"] = float(
-        max(np.max(np.abs(-8.0 * div - fP)), np.max(np.abs(-8.0 * d2w - fz))))
-    traction = np.einsum("nij,nj->ni", strain(u0.at_points(surf.points)[1]), surf.normals)
-    out["boundary_traction"] = float(np.max(np.abs(traction)))
+    # the r^0 and r^1 coefficients of the ODE residual are exact zeros, so
+    # dividing it by r^2 drops them
+    out["euler_lagrange_interior"] = max(coefficient_bound(8.0 * ode[2:]),
+                                         coefficient_bound(-8.0 * sol.axial.deriv(2) - spec.psi))
+    out["boundary_traction"] = max(out["eta_slope_at_1"], out["axial_slope_at_0"],
+                                   out["axial_slope_at_1"])
+    vol = volume_quadrature(spec.domain, sol.exact_order)
+    (term, (_, G0), (_, dw)), = _on_factors(sol.u0, vol)  # the cylinder's one term
+    (px, py, pw), (_, zw) = term
     # the two minimizers share the same axial strain, so the full contraction
     # equals the axial energy pi * integral w'^2; the orthogonality that the
     # value decomposition rests on is that of the differing planar parts

@@ -14,7 +14,10 @@ as the independent oracle for the 3D solvers.
 
 The algebra runs on power-basis coefficient arrays (``np.convolve`` and
 ``numpy.polynomial.polynomial``); ``Polynomial`` appears only where a
-profile is taken or returned.
+profile is taken or returned.  The residuals of the defining equations are
+coefficient arrays too: on [0, 1], |c_k r^k| <= |c_k|, so the sum of the
+coefficients' magnitudes (``coefficient_bound``) is a proven bound of a
+residual's maximum there, with no sample grid.
 """
 
 from __future__ import annotations
@@ -79,14 +82,17 @@ def radial_displacement_profile(phi) -> Polynomial:
     return Polynomial(polyadd(polymulx(c) * (-1.0 / 16.0), _over_r(inner) / 16.0))
 
 
-def radial_ode_residual(eta, phi, r_grid: np.ndarray) -> float:
-    """Max over the grid of |r^2 eta'' + r eta' - eta + (1/8) r^2 phi'|."""
+def coefficient_bound(c) -> float:
+    """sum_k |c_k|, a bound of max |p| on [0, 1] for p(r) = sum_k c_k r^k."""
+    return float(np.sum(np.abs(_coef(c))))
+
+
+def radial_ode_residual(eta, phi) -> np.ndarray:
+    """Coefficients of r^2 eta'' + r eta' - eta + (1/8) r^2 phi'."""
     e = _coef(eta)
-    r = np.asarray(r_grid, dtype=float)
     d1 = polyder(e)
-    res = (r * r * polyval(r, polyder(d1)) + r * polyval(r, d1) - polyval(r, e)
-           + 0.125 * r * r * polyval(r, polyder(_coef(phi))))
-    return float(np.max(np.abs(res)))
+    lhs = polysub(polyadd(polymulx(polymulx(polyder(d1))), polymulx(d1)), e)
+    return polyadd(lhs, polymulx(polymulx(polyder(_coef(phi)))) / 8.0)
 
 
 def axial_displacement_profile(psi) -> Polynomial:
@@ -143,9 +149,7 @@ def _planar_laplacian(g: np.ndarray) -> np.ndarray:
     return polyadd(polyder(d1), _over_r(d1))
 
 
-def biharmonic_residual(eta, phi, r_grid: np.ndarray) -> float:
-    """Max over the grid of |8 Lap^2 Phi + Lap phi| where Phi' = eta."""
+def biharmonic_residual(eta, phi) -> np.ndarray:
+    """Coefficients of 8 Lap^2 Phi + Lap phi, where Phi' = eta."""
     lap2 = _planar_laplacian(_planar_laplacian(polyint(_coef(eta))))
-    lap_phi = _planar_laplacian(_coef(phi))
-    r = np.asarray(r_grid, dtype=float)
-    return float(np.max(np.abs(8.0 * polyval(r, lap2) + polyval(r, lap_phi))))
+    return polyadd(8.0 * lap2, _planar_laplacian(_coef(phi)))

@@ -1,10 +1,12 @@
 # the package first: it sets the BLAS thread count before numpy loads, so the
 # suite computes with the threads of every CLI run and recorded report
 import traction_gap  # noqa: F401
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from traction_gap.geometry import Domain, volume_quadrature
+from traction_gap.geometry import Domain, QuadratureRule, gauss_legendre, volume_quadrature
 from traction_gap.loads import LoadSpec, default_rules
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
@@ -73,3 +75,42 @@ def node_moment(load, rules, values, surf=None, surface_values=None):
     if load.has_surface_term:
         Y = Y + _node_sum(surf.weights, load.surface_pressure * surf.normals, surface_values)
     return Y
+
+
+@dataclass(frozen=True)
+class SurfaceRule(QuadratureRule):
+    normals: np.ndarray | None = None  # (N, 3) outward units
+
+
+def surface_quadrature(domain, order: int) -> SurfaceRule:
+    """Lateral wall plus both caps of the cylinder, with outward normals: 2n
+    uniform angles times n Gauss nodes in z on the wall, and the order-n
+    planar rule on each cap.  The oracle of the divergence-theorem work of a
+    pressure."""
+    if domain.kind != "cylinder":
+        raise ValueError("surface quadrature is unsupported for this domain")
+    th = np.pi * (np.arange(2 * order) + 0.5) / order
+    wt = np.full(th.size, np.pi / order)
+    zz, wz = gauss_legendre(order)
+    z, wz, a = domain.height * zz, domain.height * wz, domain.radius
+    # lateral wall: dH^2 = a dtheta dz, normal (cos, sin, 0)
+    T, Z = np.meshgrid(th, z, indexing="ij")
+    lat_n = np.stack([np.cos(T).ravel(), np.sin(T).ravel(), np.zeros(T.size)], axis=1)
+    lat_pts = np.c_[a * lat_n[:, :2], Z.ravel()]
+    lat_w = (a * wt[:, None] * wz[None, :]).ravel()
+    # caps: the planar rule at z = 0 (normal -e_z) and z = H (normal +e_z)
+    ((px, py, pw), _), = volume_quadrature(domain, order).terms
+    ez = np.zeros((pw.size, 3))
+    ez[:, 2] = 1.0
+    pts = np.concatenate([lat_pts, np.c_[px, py, 0.0 * pw], np.c_[px, py, domain.height + 0.0 * pw]])
+    return SurfaceRule(pts, np.concatenate([lat_w, pw, pw]),
+                       normals=np.concatenate([lat_n, -ez, ez]), label=f"cylinder-surf-{order}")
+
+
+def at_points(field, points):
+    """(values (N, 3), gradients (N, 3, 3)) of a structured field at 3D
+    points, from its planar and axial parts."""
+    (v, Gp), (w, dw) = field.planar(points[:, 0], points[:, 1]), field.axial(points[:, 2])
+    G = np.zeros((len(points), 3, 3))
+    G[:, :2, :2], G[:, 2, 2] = Gp, dw
+    return np.c_[v, w], G

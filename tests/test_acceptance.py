@@ -70,7 +70,7 @@ def test_criterion_01_profile_constraints():
 
 def test_criterion_02_explicit_solution_residuals():
     t0 = time.perf_counter()
-    res = verify_explicit(PRESET, n_grid=1000)
+    res = verify_explicit(PRESET)
     elapsed = time.perf_counter() - t0
     checks = {
         "ode<1e-12": res["ode_residual"] < 1e-12,

@@ -122,6 +122,7 @@ def _numbers_in(obj) -> list[float]:
 def test_low_quadrature_order_integrates_the_closed_forms_exactly(tmp_path, sub):
     # the closed-form fields' integrands are integrated at an order derived
     # from the profile degrees, so low orders give the order-16 results
+    # (verify-explicit does not read quadrature_order at all)
     base = {"basis": {"degree": 5}}
     code, ref, _ = run_cli([sub], tmp_path, {**base, "quadrature_order": 16})
     assert code == 0
@@ -426,9 +427,22 @@ def test_verify_explicit(tmp_path):
     assert report["results"]["ode_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("cfg", [{}, {"beta": 0.0}, {"phi_coeffs": [0.0]},
+                                 {"psi_coeffs": [], "beta": 0.5}])
+def test_verify_explicit_residual_bounds_are_exact_zeros(tmp_path, cfg):
+    # the closed form's coefficients are exact binary fractions on these
+    # profiles, so each residual polynomial cancels to exact zeros
+    code, report, _ = run_cli(["verify-explicit"], tmp_path, cfg)
+    assert code == 0
+    for key in ("ode_residual", "biharmonic_residual", "euler_lagrange_interior",
+                "boundary_traction"):
+        assert report["results"][key] == 0.0, key
+
+
 def test_verify_explicit_catches_a_wrong_field(tmp_path, monkeypatch):
     # p(s) + 1e-3 s and w(z) + 1e-3 z^3 break the interior equilibrium and
-    # the traction-free boundary: both residuals read it, and the run exits 4
+    # the traction-free boundary: every residual of u0 reads it, and the
+    # run exits 4
     exact = limits.explicit_minimizers
 
     def perturbed(spec):
@@ -441,6 +455,8 @@ def test_verify_explicit_catches_a_wrong_field(tmp_path, monkeypatch):
     assert code == 4
     assert report["results"]["euler_lagrange_interior"] == pytest.approx(0.063, rel=0.05)
     assert report["results"]["boundary_traction"] == pytest.approx(0.003, rel=0.05)
+    assert report["results"]["ode_residual"] == pytest.approx(0.008, rel=0.05)
+    assert report["results"]["biharmonic_residual"] == pytest.approx(0.128, rel=0.05)
 
 
 def test_solve_linear_and_limit(tmp_path):

@@ -6,7 +6,8 @@ closed-form fields' integrals are formed from sums over a rule term's planar
 and axial factors.  Each is checked here against the explicit weighted sum
 over a rule's nodes, at 1e-14 (placement moments) or 1e-13 of the
 quantity's scale.  The coefficient-array profile algebra is checked against
-the same formulas written with ``numpy.polynomial.Polynomial``.
+the same formulas written with ``numpy.polynomial.Polynomial``, and the
+residual bounds against the polynomials' maxima on a grid.
 """
 
 import numpy as np
@@ -15,17 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from conftest import body_force_at, node_moment
+from conftest import SurfaceRule, at_points, body_force_at, node_moment, surface_quadrature
 from traction_gap import cli, galerkin, limits, loads
 from traction_gap.energy import strain
 from traction_gap.galerkin import build_space, load_moments
-from traction_gap.geometry import (
-    Domain,
-    QuadratureRule,
-    exact_order,
-    surface_quadrature,
-    volume_quadrature,
-)
+from traction_gap.geometry import Domain, QuadratureRule, exact_order, volume_quadrature
 from traction_gap.limits import (
     DECOMPOSITION_THETAS,
     StructuredField,
@@ -33,6 +28,7 @@ from traction_gap.limits import (
     nonuniqueness_check,
     quadratic_energy,
     rotated_energy_value,
+    verify_explicit,
 )
 from traction_gap.loads import LoadSpec, compatibility_report, default_rules, placement_moments
 from traction_gap.profiles import (
@@ -40,6 +36,7 @@ from traction_gap.profiles import (
     axial_displacement_profile,
     axial_strain_integral,
     biharmonic_residual,
+    coefficient_bound,
     planar_profile,
     radial_conditions,
     radial_displacement_profile,
@@ -69,7 +66,7 @@ def _close(got, want, scale):
 # -- the loads' moments ------------------------------------------------------------
 
 
-def _sphere_rule(n: int) -> QuadratureRule:
+def _sphere_rule(n: int) -> SurfaceRule:
     """The unit sphere with outward normals: Gauss in z times 2n angles,
     exact for polynomials of degree 2n - 1."""
     z, wz = np.polynomial.legendre.leggauss(n)
@@ -77,7 +74,7 @@ def _sphere_rule(n: int) -> QuadratureRule:
     Z, TH = np.meshgrid(z, th, indexing="ij")
     rho = np.sqrt(1.0 - Z ** 2)
     pts = np.stack([rho * np.cos(TH), rho * np.sin(TH), Z], axis=-1).reshape(-1, 3)
-    return QuadratureRule(pts, np.repeat(wz, 2 * n) * np.pi / n, normals=pts)
+    return SurfaceRule(pts, np.repeat(wz, 2 * n) * np.pi / n, normals=pts)
 
 
 MOMENT_LOADS = {
@@ -159,7 +156,7 @@ def test_load_moments_are_the_node_force_contraction_bit_for_bit(name):
 
 
 def _node_strains(field, rule):
-    return strain(field.at_points(rule.points)[1])
+    return strain(at_points(field, rule.points)[1])
 
 
 def _norm_sq(E, w):
@@ -184,7 +181,7 @@ def test_decomposition_values_match_the_node_sums(beta):
     f = body_force_at(spec, vol.points)
     for theta in DECOMPOSITION_THETAS:
         field = sol.minimizer_field(theta)
-        values, grads = field.at_points(vol.points)
+        values, grads = at_points(field, vol.points)
         work = float(vol.weights @ np.einsum("ni,ni->n", f, values @ rotation_about_z(theta).T))
         want = 4.0 * _norm_sq(strain(grads), vol.weights) - work
         _close(rotated_energy_value(spec, field, theta, rules), want, abs(want))
@@ -199,8 +196,8 @@ def test_pressure_work_matches_the_surface_node_sum():
     vol, surf = rules.volume, surface_quadrature(load.domain, 16)
     for theta in DECOMPOSITION_THETAS:
         field = sol.minimizer_field(theta)
-        values, grads = field.at_points(vol.points)
-        Y = node_moment(load, rules, values, surf, field.at_points(surf.points)[0])
+        values, grads = at_points(field, vol.points)
+        Y = node_moment(load, rules, values, surf, at_points(field, surf.points)[0])
         want = 4.0 * _norm_sq(strain(grads), vol.weights) - float(np.sum(rotation_about_z(theta) * Y))
         _close(rotated_energy_value(load, field, theta, rules), want, abs(want))
 
@@ -230,7 +227,7 @@ def test_nonuniqueness_values_and_norms_match_the_node_sums():
     _close(res.strain_norm, norm, norm)
     _close(res.strain_distance, distance, distance)
     for fld, got in ((u_star, res.value_at_minimizer), (u_hat, res.value_at_mirror)):
-        Y = node_moment(PRESET, rules, fld.at_points(vol.points)[0])
+        Y = node_moment(PRESET, rules, at_points(fld, vol.points)[0])
         _, R = best_axis_rotation(Y, report.axis)
         want = 4.0 * _norm_sq(_node_strains(fld, vol), vol.weights) - float(np.sum(R * Y))
         _close(got, want, abs(want))
@@ -268,27 +265,20 @@ def test_non_finite_work_is_a_load_error():
 def test_closed_form_subcommands_stay_on_the_factors(tmp_path, monkeypatch):
     # check-loads, gap-report, verify-explicit and nonuniqueness evaluate the
     # force and the structured fields on factors of at most 2 n^2 points, the
-    # planar factor of the largest rule they use (order n = quadrature_order);
-    # the only 3D points a field is evaluated at are the surface rule's nodes
-    order = cli.DEFAULT_CONFIG["quadrature_order"]
-    largest = 2 * order * order
-    surface = len(surface_quadrature(Domain.cylinder(), order))
-    sizes, surface_sizes, in_at_points = [], [], []
+    # planar factor of the largest rule they use (order n = quadrature_order,
+    # or verify-explicit's exact order, which takes no floor); a field has no
+    # 3D evaluation, and 3D points given to its factors would number N_P N_z
+    sol = explicit_minimizers(PRESET)
+    largest = {sub: 2 * cli.DEFAULT_CONFIG["quadrature_order"] ** 2
+               for sub in ("gap-report", "nonuniqueness")}
+    largest["verify-explicit"] = 2 * sol.exact_order ** 2
+    sizes = []
 
     def recording(fn, count):
         def wrapped(*args):
-            if not in_at_points:  # the planar and axial calls of at_points are its own
-                sizes.append(count(args))
+            sizes.append(count(args))
             return fn(*args)
         return wrapped
-
-    def at_points(field, points, original=StructuredField.at_points):
-        surface_sizes.append(len(points))
-        in_at_points.append(True)
-        try:
-            return original(field, points)
-        finally:
-            in_at_points.pop()
 
     forces = recording(loads.factor_forces, lambda a: max(a[1][0][0].size, a[1][1][0].size))
     for module in (loads, limits, galerkin):
@@ -296,17 +286,15 @@ def test_closed_form_subcommands_stay_on_the_factors(tmp_path, monkeypatch):
     for name in ("planar", "axial"):
         monkeypatch.setattr(StructuredField, name,
                             recording(getattr(StructuredField, name), lambda a: a[1].size))
-    monkeypatch.setattr(StructuredField, "at_points", at_points)
+    assert not hasattr(StructuredField, "at_points")
     for sub in ("check-loads", "gap-report", "verify-explicit", "nonuniqueness"):
         sizes.clear()
-        surface_sizes.clear()
         assert cli.main([sub, "--out", str(tmp_path / sub)]) == 0
         if sub == "check-loads":  # the moments are closed forms
-            assert not sizes and not surface_sizes
+            assert not sizes
             continue
         assert sizes, sub
-        assert max(sizes) <= largest, sub
-        assert max(surface_sizes, default=0) <= surface, sub
+        assert max(sizes) <= largest[sub], sub
 
 
 # -- the profile algebra -------------------------------------------------------------
@@ -371,11 +359,11 @@ def test_profile_algebra_matches_numpy_polynomial(t, psi_tail):
 
     # both residuals vanish identically: their scale is that of the terms that cancel
     ode = [r * r * d.deriv(), r * d, -want, 0.125 * r * r * dphi]
-    _close(radial_ode_residual(eta, phi, grid), np.max(np.abs(sum(ode)(grid))),
+    _close(Polynomial(radial_ode_residual(eta, phi))(grid), sum(ode)(grid),
            sum(np.max(np.abs(term(grid))) for term in ode))
     biharmonic = [8.0 * _reference_laplacian(_reference_laplacian(want.integ(lbnd=0.0))),
                   _reference_laplacian(phi)]
-    _close(biharmonic_residual(eta, phi, grid), np.max(np.abs(sum(biharmonic)(grid))),
+    _close(Polynomial(biharmonic_residual(eta, phi))(grid), sum(biharmonic)(grid),
            sum(np.max(np.abs(term(grid))) for term in biharmonic))
 
     # an axial profile of zero mean: psi = tail - its mean
@@ -389,3 +377,28 @@ def test_profile_algebra_matches_numpy_polynomial(t, psi_tail):
     _close(w.coef, want_w.coef, psi_scale)
     dw = want_w.deriv()
     _close(axial_strain_integral(w), (dw * dw).integ()(1.0), psi_scale ** 2)
+
+
+# -- the residual bounds -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=13))
+def test_coefficient_bound_dominates_the_maximum(c):
+    # |c_k r^k| <= |c_k| on [0, 1]; the slack covers the round-off of the two sums
+    grid = np.linspace(0.0, 1.0, 10_000)
+    bound = coefficient_bound(c)
+    assert float(np.max(np.abs(Polynomial(c)(grid)))) <= bound * (1.0 + 1e-14)
+
+
+def test_residual_bounds_are_round_off_on_admissible_profiles():
+    # random even admissible phi of degree 10 with psi = 0.3 (z - 1/2): the
+    # closed form solves the equations, and every bound reads round-off
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        spec = LoadSpec(phi_coeffs=tuple(_admissible_phi(list(rng.normal(size=4))).coef),
+                        psi_coeffs=(-0.15, 0.3))
+        res = verify_explicit(spec)
+        for key in ("ode_residual", "biharmonic_residual", "euler_lagrange_interior",
+                    "boundary_traction"):
+            assert res[key] <= 1e-12, key

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import node_moment, random_rotations
+from conftest import node_moment, random_rotations, surface_quadrature
 from traction_gap.galerkin import (
     KERNEL_EIGENVALUE_CUT,
     AssemblyError,
@@ -23,7 +23,7 @@ from traction_gap.galerkin import (
 )
 from traction_gap.energy import strain
 from traction_gap.geometry import (Domain, QuadratureRule, _tensor_rule, exact_order,
-                                   surface_quadrature, volume_quadrature)
+                                   volume_quadrature)
 from traction_gap.loads import (
     LoadRules,
     LoadSpec,

@@ -3,13 +3,13 @@ from math import gamma
 import numpy as np
 import pytest
 
+from conftest import surface_quadrature
 from traction_gap.geometry import (
     ORDER_CAP,
     Domain,
     IntegrationError,
     exact_order,
     gauss_legendre,
-    surface_quadrature,
     volume_quadrature,
 )
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import body_force_at, node_moment, random_rotations
+from conftest import body_force_at, node_moment, random_rotations, surface_quadrature
 from traction_gap import geometry, loads
 from traction_gap.galerkin import assemble, build_space
-from traction_gap.geometry import Domain, surface_quadrature
+from traction_gap.geometry import Domain
 from traction_gap.loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
