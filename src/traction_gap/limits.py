@@ -34,9 +34,10 @@ bound; otherwise the report says so rather than asserting the inequality.
 The relaxed minimum minimizes the per-rotation Galerkin value
 m(R) = -vec(R)' Q vec(R) / 2 over the rotation kernel: in closed form about a
 kernel axis, where m is a trigonometric polynomial of degree 2 in the angle;
-by a quaternion grid and Procrustes ascent on the full SO(3) kernel, where
-Q is positive semidefinite and every step of the ascent is the exact
-maximizer of the tangent plane of the convex -m, so no step raises m.
+on the full SO(3) kernel by a quaternion grid and a polish loop that takes,
+per start, the lower of a Procrustes step and a Riemannian Newton step.  Q is
+positive semidefinite there, and the Procrustes step is the exact maximizer
+of the tangent plane of the convex -m, so no step raises m beyond round-off.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .profiles import (
 )
 from .rotations import (
     best_axis_rotation,
+    exp_so3,
     nearest_rotation,
     rotation_about_z,
     rotation_angle,
@@ -94,10 +96,14 @@ from .rotations import (
 
 DEFAULT_DEGREE = 8
 SO3_GRID = 6  # quaternion grid points per coordinate and cube face (4 * 6^3 rotations)
-POLISH_STARTS = 8  # lowest grid rotations refined by Procrustes ascent
-# the ascent converges linearly, slowly where the minimum is nearly flat: one
-# random positive semidefinite Q in 400 needed 1489 steps
-ASCENT_MAX_STEPS = 10_000
+POLISH_STARTS = 8  # lowest grid rotations refined together by the polish loop
+# on 9000 random positive semidefinite forms (of every rank, and I + d A A'
+# with d down to 1e-8) the loop took 5 steps in the median and at most 21
+POLISH_MAX_STEPS = 100
+NEWTON_RCOND = 1e-10  # |H|^+ drops the eigenvalues below this share of the largest
+# a longer Newton step can overshoot where m is far from quadratic: without
+# this cap 214 of 1000 of those nearly flat forms took over 3000 steps
+NEWTON_MAX_STEP = 0.25  # radians
 # round-off level of m relative to sum |Q_ij|, and of a rotation's entries
 ROUNDOFF_TOL = 1e-14
 
@@ -373,10 +379,17 @@ def _quaternion_grid() -> np.ndarray:
     ], axis=-1).reshape(-1, 3, 3)
 
 
+SO3_ROTATIONS = _quaternion_grid()
+GENERATORS = skew_from_axis(np.eye(3))  # W_i: rotations about the coordinate axes
+# vec(W_i W_j + W_j W_i), row 3 i + j
+GENERATOR_PRODUCTS = (GENERATORS[:, None] @ GENERATORS[None]
+                      + GENERATORS[None] @ GENERATORS[:, None]).reshape(9, 9)
+
+
 def _rotation_values(Q: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """m(R) = -vec(R)' Q vec(R) / 2 for a stack of rotations (n, 3, 3)."""
     v = rotations.reshape(-1, 9)
-    return -0.5 * np.einsum("ni,ij,nj->n", v, Q, v)
+    return -0.5 * ((v @ Q) * v).sum(1)
 
 
 def _axis_minimum(Q: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -404,28 +417,63 @@ def _axis_minimum(Q: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return candidates[np.flatnonzero(values <= values.min() + tol)[0]]
 
 
+def _tangent_derivatives(Q: np.ndarray, R: np.ndarray,
+                         G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (n, 3) and Hessian (n, 3, 3) of t -> m(R exp(sum_i t_i W_i))
+    at t = 0, for a stack R (n, 3, 3) with G = mat(Q vec R).
+
+    d vec(R exp) = vec(R W_i) = V_i and d^2 = vec(R (W_i W_j + W_j W_i)) / 2,
+    and <G, R M> = <A, M> with A = R' G, so g_i = -<A, W_i> and
+    H_ij = -V_i' Q V_j - <A, W_i W_j + W_j W_i> / 2.
+    """
+    A = (np.swapaxes(R, -1, -2) @ G).reshape(-1, 9)
+    V = (R[:, None] @ GENERATORS).reshape(-1, 3, 9)
+    grad = -A @ GENERATORS.reshape(3, 9).T
+    hess = -V @ Q @ np.swapaxes(V, -1, -2) - 0.5 * (A @ GENERATOR_PRODUCTS).reshape(-1, 3, 3)
+    return grad, hess
+
+
 def _search(Q: np.ndarray) -> np.ndarray:
     """Rotation of SO(3) minimizing m(R), where m is a quartic form in the
     unit quaternion and has no closed-form minimum.
 
     m is evaluated on every rotation of the quaternion grid, and the
-    POLISH_STARTS lowest are refined together by Procrustes ascent,
-    R <- nearest_rotation(mat(Q vec R)), until no entry of R moves by more
-    than ROUNDOFF_TOL (at most ASCENT_MAX_STEPS steps); the lowest refined
-    rotation is returned.  On a full-SO(3) kernel Q is positive
+    POLISH_STARTS lowest are refined together.  Each step computes, per
+    start, the Procrustes step P = nearest_rotation(mat(Q vec R)) and the
+    Newton step N = R exp(-|H|^+ g) in the exponential chart at R, shortened
+    to NEWTON_MAX_STEP radians.  On a full-SO(3) kernel Q is positive
     semidefinite, so -m is convex and lies above its tangent plane at R,
-    <mat(Q vec R), R' - R>; the step maximizes that plane over SO(3) and can
-    therefore never raise m.  Its fixed points are stationary points of m.
+    <mat(Q vec R), R' - R>; P maximizes that plane over SO(3) and therefore
+    never raises m.  N is kept where m(N) < m(P) + tol, tol the round-off
+    level of m, so no step raises m beyond round-off: near a minimum m(N)
+    and m(P) tie within round-off and N converges faster, while a flat form
+    (no loads) has N = R and must take P.  |H|^+ inverts the magnitudes of
+    the Hessian's eigenvalues above NEWTON_RCOND of the largest; the
+    minimizers can form a family, where H is singular.  The loop stops when P
+    moves no entry of any start by more than ROUNDOFF_TOL, so every start
+    ends at a fixed point of P, a stationary point of m, and the lowest is
+    returned; SolverError if POLISH_MAX_STEPS steps do not get there.
     """
-    grid = _quaternion_grid()
-    R = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:POLISH_STARTS]]
-    for _ in range(ASCENT_MAX_STEPS):
-        step = nearest_rotation(np.einsum("ij,nj->ni", Q, R.reshape(-1, 9)).reshape(-1, 3, 3))[0]
-        moved = np.max(np.abs(step - R))
-        R = step
-        if moved <= ROUNDOFF_TOL:
-            break
-    return R[int(np.argmin(_rotation_values(Q, R)))]
+    tol = ROUNDOFF_TOL * float(np.abs(Q).sum())
+    R = SO3_ROTATIONS[np.argsort(_rotation_values(Q, SO3_ROTATIONS), kind="stable")[:POLISH_STARTS]]
+    for _ in range(POLISH_MAX_STEPS):
+        G = (R.reshape(-1, 9) @ Q.T).reshape(-1, 3, 3)
+        P = nearest_rotation(G)[0]
+        if np.max(np.abs(P - R)) <= ROUNDOFF_TOL:
+            return P[int(np.argmin(_rotation_values(Q, P)))]
+        grad, hess = _tangent_derivatives(Q, R, G)
+        lam, U = np.linalg.eigh(hess)
+        size = np.abs(lam)
+        inverse = np.divide(1.0, size, out=np.zeros_like(size),
+                            where=size > NEWTON_RCOND * size.max(axis=1, keepdims=True))
+        t = -(U @ (inverse * (grad[:, None] @ U)[:, 0])[..., None])[..., 0]
+        length = np.linalg.norm(t, axis=1, keepdims=True)
+        t *= NEWTON_MAX_STEP / np.maximum(length, NEWTON_MAX_STEP)
+        N = R @ exp_so3(t)
+        keep = _rotation_values(Q, N) < _rotation_values(Q, P) + tol
+        R = np.where(keep[:, None, None], N, P)
+    raise SolverError(f"the SO(3) kernel search reached no Procrustes fixed point "
+                      f"in {POLISH_MAX_STEPS} steps")
 
 
 def min_limit(

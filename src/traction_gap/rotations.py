@@ -1,8 +1,9 @@
 """3D rotations from axis vectors, nearest-rotation projection, and the
 quadratic-to-p-growth coercivity profile.
 
-Matrix arguments are plain (3, 3) float64 numpy arrays; ``nearest_rotation``
-also takes stacks (..., 3, 3).
+Matrix arguments are plain (3, 3) float64 numpy arrays; ``skew_from_axis``
+and ``exp_so3`` also take stacks of axis vectors (..., 3), and
+``nearest_rotation`` stacks of matrices (..., 3, 3).
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ IDENTITY = np.eye(3)
 
 
 def skew_from_axis(omega: np.ndarray) -> np.ndarray:
-    """Skew matrix W with W x = omega x x."""
-    wx, wy, wz = omega
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    """Skew matrix W with W x = omega x x, over any leading axes."""
+    omega = np.asarray(omega, dtype=float)
+    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
+    W = np.zeros(omega.shape + (3,))
+    W[..., 0, 1], W[..., 0, 2], W[..., 1, 2] = -wz, wy, -wx
+    W[..., 1, 0], W[..., 2, 0], W[..., 2, 1] = wz, -wy, wx
+    return W
 
 
 def _rodrigues(W: np.ndarray, theta: float) -> np.ndarray:
@@ -24,14 +29,16 @@ def _rodrigues(W: np.ndarray, theta: float) -> np.ndarray:
 
 
 def exp_so3(omega: np.ndarray) -> np.ndarray:
-    """Exponential map so(3) -> SO(3) for an arbitrary axis-angle vector."""
+    """Exponential map so(3) -> SO(3) of axis-angle vectors, over any leading
+    axes: Rodrigues' formula on the unit axis, and below an angle of 1e-12
+    the second-order series I + W + W^2 / 2, exact enough there."""
     omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
-    if theta < 1e-12:
-        W = skew_from_axis(omega)
-        # second-order series; exact enough below the branch cut
-        return IDENTITY + W + 0.5 * (W @ W)
-    return _rodrigues(skew_from_axis(omega / theta), theta)
+    theta = np.linalg.norm(omega, axis=-1, keepdims=True)
+    small = theta < 1e-12
+    W = skew_from_axis(omega / np.where(small, 1.0, theta))
+    theta, small = theta[..., None], small[..., None]
+    return (IDENTITY + np.where(small, 1.0, np.sin(theta)) * W
+            + np.where(small, 0.5, 1.0 - np.cos(theta)) * (W @ W))
 
 
 def rotation_about_z(theta: float) -> np.ndarray:

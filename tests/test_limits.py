@@ -6,13 +6,14 @@ from numpy.polynomial import Polynomial
 
 from conftest import at_points, node_moment, surface_quadrature
 from traction_gap.energy import strain
-from traction_gap.galerkin import assemble, build_space, divergence_free, solve_quadratic
+from traction_gap.galerkin import SolverError, assemble, build_space, divergence_free, solve_quadratic
 from traction_gap.geometry import Domain, volume_quadrature
 from traction_gap import cli, limits
 from traction_gap.limits import (
     _axis_minimum,
     _rotation_values,
     _search,
+    _tangent_derivatives,
     explicit_minimizers,
     gap_report,
     min_limit,
@@ -459,6 +460,108 @@ def test_search_is_a_procrustes_fixed_point_below_every_axis(rng):
         for axis in rng.normal(size=(10, 3)):
             R_axis = _axis_minimum(Q, axis / np.linalg.norm(axis))
             assert value <= _rotation_values(Q, R_axis[None])[0] + tol
+
+
+def _trigonometric_derivatives(f):
+    """f'(0) and f''(0) of f(s) = c0 + c1 cos s + d1 sin s + c2 cos 2s + d2 sin 2s
+    by central differences at the steps pi/4, pi/2 and pi, whose combination
+    cancels the truncation error of both frequencies."""
+    odd = {h: 0.5 * (f(h) - f(-h)) for h in (np.pi / 4, np.pi / 2)}  # d1 sin h + d2 sin 2h
+    even = {h: 0.5 * (f(h) + f(-h)) - f(0.0) for h in (np.pi / 2, np.pi)}
+    d1 = odd[np.pi / 2]
+    d2 = odd[np.pi / 4] - d1 * np.sin(np.pi / 4)
+    c1 = -0.5 * even[np.pi]  # c1 (cos h - 1) + c2 (cos 2h - 1)
+    c2 = -0.5 * (even[np.pi / 2] + c1)
+    return d1 + 2.0 * d2, -c1 - 4.0 * c2
+
+
+def _difference_derivatives(Q, R):
+    # along a unit axis u, s -> m(R exp(s W_u)) is a trigonometric polynomial
+    # of degree 2, with second derivative u' H u; H_ij follows by polarization
+    def along(u):
+        return _trigonometric_derivatives(
+            lambda s: _rotation_values(Q, (R @ exp_so3(s * u))[None])[0])
+
+    axes = np.eye(3)
+    grad, diag = np.array([along(u) for u in axes]).T
+    hess = np.diag(diag)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        hess[i, j] = hess[j, i] = along((axes[i] + axes[j]) / np.sqrt(2.0))[1] - 0.5 * (diag[i] + diag[j])
+    return grad, hess
+
+
+def test_batched_tangent_derivatives_match_the_reference_and_differences(rng):
+    # 20 (Q, R) pairs: 4 forms, positive semidefinite or indefinite, with a
+    # stack of 5 rotations each
+    for trial in range(4):
+        A = rng.normal(size=(9, 9))
+        Q = A @ A.T if trial % 2 else A + A.T
+        R = exp_so3(rng.uniform(-np.pi, np.pi, (5, 3)))
+        grad, hess = _tangent_derivatives(Q, R, (R.reshape(-1, 9) @ Q).reshape(-1, 3, 3))
+        for k, Rk in enumerate(R):
+            for g_ref, h_ref in (_rotation_derivatives(Q, Rk), _difference_derivatives(Q, Rk)):
+                assert np.linalg.norm(grad[k] - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+                assert np.linalg.norm(hess[k] - h_ref) <= 1e-12 * np.linalg.norm(h_ref)
+
+
+def _procrustes_ascent(Q):
+    """The plain Procrustes ascent from the search's grid starts, stopped by
+    the search's fixed-point test: the reference value of the search."""
+    grid = limits.SO3_ROTATIONS
+    R = grid[np.argsort(_rotation_values(Q, grid), kind="stable")[:limits.POLISH_STARTS]]
+    for _ in range(100_000):
+        step = nearest_rotation((R.reshape(-1, 9) @ Q).reshape(-1, 3, 3))[0]
+        if np.max(np.abs(step - R)) <= limits.ROUNDOFF_TOL:
+            return step[int(np.argmin(_rotation_values(Q, step)))]
+        R = step
+    raise AssertionError("the reference ascent did not converge")
+
+
+def test_search_matches_a_plain_procrustes_ascent(rng):
+    spec = LoadSpec.cylinder_preset(beta=0.0)
+    forms = [assemble(build_space("full", 6, Domain.cylinder()), spec).rotation_form]
+    for _ in range(100):
+        A = rng.normal(size=(9, rng.integers(1, 10)))
+        forms.append(A @ A.T)
+    for Q in forms:
+        value = _rotation_values(Q, _search(Q)[None])[0]
+        reference = _rotation_values(Q, _procrustes_ascent(Q)[None])[0]
+        assert abs(value - reference) <= 1e-14 * np.abs(Q).sum()
+
+
+def test_search_on_a_minimizer_family_takes_few_newton_steps(monkeypatch):
+    # at beta = 0 the minimizers form a family, where H is singular; |H|^+
+    # drops that direction and the loop ends in 3 Newton steps (10 without
+    # the cut, 65 Procrustes steps without Newton)
+    steps = []
+    monkeypatch.setattr(limits, "exp_so3", lambda t: steps.append(t) or exp_so3(t))
+    spec = LoadSpec.cylinder_preset(beta=0.0)
+    _search(assemble(build_space("full", 6, Domain.cylinder()), spec).rotation_form)
+    assert len(steps) <= 5
+
+
+def test_search_converges_on_nearly_flat_forms(rng):
+    # on SO(3), I adds the constant -3/2 to m: the search of I + d A A' ends
+    # at a fixed point as low as that of d A A', where the Procrustes step
+    # alone would move by about d per step
+    for d in 10.0 ** -np.arange(1, 9):
+        A = rng.normal(size=(9, 9))
+        Q = np.eye(9) + d * (A @ A.T)
+        R = _search(Q)
+        assert np.max(np.abs(_procrustes_step(Q, R) - R)) < 1e-13
+        value = _rotation_values(Q, R[None])[0]
+        flat = _rotation_values(Q, _search(d * (A @ A.T))[None])[0]
+        assert value <= flat + 1e-14 * np.abs(Q).sum()
+
+
+def test_search_out_of_steps_is_a_solver_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(limits, "POLISH_MAX_STEPS", 1)
+    config = tmp_path / "beta0.json"
+    config.write_text('{"beta": 0.0, "basis": {"degree": 6}}')
+    assert cli.main(["solve-limit", "--config", str(config), "--out", str(tmp_path / "so3")]) == 3
+    with pytest.raises(SolverError, match="in 1 steps"):
+        _search(assemble(build_space("full", 3, Domain.cylinder()),
+                         LoadSpec.cylinder_preset(beta=0.0)).rotation_form)
 
 
 def test_gap_report_on_a_full_so3_kernel_bounds_the_gap():

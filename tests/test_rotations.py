@@ -80,6 +80,17 @@ def test_exp_so3_matches_rodrigues():
         assert np.allclose(R1, R2, atol=1e-12)
 
 
+def test_exp_so3_of_a_stack_matches_single_calls(rng):
+    omega = rng.normal(size=(4, 5, 3)) * rng.uniform(0.0, np.pi, size=(4, 5, 1))
+    omega[0, :3] *= 1e-13  # below the series cut
+    omega[1, 0] = 0.0
+    R = exp_so3(omega)
+    assert R.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(*omega.shape[:2]):
+        assert np.max(np.abs(R[idx] - exp_so3(omega[idx]))) <= 1e-15
+    assert np.array_equal(exp_so3(omega[1, 0]), np.eye(3))
+
+
 def test_nearest_rotation_identity():
     R, dist = nearest_rotation(np.eye(3))
     assert np.allclose(R, np.eye(3))
