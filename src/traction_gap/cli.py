@@ -62,7 +62,9 @@ from .loads import (
     LoadError,
     LoadSpec,
     compatibility_report,
+    fibonacci_directions,
     reversed_compatibility_witness,
+    spin_form,
 )
 from .scaled import convergence_study
 
@@ -176,6 +178,7 @@ def validate_config(cfg: dict) -> dict:
         _require(type(value) is int and 1 <= value <= cap, path,  # bool is not a size
                  f"must be an integer in [1, {cap}]")
     hs = cfg["h_schedule"]
+    _require(len(hs) > 0, "h_schedule", "must have at least one entry")
     _require(all(0 < h < 1 for h in hs), "h_schedule", "entries must lie in (0, 1)")
     _require(all(b < a for a, b in zip(hs, hs[1:])), "h_schedule",
              "must be strictly decreasing")
@@ -235,42 +238,36 @@ def config_hash(cfg: dict) -> str:
 
 
 def _classify(spec, cfg) -> KernelReport:
-    """The load's rotation kernel with the config's samples and tolerance;
-    every subcommand that needs it classifies once, here."""
-    return compatibility_report(spec, samples=cfg["kernel_samples"],
-                                tol=cfg["tolerances"]["classification"])
+    """The load's rotation kernel with the config's tolerance; every
+    subcommand that needs it classifies once, here."""
+    return compatibility_report(spec, tol=cfg["tolerances"]["classification"])
+
+
+def _kernel_leaves(rep: KernelReport) -> dict:
+    return {
+        "classification": rep.classification,
+        "axis": rep.axis,
+        "resultant": rep.resultant,
+        "momentum_max": rep.momentum_max,
+        "spin_form_eigenvalues": rep.eigenvalues,
+    }
 
 
 def _cmd_check_loads(spec, cfg):
     rep = _classify(spec, cfg)
     witness = reversed_compatibility_witness(rep.moments, tol=rep.tol)
-    results = {
-        "classification": rep.classification,
-        "axis": rep.axis,
-        "resultant": rep.resultant,
-        "momentum_max": rep.momentum_max,
-        "w2_min": min(rep.w2_values.values()),
-        "w2_max": rep.w2_max,
-        "spin_form_eigenvalues": rep.eigenvalues,
-        "reversed_witness": witness,
-    }
-    return results, None, 0
+    return {**_kernel_leaves(rep), "reversed_witness": witness}, None, 0
 
 
 def _cmd_kernel(spec, cfg):
+    """The kernel leaves, and the spin form d' M d on ``kernel_samples``
+    Fibonacci axes d (rounded to 12 digits) as the CSV."""
     rep = _classify(spec, cfg)
-    rows = [("wx", "wy", "wz", "work_quadratic")] + [
-        (d[0], d[1], d[2], v) for d, v in rep.w2_values.items()
-    ]
-    results = {
-        "classification": rep.classification,
-        "axis": rep.axis,
-        "resultant": rep.resultant,
-        "momentum_max": rep.momentum_max,
-        "spin_form_eigenvalues": rep.eigenvalues,
-        "samples": len(rep.w2_values),
-    }
-    return results, rows, 0
+    dirs = fibonacci_directions(cfg["kernel_samples"])
+    vals = np.einsum("ni,ij,nj->n", dirs, spin_form(rep.moments), dirs)
+    samples = dict(zip(map(tuple, np.round(dirs, 12).tolist()), vals.tolist()))
+    rows = [("wx", "wy", "wz", "work_quadratic")] + [(*d, v) for d, v in samples.items()]
+    return {**_kernel_leaves(rep), "samples": len(samples)}, rows, 0
 
 
 def _cmd_solve_linear(spec, cfg):

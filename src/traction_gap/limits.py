@@ -25,8 +25,8 @@ relaxed and linear minima):
   balances the loads (-div sigma = f, sigma n = lambda n), so for every
   divergence-free u the work is L(u) = integral of 8 dev E(u0) : E(u), and
   pointwise 4 |E(u)|^2 - 8 dev E(u0) : E(u) >= -4 |dev E(u0)|^2, giving
-  EI >= -4 * integral of |dev E(u0)|^2.  The integrand is a polynomial,
-  integrated exactly.
+  EI >= -4 * integral of |dev E(u0)|^2, which is (2/3) min_E plus terms in
+  eta(1) that admissibility makes zero (``min_incompressible_lower``).
 
 The gap is certified when the upper bound falls strictly below the lower
 bound; otherwise the report says so rather than asserting the inequality.
@@ -58,7 +58,7 @@ from .galerkin import (
     divergence_free,
     solve_quadratic,
 )
-from .geometry import Domain, QuadratureRule, exact_order, volume_quadrature
+from .geometry import QuadratureRule, exact_order, volume_quadrature
 from .loads import (
     AXIS_SUBGROUP,
     FULL_SO3,
@@ -220,22 +220,15 @@ class ExplicitSolution:
     @property
     def min_incompressible_lower(self) -> float:
         """-4 * integral of |dev E(u0)|^2, a proven lower bound of the
-        divergence-free linear minimum (module docstring).
+        divergence-free linear minimum (module docstring), in closed form.
 
-        The quadrature order follows from the profile degrees alone: the
-        planar strain has degree 2 deg p in (x, y), squared 4 deg p; the axial
-        strain squared has degree 2 deg w - 2.  On the rule's factors,
-        |dev E|^2 = |E|^2 - (tr E)^2 / 3 with tr E = tr E_P + w', whose square
-        integrates to W_z sum w_p (tr E_P)^2 + 2 (sum w_p tr E_P)(sum w_z w')
-        + W_p sum w_z w'^2.
+        With E(u0) = diag(eta', eta / r, w'), (tr E)^2 - |E|^2 integrates over
+        the unit cylinder to 2 pi eta(1)^2 + 4 pi eta(1) (w(1) - w(0)), and
+        |dev E|^2 = |E|^2 - (tr E)^2 / 3, where -4 * integral of |E|^2 is min_E.
+        Admissible loads have eta(1) = p(1) = 0, up to round-off.
         """
-        degree = max(4 * self.planar.degree(), 2 * self.axial.degree() - 2)
-        factors = _on_factors(self.u0, volume_quadrature(Domain.cylinder(), exact_order(degree)))
-        (((_, _, pw), (_, zw)), (_, G), (_, dw)), = factors
-        tr = G[:, 0, 0] + G[:, 1, 1]
-        trace_sq = (np.sum(zw) * float(pw @ (tr * tr)) + 2.0 * float(pw @ tr) * float(zw @ dw)
-                    + np.sum(pw) * float(zw @ (dw * dw)))
-        return QUADRATIC_SCALE * trace_sq / 3.0 - _energy(factors)
+        eta_1, rise = float(self.planar(1.0)), float(self.axial(1.0) - self.axial(0.0))
+        return (2.0 * self.min_linear_value + 8.0 * np.pi * eta_1 * (eta_1 + 2.0 * rise)) / 3.0
 
     def min_rotated_value(self, theta: float) -> float:
         c, s = np.cos(theta), np.sin(theta)

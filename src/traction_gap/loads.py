@@ -24,8 +24,8 @@ classification data is carried by the moment matrix T_ij = L(x_j e_i):
     L(W x)       = <W, T>            for skew W,
     L(W^2 x)     = omega' M omega,   M = sym T - tr(T) I,
 
-where omega is the rotation axis of W.  The report combines a sampled
-sweep of unit axes with the eigenvalue structure of M.  The work
+where omega is the rotation axis of W.  The report classifies by the
+exact eigenvalues of M, with no sampling.  The work
 <R - I, T> is linear in R, so the rotation doing the most of it is the
 Procrustes rotation of T, which ``reversed_compatibility_witness`` returns.
 
@@ -247,40 +247,33 @@ class KernelReport:
     moments: np.ndarray  # T, the moment matrix classified
     resultant: np.ndarray
     momentum_max: float
-    w2_values: dict[tuple[float, float, float], float]
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # of the spin form M, ascending
     tol: float
 
-    @property
-    def w2_max(self) -> float:
-        return max(self.w2_values.values())
+
+def spin_form(T: np.ndarray) -> np.ndarray:
+    """M = sym T - tr(T) I, with L(W^2 x) = omega' M omega."""
+    return 0.5 * (T + T.T) - np.trace(T) * np.eye(3)
 
 
-def compatibility_report(load, samples: int = 200,
-                         tol: float = CLASSIFICATION_TOL) -> KernelReport:
+def compatibility_report(load, tol: float = CLASSIFICATION_TOL) -> KernelReport:
     """Classify the rotation kernel of the load functional from its moment
     matrix and resultant (``classify_moments``)."""
-    return classify_moments(*placement_moments(load), samples, tol)
+    return classify_moments(*placement_moments(load), tol)
 
 
-def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
+def classify_moments(T: np.ndarray, res: np.ndarray,
                      tol: float = CLASSIFICATION_TOL) -> KernelReport:
     """The rotation kernel of the loads with moment matrix T and resultant res.
 
-    The sampled sweep fills the diagnostics; the classification itself
-    uses the exact quadratic form M of the spin directions, whose
-    eigenstructure separates the four cases.  Loads folded by a rotation R,
-    v -> L(R v), have the moments R' T and R' res.
+    The exact quadratic form M of the spin directions has the extremes of
+    omega' M omega over unit axes as its eigenvalues, and its eigenstructure
+    separates the four cases.  Loads folded by a rotation R, v -> L(R v),
+    have the moments R' T and R' res.
     """
     momentum = np.array([float(np.sum(skew_from_axis(np.eye(3)[k]) * T)) for k in range(3)])
     momentum_max = float(np.max(np.abs(momentum)))
-    M = 0.5 * (T + T.T) - np.trace(T) * np.eye(3)
-
-    dirs = fibonacci_directions(samples)
-    vals = np.einsum("ni,ij,nj->n", dirs, M, dirs)
-    w2_values = dict(zip(map(tuple, np.round(dirs, 12).tolist()), vals.tolist()))
-
-    eigvals, eigvecs = np.linalg.eigh(M)  # ascending
+    eigvals, eigvecs = np.linalg.eigh(spin_form(T))  # ascending
     axis = None
     if float(np.linalg.norm(res)) > tol or momentum_max > tol or eigvals[-1] > tol:
         cls = INCOMPATIBLE
@@ -295,8 +288,7 @@ def classify_moments(T: np.ndarray, res: np.ndarray, samples: int = 200,
     else:
         cls = IDENTITY_ONLY
     return KernelReport(classification=cls, axis=axis, moments=T, resultant=res,
-                        momentum_max=momentum_max, w2_values=w2_values, eigenvalues=eigvals,
-                        tol=tol)
+                        momentum_max=momentum_max, eigenvalues=eigvals, tol=tol)
 
 
 def reversed_compatibility_witness(T: np.ndarray, tol: float = CLASSIFICATION_TOL) -> np.ndarray | None:

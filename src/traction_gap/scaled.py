@@ -354,8 +354,8 @@ def convergence_study(
     descent steps, rejected Armijo trials and each round's descent stop reason.
     """
     hs = tuple(h_schedule)
-    if not all(0.0 < h < 1.0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("h schedule must be strictly decreasing in (0, 1)")
+    if not hs or not all(0.0 < h < 1.0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("h schedule must be nonempty and strictly decreasing in (0, 1)")
     report = compatibility_report(spec) if report is None else report
     if report.classification == INCOMPATIBLE:
         raise SolverError("convergence study requires compatible loads")

@@ -11,6 +11,17 @@ from traction_gap.loads import LoadSpec, default_rules
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
+# phi(r) = q(r^2), q(s) = 40 s^4 - 60 s^3 - 9 s^2 + 38 s - 9: an even degree-8
+# member of the two-parameter admissible family, phi(1) = phi'(1) = 0 and
+# integral_0^1 r^2 phi'(r) dr = 0
+PHI_DEGREE_8 = (-9.0, 0.0, 38.0, 0.0, -9.0, 0.0, -60.0, 0.0, 40.0)
+# loads for the checks of the incompressible dual bound: the preset at three
+# axial strengths beta, and PHI_DEGREE_8 with psi = beta (z - 1/2)
+DUAL_BOUND_LOADS = [pytest.param(LoadSpec.cylinder_preset(beta=b), id=str(b))
+                    for b in (0.01, 0.0, 3.0)] + [
+    pytest.param(LoadSpec(phi_coeffs=PHI_DEGREE_8, psi_coeffs=(-0.5 * b, b) if b else ()),
+                 id=f"degree8-{b}") for b in (0.0, 0.3)]
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:

@@ -689,6 +689,15 @@ def test_nonlinear_study_on_the_ball_is_a_config_error(tmp_path, capsys):
     assert "cylinder profile loads" in capsys.readouterr().err
 
 
+def test_empty_h_schedule_is_a_config_error(tmp_path, capsys):
+    # an empty schedule would build the nonlinear context and write an empty table
+    code, report, out = run_cli(["nonlinear-study"], tmp_path, {"h_schedule": []})
+    assert code == 2
+    assert report is None
+    assert not (out / "report.csv").exists()
+    assert "h_schedule" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [{"basis": {"degree": 10 ** 6}}, {"basis": {"degree": 13}},
                                  {"nonlinear_degree": 10 ** 9}, {"nonlinear_degree": 7},
                                  {"quadrature_order": 10 ** 9}, {"quadrature_order": 33},

@@ -10,13 +10,16 @@ the same formulas written with ``numpy.polynomial.Polynomial``, and the
 residual bounds against the polynomials' maxima on a grid.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from conftest import SurfaceRule, at_points, body_force_at, node_moment, surface_quadrature
+from conftest import (DUAL_BOUND_LOADS, SurfaceRule, at_points, body_force_at, node_moment,
+                      surface_quadrature)
 from traction_gap import cli, galerkin, limits, loads
 from traction_gap.energy import strain
 from traction_gap.galerkin import build_space, load_moments
@@ -202,15 +205,31 @@ def test_pressure_work_matches_the_surface_node_sum():
         _close(rotated_energy_value(load, field, theta, rules), want, abs(want))
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.0])
-def test_incompressible_lower_bound_matches_the_node_sum(beta):
-    sol = explicit_minimizers(LoadSpec.cylinder_preset(beta=beta))
+def _assert_dual_bound_is_the_node_sum(sol):
     degree = max(4 * sol.planar.degree(), 2 * sol.axial.degree() - 2)
     vol = volume_quadrature(Domain.cylinder(), exact_order(degree))
     E = _node_strains(sol.u0, vol)
     dev = E - np.trace(E, axis1=1, axis2=2)[:, None, None] * (np.eye(3) / 3.0)
     want = -4.0 * _norm_sq(dev, vol.weights)
     _close(sol.min_incompressible_lower, want, abs(want))
+
+
+@pytest.mark.parametrize("spec", DUAL_BOUND_LOADS)
+def test_incompressible_lower_bound_matches_the_node_sum(spec):
+    _assert_dual_bound_is_the_node_sum(explicit_minimizers(spec))
+
+
+def test_incompressible_lower_bound_keeps_the_wall_terms():
+    # admissible loads have eta(1) = p(1) = 0, which hides the closed form's
+    # eta(1) terms; the identity holds for every eta and w, so a u0 moved off
+    # the wall (eta gains 0.05 r - 0.02 r^3, min_E moves with it) checks them
+    sol = explicit_minimizers(LoadSpec.cylinder_preset(beta=0.3))
+    planar = sol.planar + Polynomial([0.05, -0.02])
+    eta = Polynomial([0.0, 1.0]) * planar(Polynomial([0.0, 0.0, 1.0]))
+    moved = dataclasses.replace(sol, planar=planar, radial_integral=radial_strain_integral(eta))
+    assert float(moved.planar(1.0)) == pytest.approx(0.03)
+    assert float(moved.axial(1.0) - moved.axial(0.0)) == pytest.approx(0.3 / 96.0)
+    _assert_dual_bound_is_the_node_sum(moved)
 
 
 def test_nonuniqueness_values_and_norms_match_the_node_sums():

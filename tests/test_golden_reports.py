@@ -17,6 +17,12 @@ it is held to the bound ZERO_NORM_BOUND instead of to its recorded value.
 On a full-SO(3) kernel the relaxed minimizers form a family and round-off
 picks which one is reported, so only its value and its rotation angle are
 held, not the rotation matrix.
+
+The ``report.csv`` of ``kernel``, ``gap-report`` and ``nonlinear-study`` on
+the default config is recorded next to its report: the header must match
+exactly, every cell within the tolerance of the report leaves (the
+nonlinear-study rows within 1e-9 absolute), and no other subcommand writes
+a CSV.
 """
 
 import json
@@ -63,10 +69,26 @@ def _assert_report_matches(sub, out, recorded):
             assert abs(value - expected) <= max(REL * abs(expected), ABS), path
 
 
+def _assert_csv_matches(sub, out, recorded):
+    got = (out / "report.csv").read_text().splitlines()
+    want = recorded.read_text().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    abs_tol, rel_tol = (DESCENT_ABS, 0.0) if sub == "nonlinear-study" else (ABS, REL)
+    for n, (row, expected_row) in enumerate(zip(got[1:], want[1:]), start=2):
+        values, expected = map(float, row.split(",")), map(float, expected_row.split(","))
+        for value, expect in zip(values, expected, strict=True):
+            assert abs(value - expect) <= max(rel_tol * abs(expect), abs_tol), (n, row)
+
+
 @pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
 def test_default_report_matches_the_recorded_one(tmp_path, sub):
     assert cli.main([sub, "--out", str(tmp_path)]) == 0
     _assert_report_matches(sub, tmp_path, RECORDED / f"{sub}.json")
+    csv = RECORDED / f"{sub}.csv"
+    assert (tmp_path / "report.csv").exists() == csv.exists()
+    if csv.exists():
+        _assert_csv_matches(sub, tmp_path, csv)
 
 
 def test_thin_film_study_matches_the_recorded_one(tmp_path):

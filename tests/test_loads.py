@@ -119,8 +119,8 @@ def test_classification_ball_pull_in():
     spec = LoadSpec.ball_pull_in()
     rep = compatibility_report(spec)
     assert rep.classification == INCOMPATIBLE
-    # the quadratic spin work of the pull-in load is 8 pi / 15 on unit axes
-    assert np.isclose(rep.w2_max, 8 * np.pi / 15, atol=1e-10)
+    # the quadratic spin work of the pull-in load is 8 pi / 15 on every unit axis
+    assert np.isclose(rep.eigenvalues[-1], 8 * np.pi / 15, atol=1e-10)
     assert np.linalg.norm(rep.resultant) < 1e-12
     assert rep.momentum_max < 1e-12
 

@@ -183,7 +183,7 @@ def test_convergence_study_zero_loads():
 
 def test_convergence_study_rejects_bad_schedule(preset_ctx):
     spec, _, _ = preset_ctx
-    for schedule in [(0.1, 0.2), (0.2, 0.0), (1.0, 0.5)]:
+    for schedule in [(0.1, 0.2), (0.2, 0.0), (1.0, 0.5), ()]:
         with pytest.raises(ValueError, match="strictly decreasing in"):
             convergence_study(spec, schedule, degree=2)
 
