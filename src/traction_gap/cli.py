@@ -20,13 +20,13 @@ configuration, 3 solver failure, 4 a certification check failed.
 
 CSV columns (fixed):
   nonlinear-study : h,value_Gh,gap_to_limit,rot_dist,strain_rescaled
+                    (gap_to_limit = value_Gh - limit, signed)
   gap-report      : theta,value,predicted,residual
   kernel          : wx,wy,wz,work_quadratic
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
@@ -101,10 +101,10 @@ DEFAULT_CONFIG: dict = {
 # there on the cylinder, 0.10-0.12 s and 49 MB on the ball, by meta.json on
 # 2 cores, 3 runs each; importing this module with numpy takes about 30 MB
 # of that).
-# The nonlinear context tabulates its ansatz space on the cylinder rule's
-# planar and axial factors (under 8 MB at nonlinear degree 6, where
-# nonlinear-study peaks at 45 MB).  Past geometry.ORDER_CAP a derived rule
-# order exits 2.
+# The nonlinear context assembles its ansatz space on the space's own rule
+# and tabulates it on the cylinder rule's planar and axial factors (6.5 MB
+# of traced allocations at nonlinear degree 6, where nonlinear-study peaks
+# at 41 MB).  Past geometry.ORDER_CAP a derived rule order exits 2.
 SIZE_CAPS = {
     "basis.degree": 12,
     "nonlinear_degree": 6,
@@ -390,6 +390,41 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _parse_options(sub: str, args: list[str]) -> tuple[str | None, str] | int:
+    """(config path, output directory) from the options after a subcommand.
+
+    Each option takes its value as the next argument or after ``=``, and the
+    last occurrence wins.  ``-h``/``--help`` prints the usage and gives 0; an
+    unknown option or one without its value prints the usage and the error
+    to stderr and gives 1.
+    """
+    usage = f"usage: traction-gap {sub} [-h] [--config CONFIG] [--out OUT]"
+    values: dict[str, str | None] = {"--config": None, "--out": "."}
+    unknown = []
+    rest = iter(args)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            print(f"{usage}\n\n  --config CONFIG  path to a JSON config (default: the built-in "
+                  f"config)\n  --out OUT        output directory for reports (default: .)")
+            return 0
+        name, eq, value = arg.partition("=")
+        if name not in values:
+            unknown.append(arg)
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                print(f"{usage}\ntraction-gap {sub}: error: argument {name}: expected one argument",
+                      file=sys.stderr)
+                return 1
+        values[name] = value
+    if unknown:
+        print(f"{usage}\ntraction-gap {sub}: error: unrecognized arguments: {' '.join(unknown)}",
+              file=sys.stderr)
+        return 1
+    return values["--config"], values["--out"]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -400,17 +435,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown subcommand: {sub!r}\n", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 1
-    parser = argparse.ArgumentParser(prog=f"traction-gap {sub}")
-    parser.add_argument("--config", default=None, help="path to a JSON config")
-    parser.add_argument("--out", default=".", help="output directory for reports")
-    try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:  # argparse has printed the help or the usage error
-        return 0 if exc.code == 0 else 1
+    options = _parse_options(sub, argv[1:])
+    if isinstance(options, int):  # -h has printed the usage (0), or a usage error (1)
+        return options
+    config_path, out_dir = options
 
     t0 = time.perf_counter()
     try:
-        cfg = validate_config(load_config(args.config))
+        cfg = validate_config(load_config(config_path))
         spec = spec_from_config(cfg)
     except ConfigError as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
@@ -432,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         "tolerances": cfg["tolerances"],
         "results": _jsonable(results),
     }
-    out = Path(args.out)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -103,6 +103,13 @@ def _legendre_tables(x: np.ndarray, deg: int, lo: float, hi: float, nder: int) -
     return out
 
 
+def _planar_products(Lx: np.ndarray, Ly: np.ndarray, factors: np.ndarray, out: np.ndarray):
+    """Writes the planar factors d^nx L_i(x) d^ny L_j(y), one per row (nx, ny,
+    i, j) of ``factors``, into out from the x and y tables of ``_legendre_tables``."""
+    nx, ny, i, j = factors.T
+    np.multiply(Lx[nx, i], Ly[ny, j], out=out)
+
+
 def _runs(labels: np.ndarray) -> list[slice]:
     """The runs of equal entries of a sorted label array, as slices."""
     edges = [0, *(np.flatnonzero(np.diff(labels)) + 1), len(labels)]
@@ -272,16 +279,19 @@ class GalerkinSpace:
                     terms.append((gp, gz, coef))
                 yield start + pos[r] * width + pos[s], start + pos[s] * width + pos[r], terms
 
-    def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(n_P, n) planar factors at the points (x, y): the x factors
-        d^nx L_i(x), times the y factors of one parity run at a time, in place."""
+    def _legendre_xy(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y Legendre tables of the planar factors at the points (x, y)."""
         a = self._box[0]
         nx, ny, i, j = self._planar_factors.T
         nder, deg = int(max(nx.max(), ny.max())), int(max(i.max(), j.max()))
-        Ly = _legendre_tables(y, deg, -a, a, nder)
-        out = _legendre_tables(x, deg, -a, a, nder)[nx, i]
+        return _legendre_tables(x, deg, -a, a, nder), _legendre_tables(y, deg, -a, a, nder)
+
+    def _planar(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(n_P, n) planar factors at the points (x, y), one parity run at a time."""
+        Lx, Ly = self._legendre_xy(x, y)
+        out = np.empty((len(self._planar_factors), x.size))
         for run in self._factor_classes[0]:
-            out[run] *= Ly[ny[run], j[run]]
+            _planar_products(Lx, Ly, self._planar_factors[run], out[run])
         return out
 
     def _axial(self, z: np.ndarray) -> np.ndarray:
@@ -303,14 +313,14 @@ class GalerkinSpace:
             np.multiply(P[pidx[:, e]] * sign[:, e, None], Z[zidx[:, e]], out=out[:, :, e])
         return out[..., :3], out[..., 3:].reshape(self.dim, -1, 3, 3)
 
-    def factor_tables(self, rule: QuadratureRule, planar: np.ndarray | None = None):
+    def factor_tables(self, rule: QuadratureRule):
         """Planar (values (K_P, N_P, 2), gradients (K_P, N_P, 2, 2)) and axial
         (values (K_A, N_z), slopes (K_A, N_z)) tables of an ``ansatz_k``
         space on a tensor rule: potential rows are in-plane and constant in
         z (axial factor L_0), axial rows (0, 0, w(z)) constant in the plane.
-        Each slot is written straight into its place in the preallocated
-        output; gradient entry [c, d] is d_d u_c.  ``planar`` is the rule's
-        planar factor table when the caller has built it."""
+        Each slot is formed from the 1D tables straight into its place in the
+        preallocated output, so no table of all planar factors is built;
+        gradient entry [c, d] is d_d u_c."""
         if self.kind != "ansatz_k":
             raise ValueError(f"factor tables exist only for ansatz_k spaces, not {self.kind!r}")
         if len(rule.terms) != 1:
@@ -329,13 +339,14 @@ class GalerkinSpace:
             if breach.any():
                 raise AssemblyError(f"a {what}; the space does not split into planar and "
                                     f"axial factors")
-        P = self._planar(px, py) if planar is None else planar
-        values = np.empty((rows_p.stop, P.shape[1], 2))
-        grads = np.empty((rows_p.stop, P.shape[1], 2, 2))
+        Lx, Ly = self._legendre_xy(px, py)
+        values = np.empty((rows_p.stop, px.size, 2))
+        grads = np.empty((rows_p.stop, px.size, 2, 2))
         outs = [values[..., c] for c in range(2)] + [grads[..., c, d] for c in range(2)
                                                      for d in range(2)]
         for e, out in zip(inplane, outs):
-            np.multiply(sign[rows_p, e, None], P[pidx[rows_p, e]], out=out)
+            _planar_products(Lx, Ly, self._planar_factors[pidx[rows_p, e]], out)
+            out *= sign[rows_p, e, None]
         Z = self._axial(z)
         return (values, grads), tuple(sign[rows_a, e, None] * Z[zidx[rows_a, e]] for e in axial)
 
@@ -541,12 +552,10 @@ _STRAIN_PAIRS = tuple((3 * i + i, 3 * i + i, 8.0) for i in range(3)) + tuple(
 _MASS_PAIRS = tuple((c, c, 1.0) for c in range(3))
 
 
-def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
-                    planar: list | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _factored_grams(space: GalerkinSpace,
+                    rule: QuadratureRule) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """(A blocks, M blocks) on a volume rule, from the planar and axial Gram
     matrices of its terms alone; no entry between two parity blocks is formed.
-    ``planar`` holds the planar factor table of each term when the caller has
-    built them; else each is built when it is reached.
 
     Every slot entry is sign * P * Z, so the integral of a product of two
     entries is a sum over the rule's terms of a planar Gram entry times an
@@ -562,9 +571,9 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
     """
     plane, axial = space._factor_classes
     grams = []
-    planar = planar or (space._planar(px, py) for (px, py, _), _ in rule.terms)
-    for P, ((_, _, pw), (z, wz)) in zip(planar, rule.terms, strict=True):
-        P, Z = P * np.sqrt(pw), space._axial(z)
+    for (px, py, pw), (z, wz) in rule.terms:
+        P, Z = space._planar(px, py), space._axial(z)
+        P *= np.sqrt(pw)
         Z *= np.sqrt(wz)
         GP, GZ = P @ P.T, Z @ Z.T
         del P, Z
@@ -585,8 +594,7 @@ def _factored_grams(space: GalerkinSpace, rule: QuadratureRule,
                  for out in store)
 
 
-def load_moments(space: GalerkinSpace, load, rules: LoadRules,
-                 planar: list | None = None) -> np.ndarray:
+def load_moments(space: GalerkinSpace, load, rules: LoadRules) -> np.ndarray:
     """(K, 3, 3) tensors T_k with L(R b_k) = <R, T_k>, by quadrature.
 
     T_k[i, j] = sum_n w_n f_i(x_n) b_kj(x_n).  On each term of the volume rule
@@ -597,15 +605,14 @@ def load_moments(space: GalerkinSpace, load, rules: LoadRules,
     lambda times the integral of d_i b_kj (divergence theorem), the gradient
     slot 3 + 3j + i, gathered from the outer products of the weighted factor
     sums (P w) 1 and (Z w) 1, which are formed only for a pressure load.
-    ``planar`` is as for ``_factored_grams``.
     """
     vol = rules.volume
     pressure = load.surface_pressure if load.has_surface_term else 0.0
     Y = S = 0.0
-    planar = planar or (space._planar(px, py) for (px, py, _), _ in vol.terms)
-    for P, term in zip(planar, vol.terms, strict=True):
-        (_, _, pw), (z, wz) = term
-        P, Z = P * pw, space._axial(z)
+    for term in vol.terms:
+        (px, py, pw), (z, wz) = term
+        P, Z = space._planar(px, py), space._axial(z)
+        P *= pw
         Z *= wz
         fP, fz = factor_forces(load, term)  # broadcast to the (N_P, N_Z, 3) node forces
         F = np.dstack([np.repeat(fP[:, None], wz.size, axis=1), np.tile(fz, (pw.size, 1))])
@@ -643,17 +650,15 @@ def _factored(space: GalerkinSpace, rules: LoadRules, blocks: list[np.ndarray],
                            rotation_form=0.5 * (Q + Q.T), basis=basis)
 
 
-def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None,
-             planar: list | None = None) -> StiffnessSystem:
-    """Quadratic form, load moments, its factorization and rotation form;
-    ``planar`` is as for ``_factored_grams``."""
+def assemble(space: GalerkinSpace, load, rules: LoadRules | None = None) -> StiffnessSystem:
+    """Quadratic form, load moments, its factorization and rotation form."""
     if rules is None:
         f = space.field_degree
         rules = default_rules(load, exact_order(max(2 * f, force_degree(load) + f)))
     blocks = space.parity_blocks
-    stiffness, mass = _factored_grams(space, rules.volume, planar)
+    stiffness, mass = _factored_grams(space, rules.volume)
     rigid = space.rigid_coefficients()
-    return _factored(space, rules, blocks, stiffness, load_moments(space, load, rules, planar),
+    return _factored(space, rules, blocks, stiffness, load_moments(space, load, rules),
                      rigid, _rigid_fit(mass, blocks, rigid))
 
 

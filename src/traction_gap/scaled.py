@@ -34,7 +34,7 @@ import numpy as np
 
 from .energy import ksv_density_sum, ksv_weighted_stress, strain, sym_norm_sq_sum
 from .galerkin import GalerkinSpace, SolverError, assemble, build_space
-from .geometry import QuadratureRule, exact_order
+from .geometry import QuadratureRule, exact_order, volume_quadrature
 from .limits import ExplicitSolution, explicit_minimizers
 from .loads import (
     AXIS_SUBGROUP,
@@ -44,7 +44,6 @@ from .loads import (
     LoadError,
     LoadSpec,
     compatibility_report,
-    default_rules,
     force_degree,
     placement_moments,
 )
@@ -61,10 +60,11 @@ DIVERGENCE_FLOOR = -1e12
 
 @dataclass
 class NonlinearContext:
-    """What the descent reads of a load and an ansatz space on one tensor
-    rule, and nothing else: the gradients of the planar rows on the rule's
-    planar factor, the slopes of the axial rows on its axial factor, both
-    factors' weights, the load moments, the placement moment and the metric.
+    """What the descent reads of a load and an ansatz space, and nothing
+    else: on one tensor rule, the gradients of the planar rows on the rule's
+    planar factor, the slopes of the axial rows on its axial factor and both
+    factors' weights; from the space's assembly, on its own exact rule, the
+    load moments and the metric; and the closed-form placement moment.
     The rows' values, which only the projection of the limit start reads,
     are handed to it by ``nonlinear_context`` and not kept.
 
@@ -107,23 +107,22 @@ def nonlinear_context(
     values of its planar (K_P, N_P, 2) and axial (K_A, N_z) rows for
     ``_limit_start``; ValueError for other spaces, whose gradients do not
     split by factor.  The rule is exact for |C(h G)|^2, of degree 4(f - 1)
-    for fields of degree f, for the assembly, and for projecting the
-    closed-form start onto the space; that start has the forces' degree + 2
-    (equilibrium is of order 2).  The planar factor table is built once, and
-    serves the assembly and then the tables; the space is assembled before
-    it is tabulated, so the assembly's temporaries are gone when the tables
-    are built.  The placement moment T is ``loads.placement_moments``'s
-    closed form, so the descent's T / h carries no round-off."""
+    for fields of degree f, and for projecting the closed-form start onto
+    the space; that start has the forces' degree + 2 (equilibrium is of
+    order 2).  The space is assembled on its own, lower exact rule
+    (``assemble``'s default) before it is tabulated on this one, so the
+    assembly's temporaries are gone when the tables are built.  The
+    placement moment T is ``loads.placement_moments``'s closed form, so the
+    descent's T / h carries no round-off."""
+    system = assemble(space, spec)
     f = space.field_degree
-    degree = max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)
-    rules = default_rules(spec, exact_order(degree))
-    ((px, py, pw), (_, zw)), = rules.volume.terms  # the cylinder's rule is one tensor term
-    planar = space._planar(px, py)
-    system = assemble(space, spec, rules=rules, planar=[planar])
-    (pv, pg), (av, ag) = space.factor_tables(rules.volume, planar)
+    rule = volume_quadrature(spec.domain,
+                             exact_order(max(4 * (f - 1), 2 * f, force_degree(spec) + 2 + f)))
+    ((_, _, pw), (_, zw)), = rule.terms  # the cylinder's rule is one tensor term
+    (pv, pg), (av, ag) = space.factor_tables(rule)
     return NonlinearContext(
         space=space,
-        rule=rules.volume,
+        rule=rule,
         planar_grads=pg.reshape(pg.shape[0], -1),
         axial_slopes=ag,
         planar_weights=pw * np.sum(zw),
@@ -275,11 +274,13 @@ def minimize_scaled(
 
 @dataclass
 class ConvergenceRow:
-    """One row of the h -> 0 study.  ``gap_to_limit`` is resolved to about
-    1e-15 absolute, where the descent stops (COEFF_GRAD_TOL): on the
-    thin-film config (degree 5) at h = 5e-4, gap_to_limit / h^2 is 1.15898e-4
-    to 1.15900e-4 at the context's rule order plus 0, 2, 4 and 7.  That
-    needs the placement moment T exact: the descent divides it by h."""
+    """One row of the h -> 0 study.  ``gap_to_limit`` is the signed
+    difference value - limit, so a row below the limit shows a negative
+    sign.  It is resolved to about 1e-15 absolute, where the descent stops
+    (COEFF_GRAD_TOL): on the thin-film config (degree 5) at h = 5e-4,
+    gap_to_limit / h^2 is 1.15898e-4 to 1.15900e-4 at the context's rule
+    order plus 0, 2, 4 and 7.  That needs the placement moment T exact: the
+    descent divides it by h."""
 
     h: float
     value: float
@@ -390,7 +391,7 @@ def convergence_study(
             ConvergenceRow(
                 h=h,
                 value=res.value,
-                gap_to_limit=abs(res.value - limit_value),
+                gap_to_limit=res.value - limit_value,
                 rotation_distance=_kernel_distance(R, report),
                 strain_rescaled=rescaled_strain_norm(coeffs, R, h, ctx),
                 status=res.status,

@@ -73,6 +73,25 @@ def test_bad_subcommand_arguments_exit_one(tmp_path, capsys, args):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_options_take_equals_and_the_last_occurrence_wins(tmp_path):
+    # --opt=value and --opt value; a repeated option keeps its last value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"beta": 0.0}))
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(["check-loads", "--config", "missing.json", f"--config={cfg}",
+                 f"--out={first}", "--out", str(last)]) == 0
+    report = json.loads((last / "report.json").read_text())
+    assert report["results"]["classification"] == "full_so3"
+    assert not first.exists()
+
+
+@pytest.mark.parametrize("args", [["--conf", "x.json"], ["--config", "--out", "x"], ["stray"]])
+def test_abbreviations_and_stray_arguments_are_usage_errors(tmp_path, capsys, args):
+    assert main(["check-loads", *args, "--out", str(tmp_path)]) == 1
+    assert "usage: traction-gap check-loads" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "traction-gap" in capsys.readouterr().out

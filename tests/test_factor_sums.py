@@ -259,17 +259,6 @@ def test_factor_sums_refuse_a_rule_without_terms():
         quadratic_energy(explicit_minimizers(PRESET).u0, nodes_only)
 
 
-def test_factor_tables_must_cover_every_term():
-    # a caller's planar tables pair up with the rule's terms one to one: the
-    # ball's rule has several terms, and one table is refused, not half-summed
-    spec = LoadSpec.ball_pull_in()
-    rules = default_rules(spec, 6)
-    space = build_space("full", 2, spec.domain)
-    (px, py, _), _ = rules.volume.terms[0]
-    with pytest.raises(ValueError, match="zip"):
-        load_moments(space, spec, rules, [space._planar(px, py)])
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input on purpose
 def test_non_finite_work_is_a_load_error():
     sol = explicit_minimizers(PRESET)

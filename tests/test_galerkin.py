@@ -512,8 +512,8 @@ def test_factored_grams_allocate_less_than_one_dense_matrix():
 
 @pytest.mark.parametrize("kind,degree,d1", [("full", 4, None), ("ansatz_k", 6, 3)])
 def test_planar_factors_are_the_products_of_1d_tables_bit_for_bit(kind, degree, d1):
-    # _planar multiplies the y factors into the x factors one parity run at
-    # a time; the product of the two full gathers has the same bits
+    # _planar forms the products one parity run at a time (factor_tables one
+    # slot at a time); the product of the two full gathers has the same bits
     space = build_space(kind, degree, CYL, degree1d=d1)
     ((px, py, _), _), = volume_quadrature(CYL, 7).terms
     a = space._box[0]

@@ -403,19 +403,41 @@ def test_degree5_context_is_small():
     assert _array_bytes(ctx, set()) < 5e6
 
 
-def test_degree5_context_peaks_below_its_old_tables():
-    # the thin-film space: each table is written straight into its final
-    # array, so the context peaks at about 4.1 MB of traced allocations
-    # (5.7 MB when the planar tables were gathered, signed and reshaped in
-    # copies)
-    space = build_space("ansatz_k", 10, CYL, degree1d=5)
+def _context_peak(degree: int, degree1d: int) -> int:
+    """Traced peak bytes of the nonlinear context of an ansatz space."""
+    space = build_space("ansatz_k", degree, CYL, degree1d=degree1d)
     tracemalloc.start()
     try:
         nonlinear_context(LoadSpec.cylinder_preset(), space)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5e6
+
+
+def test_degree5_context_peaks_below_its_old_tables():
+    # the thin-film space: it is assembled on its own order-10 rule, and the
+    # descent's tables are written slot by slot from 1D tables straight into
+    # their final arrays, so the context peaks at about 3.2 MB of traced
+    # allocations (4.2 MB when one planar factor table of the order-17 rule
+    # served both, 5.7 MB when the tables were gathered in copies)
+    assert _context_peak(10, 5) < 3.5e6
+
+
+def test_degree6_context_peaks_below_its_old_tables():
+    # nonlinear_degree 6: about 6.5 MB (8.6 MB with the shared table)
+    assert _context_peak(12, 6) < 7.0e6
+
+
+def test_context_builds_no_planar_table_on_its_quartic_rule(monkeypatch):
+    # only the assembly, on its own rule, builds a table of all planar
+    # factors; the descent's tables on the quartic rule are built slot by slot
+    space = build_space("ansatz_k", 10, CYL, degree1d=5)
+    seen, planar = [], GalerkinSpace._planar
+    monkeypatch.setattr(GalerkinSpace, "_planar",
+                        lambda self, x, y: seen.append(x.size) or planar(self, x, y))
+    ctx, _ = nonlinear_context(LoadSpec.cylinder_preset(), space)
+    assert ctx.planar_weights.size == 578
+    assert seen and 578 not in seen
 
 
 # -- stop reasons -----------------------------------------------------------------
@@ -466,7 +488,8 @@ def test_thin_films_converge_at_rule_order_21(monkeypatch):
 def test_thin_film_gap_does_not_follow_the_rule_order(monkeypatch):
     # the placement moment T is exact, so the descent's T / h carries no
     # round-off: at h = 5e-4 the gap over h^2 is 1.1590e-4 at every order the
-    # context may take, where T summed on the rule spread it by 38%.  What
+    # descent's rule may take (the assembly keeps its own rule), where T
+    # summed on the rule spread it by 38%.  What
     # is left (2.3e-5 with one BLAS thread, 3.4e-6 with two) is the descent's
     # stop at COEFF_GRAD_TOL, 7e-16 of the gap's 2.9e-11
     hs = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005)
@@ -476,6 +499,22 @@ def test_thin_film_gap_does_not_follow_the_rule_order(monkeypatch):
         row = convergence_study(LoadSpec.cylinder_preset(), hs, degree=5)[-1]
         ratios.append(row.gap_to_limit / row.h ** 2)
     assert max(ratios) - min(ratios) <= 1e-4 * max(ratios)
+
+
+def test_gap_to_limit_is_signed(monkeypatch):
+    # a limit above the first row's value gives negative gaps, not their size
+    spec, hs = LoadSpec.cylinder_preset(), (0.2, 0.1)
+    first = convergence_study(spec, hs, degree=2)[0].value
+    start = scaled._limit_start
+
+    def raised_limit(*args):
+        coeffs, R, _ = start(*args)
+        return coeffs, R, first + 1e-3
+
+    monkeypatch.setattr(scaled, "_limit_start", raised_limit)
+    rows = convergence_study(spec, hs, degree=2)
+    assert rows[0].gap_to_limit == pytest.approx(-1e-3, rel=0, abs=1e-12)
+    assert all(r.gap_to_limit == r.value - (first + 1e-3) < 0.0 for r in rows)
 
 
 def test_convergence_study_classifies_the_loads_once(monkeypatch):
