@@ -16,7 +16,9 @@ report stays reproducible.
 ``config_hash`` in ``report.json`` is the SHA-256 of the canonical config
 JSON, computed with CPython's built-in hash module, without OpenSSL.
 Exit codes: 0 success (and ``-h`` after a subcommand), 1 usage, 2 invalid
-configuration, 3 solver failure, 4 a certification check failed.
+configuration, 3 solver failure, 4 a certification check failed.  A report
+is strict JSON, every number finite: one that would hold NaN or an infinity
+is a solver failure, and nothing is written.
 
 CSV columns (fixed):
   nonlinear-study : h,value_Gh,gap_to_limit,rot_dist,strain_rescaled
@@ -209,26 +211,19 @@ def spec_from_config(cfg: dict) -> LoadSpec:
         raise ConfigError("builtin" if builtin else "phi_coeffs/psi_coeffs", str(err))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+def _json_default(obj):
+    """What ``json`` cannot write itself: arrays, numpy scalars and dataclasses."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return sha256(canon.encode()).hexdigest()
 
 
@@ -309,7 +304,7 @@ def _cmd_gap_report(spec, cfg):
     ]
     margin = rep.margin if rep.margin is not None else rep.margin_lower
     code = 0 if (margin > 0 and rep.incompressible.certified) else 4
-    return _jsonable(rep.leaves()), rows, code
+    return rep.leaves(), rows, code
 
 
 def _cmd_verify_explicit(spec, cfg):
@@ -333,22 +328,21 @@ def _cmd_nonlinear_study(spec, cfg):
         for r in rows
     ]
     failed = [r for r in rows if r.status.startswith("error")]
-    results = {"rows": rows, "errors": len(failed)}
-    return _jsonable(results), table, 3 if failed else 0, {"descent": work}
+    return {"rows": rows, "errors": len(failed)}, table, 3 if failed else 0, {"descent": work}
 
 
 def _cmd_rotated_check(spec, cfg):
     res = rotated_no_gap_check(spec, degree=cfg["basis"]["degree"], report=_classify(spec, cfg))
     tol = cfg["tolerances"]["rotated_relative"]
     ok = res.relative_difference < tol and res.kernel_unchanged
-    return {**_jsonable(res), "tolerance": tol}, None, 0 if ok else 4
+    return {**dataclasses.asdict(res), "tolerance": tol}, None, 0 if ok else 4
 
 
 def _cmd_nonuniqueness(spec, cfg):
     res = nonuniqueness_check(spec, order=cfg["quadrature_order"], report=_classify(spec, cfg))
     tol = cfg["tolerances"]["nonuniqueness_relative"]
     ok = res.relative_value_difference < tol and res.distinct
-    return {**_jsonable(res), "tolerance": tol}, None, 0 if ok else 4
+    return {**dataclasses.asdict(res), "tolerance": tol}, None, 0 if ok else 4
 
 
 SUBCOMMANDS = {
@@ -386,7 +380,7 @@ def _peak_rss_mb() -> float:
 
 
 def _write_csv(path: Path, rows) -> None:
-    lines = [",".join(str(v) for v in row) for row in rows]
+    lines = [",".join("" if v is None else str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -462,13 +456,18 @@ def main(argv: list[str] | None = None) -> int:
         "version": __version__,
         "config_hash": config_hash(cfg),
         "tolerances": cfg["tolerances"],
-        "results": _jsonable(results),
+        "results": results,
     }
+    try:  # RFC 8259 has no NaN or Infinity: a non-finite result is a solver failure
+        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
+                          allow_nan=False)
+    except ValueError as err:
+        print(f"{sub}: solver error: the report holds a non-finite number ({err})",
+              file=sys.stderr)
+        return 3
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    (out / "report.json").write_text(text + "\n")
     if csv_rows is not None:
         _write_csv(out / "report.csv", csv_rows)
     meta = {

@@ -211,7 +211,7 @@ def placement_moments(load) -> tuple[np.ndarray, np.ndarray]:
 
     T, res = np.zeros((3, 3)), np.zeros(3)
     if load.builtin == BALL_PULL_IN:
-        T -= 4.0 * np.pi / 15.0 * a ** 5 * np.eye(3)
+        T -= 4.0 * np.pi / 15.0 * np.float64(a) ** 5 * np.eye(3)  # inf, not OverflowError
     else:
         inner = polyint(polymulx(polymulx(polyder(load.phi.coef))))  # of phi' r^2, in rho
         inner = Polynomial(inner[::2])(Polynomial(rho_sq)).coef if ball else [polyval(a, inner)]

@@ -280,13 +280,15 @@ class ConvergenceRow:
     (COEFF_GRAD_TOL): on the thin-film config (degree 5) at h = 5e-4,
     gap_to_limit / h^2 is 1.15898e-4 to 1.15900e-4 at the context's rule
     order plus 0, 2, 4 and 7.  That needs the placement moment T exact: the
-    descent divides it by h."""
+    descent divides it by h.  A row whose descent failed has status
+    ``"error: ..."`` and None for its four numbers (``null`` in report.json,
+    an empty cell in report.csv)."""
 
     h: float
-    value: float
-    gap_to_limit: float
-    rotation_distance: float
-    strain_rescaled: float
+    value: float | None
+    gap_to_limit: float | None
+    rotation_distance: float | None
+    strain_rescaled: float | None
     status: str
 
 
@@ -375,8 +377,8 @@ def convergence_study(
         except SolverError as err:
             rows.append(
                 ConvergenceRow(
-                    h=h, value=np.nan, gap_to_limit=np.nan,
-                    rotation_distance=np.nan, strain_rescaled=np.nan,
+                    h=h, value=None, gap_to_limit=None,
+                    rotation_distance=None, strain_rescaled=None,
                     status=f"error: {err}",
                 )
             )

@@ -12,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from conftest import node_moment
-from traction_gap import cli, limits
+from traction_gap import cli, limits, scaled
 from traction_gap.cli import DEFAULT_CONFIG, config_hash, main
-from traction_gap.galerkin import GalerkinSpace, assemble, build_space, solve_quadratic
+from traction_gap.galerkin import (GalerkinSpace, SolverError, assemble, build_space,
+                                   solve_quadratic)
 from traction_gap.limits import RotatedCheck
 from traction_gap.loads import classify_moments, compatibility_report, default_rules
 from traction_gap.rotations import rotation_angle
@@ -400,6 +401,58 @@ def test_overflowing_domain_is_a_solver_error(tmp_path, capsys):
         code, _, _ = run_cli([sub], tmp_path, cfg)
         assert code == 3
     assert "solver error" in capsys.readouterr().err
+
+
+# the closed-form pull-in moment a^5 and a huge pressure overflow or leave NaN
+# in the solves; check-loads and kernel of the pressure alone stay finite
+_OVERFLOWING = {
+    "pull_in_1e70": {"domain": {"kind": "ball", "radius": 1e70}, "builtin": "ball_pull_in"},
+    "pressure_1e160": {"surface_pressure": 1e160, "basis": {"degree": 2}},
+    "pressure_1e300": {"surface_pressure": 1e300, "basis": {"degree": 2}},
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_overflowing_loads_write_no_non_finite_report(tmp_path, capsys, name):
+    # a report with NaN or an infinity is a solver error (3) and is not written
+    for sub in sorted(cli.SUBCOMMANDS):
+        code, _, out = run_cli([sub], tmp_path, _OVERFLOWING[name])
+        err = capsys.readouterr().err
+        if name.startswith("pressure") and sub in ("check-loads", "kernel"):
+            assert code == 0, sub
+            json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+            continue
+        assert code in (2, 3), sub
+        assert not (out / "report.json").exists(), sub
+        if sub in ("solve-linear", "solve-limit") and name.startswith("pressure"):
+            assert code == 3 and f"{sub}: solver error" in err and "non-finite" in err
+
+
+def test_failed_nonlinear_rows_are_null(tmp_path, monkeypatch):
+    # a row whose descent fails keeps its h and status; its numbers are null
+    # in report.json and empty in report.csv, and the study exits 3
+    minimize = scaled.minimize_scaled
+
+    def failing(spec, coeffs, R, h, *args, **kwargs):
+        if h == 0.1:
+            raise SolverError("no descent")
+        return minimize(spec, coeffs, R, h, *args, **kwargs)
+
+    monkeypatch.setattr(scaled, "minimize_scaled", failing)
+    code, report, out = run_cli(["nonlinear-study"], tmp_path, {"h_schedule": [0.2, 0.1]})
+    assert code == 3
+    assert report["results"]["errors"] == 1
+    failed = report["results"]["rows"][1]
+    assert failed["h"] == 0.1 and failed["status"] == "error: no descent"
+    assert [failed[k] for k in ("value", "gap_to_limit", "rotation_distance",
+                                "strain_rescaled")] == [None] * 4
+    assert report["results"]["rows"][0]["value"] is not None
+    assert (out / "report.csv").read_text().splitlines()[2] == "0.1,,,,"
 
 
 def test_gap_report_of_zero_load_is_a_config_error(tmp_path, capsys):
@@ -852,10 +905,19 @@ def small_configs(draw):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input on purpose
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=small_configs(), sub=st.sampled_from(sorted(cli.SUBCOMMANDS)))
+@example(cfg={"domain": {"kind": "ball", "radius": 1e300, "height": 1.0}, "phi_coeffs": _PHI,
+              "psi_coeffs": _PSI, "beta": 0.01, "surface_pressure": None,
+              "basis": {"degree": 1}, "quadrature_order": 1, "kernel_samples": 1,
+              "h_schedule": [0.2, 0.1], "nonlinear_degree": 2, "builtin": "ball_pull_in"},
+         sub="check-loads")  # a^5 overflowed float: an OverflowError traceback
 def test_random_configs_end_in_a_documented_exit_code(cfg, sub):
     # every config runs or fails with 2 (config), 3 (solver) or 4
-    # (certification); an escaping exception fails the test
+    # (certification); an escaping exception fails the test, and a run that
+    # succeeds writes strict JSON, every number finite
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg))
-        assert main([sub, "--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)
+        code = main([sub, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
